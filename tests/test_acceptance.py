@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -44,23 +45,35 @@ from util import (
     surface_from_voxels,
 )
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
 _CACHE = {}
+
+
+def _trace_bytes(result):
+    """The bytes `gridtopo contract --trace-out` writes: root plus children."""
+    root = result.root
+    children = {n.node_id: n.trace for n in result.nodes if n.node_id != root.node_id}
+    doc = trace_to_json(root.trace, children)
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
 
 
 def _contraction(name, builder):
     if name not in _CACHE:
         result = contract(builder())
-        doc = json.dumps(trace_to_json(result.root.trace), indent=1, sort_keys=True)
-        _CACHE[name] = (result, doc.encode())
+        _CACHE[name] = (result, _trace_bytes(result))
     return _CACHE[name]
 
 
 def _builders():
+    """The fixtures of tests/fixtures that load as valid, built in code."""
     amb2 = build_ambient(2, [(-2, 5), (-2, 5)])
     amb3 = build_ambient(3, [(-2, 5), (-2, 5), (-2, 5)])
     return {
+        "sq1": lambda: curve_from_pixels(amb2, [(0, 0)]),
         "rect12": lambda: curve_from_pixels(amb2, [(0, 0), (1, 0)]),
         "ushape": lambda: curve_from_pixels(amb2, U_PIXELS),
+        "box111": lambda: surface_from_voxels(amb3, [(0, 0, 0)]),
         "box211": lambda: surface_from_voxels(amb3, [(0, 0, 0), (1, 0, 0)]),
         "box333": lambda: surface_from_voxels(amb3, BOX333_VOXELS),
         "torus": lambda: surface_from_voxels(amb3, TORUS_VOXELS),
@@ -320,9 +333,7 @@ def test_criterion_8_determinism(tmp_path):
     for name, builder in builders.items():
         _first, first_doc = _contraction(name, builder)
         second = contract(builder())
-        second_doc = json.dumps(
-            trace_to_json(second.root.trace), indent=1, sort_keys=True
-        ).encode()
+        second_doc = _trace_bytes(second)
         assert first_doc == second_doc, f"{name}: trace bytes differ between runs"
         a_dir = tmp_path / f"{name}_a"
         b_dir = tmp_path / f"{name}_b"
@@ -335,3 +346,20 @@ def test_criterion_8_determinism(tmp_path):
     print(
         f"\n[criterion 8] PASS determinism: {len(builders)} fixtures byte-identical ({elapsed:.1f}s)"
     )
+
+
+def test_golden_traces():
+    """Trace bytes match the files recorded in tests/golden, byte for byte.
+
+    Criterion 8 compares two runs of the same code; the goldens pin the
+    bytes across changes, so a change that picks a different arc, order
+    of flips or serialization shows here.
+    """
+    start = time.monotonic()
+    builders = _builders()
+    for name, builder in builders.items():
+        _result, data = _contraction(name, builder)
+        golden = (GOLDEN_DIR / f"{name}.json").read_bytes()
+        assert data == golden, f"{name}: trace bytes differ from tests/golden/{name}.json"
+    elapsed = time.monotonic() - start
+    print(f"\n[goldens] PASS {len(builders)} traces byte-identical ({elapsed:.1f}s)")
