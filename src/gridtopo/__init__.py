@@ -20,7 +20,6 @@ from .curviness import (
 )
 from .deform import (
     DeformationTrace,
-    ElementaryMove,
     interpolate,
     is_gradually_varied,
     replace_arc,
@@ -47,7 +46,6 @@ __all__ = [
     "CurvinessReport",
     "Cycle",
     "DeformationTrace",
-    "ElementaryMove",
     "Filling",
     "LoftedSequence",
     "ManifoldComplex",

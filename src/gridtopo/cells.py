@@ -3,7 +3,9 @@
 A cell is identified by an integer base coordinate and the sorted set of
 axes it spans; a vertex spans no axes, an edge one, a square two, a voxel
 three.  All incidence (faces, cofaces, vertices) is computed from the
-coordinates, so no incidence tables are stored.
+coordinates, so no incidence tables are stored.  A cell's text token,
+`b0,b1,...|a0,a1` (base, then axes), is the one cell format of traces and
+command output.
 """
 
 from __future__ import annotations
@@ -51,12 +53,11 @@ class CubicalCell:
 
     def faces(self) -> Iterator["CubicalCell"]:
         """The 2*dim cells of dimension dim-1 bounding this cell."""
-        for a in self.axes:
-            rest = tuple(x for x in self.axes if x != a)
-            yield CubicalCell(self.dim - 1, self.base, rest)
-            shifted = list(self.base)
-            shifted[a] += 1
-            yield CubicalCell(self.dim - 1, tuple(shifted), rest)
+        base, axes, dim = self.base, self.axes, self.dim - 1
+        for i, a in enumerate(axes):
+            rest = axes[:i] + axes[i + 1 :]
+            yield CubicalCell(dim, base, rest)
+            yield CubicalCell(dim, base[:a] + (base[a] + 1,) + base[a + 1 :], rest)
 
     def all_faces(self) -> Iterator["CubicalCell"]:
         """Every cell of the closure, including self, down to vertices."""
@@ -114,9 +115,7 @@ class CubicalCell:
         return True
 
     def __repr__(self) -> str:
-        b = ",".join(str(x) for x in self.base)
-        a = ",".join(str(x) for x in self.axes)
-        return f"Cell({b}|{a})"
+        return f"Cell({cell_token(self)})"
 
 
 @dataclass(frozen=True, order=True)
@@ -193,3 +192,18 @@ def boundary_cells(cell: CubicalCell) -> frozenset:
     if cell.dim < 1:
         raise ValueError("vertices have no boundary cells")
     return frozenset(cell.faces())
+
+
+def cell_token(cell: CubicalCell) -> str:
+    """The text form `b0,b1,...|a0,a1`: base, then axes."""
+    b = ",".join(str(x) for x in cell.base)
+    a = ",".join(str(x) for x in cell.axes)
+    return f"{b}|{a}"
+
+
+def parse_cell_token(tok: str) -> CubicalCell:
+    """Inverse of `cell_token`."""
+    b, _, a = tok.partition("|")
+    base = tuple(int(x) for x in b.split(","))
+    axes = tuple(int(x) for x in a.split(",")) if a else ()
+    return CubicalCell.make(base, axes)

@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from . import engine, io, render as render_mod
+from .cells import cell_token
 from .complexes import validate
 from .curviness import VARIANTS, radius_schedule, valid_reports
 from .errors import GridTopoError
@@ -41,7 +42,7 @@ def _cmd_curviness(args) -> int:
             reports = reports[:1]
         for rep in reports:
             print(
-                f"{io.cell_token(rep.center)} {rep.gamma} "
+                f"{cell_token(rep.center)} {rep.gamma} "
                 f"{rep.r} {rep.r1} {rep.r2_h} {rep.r3}"
             )
             rows += 1
@@ -88,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gridtopo",
         description="Contract closed cubical manifolds to irreducible discrete spheres.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized corpus helpers")
     parser.add_argument("--quiet", action="store_true", help="suppress non-essential output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -125,9 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that must be positive.  Rejected like any other bad input, with
+# exit 4: argparse's usage exit 2 would read as "obstruction" from contract.
+_POSITIVE = ("radius", "filling_cap", "move_cap")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in _POSITIVE:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be positive, got {value}", file=sys.stderr)
+            return 4
     try:
         return args.func(args)
     except GridTopoError as err:

@@ -3,12 +3,14 @@
 A ManifoldComplex is a finite set of m-cells plus its derived closure.  The
 validation report checks the regular-manifold conditions: coface counts of
 (m-1)-cells, connectivity through shared (m-1)-cells, and the local link
-condition at every vertex.
+condition at every vertex.  Every connectivity question in the library
+(validation, cycle validity, splitting along a cycle, flooding the region a
+surface encloses) goes through the one `components` helper here.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Tuple
@@ -46,6 +48,11 @@ class ManifoldComplex:
         return {d: frozenset(s) for d, s in by_dim.items()}
 
     @cached_property
+    def closure_cells(self) -> CellSet:
+        """Every cell of the closure, all dimensions together."""
+        return frozenset().union(*self.closure.values())
+
+    @cached_property
     def vertices(self) -> FrozenSet[Coord]:
         return frozenset(c.base for c in self.closure.get(0, frozenset()))
 
@@ -62,14 +69,6 @@ class ManifoldComplex:
                 counts[f] += 1
         return dict(counts)
 
-    @cached_property
-    def face_to_cells(self) -> Dict[CubicalCell, Tuple[CubicalCell, ...]]:
-        mapping: Dict[CubicalCell, List[CubicalCell]] = defaultdict(list)
-        for c in sorted(self.cells):
-            for f in c.faces():
-                mapping[f].append(c)
-        return {f: tuple(cs) for f, cs in mapping.items()}
-
     def contains(self, cell: CubicalCell) -> bool:
         return cell in self.closure.get(cell.dim, frozenset())
 
@@ -83,19 +82,6 @@ class ManifoldComplex:
     def boundary(self) -> CellSet:
         """(m-1)-cells lying in exactly one m-cell."""
         return frozenset(f for f, k in self.coface_counts.items() if k == 1)
-
-    def is_closed(self) -> bool:
-        return all(k == 2 for k in self.coface_counts.values())
-
-    def adjacency(self) -> Dict[CubicalCell, Tuple[CubicalCell, ...]]:
-        """m-cell adjacency through shared (m-1)-cells."""
-        adj: Dict[CubicalCell, List[CubicalCell]] = {c: [] for c in self.cells}
-        for f, cs in self.face_to_cells.items():
-            for a in cs:
-                for b in cs:
-                    if a != b:
-                        adj[a].append(b)
-        return {c: tuple(sorted(set(v))) for c, v in adj.items()}
 
     def replace(self, removed: Iterable[CubicalCell], added: Iterable[CubicalCell]) -> "ManifoldComplex":
         return ManifoldComplex.make(self.ambient, self.m, (self.cells - frozenset(removed)) | frozenset(added))
@@ -118,12 +104,6 @@ class Cycle:
     def canonical_cells(self) -> Tuple[CubicalCell, ...]:
         return tuple(sorted(self.cells))
 
-    def vertex_set(self) -> FrozenSet[Coord]:
-        out = set()
-        for c in self.cells:
-            out.update(c.vertices())
-        return frozenset(out)
-
     def is_valid(self) -> bool:
         """Closed (every (dim-1)-cell in exactly two cells) and connected."""
         if not self.cells:
@@ -136,7 +116,7 @@ class Cycle:
                 counts[f] += 1
         if any(k != 2 for k in counts.values()):
             return False
-        return len(_components(self.cells, self.dim)) == 1
+        return len(components(self.cells, self.dim)) == 1
 
 
 @dataclass(frozen=True)
@@ -161,37 +141,42 @@ class ValidationReport:
         return flags
 
 
-def _components(cells: Iterable[CubicalCell], dim: int) -> List[CellSet]:
-    """Connected components under shared-(dim-1)-cell adjacency."""
-    cells = set(cells)
+def components(
+    cells: Iterable[CubicalCell], dim: int, blocked: CellSet = frozenset()
+) -> List[CellSet]:
+    """Connected components under shared-(dim-1)-cell adjacency.
+
+    Cells sharing a (dim-1)-cell listed in `blocked` are not joined
+    through it.  Components come in the canonical order of their smallest
+    cell.
+    """
+    order = sorted(set(cells))
     if dim == 0:
-        return [frozenset([c]) for c in sorted(cells)]
-    by_face: Dict[CubicalCell, List[CubicalCell]] = defaultdict(list)
-    for c in cells:
+        return [frozenset([c]) for c in order]
+    # Cells are numbered in canonical order; the search runs on the numbers.
+    by_face: Dict[CubicalCell, List[int]] = defaultdict(list)
+    for i, c in enumerate(order):
         for f in c.faces():
-            by_face[f].append(c)
-    seen: set = set()
+            if f not in blocked:
+                by_face[f].append(i)
+    neighbors: List[List[int]] = [[] for _ in order]
+    for shared in by_face.values():
+        for i in shared:
+            neighbors[i].extend(j for j in shared if j != i)
+    seen = [False] * len(order)
     comps: List[CellSet] = []
-    for start in sorted(cells):
-        if start in seen:
+    for start in range(len(order)):
+        if seen[start]:
             continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            cur = queue.popleft()
-            for f in cur.faces():
-                for nb in by_face[f]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        comp.add(nb)
-                        queue.append(nb)
-        comps.append(frozenset(comp))
+        seen[start] = True
+        members = [start]
+        for i in members:
+            for j in neighbors[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+        comps.append(frozenset(order[i] for i in members))
     return comps
-
-
-def components(cells: Iterable[CubicalCell], dim: int) -> List[CellSet]:
-    return _components(cells, dim)
 
 
 def region_boundary(region: Iterable[CubicalCell]) -> CellSet:
@@ -201,11 +186,6 @@ def region_boundary(region: Iterable[CubicalCell]) -> CellSet:
         for f in c.faces():
             counts[f] += 1
     return frozenset(f for f, k in counts.items() if k % 2 == 1)
-
-
-def region_surface(ambient: AmbientSpace, solid: Iterable[CubicalCell]) -> CellSet:
-    """Boundary faces of a set of top-dimensional cells (the visible surface)."""
-    return region_boundary(solid)
 
 
 def star(M: ManifoldComplex, x: CubicalCell) -> CellSet:
@@ -238,48 +218,26 @@ def link(M: ManifoldComplex, x: CubicalCell) -> CellSet:
     return frozenset(out)
 
 
-def _vertex_link_ok(M: ManifoldComplex, v: Coord, boundary_faces: CellSet) -> bool:
-    """Check the local structure of M around vertex v.
+def _vertex_link_ok(m: int, v: Coord, incident: List[CubicalCell], boundary_faces: CellSet) -> bool:
+    """Check the local structure of a complex around vertex v.
 
-    The m-cells incident to v, connected through shared (m-1)-cells that
-    also contain v, must form a single cycle (interior vertex) or a single
-    path (vertex on the boundary of an arc).
+    The m-cells incident to v, connected through shared (m-1)-cells (which
+    always contain v), must form a single cycle (interior vertex) or a
+    single path (vertex on the boundary of an arc).
     """
-    vx = CubicalCell(0, v, ())
-    incident = [c for c in M.cells if c.contains(vx)]
-    if not incident:
-        return False
-    if M.m == 1:
+    if m == 1:
         return len(incident) in (1, 2)
-    local_faces: Dict[CubicalCell, List[CubicalCell]] = defaultdict(list)
-    for c in incident:
-        for f in c.faces():
-            if f.contains(vx):
-                local_faces[f].append(c)
-    if any(len(cs) > 2 for cs in local_faces.values()):
+    vx = CubicalCell(0, v, ())
+    local_faces = Counter(f for c in incident for f in c.faces() if f.contains(vx))
+    if any(k > 2 for k in local_faces.values()):
         return False
-    # Walk the incident cells as a graph; a disk or half-disk neighborhood
-    # is exactly one component with every local face shared by <= 2 cells.
-    adj: Dict[CubicalCell, set] = {c: set() for c in incident}
-    for f, cs in local_faces.items():
-        if len(cs) == 2:
-            adj[cs[0]].add(cs[1])
-            adj[cs[1]].add(cs[0])
-    seen = set()
-    queue = deque([incident[0]])
-    seen.add(incident[0])
-    while queue:
-        cur = queue.popleft()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if len(seen) != len(incident):
+    # A disk or half-disk neighborhood is exactly one component with every
+    # local face shared by <= 2 cells.
+    if len(components(incident, m)) != 1:
         return False
-    open_ends = sum(1 for f, cs in local_faces.items() if len(cs) == 1)
     if any(f in boundary_faces for f in local_faces):
         return True  # boundary vertex: a single path suffices
-    return open_ends == 0
+    return all(k == 2 for k in local_faces.values())
 
 
 def validate(M: ManifoldComplex) -> ValidationReport:
@@ -291,16 +249,20 @@ def validate(M: ManifoldComplex) -> ValidationReport:
     is_manifold = not bad_counts
     is_closed = is_manifold and all(k == 2 for k in counts.values())
 
-    comps = _components(M.cells, M.m)
+    comps = components(M.cells, M.m)
     connected = len(comps) == 1
     if not connected and comps:
         offending.update(sorted(comps[-1])[:1])
     is_regular = is_manifold and connected
 
-    boundary_faces = frozenset(f for f, k in counts.items() if k == 1)
+    boundary_faces = M.boundary()
+    incident: Dict[Coord, List[CubicalCell]] = defaultdict(list)
+    for c in M.cells:
+        for v in c.vertices():
+            incident[v].append(c)
     link_ok = True
-    for v in sorted(M.vertices):
-        if not _vertex_link_ok(M, v, boundary_faces):
+    for v in sorted(incident):
+        if not _vertex_link_ok(M.m, v, incident[v], boundary_faces):
             link_ok = False
             offending.add(CubicalCell(0, v, ()))
     return ValidationReport(
@@ -314,27 +276,4 @@ def validate(M: ManifoldComplex) -> ValidationReport:
 
 def split_by_cycle(M: ManifoldComplex, cycle: Cycle) -> List[CellSet]:
     """Components of M's m-cells when adjacency may not cross the cycle."""
-    cut = cycle.cells
-    adj_faces = {f: cs for f, cs in M.face_to_cells.items() if f not in cut}
-    seen: set = set()
-    comps: List[CellSet] = []
-    neighbor: Dict[CubicalCell, List[CubicalCell]] = defaultdict(list)
-    for f, cs in adj_faces.items():
-        if len(cs) == 2:
-            neighbor[cs[0]].append(cs[1])
-            neighbor[cs[1]].append(cs[0])
-    for start in sorted(M.cells):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nb in neighbor[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.add(nb)
-                    queue.append(nb)
-        comps.append(frozenset(comp))
-    return comps
+    return components(M.cells, M.m, blocked=cycle.cells)

@@ -40,7 +40,6 @@ CellSet = FrozenSet[CubicalCell]
 VARIANTS = ("ratio", "diff", "height", "height_ratio")
 
 RegionFit = namedtuple("RegionFit", "region cycle complement")
-Volume = namedtuple("Volume", "count measure")
 
 
 @dataclass(frozen=True)
@@ -68,8 +67,6 @@ class CurvinessReport:
     r1: int
     r2_h: int
     r3: Fraction
-    vol_arc: Volume
-    vol_filling: Volume
 
     def measure(self, variant: str):
         if variant == "ratio":
@@ -81,10 +78,6 @@ class CurvinessReport:
         if variant == "height_ratio":
             return self.r3
         raise ValueError(f"unknown variant {variant!r}")
-
-
-def _region_connected(region: CellSet, m: int) -> bool:
-    return len(components(region, m)) == 1
 
 
 def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = None) -> RegionFit:
@@ -111,9 +104,9 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
         if not bd:
             fail("region has empty boundary")
         cyc = Cycle(frozenset(bd), M.m)
-        if cyc.is_valid() and _region_connected(frozenset(region), M.m):
+        if cyc.is_valid() and len(components(region, M.m)) == 1:
             complement = M.cells - frozenset(region)
-            if not complement or not _region_connected(complement, M.m):
+            if not complement or len(components(complement, M.m)) != 1:
                 fail("boundary does not separate M into two components")
             return RegionFit(frozenset(region), cyc, complement)
         # Repair: absorb the smallest complement cell adjacent to the
@@ -144,10 +137,7 @@ def boundary_cycle_fit(
 
 def height(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> int:
     """Largest ambient vertex distance from arc cells to the filling."""
-    f_verts = set()
-    for c in filling.cells:
-        f_verts.update(c.vertices())
-    f_verts.update(v for c in filling.boundary.cells for v in c.vertices())
+    f_verts = filling.vertices
     h = 0
     for c in arc.region:
         d = min(ambient_distance(M.ambient, v, w) for v in c.vertices() for w in f_verts)
@@ -156,11 +146,7 @@ def height(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> int:
 
 
 def _filling_span(ambient: AmbientSpace, filling: Filling) -> int:
-    verts = set()
-    for c in filling.cells:
-        verts.update(c.vertices())
-    verts.update(v for c in filling.boundary.cells for v in c.vertices())
-    verts = sorted(verts)
+    verts = sorted(filling.vertices)
     return max(
         (ambient_distance(ambient, u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]),
         default=0,
@@ -179,21 +165,28 @@ def minimum_filling_of_arc(
     arc size; when the exact search runs out of nodes, the better one-sided
     cut stands in (marked non-minimal).
     """
-    avoid = closure_of(M.cells) - closure_of(arc.cycle.cells)
+    avoid = M.closure_cells - closure_of(arc.cycle.cells)
     eff_cap = min(cap, len(arc.region))
     try:
         return min_filling(M.ambient, arc.cycle, avoid=avoid, cap=eff_cap, node_budget=node_budget)
     except SearchBudgetExceeded:
-        cuts = []
-        for side in ("inside", "outside"):
-            got = one_sided_min_cut(M, arc.region, side=side)
-            if got is not None:
-                cuts.append((len(got[0]), side, got[0]))
-        cuts.sort(key=lambda t: (t[0], t[1] != "inside"))
-        if cuts and cuts[0][0] <= len(arc.region):
-            return Filling(cells=cuts[0][2], boundary=arc.cycle, is_minimal=False)
+        cut = _best_one_sided_cut(M, arc)
+        if cut is not None and len(cut) <= len(arc.region):
+            return Filling(cells=cut, boundary=arc.cycle, is_minimal=False)
         return Filling(cells=arc.region, boundary=arc.cycle, is_minimal=False,
                        avoid_hits=frozenset(arc.region))
+
+
+def _best_one_sided_cut(
+    M: ManifoldComplex, arc: ArcRegion, inside: Optional[CellSet] = None
+) -> Optional[CellSet]:
+    """Filling cells of the smaller one-sided minimum cut, inside on ties."""
+    best = None
+    for side in ("inside", "outside"):
+        got = one_sided_min_cut(M, arc.region, inside=inside, side=side)
+        if got is not None and (best is None or len(got[0]) < len(best)):
+            best = got[0]
+    return best
 
 
 def curviness(
@@ -221,8 +214,6 @@ def curviness(
         r1=n_arc - n_fill,
         r2_h=h,
         r3=Fraction(h, span) if span else Fraction(0),
-        vol_arc=Volume(n_arc, n_arc),
-        vol_filling=Volume(n_fill, n_fill),
     )
 
 
@@ -244,40 +235,33 @@ def replacement_filling(
     eff_cap = min(cap, len(arc.region) - 1, len(arc.complement) - 1)
     if eff_cap < 1:
         return None
-    exclude = closure_of(M.cells) - closure_of(arc.cycle.cells)
+    exclude = M.closure_cells - closure_of(arc.cycle.cells)
     if M.m == 1:
         try:
             return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=eff_cap, node_budget=node_budget)
         except (FillingNotFound, SearchBudgetExceeded):
             return None
 
-    cuts = []
-    for side in ("inside", "outside"):
-        got = one_sided_min_cut(M, arc.region, inside=inside, side=side)
-        if got is not None and len(got[0]) <= eff_cap:
-            cuts.append((len(got[0]), side, got[0]))
-    cuts.sort(key=lambda t: (t[0], t[1] != "inside"))
-    best_cut = cuts[0] if cuts else None
+    cut = _best_one_sided_cut(M, arc, inside)
+    if cut is not None and len(cut) > eff_cap:
+        cut = None
 
-    exact_cap = min(eff_cap, best_cut[0] if best_cut else exact_threshold)
+    exact_cap = min(eff_cap, len(cut) if cut is not None else exact_threshold)
     if exact_cap <= exact_threshold:
         try:
             return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=exact_cap, node_budget=node_budget)
         except (FillingNotFound, SearchBudgetExceeded):
             pass
-    if best_cut is None:
+    if cut is None:
         return None
-    return Filling(cells=best_cut[2], boundary=arc.cycle, is_minimal=False)
+    return Filling(cells=cut, boundary=arc.cycle, is_minimal=False)
 
 
 def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
     """Deduplicated fitted arcs from balls around every closure cell."""
     half = len(M.cells) // 2
     seen: Dict[CellSet, ArcRegion] = {}
-    centers: List[CubicalCell] = []
-    for d in range(0, M.m + 1):
-        centers.extend(sorted(M.closure.get(d, frozenset())))
-    for center in centers:
+    for center in sorted(M.closure_cells):
         cells = ball(M, center, gamma)
         if not cells or len(cells) > half:
             continue

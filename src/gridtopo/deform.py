@@ -1,4 +1,4 @@
-"""Elementary moves, gradual variation, interpolation, arc replacement.
+"""Elementary moves, gradual variation, interpolation, arc replacement, traces.
 
 A deformation is recorded as a sequence of elementary moves, each flipping
 the state across one (m+1)-cell: the new state is the symmetric difference
@@ -6,29 +6,26 @@ of the old state with the flip cell's boundary.  Replacing an arc by a
 filling decomposes into one flip per cell of the region enclosed between
 them; the interpolation search looks for an order of those flips in which
 every intermediate state is still a valid closed manifold.
+
+The step records (`MoveStep`, `ReplaceStep`, `SplitStep`, `TerminalStep`)
+are the whole trace format: each one replays itself onto a state, names
+the cells it changes, and writes and reads its own text line and JSON
+object.  Serialization (`io`) and rendering (`render`) go through these
+methods, so a new step kind is added here and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
-from .cells import AmbientSpace, CubicalCell
+from .cells import AmbientSpace, CubicalCell, cell_token, parse_cell_token
 from .complexes import ManifoldComplex, validate
 from .curviness import ArcRegion
 from .errors import InterpolationFailed, ReplacementNotManifold, ReplayMismatch
 from .filling import Filling, enclosed_cells
 
 CellSet = FrozenSet[CubicalCell]
-
-
-@dataclass(frozen=True)
-class ElementaryMove:
-    """One flip: `after` is `before` XOR the flip cell's boundary."""
-
-    flip_cell: CubicalCell
-    before: CellSet
-    after: CellSet
 
 
 def apply_flip(state: CellSet, flip_cell: CubicalCell) -> CellSet:
@@ -74,17 +71,12 @@ def is_gradually_varied(ambient: AmbientSpace, A: CellSet, B: CellSet) -> bool:
     return cover(diff)
 
 
-def _state_valid(ambient: AmbientSpace, m: int, state: CellSet) -> bool:
-    M = ManifoldComplex(ambient, m, state)
-    return validate(M).ok
-
-
 def interpolate(
     M: ManifoldComplex,
     arc: ArcRegion,
     filling: Filling,
     move_cap: int,
-) -> List[ElementaryMove]:
+) -> List["MoveStep"]:
     """Order of single flips deforming the arc onto the filling.
 
     The flips are exactly the top cells enclosed between arc and filling;
@@ -102,14 +94,10 @@ def interpolate(
     if len(region) > move_cap:
         raise InterpolationFailed(f"{len(region)} flips exceed move cap {move_cap}")
 
-    f_verts = set()
-    for c in F:
-        f_verts.update(c.vertices())
+    f_verts = filling.vertices
 
     def fdist(w: CubicalCell) -> int:
-        return min(
-            sum(abs(a - b) for a, b in zip(v, u)) for v in w.vertices() for u in f_verts
-        )
+        return min(sum(abs(a - b) for a, b in zip(v, u)) for v in w.vertices() for u in f_verts)
 
     order = sorted(region, key=lambda w: (-fdist(w), w))
     start = M.cells
@@ -117,7 +105,7 @@ def interpolate(
     nodes = 0
     dead: set = set()
 
-    def dfs(state: CellSet, flipped: FrozenSet[CubicalCell], moves: List[ElementaryMove]) -> bool:
+    def dfs(state: CellSet, flipped: FrozenSet[CubicalCell], moves: List[MoveStep]) -> bool:
         nonlocal nodes
         if len(flipped) == len(region):
             return True
@@ -133,16 +121,16 @@ def interpolate(
             if not (state & bd) or not (bd - state):
                 continue
             new_state = state.symmetric_difference(bd)
-            if not _state_valid(M.ambient, M.m, new_state):
+            if not validate(ManifoldComplex(M.ambient, M.m, new_state)).ok:
                 continue
-            moves.append(ElementaryMove(flip_cell=w, before=state, after=new_state))
+            moves.append(MoveStep(flip_cell=w))
             if dfs(new_state, flipped | {w}, moves):
                 return True
             moves.pop()
         dead.add(flipped)
         return False
 
-    moves: List[ElementaryMove] = []
+    moves: List[MoveStep] = []
     if not dfs(start, frozenset(), moves):
         raise InterpolationFailed("no valid flip order found")
     return moves
@@ -165,15 +153,47 @@ def replace_arc(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> Manifol
 # Trace records.
 
 
+def _tokens(cells: Iterable[CubicalCell]) -> List[str]:
+    return [cell_token(c) for c in cells]
+
+
+def _cells(tokens: Iterable[str]) -> Tuple[CubicalCell, ...]:
+    return tuple(parse_cell_token(t) for t in tokens)
+
+
 @dataclass(frozen=True)
 class MoveStep:
+    """One elementary move: flip the state across one (m+1)-cell."""
+
     flip_cell: CubicalCell
 
     kind = "move"
 
+    def apply(self, state: CellSet) -> CellSet:
+        try:
+            return apply_flip(state, self.flip_cell)
+        except ValueError as err:
+            raise ReplayMismatch(str(err))
+
+    @property
+    def changed_cells(self) -> CellSet:
+        return frozenset(self.flip_cell.faces())
+
+    def line(self) -> str:
+        return f"move flip={cell_token(self.flip_cell)}"
+
+    def to_json(self) -> Dict:
+        return {"kind": self.kind, "flip": cell_token(self.flip_cell)}
+
+    @classmethod
+    def from_json(cls, obj: Dict) -> "MoveStep":
+        return cls(flip_cell=parse_cell_token(obj["flip"]))
+
 
 @dataclass(frozen=True)
 class ReplaceStep:
+    """Marker closing the moves of one arc replacement; checked, not applied."""
+
     center: CubicalCell
     gamma: int
     removed: Tuple[CubicalCell, ...]
@@ -183,9 +203,51 @@ class ReplaceStep:
 
     kind = "replace"
 
+    def apply(self, state: CellSet) -> CellSet:
+        if state & frozenset(self.removed):
+            raise ReplayMismatch("replace marker: removed cells still present")
+        if not frozenset(self.added) <= state:
+            raise ReplayMismatch("replace marker: added cells missing")
+        return state
+
+    @property
+    def changed_cells(self) -> CellSet:
+        return frozenset(self.added)
+
+    def line(self) -> str:
+        return (
+            f"replace x={cell_token(self.center)} γ={self.gamma} "
+            f"removed={len(self.removed)} added={len(self.added)}"
+        )
+
+    def to_json(self) -> Dict:
+        return {
+            "kind": self.kind,
+            "center": cell_token(self.center),
+            "gamma": self.gamma,
+            "removed": _tokens(self.removed),
+            "added": _tokens(self.added),
+            "sign": self.sign,
+            "lofted": [list(t) for t in self.lofted],
+        }
+
+    @classmethod
+    def from_json(cls, obj: Dict) -> "ReplaceStep":
+        return cls(
+            center=parse_cell_token(obj["center"]),
+            gamma=obj["gamma"],
+            removed=_cells(obj["removed"]),
+            added=_cells(obj["added"]),
+            sign=obj["sign"],
+            lofted=tuple(tuple(t) for t in obj.get("lofted", [])),
+        )
+
 
 @dataclass(frozen=True)
 class SplitStep:
+    """An arc cut out along a cycle and closed with its filling; the arc
+    side is contracted as child node `child_id`."""
+
     cycle_cells: Tuple[CubicalCell, ...]
     removed: Tuple[CubicalCell, ...]
     added: Tuple[CubicalCell, ...]
@@ -194,16 +256,78 @@ class SplitStep:
 
     kind = "split"
 
+    def apply(self, state: CellSet) -> CellSet:
+        removed = frozenset(self.removed)
+        if not removed <= state:
+            raise ReplayMismatch("split: arc cells not present")
+        return (state - removed) | frozenset(self.added)
+
+    @property
+    def changed_cells(self) -> CellSet:
+        return frozenset(self.added)
+
+    def line(self) -> str:
+        return "split cycle=" + ",".join(_tokens(self.cycle_cells))
+
+    def to_json(self) -> Dict:
+        return {
+            "kind": self.kind,
+            "cycle": _tokens(self.cycle_cells),
+            "removed": _tokens(self.removed),
+            "added": _tokens(self.added),
+            "child": self.child_id,
+            "level": self.level,
+        }
+
+    @classmethod
+    def from_json(cls, obj: Dict) -> "SplitStep":
+        return cls(
+            cycle_cells=_cells(obj["cycle"]),
+            removed=_cells(obj["removed"]),
+            added=_cells(obj["added"]),
+            child_id=obj["child"],
+            level=obj.get("level"),
+        )
+
 
 @dataclass(frozen=True)
 class TerminalStep:
+    """How the run ended; `center` is the irreducibility witness, if any."""
+
     center: Optional[CubicalCell]
     status: str
 
     kind = "terminal"
+    changed_cells = frozenset()
+
+    def apply(self, state: CellSet) -> CellSet:
+        return state
+
+    def line(self) -> str:
+        center = cell_token(self.center) if self.center is not None else "-"
+        return f"terminal center={center}"
+
+    def to_json(self) -> Dict:
+        return {
+            "kind": self.kind,
+            "center": cell_token(self.center) if self.center is not None else None,
+            "status": self.status,
+        }
+
+    @classmethod
+    def from_json(cls, obj: Dict) -> "TerminalStep":
+        center = obj.get("center")
+        return cls(center=parse_cell_token(center) if center else None, status=obj["status"])
 
 
-Step = object
+Step = Union[MoveStep, ReplaceStep, SplitStep, TerminalStep]
+
+_STEP_KINDS = {cls.kind: cls for cls in (MoveStep, ReplaceStep, SplitStep, TerminalStep)}
+
+
+def step_from_json(obj: Dict) -> Step:
+    """The step record a JSON object describes; KeyError on an unknown kind."""
+    return _STEP_KINDS[obj["kind"]].from_json(obj)
 
 
 @dataclass(frozen=True)
@@ -221,38 +345,16 @@ class DeformationTrace:
         state = frozenset(self.initial)
         out = [state]
         for step in self.steps:
-            state = apply_step(state, step)
+            state = step.apply(state)
             out.append(state)
         return out
-
-
-def apply_step(state: CellSet, step: Step) -> CellSet:
-    if isinstance(step, MoveStep):
-        try:
-            return apply_flip(state, step.flip_cell)
-        except ValueError as err:
-            raise ReplayMismatch(str(err))
-    if isinstance(step, ReplaceStep):
-        if state & frozenset(step.removed):
-            raise ReplayMismatch(f"replace marker: removed cells still present")
-        if not frozenset(step.added) <= state:
-            raise ReplayMismatch(f"replace marker: added cells missing")
-        return state
-    if isinstance(step, SplitStep):
-        removed = frozenset(step.removed)
-        if not removed <= state:
-            raise ReplayMismatch("split: arc cells not present")
-        return (state - removed) | frozenset(step.added)
-    if isinstance(step, TerminalStep):
-        return state
-    raise ReplayMismatch(f"unknown step {step!r}")
 
 
 def replay(trace: DeformationTrace) -> ManifoldComplex:
     """Re-run the trace from the initial state, checking the final state."""
     state = frozenset(trace.initial)
     for step in trace.steps:
-        state = apply_step(state, step)
+        state = step.apply(state)
     if state != frozenset(trace.final):
         raise ReplayMismatch("replayed final state differs from recorded final")
     return ManifoldComplex(trace.ambient, trace.m, state)

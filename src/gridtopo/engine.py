@@ -25,7 +25,6 @@ from .curviness import (
 )
 from .deform import (
     DeformationTrace,
-    MoveStep,
     ReplaceStep,
     SplitStep,
     TerminalStep,
@@ -52,7 +51,6 @@ class ContractionConfig:
     filling_cap: int = 64
     move_cap: Optional[int] = None  # None: 10 * arc size
     max_iterations: int = 10_000
-    radius_policy: str = "top_down"
     node_budget: int = 200_000
     probe_budget: int = 20_000
 
@@ -112,9 +110,6 @@ class ContractionResult:
             return 2
         return 3
 
-    def leaves(self) -> List[ContractionNode]:
-        return [n for n in self.nodes if not n.children]
-
 
 def is_irreducible_sphere(M: ManifoldComplex) -> Optional[CubicalCell]:
     """Witness cell all m-cells of M touch, if one exists.
@@ -165,12 +160,10 @@ def diameter_sphere_check(M: ManifoldComplex) -> Tuple[bool, int, Tuple]:
     return (not failures, D, failures)
 
 
-def radius_sweep(M: ManifoldComplex, policy: str = "top_down") -> List[int]:
+def radius_sweep(M: ManifoldComplex) -> List[int]:
     """Radii in scan order: the halving schedule, then the remaining radii."""
     d, _ = diameter(M)
     gmax = max(1, d // 2)
-    if policy == "bottom_up":
-        return list(range(1, gmax + 1))
     sched = list(radius_schedule_from(d))
     rest = [g for g in range(gmax, 0, -1) if g not in set(sched)]
     return sched + rest
@@ -185,11 +178,7 @@ def probe_obstruction(M: ManifoldComplex, cfg: ContractionConfig) -> Optional[Ob
     """
     d, _ = diameter(M)
     gmax = max(1, d // 2)
-    m_closure = closure_of(M.cells)
-    centers: List[CubicalCell] = []
-    for dim in range(0, M.m + 1):
-        centers.extend(sorted(M.closure.get(dim, frozenset())))
-    for center in centers:
+    for center in sorted(M.closure_cells):
         for g in range(1, gmax + 1):
             region = ball(M, center, g)
             if not region or len(region) == len(M.cells):
@@ -201,7 +190,7 @@ def probe_obstruction(M: ManifoldComplex, cfg: ContractionConfig) -> Optional[Ob
                 cyc = Cycle(frozenset(comp), M.m)
                 if not cyc.is_valid():
                     continue
-                avoid = m_closure - closure_of(cyc.cells)
+                avoid = M.closure_cells - closure_of(cyc.cells)
                 try:
                     small, _large = jordan_split(M, cyc)
                     cap = min(12, len(small))
@@ -245,8 +234,12 @@ def probe_obstruction(M: ManifoldComplex, cfg: ContractionConfig) -> Optional[Ob
     return None
 
 
-def _try_apply(M, report: CurvinessReport, cfg, chi, steps, split_out, counter, nodes):
-    """Attempt one replacement; returns the new manifold or None."""
+def _try_apply(M, report: CurvinessReport, cfg, chi, counter, nodes):
+    """Attempt one replacement.
+
+    Returns None when it does not apply, else (new manifold, its trace
+    steps, the contracted split child or None).
+    """
     arc, filling = report.arc, report.filling
     try:
         new_M = replace_arc(M, arc, filling)
@@ -254,6 +247,8 @@ def _try_apply(M, report: CurvinessReport, cfg, chi, steps, split_out, counter, 
         return None
     if new_M.euler_characteristic() != chi:
         return None
+    removed = tuple(sorted(arc.region - filling.cells))
+    added = tuple(sorted(filling.cells - arc.region))
     try:
         sign = arc_sign(M, arc, filling)
     except CodimensionUnsupported:
@@ -288,22 +283,17 @@ def _try_apply(M, report: CurvinessReport, cfg, chi, steps, split_out, counter, 
         try:
             moves = interpolate(M, arc, filling, move_cap)
         except InterpolationFailed:
-            moves = None
-        if moves is not None:
-            for mv in moves:
-                steps.append(MoveStep(flip_cell=mv.flip_cell))
-            steps.append(
-                ReplaceStep(
-                    center=arc.center,
-                    gamma=arc.gamma,
-                    removed=tuple(sorted(arc.region - filling.cells)),
-                    added=tuple(sorted(filling.cells - arc.region)),
-                    sign=sign,
-                    lofted=loft_summary,
-                )
+            pass
+        else:
+            marker = ReplaceStep(
+                center=arc.center,
+                gamma=arc.gamma,
+                removed=removed,
+                added=added,
+                sign=sign,
+                lofted=loft_summary,
             )
-            return new_M
-        obstructed = True
+            return new_M, moves + [marker], None
 
     # Split branch: cut the arc out, close it with the filling, recurse.
     child_cells = arc.region | filling.cells
@@ -311,20 +301,14 @@ def _try_apply(M, report: CurvinessReport, cfg, chi, steps, split_out, counter, 
     if not validate(child).ok:
         return None
     child_node = _contract_node(child, cfg, counter, nodes, glue=(arc.cycle, filling))
-    split_out.append(
-        (
-            SplitStep(
-                cycle_cells=arc.cycle.canonical_cells(),
-                removed=tuple(sorted(arc.region - filling.cells)),
-                added=tuple(sorted(filling.cells - arc.region)),
-                child_id=child_node.node_id,
-                level=level,
-            ),
-            child_node,
-        )
+    split = SplitStep(
+        cycle_cells=arc.cycle.canonical_cells(),
+        removed=removed,
+        added=added,
+        child_id=child_node.node_id,
+        level=level,
     )
-    steps.append(split_out[-1][0])
-    return new_M
+    return new_M, [split], child_node
 
 
 def _contract_node(M, cfg, counter, nodes, glue):
@@ -340,18 +324,18 @@ def _contract_node(M, cfg, counter, nodes, glue):
             terminal = IrreducibleSphere(witness=witness)
             break
         chi = M.euler_characteristic()
-        applied = False
-        for gamma in radius_sweep(M, cfg.radius_policy):
+        applied = None
+        for gamma in radius_sweep(M):
             reports = valid_reports(
                 M, gamma, variant=cfg.variant, cap=cfg.filling_cap, node_budget=cfg.node_budget
             )
             for report in reports:
-                split_out: List = []
-                new_M = _try_apply(M, report, cfg, chi, steps, split_out, counter, nodes)
-                if new_M is not None:
-                    children.extend(node for _, node in split_out)
-                    M = new_M
-                    applied = True
+                applied = _try_apply(M, report, cfg, chi, counter, nodes)
+                if applied is not None:
+                    M, new_steps, child = applied
+                    steps.extend(new_steps)
+                    if child is not None:
+                        children.append(child)
                     break
             if applied:
                 break

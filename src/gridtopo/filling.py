@@ -12,24 +12,20 @@ deterministic minimum-cut over one side of the manifold supplies a valid
 from __future__ import annotations
 
 import math
+from itertools import product
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .cells import AmbientSpace, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, components, split_by_cycle
-from .errors import (
-    FillingNotFound,
-    NotSeparating,
-    SearchBudgetExceeded,
-    Unreachable,
-)
-from .metric import vertex_distances
+from .complexes import Cycle, ManifoldComplex, components, region_boundary, split_by_cycle
+from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
+from .metric import ball
 
 CellSet = FrozenSet[CubicalCell]
 
@@ -50,11 +46,10 @@ class Filling:
     def N(self) -> int:
         return len(self.cells)
 
-    def closure_cells(self) -> CellSet:
-        out = set()
-        for c in self.cells:
-            out.update(c.all_faces())
-        return frozenset(out)
+    @property
+    def vertices(self) -> FrozenSet[Coord]:
+        """Vertices of the filling cells and of its boundary cycle."""
+        return frozenset(v for c in self.cells | self.boundary.cells for v in c.vertices())
 
 
 def closure_of(cells: Iterable[CubicalCell]) -> CellSet:
@@ -87,10 +82,6 @@ def _boundary_ok(cells: CellSet, cycle_cells: CellSet) -> bool:
     if any(k > 2 for k in counts.values()):
         return False
     return ones == cycle_cells
-
-
-def _connected(cells: CellSet, dim: int) -> bool:
-    return len(components(cells, dim)) <= 1
 
 
 def _lex_shortest_path(
@@ -178,7 +169,7 @@ def _parity_min_filling(
                     break
                 raise SearchBudgetExceeded(f"filling search exceeded {node_budget} nodes")
             if not D:
-                if _boundary_ok(S, target) and _connected(S, m):
+                if _boundary_ok(S, target) and len(components(S, m)) <= 1:
                     solutions.append(S)
                 continue
             if len(S) + math.ceil(len(D) / per_cell) > limit:
@@ -234,63 +225,50 @@ def min_filling(
 
 
 def _bbox_top_cells(ambient: AmbientSpace, verts: Iterable[Coord]) -> List[CubicalCell]:
+    """Top cells of the vertices' bounding block, one cell wider on the low
+    side and clipped to the ambient, in canonical order."""
     verts = list(verts)
     n = ambient.n
     lo = [min(v[i] for v in verts) - 1 for i in range(n)]
     hi = [max(v[i] for v in verts) for i in range(n)]
     lo = [max(l, ambient.extent[i][0]) for i, l in enumerate(lo)]
     hi = [min(h, ambient.extent[i][1] - 1) for i, h in enumerate(hi)]
-    out = []
-
-    def rec(i, base):
-        if i == n:
-            out.append(CubicalCell(n, tuple(base), tuple(range(n))))
-            return
-        for x in range(lo[i], hi[i] + 1):
-            rec(i + 1, base + [x])
-
-    rec(0, [])
-    return out
+    axes = tuple(range(n))
+    ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
+    return [CubicalCell(n, base, axes) for base in product(*ranges)]
 
 
 def enclosed_cells(ambient: AmbientSpace, surface: CellSet) -> CellSet:
-    """Top-dimensional cells enclosed by a closed codimension-one surface."""
+    """Top-dimensional cells enclosed by a closed codimension-one surface.
+
+    Within the bounding block of the surface (one cell wider on the low
+    side, clipped to the ambient), a component of cells joined across
+    faces off the surface is outside when one of its cells has a face on
+    the block's outer boundary that is not on the surface; the rest is
+    enclosed.
+    """
     if not surface:
         return frozenset()
     verts = set()
     for c in surface:
         verts.update(c.vertices())
-    cells = _bbox_top_cells(ambient, verts)
-    cell_set = set(cells)
     n = ambient.n
-    outside: set = set()
-    queue: deque = deque()
+    cells = _bbox_top_cells(ambient, verts)
+    lo, hi = cells[0].base, cells[-1].base
+    rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
+    hull = set()
     for c in cells:
-        on_hull = False
         for a in range(n):
-            for d in (-1, 1):
-                b = list(c.base)
-                b[a] += d
-                nb = CubicalCell(n, tuple(b), c.axes)
-                if nb not in cell_set:
-                    shared = _shared_face(c, nb, a, d)
-                    if shared not in surface:
-                        on_hull = True
-        if on_hull:
-            outside.add(c)
-            queue.append(c)
-    while queue:
-        c = queue.popleft()
-        for a in range(n):
-            for d in (-1, 1):
-                b = list(c.base)
-                b[a] += d
-                nb = CubicalCell(n, tuple(b), c.axes)
-                if nb in cell_set and nb not in outside:
-                    if _shared_face(c, nb, a, d) not in surface:
-                        outside.add(nb)
-                        queue.append(nb)
-    return frozenset(c for c in cells if c not in outside)
+            for bound, step in ((lo[a], 0), (hi[a], 1)):
+                if c.base[a] == bound:
+                    outer = c.base[:a] + (bound + step,) + c.base[a + 1 :]
+                    if CubicalCell(n - 1, outer, rest[a]) not in surface:
+                        hull.add(c)
+    inside: set = set()
+    for comp in components(cells, n, blocked=surface):
+        if comp.isdisjoint(hull):
+            inside |= comp
+    return frozenset(inside)
 
 
 def _shared_face(c: CubicalCell, nb: CubicalCell, axis: int, direction: int) -> CubicalCell:
@@ -305,12 +283,8 @@ def inside_region(M: ManifoldComplex) -> CellSet:
 
 
 def _side_carrier(ambient: AmbientSpace, face: CubicalCell, inside: CellSet, want_inside: bool):
-    carriers = list(ambient.top_cells_containing(face))
-    ins = [c for c in carriers if c in inside]
-    outs = [c for c in carriers if c not in inside]
-    if want_inside:
-        return ins[0] if ins else None
-    return outs[0] if outs else None
+    """First top cell on the face's requested side, or None."""
+    return next((c for c in ambient.top_cells_containing(face) if (c in inside) == want_inside), None)
 
 
 def one_sided_min_cut(
@@ -350,12 +324,7 @@ def one_sided_min_cut(
     forced_w: set = set()
     forced_v: set = set()
     for f in sorted(M.cells):
-        carrier = _side_carrier(ambient, f, inside, side == "inside")
-        if carrier is None:
-            if f in arc_cells:
-                return None
-            continue
-        idx = region_index.get(carrier)
+        idx = region_index.get(_side_carrier(ambient, f, inside, side == "inside"))
         if idx is None:
             if f in arc_cells:
                 return None
@@ -429,19 +398,7 @@ def one_sided_min_cut(
     w_cells = frozenset(c for c in region if region_index[c] not in reach)
     if not w_cells:
         return None
-    filling: set = set()
-    for c in w_cells:
-        for a in range(n):
-            for d in (-1, 1):
-                b = list(c.base)
-                b[a] += d
-                nb = CubicalCell(n, tuple(b), c.axes)
-                shared = _shared_face(c, nb, a, d)
-                if shared in M.cells:
-                    continue
-                if nb not in w_cells:
-                    filling.add(shared)
-    return frozenset(filling), w_cells
+    return region_boundary(w_cells) - M.cells, w_cells
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +410,6 @@ class LoftedLevel:
     level: int
     circle: Cycle
     filling: Filling
-    sub_arc: CellSet
     meets_arc: bool
 
 
@@ -462,14 +418,6 @@ class LoftedSequence:
     center: CubicalCell
     gamma: int
     levels: Tuple[LoftedLevel, ...]
-
-    @property
-    def circles(self) -> Tuple[Cycle, ...]:
-        return tuple(l.circle for l in self.levels)
-
-    @property
-    def fillings(self) -> Tuple[Filling, ...]:
-        return tuple(l.filling for l in self.levels)
 
 
 def lofted(
@@ -489,12 +437,11 @@ def lofted(
     from .curviness import fit_region
 
     if arc_cells is None:
-        arc_cells = fit_region(M, _ball(M, center, gamma)).region
+        arc_cells = fit_region(M, ball(M, center, gamma)).region
     levels: List[LoftedLevel] = []
     for i in range(1, gamma + 1):
-        ball_i = _ball(M, center, i)
-        fit = fit_region(M, ball_i, level=i)
-        avoid = closure_of(M.cells) - closure_of(fit.cycle.cells)
+        fit = fit_region(M, ball(M, center, i), level=i)
+        avoid = M.closure_cells - closure_of(fit.cycle.cells)
         try:
             m_i = min_filling(
                 M.ambient,
@@ -513,19 +460,9 @@ def lofted(
             m_i = Filling(cells=cut[0], boundary=fit.cycle, is_minimal=False)
             meets = False
         levels.append(
-            LoftedLevel(level=i, circle=fit.cycle, filling=m_i, sub_arc=fit.region, meets_arc=meets)
+            LoftedLevel(level=i, circle=fit.cycle, filling=m_i, meets_arc=meets)
         )
     return LoftedSequence(center=center, gamma=gamma, levels=tuple(levels))
-
-
-def _ball(M: ManifoldComplex, center: CubicalCell, gamma: int) -> CellSet:
-    table = vertex_distances(M, center.vertices())
-    out = []
-    for c in M.cells:
-        ds = [table.get(v) for v in c.vertices()]
-        if all(d is not None and d <= gamma for d in ds):
-            out.append(c)
-    return frozenset(out)
 
 
 def semi_convex(arc_region, seq: LoftedSequence) -> bool:

@@ -6,8 +6,14 @@ Fixture grammar, one statement per line, `#` comments allowed:
     cell <b0> ... <b_{n-1}> axes <a1> ... <am>
 
 Cells are written in canonical order on save, so load/save round-trips are
-stable.  Traces serialize to a line-per-step text form and to a JSON dump
-that carries enough structure to replay and render.
+stable.  Every vertex must lie strictly inside the ambient bounds: the
+manifold keeps one empty grid unit of margin on every side.
+
+Traces serialize to a line-per-step text form and to a JSON dump that
+carries enough structure to replay and render.  This module writes the
+document envelope (ambient, initial and final cells, nested children);
+each step record in `deform` writes and reads its own line and JSON
+object.
 """
 
 from __future__ import annotations
@@ -16,29 +22,10 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .cells import AmbientSpace, CubicalCell, build_ambient
+from .cells import AmbientSpace, CubicalCell, build_ambient, cell_token, parse_cell_token
 from .complexes import ManifoldComplex, validate
-from .deform import (
-    DeformationTrace,
-    MoveStep,
-    ReplaceStep,
-    SplitStep,
-    TerminalStep,
-)
+from .deform import DeformationTrace, step_from_json
 from .errors import ParseError, ValidationFailed
-
-
-def cell_token(cell: CubicalCell) -> str:
-    b = ",".join(str(x) for x in cell.base)
-    a = ",".join(str(x) for x in cell.axes)
-    return f"{b}|{a}"
-
-
-def parse_cell_token(tok: str) -> CubicalCell:
-    b, _, a = tok.partition("|")
-    base = tuple(int(x) for x in b.split(","))
-    axes = tuple(int(x) for x in a.split(",")) if a else ()
-    return CubicalCell.make(base, axes)
 
 
 def load_fixture(path: Union[str, Path], require_valid: bool = True) -> ManifoldComplex:
@@ -95,6 +82,11 @@ def load_fixture(path: Union[str, Path], require_valid: bool = True) -> Manifold
         raise ParseError(0, "missing ambient header")
     if not cells:
         raise ParseError(0, "fixture has no cells")
+    for axis, (lo, hi) in enumerate(ambient.extent):
+        if any(c.base[axis] <= lo or c.base[axis] + (axis in c.axes) >= hi for c in cells):
+            raise ParseError(
+                0, f"a vertex lies on the ambient boundary of axis {axis}; keep one empty unit of margin"
+            )
     M = ManifoldComplex.make(ambient, m, cells)
     if require_valid:
         report = validate(M)
@@ -120,84 +112,7 @@ def save_fixture(M: ManifoldComplex, path: Union[str, Path]) -> None:
 
 def trace_lines(trace: DeformationTrace) -> List[str]:
     """One human-readable record per step."""
-    out = []
-    for step in trace.steps:
-        if isinstance(step, MoveStep):
-            out.append(f"move flip={cell_token(step.flip_cell)}")
-        elif isinstance(step, ReplaceStep):
-            out.append(
-                f"replace x={cell_token(step.center)} γ={step.gamma} "
-                f"removed={len(step.removed)} added={len(step.added)}"
-            )
-        elif isinstance(step, SplitStep):
-            cyc = ",".join(cell_token(c) for c in step.cycle_cells)
-            out.append(f"split cycle={cyc}")
-        elif isinstance(step, TerminalStep):
-            center = cell_token(step.center) if step.center is not None else "-"
-            out.append(f"terminal center={center}")
-        else:
-            raise ValueError(f"unknown step {step!r}")
-    return out
-
-
-def _step_to_json(step) -> Dict:
-    if isinstance(step, MoveStep):
-        return {"kind": "move", "flip": cell_token(step.flip_cell)}
-    if isinstance(step, ReplaceStep):
-        return {
-            "kind": "replace",
-            "center": cell_token(step.center),
-            "gamma": step.gamma,
-            "removed": [cell_token(c) for c in step.removed],
-            "added": [cell_token(c) for c in step.added],
-            "sign": step.sign,
-            "lofted": [list(t) for t in step.lofted],
-        }
-    if isinstance(step, SplitStep):
-        return {
-            "kind": "split",
-            "cycle": [cell_token(c) for c in step.cycle_cells],
-            "removed": [cell_token(c) for c in step.removed],
-            "added": [cell_token(c) for c in step.added],
-            "child": step.child_id,
-            "level": step.level,
-        }
-    if isinstance(step, TerminalStep):
-        return {
-            "kind": "terminal",
-            "center": cell_token(step.center) if step.center is not None else None,
-            "status": step.status,
-        }
-    raise ValueError(f"unknown step {step!r}")
-
-
-def _step_from_json(obj: Dict):
-    kind = obj["kind"]
-    if kind == "move":
-        return MoveStep(flip_cell=parse_cell_token(obj["flip"]))
-    if kind == "replace":
-        return ReplaceStep(
-            center=parse_cell_token(obj["center"]),
-            gamma=obj["gamma"],
-            removed=tuple(parse_cell_token(t) for t in obj["removed"]),
-            added=tuple(parse_cell_token(t) for t in obj["added"]),
-            sign=obj["sign"],
-            lofted=tuple(tuple(t) for t in obj.get("lofted", [])),
-        )
-    if kind == "split":
-        return SplitStep(
-            cycle_cells=tuple(parse_cell_token(t) for t in obj["cycle"]),
-            removed=tuple(parse_cell_token(t) for t in obj["removed"]),
-            added=tuple(parse_cell_token(t) for t in obj["added"]),
-            child_id=obj["child"],
-            level=obj.get("level"),
-        )
-    if kind == "terminal":
-        center = obj.get("center")
-        return TerminalStep(
-            center=parse_cell_token(center) if center else None, status=obj["status"]
-        )
-    raise ValueError(f"unknown step kind {kind!r}")
+    return [step.line() for step in trace.steps]
 
 
 def trace_to_json(trace: DeformationTrace, children: Optional[Dict[int, DeformationTrace]] = None) -> Dict:
@@ -207,7 +122,7 @@ def trace_to_json(trace: DeformationTrace, children: Optional[Dict[int, Deformat
         "ambient": {"n": trace.ambient.n, "extent": [list(e) for e in trace.ambient.extent]},
         "m": trace.m,
         "initial": [cell_token(c) for c in trace.initial],
-        "steps": [_step_to_json(s) for s in trace.steps],
+        "steps": [s.to_json() for s in trace.steps],
         "final": [cell_token(c) for c in trace.final],
     }
     if children:
@@ -218,14 +133,18 @@ def trace_to_json(trace: DeformationTrace, children: Optional[Dict[int, Deformat
 
 
 def trace_from_json(doc: Dict) -> DeformationTrace:
-    ambient = build_ambient(doc["ambient"]["n"], [tuple(e) for e in doc["ambient"]["extent"]])
-    return DeformationTrace(
-        ambient=ambient,
-        m=doc["m"],
-        initial=tuple(parse_cell_token(t) for t in doc["initial"]),
-        steps=tuple(_step_from_json(s) for s in doc["steps"]),
-        final=tuple(parse_cell_token(t) for t in doc["final"]),
-    )
+    """Rebuild a trace; a malformed document raises ParseError (line 0)."""
+    try:
+        ambient = build_ambient(doc["ambient"]["n"], [tuple(e) for e in doc["ambient"]["extent"]])
+        return DeformationTrace(
+            ambient=ambient,
+            m=doc["m"],
+            initial=tuple(parse_cell_token(t) for t in doc["initial"]),
+            steps=tuple(step_from_json(s) for s in doc["steps"]),
+            final=tuple(parse_cell_token(t) for t in doc["final"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ParseError(0, f"malformed trace document: {type(err).__name__}: {err}")
 
 
 def save_trace(trace: DeformationTrace, path: Union[str, Path], children=None) -> None:
@@ -236,4 +155,8 @@ def save_trace(trace: DeformationTrace, path: Union[str, Path], children=None) -
 
 
 def load_trace(path: Union[str, Path]) -> DeformationTrace:
-    return trace_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ParseError(err.lineno, err.msg)
+    return trace_from_json(doc)

@@ -9,29 +9,13 @@ use every grid cell.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .cells import AmbientSpace, Coord, CubicalCell
 from .complexes import ManifoldComplex
 from .errors import Unreachable
 
 Space = Union[ManifoldComplex, AmbientSpace]
-
-
-@dataclass(frozen=True)
-class DistanceTable:
-    """BFS levels from a source set; `dist` maps reached cells to levels."""
-
-    source_set: FrozenSet
-    k: int
-    dist: Mapping
-
-    def __getitem__(self, key):
-        return self.dist[key]
-
-    def get(self, key, default=None):
-        return self.dist.get(key, default)
 
 
 def _edge_adjacency(M: ManifoldComplex) -> Dict[Coord, Tuple[Coord, ...]]:
@@ -47,8 +31,8 @@ def _edge_adjacency(M: ManifoldComplex) -> Dict[Coord, Tuple[Coord, ...]]:
     return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
-def vertex_distances(space: Space, sources: Iterable[Coord]) -> DistanceTable:
-    """Multi-source BFS over the vertex graph (edges of the space)."""
+def vertex_distances(space: Space, sources: Iterable[Coord]) -> Dict[Coord, int]:
+    """Multi-source BFS levels over the vertex graph (edges of the space)."""
     sources = frozenset(sources)
     dist: Dict[Coord, int] = {s: 0 for s in sources}
     queue = deque(sorted(sources))
@@ -64,7 +48,7 @@ def vertex_distances(space: Space, sources: Iterable[Coord]) -> DistanceTable:
             if w not in dist:
                 dist[w] = d + 1
                 queue.append(w)
-    return DistanceTable(source_set=sources, k=1, dist=dist)
+    return dist
 
 
 def _k_cells_containing(space: Space, v: Coord, k: int) -> List[CubicalCell]:
@@ -106,9 +90,9 @@ def cell_distance(space: Space, x: Coord, y: Coord, k: int = 1) -> int:
     x, y = tuple(x), tuple(y)
     if k == 1:
         table = vertex_distances(space, [x])
-        if y not in table.dist:
+        if y not in table:
             raise Unreachable(f"{y} not reachable from {x}")
-        return table.dist[y]
+        return table[y]
     starts = _k_cells_containing(space, x, k)
     if not starts:
         raise Unreachable(f"no {k}-cells contain {x}")
@@ -147,7 +131,7 @@ class AllPairs:
 
     def __init__(self, M: ManifoldComplex):
         self.M = M
-        self._tables: Dict[Coord, DistanceTable] = {}
+        self._tables: Dict[Coord, Dict[Coord, int]] = {}
         for v in sorted(M.vertices):
             self._tables[v] = vertex_distances(M, [v])
 
@@ -161,9 +145,6 @@ class AllPairs:
     def d_u(self, x: Coord, y: Coord) -> int:
         return ambient_distance(self.M.ambient, x, y)
 
-    def table(self, x: Coord) -> DistanceTable:
-        return self._tables[tuple(x)]
-
     def pairs(self):
         verts = sorted(self.M.vertices)
         for i, u in enumerate(verts):
@@ -175,15 +156,14 @@ def all_pairs(M: ManifoldComplex) -> AllPairs:
     return AllPairs(M)
 
 
-def diameter(M: ManifoldComplex, in_ambient: bool = False) -> Tuple[int, Tuple[Coord, Coord]]:
-    """Largest pairwise vertex distance with its least witness pair."""
+def diameter(M: ManifoldComplex) -> Tuple[int, Tuple[Coord, Coord]]:
+    """Largest pairwise vertex distance inside M with its least witness pair."""
     ap = all_pairs(M)
     best = -1
     witness = None
-    for u, v, dm, du in ap.pairs():
-        d = du if in_ambient else dm
-        if d > best:
-            best = d
+    for u, v, dm, _du in ap.pairs():
+        if dm > best:
+            best = dm
             witness = (u, v)
     if witness is None:
         raise ValueError("complex has fewer than two vertices")

@@ -1,7 +1,9 @@
 """Frame rendering: SVG for curve states, OBJ meshes for surface states.
 
 One file per trace step plus the initial state; output bytes are a pure
-function of the trace, so reruns are byte-identical.
+function of the trace, so reruns are byte-identical.  States come from
+`DeformationTrace.states()` and each frame highlights the cells its step
+reports as changed (`changed_cells` on the step records in `deform`).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from pathlib import Path
 from typing import List, Union
 
 from .cells import CubicalCell
-from .deform import DeformationTrace, MoveStep, ReplaceStep, SplitStep, apply_step
+from .deform import DeformationTrace
 from .errors import ReplayMismatch
 
 _SCALE = 24
@@ -18,25 +20,13 @@ _PAD = 12
 
 
 def _frame_states(trace: DeformationTrace):
-    state = frozenset(trace.initial)
-    frames = [(state, frozenset())]
-    for step in trace.steps:
-        try:
-            new_state = apply_step(state, step)
-        except (ValueError, ReplayMismatch) as err:
-            raise ReplayMismatch(f"trace does not replay: {err}")
-        if isinstance(step, MoveStep):
-            changed = state.symmetric_difference(new_state)
-        elif isinstance(step, (ReplaceStep, SplitStep)):
-            changed = frozenset(step.added) | frozenset(step.removed)
-            changed = changed & new_state
-        else:
-            changed = frozenset()
-        frames.append((new_state, changed))
-        state = new_state
-    if state != frozenset(trace.final):
+    """(state, cells the step into it changed) for the initial state and
+    after every step; refuses a trace that does not replay to its final."""
+    states = trace.states()
+    if states[-1] != frozenset(trace.final):
         raise ReplayMismatch("trace final state mismatch")
-    return frames
+    changed = [frozenset()] + [step.changed_cells for step in trace.steps]
+    return list(zip(states, changed))
 
 
 def _svg_frame(trace: DeformationTrace, state, changed) -> str:

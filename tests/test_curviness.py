@@ -68,7 +68,7 @@ def test_ushape_inner_arc_report(ushape):
     assert rep.r1 == 4
     assert rep.r2_h == 2
     assert rep.r3 == Fraction(2, 1)
-    assert rep.vol_arc.count == 5 and rep.vol_filling.count == 1
+    assert rep.arc.N == 5 and rep.filling.N == 1
 
 
 def test_flat_arc_report(ushape):
@@ -90,7 +90,7 @@ def test_report_invariants(ushape, rect12, box211):
         for rep in valid_reports(M, gamma):
             assert rep.r >= 1 and rep.r1 >= 0 and rep.r2_h >= 0
             assert (rep.r == 1) == (rep.r1 == 0)
-            assert (rep.r1 == 0) == (rep.vol_arc.count == rep.vol_filling.count)
+            assert (rep.r1 == 0) == (rep.arc.N == rep.filling.N)
             if rep.r2_h == 0:
                 assert rep.r == 1
             assert len(rep.arc.region) <= len(M.cells) // 2

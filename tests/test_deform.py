@@ -15,7 +15,6 @@ from gridtopo.deform import (
     MoveStep,
     ReplaceStep,
     apply_flip,
-    apply_step,
     replay,
 )
 from gridtopo.errors import InterpolationFailed, ReplacementNotManifold, ReplayMismatch
@@ -52,8 +51,10 @@ def test_interpolate_ushape_inner_two_moves(ushape):
         CubicalCell.make((1, 2), (0, 1)),
     ]
     # every intermediate full state is a valid closed manifold
+    state = ushape.cells
     for m in moves:
-        assert validate(ManifoldComplex(ushape.ambient, 1, m.after)).ok
+        state = apply_flip(state, m.flip_cell)
+        assert validate(ManifoldComplex(ushape.ambient, 1, state)).ok
 
 
 def test_interpolate_rect_cap_one_move(rect12):

@@ -12,7 +12,7 @@ from gridtopo import (
     validate,
 )
 from gridtopo.corpus import random_simple_curve
-from gridtopo.deform import ReplaceStep, SplitStep, apply_step
+from gridtopo.deform import ReplaceStep, SplitStep
 from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
 from gridtopo.errors import ValidationFailed
 
@@ -46,7 +46,6 @@ def test_diameter_sphere_check(sq1, ushape, box111):
 
 def test_radius_sweep_order(ushape):
     assert radius_sweep(ushape) == [2, 1, 4, 3]
-    assert radius_sweep(ushape, policy="bottom_up") == [1, 2, 3, 4]
 
 
 def test_contract_requires_valid(pinch):
@@ -101,7 +100,7 @@ def test_forced_splits_reconstruct(ushape):
     for node in res.nodes:
         state = frozenset(node.trace.initial)
         for step in node.trace.steps:
-            new_state = apply_step(state, step)
+            new_state = step.apply(state)
             if isinstance(step, SplitStep):
                 child = by_id[step.child_id]
                 child_cells = frozenset(child.trace.initial)

@@ -10,6 +10,7 @@ from gridtopo.io import (
     load_trace,
     save_fixture,
     save_trace,
+    trace_from_json,
     trace_lines,
 )
 from gridtopo.render import render
@@ -179,3 +180,38 @@ def test_cli_contract_and_render(tmp_path, capsys):
 def test_cli_contract_exit_code_obstruction(tmp_path):
     rc = main(["--quiet", "contract", "--input", str(FIXTURE_DIR / "torus.txt")])
     assert rc == 2
+
+
+def test_parse_error_margin(tmp_path):
+    p = tmp_path / "edge.txt"
+    p.write_text(
+        "ambient 2 0:4 -2:5\n"
+        "cell 0 0 axes 0\ncell 0 0 axes 1\ncell 0 1 axes 0\ncell 1 0 axes 1\n"
+    )
+    with pytest.raises(ParseError, match="axis 0"):
+        load_fixture(p)
+
+
+def test_malformed_trace(tmp_path, capsys):
+    with pytest.raises(ParseError):
+        trace_from_json({"format": "gridtopo-trace"})
+    p = tmp_path / "bad.json"
+    for text in (json.dumps({"format": "gridtopo-trace"}), "{not json"):
+        p.write_text(text)
+        rc = main(["render", "--trace", str(p), "--out", str(tmp_path / "frames")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curviness", str(FIXTURE_DIR / "ushape.txt"), "--radius", "-1"],
+        ["curviness", str(FIXTURE_DIR / "ushape.txt"), "--radius", "0"],
+        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--filling-cap", "0"],
+        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--move-cap", "-2"],
+    ],
+)
+def test_cli_rejects_non_positive(argv, capsys):
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("error:")

@@ -140,7 +140,7 @@ def test_metric_axioms_random_complexes(seed):
     amb = build_ambient(2, [(0, 9), (0, 9)])
     M = random_connected_subcomplex(amb, 1, 12, rng)
     verts = sorted(M.vertices)
-    tables = {v: vertex_distances(M, [v]).dist for v in verts}
+    tables = {v: vertex_distances(M, [v]) for v in verts}
     for u in verts:
         assert tables[u][u] == 0
         for v in verts:
