@@ -32,7 +32,7 @@ from .engine import (
     diameter_sphere_check,
     is_irreducible_sphere,
 )
-from .filling import Filling, LoftedSequence, jordan_split, lofted, min_filling, semi_convex
+from .filling import Filling, LoftedSequence, ScanContext, jordan_split, lofted, min_filling, semi_convex
 from .metric import all_pairs, ball, cell_distance, diameter
 
 __version__ = "0.1.0"
@@ -49,6 +49,7 @@ __all__ = [
     "Filling",
     "LoftedSequence",
     "ManifoldComplex",
+    "ScanContext",
     "ValidationReport",
     "all_pairs",
     "arc_sign",

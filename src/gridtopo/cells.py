@@ -12,22 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateExtent
 
 Coord = Tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class CubicalCell:
+class CubicalCell(NamedTuple):
     """One cell of the ambient grid, any dimension.
 
     Ordering is lexicographic on (dim, base, axes); this is the canonical
-    order used for every deterministic tie-break in the library.
+    order used for every deterministic tie-break in the library.  A cell is
+    a plain tuple of its fields, so it hashes and compares in C.
     """
 
-    # `dim` is stored first so dataclass ordering realises the canonical key.
     dim: int
     base: Coord
     axes: Tuple[int, ...]

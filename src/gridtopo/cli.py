@@ -10,6 +10,7 @@ from .cells import cell_token
 from .complexes import validate
 from .curviness import VARIANTS, radius_schedule, valid_reports
 from .errors import GridTopoError
+from .filling import ScanContext
 from .metric import all_pairs
 
 
@@ -35,9 +36,10 @@ def _cmd_distances(args) -> int:
 def _cmd_curviness(args) -> int:
     M = io.load_fixture(args.fixture)
     radii = [args.radius] if args.radius else list(radius_schedule(M))
+    ctx = ScanContext(M, engine.ContractionConfig(variant=args.variant))
     rows = 0
     for gamma in radii:
-        reports = valid_reports(M, gamma, variant=args.variant)
+        reports = valid_reports(ctx, gamma)
         if not args.all and reports:
             reports = reports[:1]
         for rep in reports:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Tuple
 
 from .cells import AmbientSpace, Coord, CubicalCell
 from .errors import CellNotInComplex
@@ -88,6 +88,16 @@ class ManifoldComplex:
 
     def canonical_cells(self) -> Tuple[CubicalCell, ...]:
         return tuple(sorted(self.cells))
+
+
+def check_margin(ambient: AmbientSpace, cells: Collection[CubicalCell]) -> None:
+    """Raise ValueError, naming the axis, when a vertex of the cells lies on
+    the ambient boundary: a manifold keeps one empty unit of margin."""
+    for axis, (lo, hi) in enumerate(ambient.extent):
+        if any(c.base[axis] <= lo or c.base[axis] + (axis in c.axes) >= hi for c in cells):
+            raise ValueError(
+                f"a vertex lies on the ambient boundary of axis {axis}; keep one empty unit of margin"
+            )
 
 
 @dataclass(frozen=True)

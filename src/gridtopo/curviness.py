@@ -7,6 +7,12 @@ height scaled by the filling span.  Peaks are selected by scanning balls
 around every cell of the manifold closure; using edges and faces as ball
 centers in addition to vertices reaches the odd-diameter arcs a vertex
 center cannot produce.
+
+The scan functions (`valid_reports`, `select_peak`, `replacement_filling`,
+`curviness`, `minimum_filling_of_arc`, `arc_sign`) take a
+`filling.ScanContext`: one manifold state plus the run's
+`ContractionConfig`, whose variant ranks the reports and whose caps and
+budgets bound the filling searches.
 """
 
 from __future__ import annotations
@@ -26,18 +32,15 @@ from .errors import (
     NoFittingCycle,
     SearchBudgetExceeded,
 )
-from .filling import (
-    Filling,
-    closure_of,
-    inside_region,
-    min_filling,
-    one_sided_min_cut,
-)
+from .filling import Filling, ScanContext, closure_of, min_filling, one_sided_min_cut
 from .metric import ambient_distance, ball, diameter
 
 CellSet = FrozenSet[CubicalCell]
 
 VARIANTS = ("ratio", "diff", "height", "height_ratio")
+
+# Surfaces try the exact filling search only up to this many cells.
+_EXACT_THRESHOLD = 8
 
 RegionFit = namedtuple("RegionFit", "region cycle complement")
 
@@ -153,58 +156,45 @@ def _filling_span(ambient: AmbientSpace, filling: Filling) -> int:
     )
 
 
-def minimum_filling_of_arc(
-    M: ManifoldComplex,
-    arc: ArcRegion,
-    cap: int = 64,
-    node_budget: int = 200_000,
-) -> Filling:
+def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
     """True minimum filling of the arc boundary, M-intersections reported.
 
     The arc itself bounds the cycle, so the effective cap never exceeds the
     arc size; when the exact search runs out of nodes, the better one-sided
     cut stands in (marked non-minimal).
     """
+    M = ctx.M
     avoid = M.closure_cells - closure_of(arc.cycle.cells)
-    eff_cap = min(cap, len(arc.region))
+    eff_cap = min(ctx.cfg.filling_cap, len(arc.region))
     try:
-        return min_filling(M.ambient, arc.cycle, avoid=avoid, cap=eff_cap, node_budget=node_budget)
+        return min_filling(M.ambient, arc.cycle, avoid=avoid, cap=eff_cap, node_budget=ctx.cfg.node_budget)
     except SearchBudgetExceeded:
-        cut = _best_one_sided_cut(M, arc)
+        cut = _best_one_sided_cut(ctx, arc)
         if cut is not None and len(cut) <= len(arc.region):
             return Filling(cells=cut, boundary=arc.cycle, is_minimal=False)
         return Filling(cells=arc.region, boundary=arc.cycle, is_minimal=False,
                        avoid_hits=frozenset(arc.region))
 
 
-def _best_one_sided_cut(
-    M: ManifoldComplex, arc: ArcRegion, inside: Optional[CellSet] = None
-) -> Optional[CellSet]:
+def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion) -> Optional[CellSet]:
     """Filling cells of the smaller one-sided minimum cut, inside on ties."""
     best = None
     for side in ("inside", "outside"):
-        got = one_sided_min_cut(M, arc.region, inside=inside, side=side)
+        got = one_sided_min_cut(ctx, arc.region, side)
         if got is not None and (best is None or len(got[0]) < len(best)):
             best = got[0]
     return best
 
 
-def curviness(
-    M: ManifoldComplex,
-    arc: ArcRegion,
-    variant: str = "ratio",
-    filling: Optional[Filling] = None,
-    cap: int = 64,
-    node_budget: int = 200_000,
-) -> CurvinessReport:
+def curviness(ctx: ScanContext, arc: ArcRegion, filling: Optional[Filling] = None) -> CurvinessReport:
     """All four curviness measures of an arc against a minimum filling."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    if ctx.cfg.variant not in VARIANTS:
+        raise ValueError(f"unknown variant {ctx.cfg.variant!r}")
     if filling is None:
-        filling = minimum_filling_of_arc(M, arc, cap=cap, node_budget=node_budget)
+        filling = minimum_filling_of_arc(ctx, arc)
     n_arc, n_fill = len(arc.region), filling.N
-    h = height(M, arc, filling)
-    span = _filling_span(M.ambient, filling)
+    h = height(ctx.M, arc, filling)
+    span = _filling_span(ctx.M.ambient, filling)
     return CurvinessReport(
         center=arc.center,
         gamma=arc.gamma,
@@ -217,14 +207,7 @@ def curviness(
     )
 
 
-def replacement_filling(
-    M: ManifoldComplex,
-    arc: ArcRegion,
-    cap: int = 64,
-    node_budget: int = 200_000,
-    exact_threshold: int = 8,
-    inside: Optional[CellSet] = None,
-) -> Optional[Filling]:
+def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     """Smallest filling of the arc boundary that avoids M outside it.
 
     Only fillings strictly smaller than both sides of the split are
@@ -232,24 +215,25 @@ def replacement_filling(
     excluded-path search; surfaces try the exact search when the instance
     is small and otherwise take the better one-sided minimum cut.
     """
-    eff_cap = min(cap, len(arc.region) - 1, len(arc.complement) - 1)
+    M, budget = ctx.M, ctx.cfg.node_budget
+    eff_cap = min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1)
     if eff_cap < 1:
         return None
     exclude = M.closure_cells - closure_of(arc.cycle.cells)
     if M.m == 1:
         try:
-            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=eff_cap, node_budget=node_budget)
+            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=eff_cap, node_budget=budget)
         except (FillingNotFound, SearchBudgetExceeded):
             return None
 
-    cut = _best_one_sided_cut(M, arc, inside)
+    cut = _best_one_sided_cut(ctx, arc)
     if cut is not None and len(cut) > eff_cap:
         cut = None
 
-    exact_cap = min(eff_cap, len(cut) if cut is not None else exact_threshold)
-    if exact_cap <= exact_threshold:
+    exact_cap = min(eff_cap, len(cut) if cut is not None else _EXACT_THRESHOLD)
+    if exact_cap <= _EXACT_THRESHOLD:
         try:
-            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=exact_cap, node_budget=node_budget)
+            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=exact_cap, node_budget=budget)
         except (FillingNotFound, SearchBudgetExceeded):
             pass
     if cut is None:
@@ -276,41 +260,29 @@ def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
     return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
 
 
-def valid_reports(
-    M: ManifoldComplex,
-    gamma: int,
-    variant: str = "ratio",
-    cap: int = 64,
-    node_budget: int = 200_000,
-) -> List[CurvinessReport]:
+def valid_reports(ctx: ScanContext, gamma: int) -> List[CurvinessReport]:
     """Curviness reports for every arc admitting a reducing filling.
 
     An arc enters the valid set only when a filling avoiding M exists and
-    its volume is smaller than both components of the split.
+    its volume is smaller than both components of the split.  Reports are
+    ranked by the configured variant, best first.
     """
-    inside = inside_region(M) if M.m == M.ambient.n - 1 else None
     out = []
-    for arc in candidate_arcs(M, gamma):
-        filling = replacement_filling(M, arc, cap=cap, node_budget=node_budget, inside=inside)
+    for arc in candidate_arcs(ctx.M, gamma):
+        filling = replacement_filling(ctx, arc)
         if filling is None:
             continue
         if filling.N >= min(len(arc.region), len(arc.complement)):
             continue
-        out.append(curviness(M, arc, variant=variant, filling=filling))
+        out.append(curviness(ctx, arc, filling=filling))
     out.sort(key=lambda r: r.center)
-    out.sort(key=lambda r: r.measure(variant), reverse=True)
+    out.sort(key=lambda r: r.measure(ctx.cfg.variant), reverse=True)
     return out
 
 
-def select_peak(
-    M: ManifoldComplex,
-    gamma: int,
-    variant: str = "ratio",
-    cap: int = 64,
-    node_budget: int = 200_000,
-) -> Optional[CurvinessReport]:
+def select_peak(ctx: ScanContext, gamma: int) -> Optional[CurvinessReport]:
     """Best report at this radius, or None when the valid set is empty."""
-    reports = valid_reports(M, gamma, variant=variant, cap=cap, node_budget=node_budget)
+    reports = valid_reports(ctx, gamma)
     return reports[0] if reports else None
 
 
@@ -328,18 +300,19 @@ def radius_schedule_from(d: int) -> Iterator[int]:
         yield g
 
 
-def arc_sign(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> str:
+def arc_sign(ctx: ScanContext, arc: ArcRegion, filling: Filling) -> str:
     """Classify an arc as peak, valley, or flat by its filling side.
 
     Works in codimension one only, where the bounded component of the
     ambient is well defined; the filling sits inside it for a peak and
     outside for a valley.
     """
+    M = ctx.M
     if M.ambient.n != M.m + 1:
         raise CodimensionUnsupported(f"m={M.m} in ambient n={M.ambient.n}")
     if height(M, arc, filling) == 0:
         return "flat"
-    inside = inside_region(M)
+    inside = ctx.inside
     for c in sorted(filling.cells):
         if c in M.cells:
             continue

@@ -56,19 +56,20 @@ def is_gradually_varied(ambient: AmbientSpace, A: CellSet, B: CellSet) -> bool:
                 bd = frozenset(c.faces())
                 if bd <= diff and (bd & A) and (bd - A):
                     candidates.add(c)
+    return _cover(diff, sorted(candidates))
 
-    def cover(remaining: CellSet) -> bool:
-        if not remaining:
+
+def _cover(remaining: CellSet, candidates: List[CubicalCell]) -> bool:
+    """Split `remaining` exactly into boundaries of candidates, covering
+    its smallest cell first."""
+    if not remaining:
+        return True
+    e = min(remaining)
+    for c in candidates:
+        bd = frozenset(c.faces())
+        if e in bd and bd <= remaining and _cover(remaining - bd, candidates):
             return True
-        e = min(remaining)
-        for c in sorted(candidates):
-            bd = frozenset(c.faces())
-            if e in bd and bd <= remaining:
-                if cover(remaining - bd):
-                    return True
-        return False
-
-    return cover(diff)
+    return False
 
 
 def interpolate(
@@ -99,22 +100,37 @@ def interpolate(
     def fdist(w: CubicalCell) -> int:
         return min(sum(abs(a - b) for a, b in zip(v, u)) for v in w.vertices() for u in f_verts)
 
-    order = sorted(region, key=lambda w: (-fdist(w), w))
-    start = M.cells
-    budget = max(1000, 40 * len(region))
-    nodes = 0
-    dead: set = set()
+    search = _FlipSearch(M, sorted(region, key=lambda w: (-fdist(w), w)))
+    if not search.run(M.cells, frozenset()):
+        raise InterpolationFailed("no valid flip order found")
+    return search.moves
 
-    def dfs(state: CellSet, flipped: FrozenSet[CubicalCell], moves: List[MoveStep]) -> bool:
-        nonlocal nodes
-        if len(flipped) == len(region):
+
+class _FlipSearch:
+    """Depth-first search for a flip order in which every state is valid.
+
+    Flips are tried in `order`; a set of flipped cells that led nowhere is
+    remembered as dead, and the search gives up after a node budget.
+    """
+
+    def __init__(self, M: ManifoldComplex, order: List[CubicalCell]):
+        self.M = M
+        self.order = order
+        self.budget = max(1000, 40 * len(order))
+        self.nodes = 0
+        self.dead: set = set()
+        self.moves: List[MoveStep] = []
+
+    def run(self, state: CellSet, flipped: FrozenSet[CubicalCell]) -> bool:
+        if len(flipped) == len(self.order):
             return True
-        if flipped in dead:
+        if flipped in self.dead:
             return False
-        nodes += 1
-        if nodes > budget:
-            raise InterpolationFailed(f"search budget exhausted after {nodes} nodes")
-        for w in order:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise InterpolationFailed(f"search budget exhausted after {self.nodes} nodes")
+        M = self.M
+        for w in self.order:
             if w in flipped:
                 continue
             bd = frozenset(w.faces())
@@ -123,17 +139,12 @@ def interpolate(
             new_state = state.symmetric_difference(bd)
             if not validate(ManifoldComplex(M.ambient, M.m, new_state)).ok:
                 continue
-            moves.append(MoveStep(flip_cell=w))
-            if dfs(new_state, flipped | {w}, moves):
+            self.moves.append(MoveStep(flip_cell=w))
+            if self.run(new_state, flipped | {w}):
                 return True
-            moves.pop()
-        dead.add(flipped)
+            self.moves.pop()
+        self.dead.add(flipped)
         return False
-
-    moves: List[MoveStep] = []
-    if not dfs(start, frozenset(), moves):
-        raise InterpolationFailed("no valid flip order found")
-    return moves
 
 
 def replace_arc(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> ManifoldComplex:

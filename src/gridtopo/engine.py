@@ -7,6 +7,11 @@ instead and contracted recursively as a separate closed manifold.  The run
 terminates at an irreducible sphere, or with obstruction evidence when
 nothing reduces and a probe finds a cycle whose minimum filling threads
 the manifold, which is the observable signature of a handle.
+
+One `_Run` carries the configuration, the node counter and the finished
+nodes of a contraction.  Each manifold state gets one `ScanContext`, built
+when the state is reached and dropped when it changes, so every radius and
+every arc of the state shares its enclosed region and cut networks.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .cells import CubicalCell
-from .complexes import Cycle, ManifoldComplex, components, region_boundary, validate
+from .complexes import Cycle, ManifoldComplex, check_margin, components, region_boundary, validate
 from .curviness import (
     CurvinessReport,
     arc_sign,
@@ -41,18 +46,8 @@ from .errors import (
     SearchBudgetExceeded,
     ValidationFailed,
 )
-from .filling import Filling, closure_of, jordan_split, lofted, min_filling
+from .filling import ContractionConfig, Filling, ScanContext, closure_of, jordan_split, lofted, min_filling
 from .metric import ambient_distance, ball, diameter
-
-
-@dataclass(frozen=True)
-class ContractionConfig:
-    variant: str = "ratio"
-    filling_cap: int = 64
-    move_cap: Optional[int] = None  # None: 10 * arc size
-    max_iterations: int = 10_000
-    node_budget: int = 200_000
-    probe_budget: int = 20_000
 
 
 @dataclass(frozen=True)
@@ -234,151 +229,138 @@ def probe_obstruction(M: ManifoldComplex, cfg: ContractionConfig) -> Optional[Ob
     return None
 
 
-def _try_apply(M, report: CurvinessReport, cfg, chi, counter, nodes):
-    """Attempt one replacement.
+class _Run:
+    """One contraction: its configuration, node counter and finished nodes."""
 
-    Returns None when it does not apply, else (new manifold, its trace
-    steps, the contracted split child or None).
-    """
-    arc, filling = report.arc, report.filling
-    try:
-        new_M = replace_arc(M, arc, filling)
-    except ReplacementNotManifold:
-        return None
-    if new_M.euler_characteristic() != chi:
-        return None
-    removed = tuple(sorted(arc.region - filling.cells))
-    added = tuple(sorted(filling.cells - arc.region))
-    try:
-        sign = arc_sign(M, arc, filling)
-    except CodimensionUnsupported:
-        sign = "unknown"
+    def __init__(self, cfg: ContractionConfig):
+        self.cfg = cfg
+        self.counter = itertools.count()
+        self.nodes: List[ContractionNode] = []
 
-    obstructed = False
-    level = None
-    loft_summary: Tuple = ()
-    try:
-        seq = lofted(
-            M,
-            arc.center,
-            report.gamma,
-            cap=cfg.filling_cap,
-            arc_cells=arc.region,
-            node_budget=cfg.node_budget,
-        )
-        loft_summary = tuple(
-            (lv.level, len(lv.circle.cells), lv.filling.N, lv.meets_arc) for lv in seq.levels
-        )
-        for lv in seq.levels:
-            if lv.meets_arc:
-                obstructed, level = True, lv.level
-                break
-    except CycleFitFailed as err:
-        obstructed, level = True, err.level
-    except (FillingNotFound, SearchBudgetExceeded):
-        obstructed = True
+    def try_apply(self, ctx: ScanContext, report: CurvinessReport, chi: int):
+        """Attempt one replacement.
 
-    if not obstructed:
-        move_cap = cfg.move_cap if cfg.move_cap is not None else 10 * len(arc.region)
+        Returns None when it does not apply, else (new manifold, its trace
+        steps, the contracted split child or None).
+        """
+        M, cfg = ctx.M, self.cfg
+        arc, filling = report.arc, report.filling
         try:
-            moves = interpolate(M, arc, filling, move_cap)
-        except InterpolationFailed:
-            pass
-        else:
-            marker = ReplaceStep(
-                center=arc.center,
-                gamma=arc.gamma,
-                removed=removed,
-                added=added,
-                sign=sign,
-                lofted=loft_summary,
+            new_M = replace_arc(M, arc, filling)
+        except ReplacementNotManifold:
+            return None
+        if new_M.euler_characteristic() != chi:
+            return None
+        removed = tuple(sorted(arc.region - filling.cells))
+        added = tuple(sorted(filling.cells - arc.region))
+        try:
+            sign = arc_sign(ctx, arc, filling)
+        except CodimensionUnsupported:
+            sign = "unknown"
+
+        obstructed = False
+        level = None
+        loft_summary: Tuple = ()
+        try:
+            seq = lofted(ctx, arc.center, report.gamma, arc_cells=arc.region)
+            loft_summary = tuple(
+                (lv.level, len(lv.circle.cells), lv.filling.N, lv.meets_arc) for lv in seq.levels
             )
-            return new_M, moves + [marker], None
+            for lv in seq.levels:
+                if lv.meets_arc:
+                    obstructed, level = True, lv.level
+                    break
+        except CycleFitFailed as err:
+            obstructed, level = True, err.level
+        except (FillingNotFound, SearchBudgetExceeded):
+            obstructed = True
 
-    # Split branch: cut the arc out, close it with the filling, recurse.
-    child_cells = arc.region | filling.cells
-    child = ManifoldComplex(M.ambient, M.m, child_cells)
-    if not validate(child).ok:
-        return None
-    child_node = _contract_node(child, cfg, counter, nodes, glue=(arc.cycle, filling))
-    split = SplitStep(
-        cycle_cells=arc.cycle.canonical_cells(),
-        removed=removed,
-        added=added,
-        child_id=child_node.node_id,
-        level=level,
-    )
-    return new_M, [split], child_node
+        if not obstructed:
+            move_cap = cfg.move_cap if cfg.move_cap is not None else 10 * len(arc.region)
+            try:
+                moves = interpolate(M, arc, filling, move_cap)
+            except InterpolationFailed:
+                pass
+            else:
+                marker = ReplaceStep(
+                    center=arc.center, gamma=arc.gamma, removed=removed, added=added,
+                    sign=sign, lofted=loft_summary,
+                )
+                return new_M, moves + [marker], None
 
+        # Split branch: cut the arc out, close it with the filling, recurse.
+        child = ManifoldComplex(M.ambient, M.m, arc.region | filling.cells)
+        if not validate(child).ok:
+            return None
+        child_node = self.contract_node(child, glue=(arc.cycle, filling))
+        split = SplitStep(
+            cycle_cells=arc.cycle.canonical_cells(), removed=removed, added=added,
+            child_id=child_node.node_id, level=level,
+        )
+        return new_M, [split], child_node
 
-def _contract_node(M, cfg, counter, nodes, glue):
-    node_id = next(counter)
-    initial = M
-    steps: List = []
-    children: List[ContractionNode] = []
-    terminal = None
-    for _ in range(cfg.max_iterations):
-        witness = is_irreducible_sphere(M)
-        if witness is not None:
-            steps.append(TerminalStep(center=witness, status="irreducible_sphere"))
-            terminal = IrreducibleSphere(witness=witness)
-            break
-        chi = M.euler_characteristic()
-        applied = None
-        for gamma in radius_sweep(M):
-            reports = valid_reports(
-                M, gamma, variant=cfg.variant, cap=cfg.filling_cap, node_budget=cfg.node_budget
-            )
-            for report in reports:
-                applied = _try_apply(M, report, cfg, chi, counter, nodes)
-                if applied is not None:
-                    M, new_steps, child = applied
-                    steps.extend(new_steps)
-                    if child is not None:
-                        children.append(child)
+    def contract_node(self, M: ManifoldComplex, glue) -> ContractionNode:
+        node_id = next(self.counter)
+        initial = M
+        steps: List = []
+        children: List[ContractionNode] = []
+        terminal = None
+        for _ in range(self.cfg.max_iterations):
+            witness = is_irreducible_sphere(M)
+            if witness is not None:
+                steps.append(TerminalStep(center=witness, status="irreducible_sphere"))
+                terminal = IrreducibleSphere(witness=witness)
+                break
+            chi = M.euler_characteristic()
+            ctx = ScanContext(M, self.cfg)
+            applied = None
+            for gamma in radius_sweep(M):
+                for report in valid_reports(ctx, gamma):
+                    applied = self.try_apply(ctx, report, chi)
+                    if applied is not None:
+                        M, new_steps, child = applied
+                        steps.extend(new_steps)
+                        if child is not None:
+                            children.append(child)
+                        break
+                if applied:
                     break
             if applied:
-                break
-        if applied:
-            continue
-        probe = probe_obstruction(M, cfg)
-        if probe is not None:
-            terminal = NotSimplyConnectedObstruction(evidence=(probe,))
-            steps.append(TerminalStep(center=None, status="obstruction"))
+                continue
+            probe = probe_obstruction(M, self.cfg)
+            if probe is not None:
+                terminal = NotSimplyConnectedObstruction(evidence=(probe,))
+                steps.append(TerminalStep(center=None, status="obstruction"))
+            else:
+                terminal = Exhausted(reason="no reducible arc at any radius")
+                steps.append(TerminalStep(center=None, status="exhausted"))
+            break
         else:
-            terminal = Exhausted(reason="no reducible arc at any radius")
+            terminal = Exhausted(reason="iteration cap reached")
             steps.append(TerminalStep(center=None, status="exhausted"))
-        break
-    else:
-        terminal = Exhausted(reason="iteration cap reached")
-        steps.append(TerminalStep(center=None, status="exhausted"))
 
-    trace = DeformationTrace(
-        ambient=initial.ambient,
-        m=initial.m,
-        initial=initial.canonical_cells(),
-        steps=tuple(steps),
-        final=M.canonical_cells(),
-    )
-    node = ContractionNode(
-        node_id=node_id,
-        initial=initial,
-        final=M,
-        trace=trace,
-        terminal=terminal,
-        glue=glue,
-        children=tuple(children),
-    )
-    nodes.append(node)
-    return node
+        trace = DeformationTrace(
+            ambient=initial.ambient, m=initial.m, initial=initial.canonical_cells(),
+            steps=tuple(steps), final=M.canonical_cells(),
+        )
+        node = ContractionNode(
+            node_id=node_id, initial=initial, final=M, trace=trace, terminal=terminal,
+            glue=glue, children=tuple(children),
+        )
+        self.nodes.append(node)
+        return node
 
 
 def contract(M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()) -> ContractionResult:
-    """Contract a closed manifold, returning the full split tree."""
+    """Contract a closed manifold, returning the full split tree.
+
+    Raises ValueError when a vertex of M lies on the ambient boundary, and
+    ValidationFailed when M is not a closed regular manifold.
+    """
+    check_margin(M.ambient, M.cells)
     report = validate(M)
     if not report.ok:
         raise ValidationFailed(report)
-    counter = itertools.count()
-    nodes: List[ContractionNode] = []
-    root = _contract_node(M, cfg, counter, nodes, glue=None)
-    return ContractionResult(root=root, nodes=tuple(nodes))
+    run = _Run(cfg)
+    root = run.contract_node(M, glue=None)
+    return ContractionResult(root=root, nodes=tuple(run.nodes))

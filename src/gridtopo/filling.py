@@ -1,4 +1,11 @@
-"""Jordan separation, minimal discrete fillings, lofting, semi-convexity.
+"""Run configuration, scan context, Jordan separation, minimal fillings,
+lofting, semi-convexity.
+
+`ContractionConfig` is the one place for the caps, budgets and curviness
+measure of a run.  A `ScanContext` pairs it with one manifold state and
+builds, on first use and once per state, what every candidate arc of that
+state shares: the region the manifold encloses and one minimum-cut network
+per side.  The scan functions here and in `curviness` take the context.
 
 A filling of a cycle C is a set of m-cells in the ambient whose topological
 boundary is exactly C.  For curves (m=1) the minimum filling is a shortest
@@ -12,15 +19,15 @@ deterministic minimum-cut over one side of the manifold supplies a valid
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import compress, product
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .cells import AmbientSpace, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, region_boundary, split_by_cycle
@@ -29,8 +36,19 @@ from .metric import ball
 
 CellSet = FrozenSet[CubicalCell]
 
-DEFAULT_NODE_BUDGET = 200_000
 _INF_CAP = 1 << 20
+
+
+@dataclass(frozen=True)
+class ContractionConfig:
+    """Caps, budgets and the curviness measure of a contraction run."""
+
+    variant: str = "ratio"
+    filling_cap: int = 64
+    move_cap: Optional[int] = None  # None: 10 * arc size
+    max_iterations: int = 10_000
+    node_budget: int = 200_000
+    probe_budget: int = 20_000
 
 
 @dataclass(frozen=True)
@@ -194,8 +212,8 @@ def min_filling(
     cycle: Cycle,
     avoid: CellSet = frozenset(),
     exclude: CellSet = frozenset(),
-    cap: int = 64,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    cap: int = ContractionConfig.filling_cap,
+    node_budget: int = ContractionConfig.node_budget,
 ) -> Filling:
     """Minimum filling of a cycle, exact up to `cap`.
 
@@ -271,134 +289,113 @@ def enclosed_cells(ambient: AmbientSpace, surface: CellSet) -> CellSet:
     return frozenset(inside)
 
 
-def _shared_face(c: CubicalCell, nb: CubicalCell, axis: int, direction: int) -> CubicalCell:
-    base = nb.base if direction > 0 else c.base
-    rest = tuple(a for a in c.axes if a != axis)
-    return CubicalCell(c.dim - 1, base, rest)
-
-
 def inside_region(M: ManifoldComplex) -> CellSet:
     """Voxels (top cells) bounded by a closed codimension-one manifold."""
     return enclosed_cells(M.ambient, M.cells)
 
 
-def _side_carrier(ambient: AmbientSpace, face: CubicalCell, inside: CellSet, want_inside: bool):
-    """First top cell on the face's requested side, or None."""
-    return next((c for c in ambient.top_cells_containing(face) if (c in inside) == want_inside), None)
+class _CutNetwork:
+    """The arc-independent part of a one-sided minimum cut of M.
+
+    Nodes are the side's top cells of M's bounding block, in canonical
+    order, then source and sink and, outside, one far-outside node.  Unit
+    arcs join neighbouring cells across faces off M; an outside cell meets
+    the far node once per face leading out of the block, and the source
+    feeds the far node.  `carrier` maps each face of M to the node of its
+    top cell on this side; `stranded` holds the faces whose top cell is not
+    in the block.  A solve adds only its arc's terminal arcs.
+    """
+
+    def __init__(self, M: ManifoldComplex, inside: CellSet, on_inside: bool):
+        ambient, n = M.ambient, M.ambient.n
+        self.cells = [c for c in _bbox_top_cells(ambient, M.vertices) if (c in inside) == on_inside]
+        index = {c: i for i, c in enumerate(self.cells)}
+        self.source, self.sink, far = len(index), len(index) + 1, len(index) + 2
+        self.size = far if on_inside else far + 1
+        rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
+        edges: List[Tuple[int, int, int]] = []  # (from, to, capacity)
+        for i, c in enumerate(self.cells):
+            leaving = 0
+            for a in range(n):
+                for d in (-1, 1):
+                    base = c.base[:a] + (c.base[a] + d,) + c.base[a + 1 :]
+                    nb = CubicalCell(n, base, c.axes)
+                    j = index.get(nb)
+                    if j is None:
+                        leaving += nb not in inside
+                    elif d == 1 and CubicalCell(n - 1, base, rest[a]) not in M.cells:
+                        edges += ((i, j, 1), (j, i, 1))
+            if leaving and not on_inside:
+                edges += ((i, far, leaving), (far, i, leaving))
+        if not on_inside:
+            edges.append((self.source, far, _INF_CAP))
+        self.rows, self.cols, caps = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+        self.caps = caps.astype(np.int32)
+        tops = {
+            f: next((t for t in ambient.top_cells_containing(f) if (t in inside) == on_inside), None)
+            for f in M.cells
+        }
+        self.carrier = {f: index[t] for f, t in tops.items() if t in index}
+        self.stranded = frozenset(f for f, t in tops.items() if t not in index)
 
 
-def one_sided_min_cut(
-    M: ManifoldComplex,
-    arc_cells: CellSet,
-    inside: Optional[CellSet] = None,
-    side: str = "inside",
-) -> Optional[Tuple[CellSet, CellSet]]:
+class ScanContext:
+    """One manifold state under scan, and what all of its arcs share.
+
+    Holds the state `M` and the run's `cfg`; the enclosed region
+    (`inside`) and one cut network per side are built on first use.  A
+    context belongs to its state: build a new one when the state changes.
+    """
+
+    def __init__(self, M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()):
+        self.M = M
+        self.cfg = cfg
+        self._networks: Dict[str, _CutNetwork] = {}
+
+    @cached_property
+    def inside(self) -> CellSet:
+        return inside_region(self.M)
+
+    def network(self, side: str) -> _CutNetwork:
+        if side not in self._networks:
+            self._networks[side] = _CutNetwork(self.M, self.inside, side == "inside")
+        return self._networks[side]
+
+
+def one_sided_min_cut(ctx: ScanContext, arc_cells: CellSet, side: str) -> Optional[Tuple[CellSet, CellSet]]:
     """Minimum-area replacement surface for an arc, on one side of M.
 
     Returns (filling cells, flipped region) or None when the side is
     infeasible.  The filling is the minimum cut separating the cells that
     carry the arc from the cells that carry the rest of the manifold,
     restricted to the requested side, so it never touches M outside the
-    arc boundary.
+    arc boundary.  The cut is the set the source cannot reach in the
+    residual graph, the same for every maximum flow, so reusing the
+    side's network changes no result.
     """
-    ambient = M.ambient
-    if inside is None:
-        inside = inside_region(M)
-    n = ambient.n
-    verts = set()
-    for c in M.cells:
-        verts.update(c.vertices())
-    enum = _bbox_top_cells(ambient, verts)
-    if side == "inside":
-        region = sorted(c for c in enum if c in inside)
-        has_far = False
-    else:
-        region = sorted(c for c in enum if c not in inside)
-        has_far = True
-
-    region_index = {c: i for i, c in enumerate(region)}
-    n_nodes = len(region) + 2 + (1 if has_far else 0)
-    source, sink = len(region), len(region) + 1
-    far = len(region) + 2 if has_far else None
-
-    forced_w: set = set()
-    forced_v: set = set()
-    for f in sorted(M.cells):
-        idx = region_index.get(_side_carrier(ambient, f, inside, side == "inside"))
-        if idx is None:
-            if f in arc_cells:
-                return None
-            continue
-        (forced_w if f in arc_cells else forced_v).add(idx)
-    if forced_w & forced_v or not forced_w:
+    net = ctx.network(side)
+    if not net.stranded.isdisjoint(arc_cells):
         return None
-
-    rows: List[int] = []
-    cols: List[int] = []
-    caps: List[int] = []
-
-    def add_edge(u, v, c):
-        rows.append(u)
-        cols.append(v)
-        caps.append(c)
-
-    for c in region:
-        i = region_index[c]
-        for a in range(n):
-            b = list(c.base)
-            b[a] += 1
-            nb = CubicalCell(n, tuple(b), c.axes)
-            shared = _shared_face(c, nb, a, 1)
-            if shared in M.cells:
-                continue
-            j = region_index.get(nb)
-            if j is not None:
-                add_edge(i, j, 1)
-                add_edge(j, i, 1)
-        if has_far:
-            # faces leading out of the enumerated block connect to far-outside
-            k = 0
-            for a in range(n):
-                for d in (-1, 1):
-                    b = list(c.base)
-                    b[a] += d
-                    nb = CubicalCell(n, tuple(b), c.axes)
-                    if nb not in region_index and nb not in inside:
-                        k += 1
-            if k:
-                add_edge(i, far, k)
-                add_edge(far, i, k)
-    for i in sorted(forced_v):
-        add_edge(source, i, _INF_CAP)
-    for i in sorted(forced_w):
-        add_edge(i, sink, _INF_CAP)
-    if has_far:
-        add_edge(source, far, _INF_CAP)
-
-    graph = csr_matrix(
-        (np.asarray(caps, dtype=np.int32), (np.asarray(rows), np.asarray(cols))),
-        shape=(n_nodes, n_nodes),
-    )
-    result = maximum_flow(graph, source, sink)
+    arc_nodes, rest_nodes = set(), set()
+    for f, i in net.carrier.items():
+        (arc_nodes if f in arc_cells else rest_nodes).add(i)
+    if arc_nodes & rest_nodes or not arc_nodes:
+        return None
+    w = np.fromiter(sorted(arc_nodes), np.int64)
+    v = np.fromiter(sorted(rest_nodes), np.int64)
+    rows = np.concatenate((net.rows, np.full(len(v), net.source), w))
+    cols = np.concatenate((net.cols, v, np.full(len(w), net.sink)))
+    caps = np.concatenate((net.caps, np.full(len(v) + len(w), _INF_CAP, dtype=np.int32)))
+    graph = csr_matrix((caps, (rows, cols)), shape=(net.size, net.size))
+    result = maximum_flow(graph, net.source, net.sink)
     if result.flow_value >= _INF_CAP:
         return None
-
-    residual = graph - result.flow
-    reach = {source}
-    queue = deque([source])
-    indptr, indices, data = residual.indptr, residual.indices, residual.data
-    while queue:
-        u = queue.popleft()
-        for pos in range(indptr[u], indptr[u + 1]):
-            v = indices[pos]
-            if data[pos] > 0 and v not in reach:
-                reach.add(v)
-                queue.append(v)
-
-    w_cells = frozenset(c for c in region if region_index[c] not in reach)
+    unreached = np.ones(net.size, dtype=bool)
+    unreached[breadth_first_order(graph - result.flow > 0, net.source, return_predecessors=False)] = False
+    w_cells = frozenset(compress(net.cells, unreached))
     if not w_cells:
         return None
-    return region_boundary(w_cells) - M.cells, w_cells
+    return region_boundary(w_cells) - ctx.M.cells, w_cells
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +418,7 @@ class LoftedSequence:
 
 
 def lofted(
-    M: ManifoldComplex,
-    center: CubicalCell,
-    gamma: int,
-    cap: int = 64,
-    arc_cells: Optional[CellSet] = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    ctx: ScanContext, center: CubicalCell, gamma: int, arc_cells: Optional[CellSet] = None
 ) -> LoftedSequence:
     """Distance-i circles around a center and their minimum fillings.
 
@@ -436,6 +428,7 @@ def lofted(
     """
     from .curviness import fit_region
 
+    M, cfg = ctx.M, ctx.cfg
     if arc_cells is None:
         arc_cells = fit_region(M, ball(M, center, gamma)).region
     levels: List[LoftedLevel] = []
@@ -443,18 +436,13 @@ def lofted(
         fit = fit_region(M, ball(M, center, i), level=i)
         avoid = M.closure_cells - closure_of(fit.cycle.cells)
         try:
-            m_i = min_filling(
-                M.ambient,
-                fit.cycle,
-                avoid=avoid,
-                cap=min(cap, len(fit.region)),
-                node_budget=node_budget,
-            )
+            cap = min(cfg.filling_cap, len(fit.region))
+            m_i = min_filling(M.ambient, fit.cycle, avoid=avoid, cap=cap, node_budget=cfg.node_budget)
             meets = bool(m_i.cells & arc_cells) and m_i.N < len(fit.region)
         except SearchBudgetExceeded:
-            cut = one_sided_min_cut(M, fit.region)
-            if cut is None:
-                cut = one_sided_min_cut(M, fit.region, side="outside")
+            # the inside cut first, the outside one only when it is infeasible
+            cut = one_sided_min_cut(ctx, fit.region, "inside")
+            cut = cut or one_sided_min_cut(ctx, fit.region, "outside")
             if cut is None:
                 raise FillingNotFound(f"no lofted filling at level {i}")
             m_i = Filling(cells=cut[0], boundary=fit.cycle, is_minimal=False)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .cells import AmbientSpace, CubicalCell, build_ambient, cell_token, parse_cell_token
-from .complexes import ManifoldComplex, validate
+from .complexes import ManifoldComplex, check_margin, validate
 from .deform import DeformationTrace, step_from_json
 from .errors import ParseError, ValidationFailed
 
@@ -82,11 +82,10 @@ def load_fixture(path: Union[str, Path], require_valid: bool = True) -> Manifold
         raise ParseError(0, "missing ambient header")
     if not cells:
         raise ParseError(0, "fixture has no cells")
-    for axis, (lo, hi) in enumerate(ambient.extent):
-        if any(c.base[axis] <= lo or c.base[axis] + (axis in c.axes) >= hi for c in cells):
-            raise ParseError(
-                0, f"a vertex lies on the ambient boundary of axis {axis}; keep one empty unit of margin"
-            )
+    try:
+        check_margin(ambient, cells)
+    except ValueError as err:
+        raise ParseError(0, str(err))
     M = ManifoldComplex.make(ambient, m, cells)
     if require_valid:
         report = validate(M)

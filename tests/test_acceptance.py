@@ -15,6 +15,7 @@ import pytest
 from gridtopo import (
     CubicalCell,
     ManifoldComplex,
+    ScanContext,
     ball,
     build_ambient,
     cell_distance,
@@ -216,7 +217,7 @@ def test_criterion_3_ushape_curviness():
     center = CubicalCell.make((1, 1), (0,))
     arc = boundary_cycle_fit(M, ball(M, center, 2), center=center, gamma=2)
     assert arc.cycle.cells == {CubicalCell.make((1, 3)), CubicalCell.make((2, 3))}
-    rep = curviness(M, arc)
+    rep = curviness(ScanContext(M), arc)
     assert rep.r == Fraction(5, 1)
     assert rep.r1 == 4
     assert rep.r2_h == 2

@@ -4,6 +4,7 @@ import pytest
 
 from gridtopo import (
     CubicalCell,
+    ScanContext,
     arc_sign,
     ball,
     build_ambient,
@@ -63,7 +64,7 @@ def test_ushape_inner_arc_report(ushape):
     assert best == 1
 
     arc = inner_arc(ushape)
-    rep = curviness(ushape, arc)
+    rep = curviness(ScanContext(ushape), arc)
     assert rep.r == Fraction(5, 1)
     assert rep.r1 == 4
     assert rep.r2_h == 2
@@ -74,20 +75,20 @@ def test_ushape_inner_arc_report(ushape):
 def test_flat_arc_report(ushape):
     center = CubicalCell.make((1, 0), (0,))
     arc = boundary_cycle_fit(ushape, ball(ushape, center, 1), center=center, gamma=1)
-    rep = curviness(ushape, arc)
+    rep = curviness(ScanContext(ushape), arc)
     assert rep.r == 1 and rep.r1 == 0 and rep.r2_h == 0 and rep.r3 == 0
 
 
 def test_box211_cap_report(box211):
     left = CubicalCell.make((0, 0, 0), (1, 2))
     arc = boundary_cycle_fit(box211, ball(box211, left, 1), center=left, gamma=1)
-    rep = curviness(box211, arc)
+    rep = curviness(ScanContext(box211), arc)
     assert rep.r == Fraction(5, 1) and rep.r1 == 4 and rep.r2_h == 1
 
 
 def test_report_invariants(ushape, rect12, box211):
     for M, gamma in ((ushape, 2), (rect12, 1), (box211, 1)):
-        for rep in valid_reports(M, gamma):
+        for rep in valid_reports(ScanContext(M), gamma):
             assert rep.r >= 1 and rep.r1 >= 0 and rep.r2_h >= 0
             assert (rep.r == 1) == (rep.r1 == 0)
             assert (rep.r1 == 0) == (rep.arc.N == rep.filling.N)
@@ -97,18 +98,18 @@ def test_report_invariants(ushape, rect12, box211):
 
 
 def test_select_peak_ushape(ushape):
-    rep = select_peak(ushape, 2)
+    rep = select_peak(ScanContext(ushape), 2)
     assert rep is not None
     assert rep.r == Fraction(5, 1)
     assert rep.filling.N == 1
 
 
 def test_select_peak_sq1_none(sq1):
-    assert select_peak(sq1, 1) is None
+    assert select_peak(ScanContext(sq1), 1) is None
 
 
 def test_select_peak_rect12(rect12):
-    rep = select_peak(rect12, 1)
+    rep = select_peak(ScanContext(rect12), 1)
     assert rep is not None
     assert rep.r == Fraction(3, 1)
     assert len(rep.arc.region) == 3 and rep.filling.N == 1
@@ -116,7 +117,7 @@ def test_select_peak_rect12(rect12):
 
 def test_select_peak_argmax_stable(ushape):
     """Scaling every measure by a positive constant keeps the argmax."""
-    reports = valid_reports(ushape, 2)
+    reports = valid_reports(ScanContext(ushape), 2)
     best = max(reports, key=lambda r: r.r)
     scaled = max(reports, key=lambda r: r.r * 7)
     assert best.r == scaled.r == reports[0].r
@@ -136,15 +137,17 @@ def test_arc_sign_examples(ushape, rect12):
     from gridtopo.curviness import minimum_filling_of_arc
 
     arc = inner_arc(ushape)
-    assert arc_sign(ushape, arc, minimum_filling_of_arc(ushape, arc)) == "valley"
+    ctx = ScanContext(ushape)
+    assert arc_sign(ctx, arc, minimum_filling_of_arc(ctx, arc)) == "valley"
 
     center = CubicalCell.make((0, 0), (1,))
     cap = boundary_cycle_fit(rect12, ball(rect12, center, 1), center=center, gamma=1)
-    assert arc_sign(rect12, cap, minimum_filling_of_arc(rect12, cap)) == "peak"
+    ctx12 = ScanContext(rect12)
+    assert arc_sign(ctx12, cap, minimum_filling_of_arc(ctx12, cap)) == "peak"
 
     flat_center = CubicalCell.make((1, 0), (0,))
     flat = boundary_cycle_fit(ushape, ball(ushape, flat_center, 1), center=flat_center, gamma=1)
-    assert arc_sign(ushape, flat, minimum_filling_of_arc(ushape, flat)) == "flat"
+    assert arc_sign(ctx, flat, minimum_filling_of_arc(ctx, flat)) == "flat"
 
 
 def test_arc_sign_codimension_guard(pinch):
@@ -162,7 +165,7 @@ def test_arc_sign_codimension_guard(pinch):
     )
     filling = Filling(cells=dummy.region, boundary=dummy.cycle, is_minimal=True)
     with pytest.raises(CodimensionUnsupported):
-        arc_sign(pinch, dummy, filling)  # m equals the ambient dimension
+        arc_sign(ScanContext(pinch), dummy, filling)  # m equals the ambient dimension
 
 
 def test_candidate_arcs_deduplicate(ushape):
@@ -172,8 +175,8 @@ def test_candidate_arcs_deduplicate(ushape):
 
 
 def test_determinism_of_reports(ushape):
-    a = valid_reports(ushape, 2)
-    b = valid_reports(ushape, 2)
+    a = valid_reports(ScanContext(ushape), 2)
+    b = valid_reports(ScanContext(ushape), 2)
     assert [(r.center, r.r, tuple(sorted(r.filling.cells))) for r in a] == [
         (r.center, r.r, tuple(sorted(r.filling.cells))) for r in b
     ]

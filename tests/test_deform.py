@@ -3,6 +3,7 @@ import pytest
 from gridtopo import (
     CubicalCell,
     ManifoldComplex,
+    ScanContext,
     ball,
     interpolate,
     is_gradually_varied,
@@ -25,7 +26,7 @@ from util import curve_from_pixels, surface_from_voxels
 
 def arc_and_filling(M, center, gamma):
     arc = boundary_cycle_fit(M, ball(M, center, gamma), center=center, gamma=gamma)
-    return arc, minimum_filling_of_arc(M, arc)
+    return arc, minimum_filling_of_arc(ScanContext(M), arc)
 
 
 def test_gradual_variation_rect_cap(rect12, amb2):

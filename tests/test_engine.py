@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -15,6 +16,8 @@ from gridtopo.corpus import random_simple_curve
 from gridtopo.deform import ReplaceStep, SplitStep
 from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
 from gridtopo.errors import ValidationFailed
+
+from util import curve_from_pixels
 
 def replace_steps(trace):
     return [s for s in trace.steps if isinstance(s, (ReplaceStep, SplitStep))]
@@ -51,6 +54,24 @@ def test_radius_sweep_order(ushape):
 def test_contract_requires_valid(pinch):
     with pytest.raises(ValidationFailed):
         contract(pinch)
+
+
+def test_contract_requires_margin():
+    amb = build_ambient(2, [(0, 4), (-2, 5)])
+    with pytest.raises(ValueError, match="axis 0"):
+        contract(curve_from_pixels(amb, [(0, 0)]))
+
+
+def test_contract_leaves_no_reference_cycles(ushape, box211):
+    """A contraction is freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        for M in (ushape, box211):
+            contract(M)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_contract_sq1_trivial(sq1):

@@ -1,9 +1,11 @@
 import pytest
 
 from gridtopo import CubicalCell, Cycle, build_ambient, jordan_split, min_filling
-from gridtopo.curviness import boundary_cycle_fit
+from gridtopo.curviness import boundary_cycle_fit, candidate_arcs
+from gridtopo.engine import radius_sweep
 from gridtopo.errors import FillingNotFound, NotSeparating
 from gridtopo.filling import (
+    ScanContext,
     closure_of,
     enclosed_cells,
     inside_region,
@@ -17,6 +19,7 @@ from util import (
     face_vertices,
     oracle_min_paths,
     oracle_min_surface_fillings,
+    surface_from_voxels,
 )
 
 
@@ -138,18 +141,37 @@ def test_one_sided_min_cut_box211(box211):
     left = CubicalCell.make((0, 0, 0), (1, 2))
     b = ball(box211, left, 1)
     arc = boundary_cycle_fit(box211, b, center=left, gamma=1)
-    got = one_sided_min_cut(box211, arc.region, side="inside")
+    got = one_sided_min_cut(ScanContext(box211), arc.region, "inside")
     assert got is not None
     cut, region = got
     assert cut == {CubicalCell.make((1, 0, 0), (1, 2))}
     assert region == {CubicalCell.make((0, 0, 0), (0, 1, 2))}
 
 
+def test_shared_context_cut_matches_fresh(amb3, box211, torus):
+    """Every arc and side solved on one shared context gives what a fresh
+    context gives: no solve leaks into the shared networks."""
+    # a 28-face sphere (ROADMAP item 2) that exercises both sides
+    poly = surface_from_voxels(
+        amb3, [(0, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (2, 2, 0)]
+    )
+    for M in (box211, torus, poly):
+        shared = ScanContext(M)
+        feasible = 0
+        for gamma in radius_sweep(M):
+            for arc in candidate_arcs(M, gamma):
+                for side in ("inside", "outside"):
+                    got = one_sided_min_cut(shared, arc.region, side)
+                    assert got == one_sided_min_cut(ScanContext(M), arc.region, side)
+                    feasible += got is not None
+        assert feasible
+
+
 def test_lofted_ushape_inner(ushape):
     center = CubicalCell.make((1, 1), (0,))
     b = ball(ushape, center, 2)
     arc = boundary_cycle_fit(ushape, b, center=center, gamma=2)
-    seq = lofted(ushape, center, 2, arc_cells=arc.region)
+    seq = lofted(ScanContext(ushape), center, 2, arc_cells=arc.region)
     assert [l.filling.N for l in seq.levels] == [1, 1]
     assert not any(l.meets_arc for l in seq.levels)
     assert semi_convex(arc, seq)
@@ -160,7 +182,7 @@ def test_lofted_flat_arc_semi_convex(ushape):
     center = CubicalCell.make((1, 0), (0,))
     b = ball(ushape, center, 1)
     arc = boundary_cycle_fit(ushape, b, center=center, gamma=1)
-    seq = lofted(ushape, center, 1, arc_cells=arc.region)
+    seq = lofted(ScanContext(ushape), center, 1, arc_cells=arc.region)
     assert semi_convex(arc, seq)
 
 
@@ -168,7 +190,7 @@ def test_lofted_torus_inner_wall_obstructed(torus):
     wall = CubicalCell.make((1, 1, 1), (1, 2))
     b = ball(torus, wall, 2)
     arc = boundary_cycle_fit(torus, b, center=wall, gamma=2)
-    seq = lofted(torus, wall, 2, arc_cells=arc.region)
+    seq = lofted(ScanContext(torus), wall, 2, arc_cells=arc.region)
     assert any(l.meets_arc for l in seq.levels)
     assert not semi_convex(arc, seq)
 
@@ -176,7 +198,7 @@ def test_lofted_torus_inner_wall_obstructed(torus):
 def test_lofted_fillings_are_minimal_per_level(ushape):
     """Monotonicity is not asserted, minimality per circle is."""
     center = CubicalCell.make((1, 1), (0,))
-    seq = lofted(ushape, center, 2)
+    seq = lofted(ScanContext(ushape), center, 2)
     for lv in seq.levels:
         p, q = sorted(v.base for v in lv.circle.cells)
         best, _ = oracle_min_paths(ushape.ambient.extent, p, q, cap=8)
