@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import engine, io, render as render_mod
@@ -37,19 +38,18 @@ def _cmd_curviness(args) -> int:
     M = io.load_fixture(args.fixture)
     radii = [args.radius] if args.radius else list(radius_schedule(M))
     ctx = ScanContext(M, engine.ContractionConfig(variant=args.variant))
+    # Reports come lazily, best first per radius: without --all only the
+    # first one is solved for.
+    reports = itertools.chain.from_iterable(valid_reports(ctx, gamma) for gamma in radii)
+    if not args.all:
+        reports = itertools.islice(reports, 1)
     rows = 0
-    for gamma in radii:
-        reports = valid_reports(ctx, gamma)
-        if not args.all and reports:
-            reports = reports[:1]
-        for rep in reports:
-            print(
-                f"{cell_token(rep.center)} {rep.gamma} "
-                f"{rep.r} {rep.r1} {rep.r2_h} {rep.r3}"
-            )
-            rows += 1
-        if rows and not args.all:
-            break
+    for rep in reports:
+        print(
+            f"{cell_token(rep.center)} {rep.gamma} "
+            f"{rep.r} {rep.r1} {rep.r2_h} {rep.r3}"
+        )
+        rows += 1
     if not rows and not args.quiet:
         print("no valid curviness candidates", file=sys.stderr)
     return 0
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fixture")
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--variant", choices=VARIANTS, default="ratio")
-    p.add_argument("--all", action="store_true", help="print every valid candidate")
+    p.add_argument("--all", action="store_true", help="print every valid candidate, not only the first")
     p.set_defaults(func=_cmd_curviness)
 
     p = sub.add_parser("contract", help="contract a fixture to an irreducible sphere")

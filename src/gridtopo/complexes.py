@@ -61,6 +61,18 @@ class ManifoldComplex:
         return self.closure.get(1, frozenset())
 
     @cached_property
+    def vertex_adjacency(self) -> Dict[Coord, Tuple[Coord, ...]]:
+        """Each vertex's neighbours along the edges, in canonical order."""
+        adj: Dict[Coord, List[Coord]] = defaultdict(list)
+        for e in self.edges:
+            (a,) = e.axes
+            u = e.base
+            w = u[:a] + (u[a] + 1,) + u[a + 1 :]
+            adj[u].append(w)
+            adj[w].append(u)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+    @cached_property
     def coface_counts(self) -> Dict[CubicalCell, int]:
         """For each (m-1)-cell of the closure, how many m-cells contain it."""
         counts: Counter = Counter()

@@ -13,16 +13,24 @@ The scan functions (`valid_reports`, `select_peak`, `replacement_filling`,
 `filling.ScanContext`: one manifold state plus the run's
 `ContractionConfig`, whose variant ranks the reports and whose caps and
 budgets bound the filling searches.
+
+`valid_reports` is lazy.  Every filling of an arc's cycle has at least a
+known number of cells (the endpoint distance for curves, a face count for
+surfaces), which bounds each measure from above before any search.  The
+candidates wait in bound order, and a replacement filling is solved only
+while a waiting candidate could still beat or tie the best solved report,
+so the first report costs a few solves instead of one per candidate.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 
-from .cells import AmbientSpace, CubicalCell
+from .cells import AmbientSpace, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, region_boundary
 from .errors import (
     CodimensionUnsupported,
@@ -32,12 +40,18 @@ from .errors import (
     NoFittingCycle,
     SearchBudgetExceeded,
 )
-from .filling import Filling, ScanContext, closure_of, min_filling, one_sided_min_cut
+from .filling import (  # VARIANTS is re-exported here, beside the measures
+    VARIANTS,
+    Filling,
+    ScanContext,
+    closure_of,
+    filling_lower_bound,
+    min_filling,
+    one_sided_min_cut,
+)
 from .metric import ambient_distance, ball, diameter
 
 CellSet = FrozenSet[CubicalCell]
-
-VARIANTS = ("ratio", "diff", "height", "height_ratio")
 
 # Surfaces try the exact filling search only up to this many cells.
 _EXACT_THRESHOLD = 8
@@ -140,16 +154,20 @@ def boundary_cycle_fit(
 
 def height(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> int:
     """Largest ambient vertex distance from arc cells to the filling."""
-    f_verts = filling.vertices
+    return _height(M.ambient, arc.region, filling.vertices)
+
+
+def _height(ambient: AmbientSpace, region: CellSet, verts: FrozenSet[Coord]) -> int:
+    """Largest, over the region's cells, distance from a cell to the vertices."""
     h = 0
-    for c in arc.region:
-        d = min(ambient_distance(M.ambient, v, w) for v in c.vertices() for w in f_verts)
+    for c in region:
+        d = min(ambient_distance(ambient, v, w) for v in c.vertices() for w in verts)
         h = max(h, d)
     return h
 
 
-def _filling_span(ambient: AmbientSpace, filling: Filling) -> int:
-    verts = sorted(filling.vertices)
+def _span(ambient: AmbientSpace, verts: Iterable[Coord]) -> int:
+    verts = sorted(verts)
     return max(
         (ambient_distance(ambient, u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]),
         default=0,
@@ -188,13 +206,11 @@ def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion) -> Optional[CellSet]:
 
 def curviness(ctx: ScanContext, arc: ArcRegion, filling: Optional[Filling] = None) -> CurvinessReport:
     """All four curviness measures of an arc against a minimum filling."""
-    if ctx.cfg.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {ctx.cfg.variant!r}")
     if filling is None:
         filling = minimum_filling_of_arc(ctx, arc)
     n_arc, n_fill = len(arc.region), filling.N
     h = height(ctx.M, arc, filling)
-    span = _filling_span(ctx.M.ambient, filling)
+    span = _span(ctx.M.ambient, filling.vertices)
     return CurvinessReport(
         center=arc.center,
         gamma=arc.gamma,
@@ -216,7 +232,7 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     is small and otherwise take the better one-sided minimum cut.
     """
     M, budget = ctx.M, ctx.cfg.node_budget
-    eff_cap = min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1)
+    eff_cap = _replacement_cap(ctx, arc)
     if eff_cap < 1:
         return None
     exclude = M.closure_cells - closure_of(arc.cycle.cells)
@@ -241,6 +257,28 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     return Filling(cells=cut, boundary=arc.cycle, is_minimal=False)
 
 
+def _replacement_cap(ctx: ScanContext, arc: ArcRegion) -> int:
+    """Most cells a useful replacement filling of the arc may have."""
+    return min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1)
+
+
+def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
+    """Upper bound on the arc's measure against any filling of >= lb cells.
+
+    The height is taken to the cycle's vertices, which every filling
+    includes, and the span is the cycle's, which no filling undercuts.
+    """
+    if variant == "ratio":
+        return Fraction(arc.N, lb)
+    if variant == "diff":
+        return arc.N - lb
+    cycle_verts = frozenset(v for c in arc.cycle.cells for v in c.vertices())
+    h = _height(ambient, arc.region, cycle_verts)
+    if variant == "height":
+        return h
+    return Fraction(h, max(1, _span(ambient, cycle_verts)))
+
+
 def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
     """Deduplicated fitted arcs from balls around every closure cell."""
     half = len(M.cells) // 2
@@ -260,30 +298,48 @@ def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
     return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
 
 
-def valid_reports(ctx: ScanContext, gamma: int) -> List[CurvinessReport]:
+def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
     """Curviness reports for every arc admitting a reducing filling.
 
     An arc enters the valid set only when a filling avoiding M exists and
     its volume is smaller than both components of the split.  Reports are
-    ranked by the configured variant, best first.
+    yielded best first by the configured variant, centers breaking ties.
+
+    Lazy: each candidate waits under an upper bound on its measure, and
+    its filling is solved only while that bound can still beat or tie the
+    best solved report, which is yielded as soon as no waiting candidate
+    can.  A candidate whose filling lower bound already exceeds the
+    replacement cap has no filling and is dropped unsolved.  Waiting
+    candidates keep only their region; the rest of the arc is rebuilt when
+    it is solved.
     """
-    out = []
-    for arc in candidate_arcs(ctx.M, gamma):
+    M, variant = ctx.M, ctx.cfg.variant
+    pending = []  # (-bound, center, region), best key last
+    for arc in candidate_arcs(M, gamma):
+        lb = filling_lower_bound(M.ambient, arc.cycle)
+        if lb <= _replacement_cap(ctx, arc):
+            pending.append((-measure_bound(M.ambient, arc, lb, variant), arc.center, arc.region))
+    pending.sort(key=lambda e: e[:2], reverse=True)
+    solved = []  # heap of ((-measure, center), report)
+    while pending or solved:
+        if solved and (not pending or pending[-1][:2] > solved[0][0]):
+            yield heapq.heappop(solved)[1]
+            continue
+        _, center, region = pending.pop()
+        arc = ArcRegion(
+            center=center, gamma=gamma, region=region,
+            cycle=Cycle(region_boundary(region), M.m), complement=M.cells - region,
+        )
         filling = replacement_filling(ctx, arc)
-        if filling is None:
+        if filling is None or filling.N >= min(len(arc.region), len(arc.complement)):
             continue
-        if filling.N >= min(len(arc.region), len(arc.complement)):
-            continue
-        out.append(curviness(ctx, arc, filling=filling))
-    out.sort(key=lambda r: r.center)
-    out.sort(key=lambda r: r.measure(ctx.cfg.variant), reverse=True)
-    return out
+        rep = curviness(ctx, arc, filling=filling)
+        heapq.heappush(solved, ((-rep.measure(variant), center), rep))
 
 
 def select_peak(ctx: ScanContext, gamma: int) -> Optional[CurvinessReport]:
     """Best report at this radius, or None when the valid set is empty."""
-    reports = valid_reports(ctx, gamma)
-    return reports[0] if reports else None
+    return next(valid_reports(ctx, gamma), None)
 
 
 def radius_schedule(M: ManifoldComplex) -> Iterator[int]:

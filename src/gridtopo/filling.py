@@ -32,16 +32,23 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from .cells import AmbientSpace, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, region_boundary, split_by_cycle
 from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
-from .metric import ball
+from .metric import ambient_distance, ball
 
 CellSet = FrozenSet[CubicalCell]
 
 _INF_CAP = 1 << 20
 
+# The curviness measures a run can rank reports by.
+VARIANTS = ("ratio", "diff", "height", "height_ratio")
+
 
 @dataclass(frozen=True)
 class ContractionConfig:
-    """Caps, budgets and the curviness measure of a contraction run."""
+    """Caps, budgets and the curviness measure of a contraction run.
+
+    Raises ValueError for a variant outside `VARIANTS` or a filling cap
+    below 1.
+    """
 
     variant: str = "ratio"
     filling_cap: int = 64
@@ -49,6 +56,12 @@ class ContractionConfig:
     max_iterations: int = 10_000
     node_budget: int = 200_000
     probe_budget: int = 20_000
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.filling_cap < 1:
+            raise ValueError(f"filling_cap must be >= 1, got {self.filling_cap}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +159,19 @@ def _banned_filler(cell: CubicalCell, exclude: CellSet) -> bool:
     return any(f in exclude for f in cell.all_faces())
 
 
+def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
+    """Fewest cells any filling of the cycle can have.
+
+    A curve's filling is a grid path between the cycle's two vertices, no
+    shorter than their Manhattan distance.  Each cell of a surface's
+    filling has 2m faces, and every cycle cell must be one of them.
+    """
+    if cycle.dim == 0:
+        p, q = (v.base for v in cycle.cells)
+        return ambient_distance(ambient, p, q)
+    return max(1, math.ceil(len(cycle.cells) / (2 * cycle.m)))
+
+
 def _parity_min_filling(
     ambient: AmbientSpace,
     cycle: Cycle,
@@ -173,8 +199,7 @@ def _parity_min_filling(
         return tuple(sorted(out))
 
     nodes = 0
-    lower = max(1, math.ceil(len(target) / per_cell))
-    for limit in range(lower, cap + 1):
+    for limit in range(filling_lower_bound(ambient, cycle), cap + 1):
         solutions: List[CellSet] = []
         seen: set = set()
         stack: List[Tuple[CellSet, FrozenSet[CubicalCell]]] = [(frozenset(), target)]

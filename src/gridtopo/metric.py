@@ -18,19 +18,6 @@ from .errors import Unreachable
 Space = Union[ManifoldComplex, AmbientSpace]
 
 
-def _edge_adjacency(M: ManifoldComplex) -> Dict[Coord, Tuple[Coord, ...]]:
-    adj: Dict[Coord, List[Coord]] = {}
-    for e in M.edges:
-        (a,) = e.axes
-        u = e.base
-        w = list(u)
-        w[a] += 1
-        w = tuple(w)
-        adj.setdefault(u, []).append(w)
-        adj.setdefault(w, []).append(u)
-    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-
 def vertex_distances(space: Space, sources: Iterable[Coord]) -> Dict[Coord, int]:
     """Multi-source BFS levels over the vertex graph (edges of the space)."""
     sources = frozenset(sources)
@@ -39,7 +26,7 @@ def vertex_distances(space: Space, sources: Iterable[Coord]) -> Dict[Coord, int]
     if isinstance(space, AmbientSpace):
         neighbors = space.vertex_neighbors
     else:
-        adj = _edge_adjacency(space)
+        adj = space.vertex_adjacency
         neighbors = lambda v: adj.get(v, ())
     while queue:
         v = queue.popleft()

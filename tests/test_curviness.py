@@ -1,8 +1,10 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
 from gridtopo import (
+    ContractionConfig,
     CubicalCell,
     ScanContext,
     arc_sign,
@@ -13,15 +15,22 @@ from gridtopo import (
     select_peak,
 )
 from gridtopo.curviness import (
+    VARIANTS,
     boundary_cycle_fit,
     candidate_arcs,
+    filling_lower_bound,
+    measure_bound,
     radius_schedule_from,
     replacement_filling,
     valid_reports,
 )
+from gridtopo.engine import radius_sweep
 from gridtopo.errors import CodimensionUnsupported, NoFittingCycle
 
-from util import bfs_levels, edge_graph_of_complex, oracle_min_paths
+from util import SPHERE28_VOXELS, bfs_levels, edge_graph_of_complex, oracle_min_paths, surface_from_voxels
+
+# the module, not the `curviness` function the package exports
+curviness_module = importlib.import_module("gridtopo.curviness")
 
 
 def inner_arc(ushape):
@@ -117,7 +126,7 @@ def test_select_peak_rect12(rect12):
 
 def test_select_peak_argmax_stable(ushape):
     """Scaling every measure by a positive constant keeps the argmax."""
-    reports = valid_reports(ScanContext(ushape), 2)
+    reports = list(valid_reports(ScanContext(ushape), 2))
     best = max(reports, key=lambda r: r.r)
     scaled = max(reports, key=lambda r: r.r * 7)
     assert best.r == scaled.r == reports[0].r
@@ -180,3 +189,62 @@ def test_determinism_of_reports(ushape):
     assert [(r.center, r.r, tuple(sorted(r.filling.cells))) for r in a] == [
         (r.center, r.r, tuple(sorted(r.filling.cells))) for r in b
     ]
+
+
+def eager_reports(ctx, gamma):
+    """Reference ranking: solve every candidate, then sort best first.
+
+    Also checks, for every candidate, the bounds the lazy ranking relies
+    on: a candidate whose filling lower bound exceeds the replacement cap
+    has no filling, and a solved filling is no smaller than the bound and
+    gives a measure no larger than the measure bound.
+    """
+    M, variant = ctx.M, ctx.cfg.variant
+    out = []
+    for arc in candidate_arcs(M, gamma):
+        lb = filling_lower_bound(M.ambient, arc.cycle)
+        filling = replacement_filling(ctx, arc)
+        if lb > min(ctx.cfg.filling_cap, arc.N - 1, len(arc.complement) - 1):
+            assert filling is None
+        if filling is None:
+            continue
+        assert filling.N >= lb
+        rep = curviness(ctx, arc, filling=filling)
+        assert rep.measure(variant) <= measure_bound(M.ambient, arc, lb, variant)
+        if filling.N < min(arc.N, len(arc.complement)):
+            out.append(rep)
+    out.sort(key=lambda r: r.center)
+    out.sort(key=lambda r: r.measure(variant), reverse=True)
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lazy_reports_match_eager(variant, amb3, ushape, rect12, sq1, box111, box211):
+    sphere28 = surface_from_voxels(amb3, SPHERE28_VOXELS)
+    seen = 0
+    for M in (ushape, rect12, sq1, box111, box211, sphere28):
+        ctx = ScanContext(M, ContractionConfig(variant=variant))
+        for gamma in radius_sweep(M):
+            expected = eager_reports(ctx, gamma)
+            assert list(valid_reports(ctx, gamma)) == expected
+            seen += len(expected)
+    assert seen
+
+
+def test_first_report_solves_few_fillings(ushape, monkeypatch):
+    solved = []
+    solve = curviness_module.replacement_filling
+
+    def counting(ctx, arc):
+        solved.append(arc.center)
+        return solve(ctx, arc)
+
+    monkeypatch.setattr(curviness_module, "replacement_filling", counting)
+    assert next(iter(valid_reports(ScanContext(ushape), 2))) is not None
+    assert len(solved) < len(candidate_arcs(ushape, 2))
+
+
+@pytest.mark.parametrize("bad", [{"variant": "bogus"}, {"filling_cap": 0}])
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        ContractionConfig(**bad)

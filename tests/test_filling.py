@@ -16,6 +16,7 @@ from gridtopo.filling import (
 from gridtopo.metric import ball
 
 from util import (
+    SPHERE28_VOXELS,
     face_vertices,
     oracle_min_paths,
     oracle_min_surface_fillings,
@@ -151,10 +152,7 @@ def test_one_sided_min_cut_box211(box211):
 def test_shared_context_cut_matches_fresh(amb3, box211, torus):
     """Every arc and side solved on one shared context gives what a fresh
     context gives: no solve leaks into the shared networks."""
-    # a 28-face sphere (ROADMAP item 2) that exercises both sides
-    poly = surface_from_voxels(
-        amb3, [(0, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (2, 2, 0)]
-    )
+    poly = surface_from_voxels(amb3, SPHERE28_VOXELS)
     for M in (box211, torus, poly):
         shared = ScanContext(M)
         feasible = 0

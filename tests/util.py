@@ -41,6 +41,9 @@ def surface_from_voxels(ambient, voxels):
 U_PIXELS = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2)]
 BOX333_VOXELS = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
 TORUS_VOXELS = [v for v in BOX333_VOXELS if not (v[0] == 1 and v[1] == 1)]
+# A 28-face sphere that the engine wrongly reports as obstructed (ROADMAP
+# item 2); its arcs exercise both sides of the one-sided cut.
+SPHERE28_VOXELS = [(0, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (2, 2, 0)]
 
 
 # ---------------------------------------------------------------------------
