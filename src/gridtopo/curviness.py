@@ -11,8 +11,8 @@ center cannot produce.
 The scan functions (`valid_reports`, `select_peak`, `replacement_filling`,
 `curviness`, `minimum_filling_of_arc`, `arc_sign`) take a
 `filling.ScanContext`: one manifold state plus the run's
-`ContractionConfig`, whose variant ranks the reports and whose caps and
-budgets bound the filling searches.
+`ContractionConfig`, whose variant ranks the reports and whose filling cap
+bounds the filling searches.
 
 `valid_reports` is lazy.  Every filling of an arc's cycle has at least a
 known number of cells (the endpoint distance for curves, a face count for
@@ -101,8 +101,9 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
     """Grow a ball into a region whose boundary is one regular cycle.
 
     The ball is extended by canonically smallest complement cells until the
-    topological boundary is a single closed regular (m-1)-manifold that
-    separates M, or the region would exceed half of M.
+    topological boundary is a single closed regular (m-1)-manifold, or the
+    region would exceed half of M.  M must be closed and connected, as every
+    state `contract` reaches is; the cycle then separates M.
     """
     def fail(msg):
         if level is not None:
@@ -116,27 +117,18 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
     if len(region) > half:
         fail(f"region of {len(region)} cells exceeds half of {len(M.cells)}")
 
-    for _ in range(len(M.cells)):
+    while True:
         bd = region_boundary(region)
-        if not bd:
-            fail("region has empty boundary")
-        cyc = Cycle(frozenset(bd), M.m)
+        cyc = Cycle(bd, M.m)
         if cyc.is_valid() and len(components(region, M.m)) == 1:
-            complement = M.cells - frozenset(region)
-            if not complement or len(components(complement, M.m)) != 1:
-                fail("boundary does not separate M into two components")
-            return RegionFit(frozenset(region), cyc, complement)
-        # Repair: absorb the smallest complement cell adjacent to the
-        # current boundary; each absorption can only merge components or
-        # remove a boundary defect.
-        candidates = set()
-        for c in sorted(M.cells - region):
-            if any(f in bd for f in c.faces()):
-                candidates.add(c)
+            return RegionFit(frozenset(region), cyc, M.cells - frozenset(region))
+        # Repair: absorb the smallest cell of M across the current
+        # boundary; each absorption can only merge components or remove a
+        # boundary defect, and the region stops at half of M.
+        candidates = {c for f in bd for c in f.cofaces(range(M.ambient.n)) if c in M.cells} - region
         if not candidates or len(region) + 1 > half:
             fail("no regular separating cycle within half of M")
         region.add(min(candidates))
-    fail("cycle repair did not converge")
 
 
 def boundary_cycle_fit(
@@ -175,23 +167,20 @@ def _span(ambient: AmbientSpace, verts: Iterable[Coord]) -> int:
 
 
 def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
-    """True minimum filling of the arc boundary, M-intersections reported.
+    """True minimum filling of the arc boundary, free to run through M.
 
     The arc itself bounds the cycle, so the effective cap never exceeds the
     arc size; when the exact search runs out of nodes, the better one-sided
     cut stands in (marked non-minimal).
     """
-    M = ctx.M
-    avoid = M.closure_cells - closure_of(arc.cycle.cells)
     eff_cap = min(ctx.cfg.filling_cap, len(arc.region))
     try:
-        return min_filling(M.ambient, arc.cycle, avoid=avoid, cap=eff_cap, node_budget=ctx.cfg.node_budget)
+        return min_filling(ctx.M.ambient, arc.cycle, cap=eff_cap)
     except SearchBudgetExceeded:
         cut = _best_one_sided_cut(ctx, arc)
         if cut is not None and len(cut) <= len(arc.region):
             return Filling(cells=cut, boundary=arc.cycle, is_minimal=False)
-        return Filling(cells=arc.region, boundary=arc.cycle, is_minimal=False,
-                       avoid_hits=frozenset(arc.region))
+        return Filling(cells=arc.region, boundary=arc.cycle, is_minimal=False)
 
 
 def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion) -> Optional[CellSet]:
@@ -231,14 +220,14 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     excluded-path search; surfaces try the exact search when the instance
     is small and otherwise take the better one-sided minimum cut.
     """
-    M, budget = ctx.M, ctx.cfg.node_budget
+    M = ctx.M
     eff_cap = _replacement_cap(ctx, arc)
     if eff_cap < 1:
         return None
     exclude = M.closure_cells - closure_of(arc.cycle.cells)
     if M.m == 1:
         try:
-            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=eff_cap, node_budget=budget)
+            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=eff_cap)
         except (FillingNotFound, SearchBudgetExceeded):
             return None
 
@@ -249,7 +238,7 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     exact_cap = min(eff_cap, len(cut) if cut is not None else _EXACT_THRESHOLD)
     if exact_cap <= _EXACT_THRESHOLD:
         try:
-            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=exact_cap, node_budget=budget)
+            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=exact_cap)
         except (FillingNotFound, SearchBudgetExceeded):
             pass
     if cut is None:

@@ -46,8 +46,11 @@ from .errors import (
     SearchBudgetExceeded,
     ValidationFailed,
 )
-from .filling import ContractionConfig, Filling, ScanContext, closure_of, jordan_split, lofted, min_filling
+from .filling import ContractionConfig, Filling, ScanContext, jordan_split, lofted, min_filling
 from .metric import ambient_distance, ball, diameter
+
+_MAX_ITERATIONS = 10_000  # replacement rounds per node before it ends exhausted
+_PROBE_BUDGET = 20_000  # search nodes per filling in the obstruction probe
 
 
 @dataclass(frozen=True)
@@ -111,31 +114,16 @@ def is_irreducible_sphere(M: ManifoldComplex) -> Optional[CubicalCell]:
 
     A manifold equal to the boundary of one (m+1)-cell, or small enough
     that a single ambient cell meets every m-cell, is as contracted as the
-    grid allows.
+    grid allows.  Touching is an interval test per axis, so the witness
+    spans the axes where the largest m-cell base exceeds the smallest top.
     """
-    verts = sorted(M.vertices)
     n = M.ambient.n
-    lo = [min(v[i] for v in verts) for i in range(n)]
-    hi = [max(v[i] for v in verts) for i in range(n)]
-    if any(h - l > 3 for l, h in zip(lo, hi)):
+    low = [max(c.base[i] for c in M.cells) for i in range(n)]
+    high = [min(c.base[i] + (i in c.axes) for c in M.cells) for i in range(n)]
+    if any(lo > hi + 1 for lo, hi in zip(low, high)):
         return None
-    cells_sorted = sorted(M.cells)
-    candidates: List[CubicalCell] = []
-    for dim in range(0, n + 1):
-        for axes in itertools.combinations(range(n), dim):
-            ranges = []
-            for i in range(n):
-                top = 1 if i in axes else 0
-                ranges.append(range(lo[i] - 1, hi[i] + 1 - top + 1))
-            for base in itertools.product(*ranges):
-                o = CubicalCell(dim, tuple(base), axes)
-                if not M.ambient.contains_cell(o):
-                    continue
-                if all(c.touches(o) for c in cells_sorted):
-                    candidates.append(o)
-        if candidates:
-            return min(candidates)
-    return None
+    axes = tuple(i for i in range(n) if low[i] > high[i])
+    return CubicalCell(len(axes), tuple(lo - (i in axes) for i, lo in enumerate(low)), axes)
 
 
 def diameter_sphere_check(M: ManifoldComplex) -> Tuple[bool, int, Tuple]:
@@ -164,12 +152,13 @@ def radius_sweep(M: ManifoldComplex) -> List[int]:
     return sched + rest
 
 
-def probe_obstruction(M: ManifoldComplex, cfg: ContractionConfig) -> Optional[ObstructionEvidence]:
+def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
     """Search for a cycle whose minimum filling threads the manifold.
 
     Around every center and radius, boundary rings of balls are tested:
-    a ring that fails to separate M, or whose minimum filling is smaller
-    than the region yet passes through M, is reported as evidence.
+    a ring that fails to separate M is reported with its cells (by Jordan,
+    a certificate), and a ring whose minimum filling is smaller than its
+    smaller side yet passes through M with the cells it passes through.
     """
     d, _ = diameter(M)
     gmax = max(1, d // 2)
@@ -185,47 +174,31 @@ def probe_obstruction(M: ManifoldComplex, cfg: ContractionConfig) -> Optional[Ob
                 cyc = Cycle(frozenset(comp), M.m)
                 if not cyc.is_valid():
                     continue
-                avoid = M.closure_cells - closure_of(cyc.cells)
                 try:
                     small, _large = jordan_split(M, cyc)
-                    cap = min(12, len(small))
-                    if cap < 1:
-                        continue
-                    filling = min_filling(
-                        M.ambient, cyc, avoid=avoid, cap=cap, node_budget=cfg.probe_budget
-                    )
-                    hits = filling.cells & M.cells
-                    if filling.N < len(small) and hits:
-                        return ObstructionEvidence(
-                            kind="lofted_intersection",
-                            center=center,
-                            gamma=g,
-                            level=g,
-                            cells=tuple(sorted(hits)),
-                        )
                 except NotSeparating:
-                    try:
-                        filling = min_filling(
-                            M.ambient, cyc, avoid=avoid, cap=12, node_budget=cfg.probe_budget
-                        )
-                    except (FillingNotFound, SearchBudgetExceeded):
-                        return ObstructionEvidence(
-                            kind="non_separating",
-                            center=center,
-                            gamma=g,
-                            level=g,
-                            cells=cyc.canonical_cells(),
-                        )
-                    hits = tuple(sorted(filling.avoid_hits))
                     return ObstructionEvidence(
-                        kind="lofted_intersection" if hits else "non_separating",
+                        kind="non_separating",
                         center=center,
                         gamma=g,
                         level=g,
-                        cells=hits or cyc.canonical_cells(),
+                        cells=cyc.canonical_cells(),
+                    )
+                try:
+                    filling = min_filling(
+                        M.ambient, cyc, cap=min(12, len(small)), node_budget=_PROBE_BUDGET
                     )
                 except (FillingNotFound, SearchBudgetExceeded):
                     continue
+                hits = filling.cells & M.cells
+                if filling.N < len(small) and hits:
+                    return ObstructionEvidence(
+                        kind="lofted_intersection",
+                        center=center,
+                        gamma=g,
+                        level=g,
+                        cells=tuple(sorted(hits)),
+                    )
     return None
 
 
@@ -305,7 +278,7 @@ class _Run:
         steps: List = []
         children: List[ContractionNode] = []
         terminal = None
-        for _ in range(self.cfg.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             witness = is_irreducible_sphere(M)
             if witness is not None:
                 steps.append(TerminalStep(center=witness, status="irreducible_sphere"))
@@ -327,7 +300,7 @@ class _Run:
                     break
             if applied:
                 continue
-            probe = probe_obstruction(M, self.cfg)
+            probe = probe_obstruction(M)
             if probe is not None:
                 terminal = NotSimplyConnectedObstruction(evidence=(probe,))
                 steps.append(TerminalStep(center=None, status="obstruction"))

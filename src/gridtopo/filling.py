@@ -1,18 +1,18 @@
 """Run configuration, scan context, Jordan separation, minimal fillings,
 lofting, semi-convexity.
 
-`ContractionConfig` is the one place for the caps, budgets and curviness
-measure of a run.  A `ScanContext` pairs it with one manifold state and
-builds, on first use and once per state, what every candidate arc of that
-state shares: the region the manifold encloses and one minimum-cut network
-per side.  The scan functions here and in `curviness` take the context.
+`ContractionConfig` holds what a caller may set for a run: the curviness
+measure and the filling and move caps.  A `ScanContext` pairs it with one
+manifold state and builds, on first use and once per state, what every
+candidate arc of that state shares: the region the manifold encloses and
+one minimum-cut network per side.  The scan functions here and in `curviness` take the context.
 
 A filling of a cycle C is a set of m-cells in the ambient whose topological
 boundary is exactly C.  For curves (m=1) the minimum filling is a shortest
 grid path between the two boundary vertices.  For surfaces the exact search
 runs iterative deepening over the filling size, always extending on the
-canonically smallest deficient edge; when the node budget runs out, a
-deterministic minimum-cut over one side of the manifold supplies a valid
+canonically smallest deficient edge; when its fixed node budget runs out,
+a deterministic minimum-cut over one side of the manifold supplies a valid
 (possibly non-certified) filling instead.
 """
 
@@ -37,6 +37,7 @@ from .metric import ambient_distance, ball
 CellSet = FrozenSet[CubicalCell]
 
 _INF_CAP = 1 << 20
+_NODE_BUDGET = 200_000  # search nodes per exact filling
 
 # The curviness measures a run can rank reports by.
 VARIANTS = ("ratio", "diff", "height", "height_ratio")
@@ -44,7 +45,7 @@ VARIANTS = ("ratio", "diff", "height", "height_ratio")
 
 @dataclass(frozen=True)
 class ContractionConfig:
-    """Caps, budgets and the curviness measure of a contraction run.
+    """Caps and the curviness measure of a contraction run.
 
     Raises ValueError for a variant outside `VARIANTS` or a filling cap
     below 1.
@@ -53,9 +54,6 @@ class ContractionConfig:
     variant: str = "ratio"
     filling_cap: int = 64
     move_cap: Optional[int] = None  # None: 10 * arc size
-    max_iterations: int = 10_000
-    node_budget: int = 200_000
-    probe_budget: int = 20_000
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -71,7 +69,6 @@ class Filling:
     cells: CellSet
     boundary: Cycle
     is_minimal: bool
-    avoid_hits: CellSet = frozenset()
 
     @property
     def N(self) -> int:
@@ -235,17 +232,15 @@ def _parity_min_filling(
 def min_filling(
     ambient: AmbientSpace,
     cycle: Cycle,
-    avoid: CellSet = frozenset(),
     exclude: CellSet = frozenset(),
     cap: int = ContractionConfig.filling_cap,
-    node_budget: int = ContractionConfig.node_budget,
+    node_budget: int = _NODE_BUDGET,
 ) -> Filling:
     """Minimum filling of a cycle, exact up to `cap`.
 
-    Cells listed in `avoid` are permitted but reported through
-    `Filling.avoid_hits`; cells in `exclude` are never touched.  Raises
-    FillingNotFound when no filling fits the cap and SearchBudgetExceeded
-    when the exact search runs out of nodes.
+    Cells in `exclude` are never touched.  Raises FillingNotFound when no
+    filling fits the cap and SearchBudgetExceeded when the exact search
+    runs out of nodes.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -259,8 +254,7 @@ def min_filling(
         cells = frozenset(edges)
     else:
         cells = _parity_min_filling(ambient, cycle, exclude, cap, node_budget)
-    hits = frozenset(g for g in closure_of(cells) if g in avoid)
-    return Filling(cells=cells, boundary=cycle, is_minimal=True, avoid_hits=hits)
+    return Filling(cells=cells, boundary=cycle, is_minimal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +447,15 @@ def lofted(
     """
     from .curviness import fit_region
 
-    M, cfg = ctx.M, ctx.cfg
+    M = ctx.M
     if arc_cells is None:
         arc_cells = fit_region(M, ball(M, center, gamma)).region
     levels: List[LoftedLevel] = []
     for i in range(1, gamma + 1):
         fit = fit_region(M, ball(M, center, i), level=i)
-        avoid = M.closure_cells - closure_of(fit.cycle.cells)
         try:
-            cap = min(cfg.filling_cap, len(fit.region))
-            m_i = min_filling(M.ambient, fit.cycle, avoid=avoid, cap=cap, node_budget=cfg.node_budget)
+            cap = min(ctx.cfg.filling_cap, len(fit.region))
+            m_i = min_filling(M.ambient, fit.cycle, cap=cap)
             meets = bool(m_i.cells & arc_cells) and m_i.N < len(fit.region)
         except SearchBudgetExceeded:
             # the inside cut first, the outside one only when it is infeasible

@@ -14,6 +14,7 @@ from gridtopo import (
     radius_schedule,
     select_peak,
 )
+from gridtopo.complexes import Cycle, components, region_boundary
 from gridtopo.curviness import (
     VARIANTS,
     boundary_cycle_fit,
@@ -25,9 +26,16 @@ from gridtopo.curviness import (
     valid_reports,
 )
 from gridtopo.engine import radius_sweep
-from gridtopo.errors import CodimensionUnsupported, NoFittingCycle
+from gridtopo.errors import CodimensionUnsupported, CycleFitFailed, GridTopoError, NoFittingCycle
 
-from util import SPHERE28_VOXELS, bfs_levels, edge_graph_of_complex, oracle_min_paths, surface_from_voxels
+from util import (
+    SPHERE28_VOXELS,
+    bfs_levels,
+    edge_graph_of_complex,
+    golden_states,
+    oracle_min_paths,
+    surface_from_voxels,
+)
 
 # the module, not the `curviness` function the package exports
 curviness_module = importlib.import_module("gridtopo.curviness")
@@ -248,3 +256,62 @@ def test_first_report_solves_few_fillings(ushape, monkeypatch):
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         ContractionConfig(**bad)
+
+
+def reference_fit_region(M, ball_cells, level=None):
+    """`fit_region` as it was before it relied on M being closed and
+    connected: it checks the complement and finds repair candidates by
+    scanning every complement cell."""
+    def fail(msg):
+        if level is not None:
+            raise CycleFitFailed(level, msg)
+        raise NoFittingCycle(msg)
+
+    if not ball_cells:
+        fail("empty region")
+    region = set(ball_cells)
+    half = len(M.cells) // 2
+    if len(region) > half:
+        fail(f"region of {len(region)} cells exceeds half of {len(M.cells)}")
+
+    for _ in range(len(M.cells)):
+        bd = region_boundary(region)
+        if not bd:
+            fail("region has empty boundary")
+        cyc = Cycle(frozenset(bd), M.m)
+        if cyc.is_valid() and len(components(region, M.m)) == 1:
+            complement = M.cells - frozenset(region)
+            if not complement or len(components(complement, M.m)) != 1:
+                fail("boundary does not separate M into two components")
+            return curviness_module.RegionFit(frozenset(region), cyc, complement)
+        candidates = set()
+        for c in sorted(M.cells - region):
+            if any(f in bd for f in c.faces()):
+                candidates.add(c)
+        if not candidates or len(region) + 1 > half:
+            fail("no regular separating cycle within half of M")
+        region.add(min(candidates))
+    fail("cycle repair did not converge")
+
+
+def _fit_outcome(fit, M, ball_cells):
+    try:
+        return fit(M, ball_cells)
+    except GridTopoError as err:
+        return type(err), str(err)
+
+
+def test_fit_region_matches_reference(amb3, ushape, rect12, sq1, box111, box211, torus):
+    manifolds = [ushape, rect12, sq1, box111, box211, torus, surface_from_voxels(amb3, SPHERE28_VOXELS)]
+    manifolds += [*golden_states("ushape"), *golden_states("box211")]
+    fitted = 0
+    for M in manifolds:
+        for gamma in radius_sweep(M):
+            for center in sorted(M.closure_cells):
+                cells = ball(M, center, gamma)
+                got = _fit_outcome(curviness_module.fit_region, M, cells)
+                assert got == _fit_outcome(reference_fit_region, M, cells)
+                if isinstance(got, curviness_module.RegionFit):
+                    assert len(components(got.complement, M.m)) == 1
+                    fitted += 1
+    assert fitted

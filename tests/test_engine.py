@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from gridtopo.deform import ReplaceStep, SplitStep
 from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
 from gridtopo.errors import ValidationFailed
 
-from util import curve_from_pixels
+from util import curve_from_pixels, golden_states
 
 def replace_steps(trace):
     return [s for s in trace.steps if isinstance(s, (ReplaceStep, SplitStep))]
@@ -146,7 +147,7 @@ def test_split_children_strictly_smaller(ushape):
 
 
 def test_probe_on_torus(torus):
-    ev = probe_obstruction(torus, ContractionConfig())
+    ev = probe_obstruction(torus)
     assert ev is not None
     assert ev.kind in ("lofted_intersection", "non_separating")
 
@@ -159,3 +160,59 @@ def test_random_curves_contract():
         res = contract(M)
         assert res.root.terminal.status == "irreducible_sphere"
         assert all(n.terminal.status == "irreducible_sphere" for n in res.nodes)
+
+
+def reference_witness(M):
+    """The witness by enumeration, as `is_irreducible_sphere` found it
+    before its closed form: the least ambient cell of the least dimension,
+    within one unit of M's bounding box, that every m-cell touches."""
+    verts = sorted(M.vertices)
+    n = M.ambient.n
+    lo = [min(v[i] for v in verts) for i in range(n)]
+    hi = [max(v[i] for v in verts) for i in range(n)]
+    if any(h - l > 3 for l, h in zip(lo, hi)):
+        return None
+    cells_sorted = sorted(M.cells)
+    candidates = []
+    for dim in range(0, n + 1):
+        for axes in itertools.combinations(range(n), dim):
+            ranges = []
+            for i in range(n):
+                top = 1 if i in axes else 0
+                ranges.append(range(lo[i] - 1, hi[i] + 1 - top + 1))
+            for base in itertools.product(*ranges):
+                o = CubicalCell(dim, tuple(base), axes)
+                if not M.ambient.contains_cell(o):
+                    continue
+                if all(c.touches(o) for c in cells_sorted):
+                    candidates.append(o)
+        if candidates:
+            return min(candidates)
+    return None
+
+
+def test_irreducible_witness_matches_enumeration():
+    states = []
+    for name in ("sq1", "rect12", "ushape", "box111", "box211", "box333", "torus"):
+        states += golden_states(name)
+    amb = build_ambient(2, [(0, 15), (0, 15)])
+    rng = random.Random(20260809)  # criterion 7's curves
+    for _ in range(20):
+        for node in contract(random_simple_curve(amb, rng, max_perimeter=60)).nodes:
+            states += [ManifoldComplex(amb, 1, state) for state in node.trace.states()]
+    # Small random cell sets, not manifolds, reach witnesses of every dimension.
+    rng = random.Random(7)
+    for n, m in ((2, 1), (3, 1), (3, 2)):
+        amb_n = build_ambient(n, [(-2, 5)] * n)
+        for _ in range(300):
+            cells = set()
+            for _ in range(rng.randint(1, 4)):
+                axes = tuple(sorted(rng.sample(range(n), m)))
+                cells.add(CubicalCell(m, tuple(rng.randint(0, 2) for _ in range(n)), axes))
+            states.append(ManifoldComplex(amb_n, m, frozenset(cells)))
+    dims = set()
+    for M in states:
+        got = is_irreducible_sphere(M)
+        assert got == reference_witness(M)
+        dims.add(None if got is None else got.dim)
+    assert dims == {None, 0, 1, 2, 3}

@@ -6,7 +6,6 @@ from gridtopo.engine import radius_sweep
 from gridtopo.errors import FillingNotFound, NotSeparating
 from gridtopo.filling import (
     ScanContext,
-    closure_of,
     enclosed_cells,
     inside_region,
     lofted,
@@ -62,16 +61,6 @@ def test_min_filling_domino_ring():
     )
     assert oracle_n == 2
     assert {face_vertices(c) for c in f.cells} in oracle_sets
-
-
-def test_min_filling_reports_avoid_hits(ushape):
-    # every shortest path between these two vertices crosses the manifold
-    cyc = vertex_cycle((1, 1), (0, 2))
-    avoid = closure_of(ushape.cells) - closure_of(cyc.cells)
-    f = min_filling(ushape.ambient, cyc, avoid=avoid)
-    assert f.N == 2
-    assert f.avoid_hits
-    assert any(c.dim == 0 for c in f.avoid_hits)
 
 
 def test_min_filling_exclude_forces_detour():

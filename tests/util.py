@@ -5,10 +5,15 @@ sets) and independently written traversals, so they share no code path
 with the implementation they check.
 """
 
+import json
 from collections import Counter, deque
 from itertools import combinations, product
+from pathlib import Path
 
 from gridtopo import CubicalCell, ManifoldComplex
+from gridtopo.io import trace_from_json
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # ---------------------------------------------------------------------------
 # Builders.
@@ -44,6 +49,15 @@ TORUS_VOXELS = [v for v in BOX333_VOXELS if not (v[0] == 1 and v[1] == 1)]
 # A 28-face sphere that the engine wrongly reports as obstructed (ROADMAP
 # item 2); its arcs exercise both sides of the one-sided cut.
 SPHERE28_VOXELS = [(0, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (2, 2, 0)]
+
+
+def golden_states(name):
+    """Every state of tests/golden/<name>.json, root trace then children."""
+    doc = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    for d in [doc, *doc.get("children", {}).values()]:
+        trace = trace_from_json(d)
+        for state in trace.states():
+            yield ManifoldComplex(trace.ambient, trace.m, state)
 
 
 # ---------------------------------------------------------------------------
