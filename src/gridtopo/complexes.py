@@ -3,9 +3,15 @@
 A ManifoldComplex is a finite set of m-cells plus its derived closure.  The
 validation report checks the regular-manifold conditions: coface counts of
 (m-1)-cells, connectivity through shared (m-1)-cells, and the local link
-condition at every vertex.  Every connectivity question in the library
+condition at every vertex.  Every connectivity question on cell sets
 (validation, cycle validity, splitting along a cycle, flooding the region a
 surface encloses) goes through the one `components` helper here.
+
+Each complex also carries one integer `StateIndex`, built on first use: its
+vertices, m-cells and (m-1)-cells numbered in canonical order, the distance
+matrix between its vertices inside the complex, and flat incidence tables.
+Balls, diameters and region fits read it instead of searching the graph
+again for every center.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, FrozenSet, Iterable, List, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .cells import AmbientSpace, Coord, CubicalCell
 from .errors import CellNotInComplex
@@ -81,6 +89,11 @@ class ManifoldComplex:
                 counts[f] += 1
         return dict(counts)
 
+    @cached_property
+    def index(self) -> "StateIndex":
+        """Integer ids, vertex distances and incidence tables of this state."""
+        return StateIndex(self)
+
     def contains(self, cell: CubicalCell) -> bool:
         return cell in self.closure.get(cell.dim, frozenset())
 
@@ -100,6 +113,79 @@ class ManifoldComplex:
 
     def canonical_cells(self) -> Tuple[CubicalCell, ...]:
         return tuple(sorted(self.cells))
+
+
+class StateIndex:
+    """One state's cells numbered in canonical order, with integer tables.
+
+    Ids follow canonical order, so the least id is the canonically smallest
+    cell and a tie broken on ids is broken as on cells.  Every contraction
+    node keeps its first state with its caches, so the tables are flat
+    tuples and numpy arrays rather than per-cell lists, and the faces are
+    those of `ManifoldComplex.closure`.
+
+    - `vertices`, `cells`, `faces`: the vertex coordinates, m-cells and
+      (m-1)-cells by id; `vertex_id` and `cell_id` map back.
+    - `dist[u, v]`: the edge count of a shortest path from u to v inside
+      the complex, `inf` when there is none.
+    - `cell_vertices[i]`: the 2^m vertex ids of cell i.
+    - `cell_faces[2m*i : 2m*i + 2m]`: the face ids of cell i.
+    - `face_cells[2*f]`, `face_cells[2*f + 1]`: the two cells of face f,
+      smaller id first; None unless every face lies in exactly two cells,
+      as in a closed manifold.
+    - `face_ridges[2(m-1)*f : 2(m-1)*f + 2(m-1)]`: for m >= 2, the ids of
+      the (m-2)-cells bounding face f in the canonical order of
+      (m-2)-cells; for m = 2 these are its two vertex ids.
+    """
+
+    def __init__(self, M: ManifoldComplex):
+        m = M.m
+        self.vertices: Tuple[Coord, ...] = tuple(sorted(M.vertices))
+        self.vertex_id: Dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
+        self.cells: Tuple[CubicalCell, ...] = M.canonical_cells()
+        self.cell_id: Dict[CubicalCell, int] = {c: i for i, c in enumerate(self.cells)}
+        vid = self.vertex_id
+        self.cell_vertices = np.fromiter(
+            (vid[v] for c in self.cells for v in c.vertices()), np.intp, len(self.cells) << m
+        ).reshape(len(self.cells), 1 << m)
+
+        self.dist = _all_pairs_levels(
+            len(self.vertices), [vid[v] for e in M.edges for v in e.vertices()]
+        )
+
+        self.faces: Tuple[CubicalCell, ...] = tuple(sorted(M.closure.get(m - 1, ())))
+        face_id = {f: i for i, f in enumerate(self.faces)}
+        self.cell_faces: Tuple[int, ...] = tuple(face_id[f] for c in self.cells for f in c.faces())
+        cofaces: List[List[int]] = [[] for _ in self.faces]
+        for pos, f in enumerate(self.cell_faces):
+            cofaces[f].append(pos // (2 * m))
+        closed = all(len(cs) == 2 for cs in cofaces)
+        self.face_cells: Optional[Tuple[int, ...]] = tuple(i for cs in cofaces for i in cs) if closed else None
+        self.face_ridges: Tuple[int, ...] = ()
+        if m >= 2:
+            ridge_id = {r: i for i, r in enumerate(sorted(M.closure.get(m - 2, ())))}
+            self.face_ridges = tuple(ridge_id[r] for f in self.faces for r in f.faces())
+
+
+def _all_pairs_levels(n: int, ends: List[int]) -> np.ndarray:
+    """Edge counts of shortest paths between all n vertices, `inf` where
+    none exists; `ends` lists each edge's two vertex ids in turn.
+
+    Breadth-first search from every vertex at once: row s of `frontier`
+    is the search from s, and one matrix product advances every search
+    by one level.
+    """
+    adjacency = np.zeros((n, n), np.float32)
+    adjacency[ends[0::2], ends[1::2]] = adjacency[ends[1::2], ends[0::2]] = 1
+    dist = np.full((n, n), np.inf)
+    reached = frontier = np.eye(n, dtype=bool)
+    level = 0
+    while frontier.any():
+        dist[frontier] = level
+        level += 1
+        frontier = (frontier.astype(np.float32) @ adjacency > 0) & ~reached
+        reached = reached | frontier
+    return dist
 
 
 def check_margin(ambient: AmbientSpace, cells: Collection[CubicalCell]) -> None:

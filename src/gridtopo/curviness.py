@@ -25,13 +25,13 @@ so the first report costs a few solves instead of one per candidate.
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from .cells import AmbientSpace, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, components, region_boundary
+from .complexes import Cycle, ManifoldComplex, region_boundary
 from .errors import (
     CodimensionUnsupported,
     CycleFitFailed,
@@ -103,7 +103,9 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
     The ball is extended by canonically smallest complement cells until the
     topological boundary is a single closed regular (m-1)-manifold, or the
     region would exceed half of M.  M must be closed and connected, as every
-    state `contract` reaches is; the cycle then separates M.
+    state `contract` reaches is; the cycle then separates M.  The ball's
+    cells must be cells of M.  The search runs on the ids of `M.index`;
+    cells are built only for the returned fit.
     """
     def fail(msg):
         if level is not None:
@@ -112,23 +114,73 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
 
     if not ball_cells:
         fail("empty region")
-    region = set(ball_cells)
     half = len(M.cells) // 2
-    if len(region) > half:
-        fail(f"region of {len(region)} cells exceeds half of {len(M.cells)}")
+    if len(ball_cells) > half:
+        fail(f"region of {len(ball_cells)} cells exceeds half of {len(M.cells)}")
+    ix = M.index
+    if ix.face_cells is None:
+        raise ValueError("fit_region needs a closed manifold: a face lies in other than two cells")
+    k = 2 * M.m
+    cell_faces, face_cells = ix.cell_faces, ix.face_cells
+    region = {ix.cell_id[c] for c in ball_cells}
+    bd = set()  # faces with an odd number of cells in the region
+    for i in region:
+        bd.symmetric_difference_update(cell_faces[k * i : k * i + k])
+
+    def across(i):
+        """The cells sharing a face with cell i."""
+        return (face_cells[2 * f] + face_cells[2 * f + 1] - i for f in cell_faces[k * i : k * i + k])
 
     while True:
-        bd = region_boundary(region)
-        cyc = Cycle(bd, M.m)
-        if cyc.is_valid() and len(components(region, M.m)) == 1:
-            return RegionFit(frozenset(region), cyc, M.cells - frozenset(region))
+        if _is_cycle(ix, bd, M.m) and _one_component(region, across):
+            cells = frozenset(ix.cells[i] for i in region)
+            cyc = Cycle(frozenset(ix.faces[f] for f in bd), M.m)
+            return RegionFit(cells, cyc, M.cells - cells)
         # Repair: absorb the smallest cell of M across the current
         # boundary; each absorption can only merge components or remove a
-        # boundary defect, and the region stops at half of M.
-        candidates = {c for f in bd for c in f.cofaces(range(M.ambient.n)) if c in M.cells} - region
+        # boundary defect, and the region stops at half of M.  A boundary
+        # face has one of its two cells in the region; the other is a
+        # candidate.
+        candidates = set()
+        for f in bd:
+            a, b = face_cells[2 * f], face_cells[2 * f + 1]
+            candidates.add(b if a in region else a)
         if not candidates or len(region) + 1 > half:
             fail("no regular separating cycle within half of M")
-        region.add(min(candidates))
+        c = min(candidates)
+        region.add(c)
+        bd.symmetric_difference_update(cell_faces[k * c : k * c + k])
+
+
+def _is_cycle(ix, faces: Set[int], m: int) -> bool:
+    """`Cycle.is_valid` on face ids: closed (every (m-2)-cell in exactly
+    two of the faces) and connected."""
+    if not faces:
+        return False
+    if m == 1:
+        return len(faces) == 2
+    r = 2 * (m - 1)
+    ridges = ix.face_ridges
+    at = defaultdict(list)
+    for f in faces:
+        for x in ridges[r * f : r * f + r]:
+            at[x].append(f)
+    return all(len(fs) == 2 for fs in at.values()) and _one_component(
+        faces, lambda f: (g for x in ridges[r * f : r * f + r] for g in at[x])
+    )
+
+
+def _one_component(ids: Set[int], neighbours) -> bool:
+    """Whether the ids form one component, `neighbours(i)` naming the ids
+    adjacent to i (ids outside the set are skipped)."""
+    start = next(iter(ids))
+    seen, todo = {start}, [start]
+    while todo:
+        for j in neighbours(todo.pop()):
+            if j in ids and j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(ids)
 
 
 def boundary_cycle_fit(
@@ -171,7 +223,7 @@ def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
 
     The arc itself bounds the cycle, so the effective cap never exceeds the
     arc size; when the exact search runs out of nodes, the better one-sided
-    cut stands in (marked non-minimal).
+    cut stands in.
     """
     eff_cap = min(ctx.cfg.filling_cap, len(arc.region))
     try:
@@ -179,8 +231,8 @@ def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
     except SearchBudgetExceeded:
         cut = _best_one_sided_cut(ctx, arc)
         if cut is not None and len(cut) <= len(arc.region):
-            return Filling(cells=cut, boundary=arc.cycle, is_minimal=False)
-        return Filling(cells=arc.region, boundary=arc.cycle, is_minimal=False)
+            return Filling(cells=cut, boundary=arc.cycle)
+        return Filling(cells=arc.region, boundary=arc.cycle)
 
 
 def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion) -> Optional[CellSet]:
@@ -243,7 +295,7 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
             pass
     if cut is None:
         return None
-    return Filling(cells=cut, boundary=arc.cycle, is_minimal=False)
+    return Filling(cells=cut, boundary=arc.cycle)
 
 
 def _replacement_cap(ctx: ScanContext, arc: ArcRegion) -> int:
@@ -270,14 +322,10 @@ def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
 
 def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
     """Deduplicated fitted arcs from balls around every closure cell."""
-    half = len(M.cells) // 2
     seen: Dict[CellSet, ArcRegion] = {}
     for center in sorted(M.closure_cells):
-        cells = ball(M, center, gamma)
-        if not cells or len(cells) > half:
-            continue
         try:
-            fit = fit_region(M, cells)
+            fit = fit_region(M, ball(M, center, gamma))
         except GridTopoError:
             continue
         if fit.region not in seen:

@@ -168,8 +168,6 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
             if not region or len(region) == len(M.cells):
                 continue
             bd = region_boundary(region)
-            if not bd:
-                continue
             for comp in components(bd, M.m - 1):
                 cyc = Cycle(frozenset(comp), M.m)
                 if not cyc.is_valid():

@@ -68,7 +68,6 @@ class Filling:
 
     cells: CellSet
     boundary: Cycle
-    is_minimal: bool
 
     @property
     def N(self) -> int:
@@ -254,7 +253,7 @@ def min_filling(
         cells = frozenset(edges)
     else:
         cells = _parity_min_filling(ambient, cycle, exclude, cap, node_budget)
-    return Filling(cells=cells, boundary=cycle, is_minimal=True)
+    return Filling(cells=cells, boundary=cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +462,7 @@ def lofted(
             cut = cut or one_sided_min_cut(ctx, fit.region, "outside")
             if cut is None:
                 raise FillingNotFound(f"no lofted filling at level {i}")
-            m_i = Filling(cells=cut[0], boundary=fit.cycle, is_minimal=False)
+            m_i = Filling(cells=cut[0], boundary=fit.cycle)
             meets = False
         levels.append(
             LoftedLevel(level=i, circle=fit.cycle, filling=m_i, meets_arc=meets)

@@ -4,12 +4,21 @@ Distances are integers: the number of edges on a shortest path for k=1,
 or the number of k-cells in a shortest (k-1)-connected chain for k>1.
 Distances inside a complex use only its own cells; ambient distances may
 use every grid cell.
+
+Vertex distances inside a complex M come from one matrix per state,
+`M.index.dist`, computed once: `ball`, `diameter` and `all_pairs` read it.
+`vertex_distances` is the plain breadth-first search; `cell_distance` uses
+it, and the tests use it as the oracle the matrix must match.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
+from math import isinf
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .cells import AmbientSpace, Coord, CubicalCell
 from .complexes import ManifoldComplex
@@ -114,26 +123,25 @@ def ambient_distance(ambient: AmbientSpace, x: Coord, y: Coord) -> int:
 
 
 class AllPairs:
-    """Vertex-pair distance tables inside M and inside the ambient."""
+    """Vertex-pair distances inside M, read from its index, and in the ambient."""
 
     def __init__(self, M: ManifoldComplex):
         self.M = M
-        self._tables: Dict[Coord, Dict[Coord, int]] = {}
-        for v in sorted(M.vertices):
-            self._tables[v] = vertex_distances(M, [v])
+        self._index = M.index
 
     def d_m(self, x: Coord, y: Coord) -> int:
-        t = self._tables[tuple(x)]
-        d = t.get(tuple(y))
-        if d is None:
+        ix = self._index
+        i = ix.vertex_id[tuple(x)]
+        j = ix.vertex_id.get(tuple(y))
+        if j is None or isinf(ix.dist[i, j]):
             raise Unreachable(f"{y} not reachable from {x} in M")
-        return d
+        return int(ix.dist[i, j])
 
     def d_u(self, x: Coord, y: Coord) -> int:
         return ambient_distance(self.M.ambient, x, y)
 
     def pairs(self):
-        verts = sorted(self.M.vertices)
+        verts = self._index.vertices
         for i, u in enumerate(verts):
             for v in verts[i + 1 :]:
                 yield u, v, self.d_m(u, v), self.d_u(u, v)
@@ -144,17 +152,22 @@ def all_pairs(M: ManifoldComplex) -> AllPairs:
 
 
 def diameter(M: ManifoldComplex) -> Tuple[int, Tuple[Coord, Coord]]:
-    """Largest pairwise vertex distance inside M with its least witness pair."""
-    ap = all_pairs(M)
-    best = -1
-    witness = None
-    for u, v, dm, _du in ap.pairs():
-        if dm > best:
-            best = dm
-            witness = (u, v)
-    if witness is None:
+    """Largest pairwise vertex distance inside M with its least witness pair.
+
+    Raises Unreachable, naming the least pair, when M is disconnected.
+    """
+    ix = M.index
+    n = len(ix.vertices)
+    if n < 2:
         raise ValueError("complex has fewer than two vertices")
-    return best, witness
+    # Row-major order visits pairs as (u, v) with u < v first, vertices in
+    # canonical order, so the first hit is the least pair.
+    unreachable = np.isinf(ix.dist)
+    if unreachable.any():
+        u, v = divmod(int(unreachable.argmax()), n)
+        raise Unreachable(f"{ix.vertices[v]} not reachable from {ix.vertices[u]} in M")
+    u, v = divmod(int(ix.dist.argmax()), n)
+    return int(ix.dist[u, v]), (ix.vertices[u], ix.vertices[v])
 
 
 def ball(M: ManifoldComplex, center: CubicalCell, gamma: int) -> FrozenSet[CubicalCell]:
@@ -165,10 +178,9 @@ def ball(M: ManifoldComplex, center: CubicalCell, gamma: int) -> FrozenSet[Cubic
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    table = vertex_distances(M, center.vertices())
-    out = []
-    for c in M.cells:
-        ds = [table.get(v) for v in c.vertices()]
-        if all(d is not None and d <= gamma for d in ds):
-            out.append(c)
-    return frozenset(out)
+    ix = M.index
+    rows = [ix.vertex_id[v] for v in center.vertices() if v in ix.vertex_id]
+    if not rows:
+        return frozenset()
+    near = ix.dist[rows].min(axis=0) <= gamma
+    return frozenset(compress(ix.cells, near[ix.cell_vertices].all(axis=1).tolist()))

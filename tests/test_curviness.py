@@ -1,4 +1,5 @@
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gridtopo import (
     ContractionConfig,
     CubicalCell,
+    ManifoldComplex,
     ScanContext,
     arc_sign,
     ball,
@@ -15,6 +17,7 @@ from gridtopo import (
     select_peak,
 )
 from gridtopo.complexes import Cycle, components, region_boundary
+from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import (
     VARIANTS,
     boundary_cycle_fit,
@@ -29,8 +32,10 @@ from gridtopo.engine import radius_sweep
 from gridtopo.errors import CodimensionUnsupported, CycleFitFailed, GridTopoError, NoFittingCycle
 
 from util import (
+    POLYCUBE_VOXELS,
     SPHERE28_VOXELS,
     bfs_levels,
+    curve_from_pixels,
     edge_graph_of_complex,
     golden_states,
     oracle_min_paths,
@@ -180,7 +185,7 @@ def test_arc_sign_codimension_guard(pinch):
         cycle=Cycle(frozenset(sq.faces()), 2),
         complement=frozenset([CubicalCell.make((1, 1), (0, 1))]),
     )
-    filling = Filling(cells=dummy.region, boundary=dummy.cycle, is_minimal=True)
+    filling = Filling(cells=dummy.region, boundary=dummy.cycle)
     with pytest.raises(CodimensionUnsupported):
         arc_sign(ScanContext(pinch), dummy, filling)  # m equals the ambient dimension
 
@@ -294,24 +299,50 @@ def reference_fit_region(M, ball_cells, level=None):
     fail("cycle repair did not converge")
 
 
-def _fit_outcome(fit, M, ball_cells):
+def _fit_outcome(fit, M, ball_cells, level):
     try:
-        return fit(M, ball_cells)
+        return fit(M, ball_cells, level)
     except GridTopoError as err:
         return type(err), str(err)
 
 
 def test_fit_region_matches_reference(amb3, ushape, rect12, sq1, box111, box211, torus):
-    manifolds = [ushape, rect12, sq1, box111, box211, torus, surface_from_voxels(amb3, SPHERE28_VOXELS)]
+    """The index-backed fit against the cell-set fit, at every closure
+    centre and every scanned radius, errors and their messages included."""
+    amb2 = build_ambient(2, [(0, 15), (0, 15)])
+    manifolds = [ushape, rect12, sq1, box111, box211, torus]
+    manifolds += [random_simple_curve(amb2, random.Random(seed)) for seed in (3, 11, 29)]
+    manifolds += [surface_from_voxels(amb3, v) for v in POLYCUBE_VOXELS]
     manifolds += [*golden_states("ushape"), *golden_states("box211")]
-    fitted = 0
+    fitted = repaired = failed = 0
     for M in manifolds:
         for gamma in radius_sweep(M):
             for center in sorted(M.closure_cells):
                 cells = ball(M, center, gamma)
-                got = _fit_outcome(curviness_module.fit_region, M, cells)
-                assert got == _fit_outcome(reference_fit_region, M, cells)
+                level = gamma if center.dim else None  # lofted levels raise CycleFitFailed
+                got = _fit_outcome(curviness_module.fit_region, M, cells, level)
+                assert got == _fit_outcome(reference_fit_region, M, cells, level)
                 if isinstance(got, curviness_module.RegionFit):
                     assert len(components(got.complement, M.m)) == 1
                     fitted += 1
-    assert fitted
+                    repaired += got.region != cells
+                else:
+                    failed += 1
+    assert fitted and repaired and failed
+
+
+def test_fit_region_needs_closed_manifold(amb2):
+    arc = ManifoldComplex.make(amb2, 1, [CubicalCell.make((0, 0), (0,)), CubicalCell.make((1, 0), (0,))])
+    with pytest.raises(ValueError, match="closed manifold"):
+        curviness_module.fit_region(arc, frozenset([CubicalCell.make((0, 0), (0,))]))
+
+
+def test_fit_region_on_disconnected_complex(amb2):
+    """A region holding a whole component and one edge of another has a
+    valid cycle for a boundary but is not connected: the fit fails, as the
+    cell-set fit does."""
+    M = curve_from_pixels(amb2, [(0, 0), (3, 0), (4, 0)])  # a unit square and a 1x2 rectangle
+    cells = frozenset(c for c in M.cells if max(c.base) <= 1) | {CubicalCell.make((3, 0), (0,))}
+    got = _fit_outcome(curviness_module.fit_region, M, cells, None)
+    assert got == _fit_outcome(reference_fit_region, M, cells, None)
+    assert got[0] is NoFittingCycle

@@ -67,7 +67,7 @@ def test_interpolate_rect_cap_one_move(rect12):
 
 def test_interpolate_identity(ushape):
     arc, _ = arc_and_filling(ushape, CubicalCell.make((1, 1), (0,)), 2)
-    same = Filling(cells=arc.region, boundary=arc.cycle, is_minimal=True)
+    same = Filling(cells=arc.region, boundary=arc.cycle)
     assert interpolate(ushape, arc, same, move_cap=10) == []
 
 
@@ -115,7 +115,7 @@ def test_replace_arc_box211(box211):
 
 def test_replace_arc_must_reduce(ushape):
     arc, _ = arc_and_filling(ushape, CubicalCell.make((1, 1), (0,)), 2)
-    same = Filling(cells=arc.region, boundary=arc.cycle, is_minimal=True)
+    same = Filling(cells=arc.region, boundary=arc.cycle)
     with pytest.raises(ReplacementNotManifold):
         replace_arc(ushape, arc, same)
 

@@ -5,11 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtopo import CubicalCell, all_pairs, ball, build_ambient, cell_distance, diameter
-from gridtopo.corpus import random_connected_subcomplex
+from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
+from gridtopo.engine import radius_sweep
 from gridtopo.errors import Unreachable
 from gridtopo.metric import ambient_distance, vertex_distances
 
-from util import bfs_levels, edge_graph_of_complex, grid_graph, oracle_chain_distance
+from util import (
+    POLYCUBE_VOXELS,
+    bfs_levels,
+    curve_from_pixels,
+    edge_graph_of_complex,
+    grid_graph,
+    oracle_chain_distance,
+    surface_from_voxels,
+)
 
 
 def test_sq1_opposite_corners(sq1):
@@ -150,3 +159,64 @@ def test_metric_axioms_random_complexes(seed):
         for b in sample:
             for c in sample:
                 assert tables[a][c] <= tables[a][b] + tables[b][c]
+
+
+# ---------------------------------------------------------------------------
+# The per-state index against a fresh breadth-first search.
+
+
+def reference_ball(M, center, gamma):
+    table = vertex_distances(M, center.vertices())
+    return frozenset(c for c in M.cells if all(table.get(v, gamma + 1) <= gamma for v in c.vertices()))
+
+
+def reference_diameter(M):
+    verts = sorted(M.vertices)
+    best, witness = -1, None
+    for i, u in enumerate(verts):
+        table = vertex_distances(M, [u])
+        for v in verts[i + 1 :]:
+            if v not in table:
+                raise Unreachable(f"{v} not reachable from {u} in M")
+            if table[v] > best:
+                best, witness = table[v], (u, v)
+    return best, witness
+
+
+def test_index_matches_bfs(amb3, sq1, ushape, rect12, box211, torus):
+    """Balls, diameters and pair distances read from the per-state index
+    against fresh searches, on closed curves and surfaces: the
+    fixtures, seeded random curves and polycubes."""
+    amb2 = build_ambient(2, [(0, 15), (0, 15)])
+    curves = [random_simple_curve(amb2, random.Random(seed)) for seed in (3, 11, 29)]
+    surfaces = [surface_from_voxels(amb3, v) for v in POLYCUBE_VOXELS]
+    for M in [sq1, ushape, rect12, box211, torus, *curves, *surfaces]:
+        assert diameter(M) == reference_diameter(M)
+        ap = all_pairs(M)
+        for u in sorted(M.vertices):
+            table = vertex_distances(M, [u])
+            assert all(ap.d_m(u, v) == table[v] for v in M.vertices)
+        for gamma in radius_sweep(M):
+            for center in sorted(M.closure_cells):
+                assert ball(M, center, gamma) == reference_ball(M, center, gamma)
+
+
+def test_index_on_disconnected_complex(amb2, amb3):
+    """Balls leave out the cells out of reach; the diameter and distances
+    between components raise Unreachable."""
+    far_curve = curve_from_pixels(amb2, [(0, 0), (3, 3)])
+    far_surface = surface_from_voxels(amb3, [(0, 0, 0), (2, 2, 2)])
+    for M in (far_curve, far_surface):
+        with pytest.raises(Unreachable) as got:
+            diameter(M)
+        with pytest.raises(Unreachable) as want:
+            reference_diameter(M)
+        assert str(got.value) == str(want.value)
+        u, v = min(M.vertices), max(M.vertices)
+        with pytest.raises(Unreachable):
+            all_pairs(M).d_m(u, v)
+        for gamma in range(1, 8):
+            for center in sorted(M.closure_cells):
+                got_ball = ball(M, center, gamma)
+                assert got_ball == reference_ball(M, center, gamma)
+                assert len(got_ball) <= len(M.cells) // 2  # one component at most

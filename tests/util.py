@@ -49,6 +49,13 @@ TORUS_VOXELS = [v for v in BOX333_VOXELS if not (v[0] == 1 and v[1] == 1)]
 # A 28-face sphere that the engine wrongly reports as obstructed (ROADMAP
 # item 2); its arcs exercise both sides of the one-sided cut.
 SPHERE28_VOXELS = [(0, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (2, 2, 0)]
+# Small irregular closed surfaces: the sphere above, the 2x2x2 cube minus a
+# corner, and a bent four-voxel polycube.
+POLYCUBE_VOXELS = [
+    SPHERE28_VOXELS,
+    [(x, y, z) for x in range(2) for y in range(2) for z in range(2) if (x, y, z) != (1, 1, 1)],
+    [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
+]
 
 
 def golden_states(name):
