@@ -3,16 +3,19 @@
 A cell is identified by an integer base coordinate and the sorted set of
 axes it spans; a vertex spans no axes, an edge one, a square two, a voxel
 three.  All incidence (faces, cofaces, vertices) is computed from the
-coordinates, so no incidence tables are stored.  A cell's text token,
+coordinates.  `CellCodes` numbers the cells of one ambient by integers in
+canonical order, with incidence as fixed code offsets, for searches that
+run on integers.  A cell's text token,
 `b0,b1,...|a0,a1` (base, then axes), is the one cell format of traces and
 command output.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateExtent
 
@@ -171,6 +174,94 @@ class AmbientSpace:
         a = diff[0]
         base = u if u[a] < v[a] else v
         return CubicalCell(1, tuple(base), (a,))
+
+
+class CellCodes:
+    """Order-preserving integer codes for the cells of one ambient box.
+
+    A code packs a cell's base, each coordinate offset from the ambient's
+    low bound into its own bit field (axis 0 most significant), above a
+    slot for its axes; the slots of one dimension follow the canonical
+    order of their axes.  So within one dimension code order is canonical
+    order, and `sorted` on codes agrees with `sorted` on cells.  A cell's
+    faces, cofaces and closure cells sit at code offsets that depend only
+    on its axes: they are tabulated once per slot, in flat arrays.  Only
+    cells of the ambient have codes.  Nothing here is stored per code, so
+    a larger ambient costs only wider codes.
+    """
+
+    def __init__(self, ambient: AmbientSpace):
+        n = ambient.n
+        self.ambient = ambient
+        self._lo = tuple(lo for lo, _ in ambient.extent)
+        self._span = tuple(hi - lo for lo, hi in ambient.extent)
+        self._field = tuple((1 << s.bit_length()) - 1 for s in self._span)  # one coordinate's bits
+        shift, width = [0] * n, n  # the slot takes the n lowest bits
+        for a in reversed(range(n)):
+            shift[a] = width
+            width += self._span[a].bit_length()
+        self._shift = tuple(shift)
+        self._low = (1 << n) - 1
+        self._slot_axes = sorted(
+            (axes for k in range(n + 1) for axes in combinations(range(n), k)), key=lambda t: (len(t), t)
+        )
+        self._slot = {axes: s for s, axes in enumerate(self._slot_axes)}
+        step = [1 << sh for sh in shift]
+        # Slot s owns entries at[s] to at[s + 1] of each flat table.
+        self._face_at, self._face = array("l", [0]), array("l")
+        self._coface_at, self._coface = array("l", [0]), array("l")  # (axis, forward, backward)
+        self._closure_at, self._closure = array("l", [0]), array("l")
+        for s, axes in enumerate(self._slot_axes):
+            for i, a in enumerate(axes):
+                d = self._slot[axes[:i] + axes[i + 1 :]] - s
+                self._face.extend((d, d + step[a]))
+            for a in range(n):
+                if a not in axes:
+                    d = self._slot[tuple(sorted(axes + (a,)))] - s
+                    self._coface.extend((a, d, d - step[a]))
+            for k in range(len(axes), -1, -1):
+                for sub in combinations(axes, k):
+                    dropped = [step[a] for a in axes if a not in sub]
+                    for offs in product((0, 1), repeat=len(dropped)):
+                        self._closure.append(self._slot[sub] - s + sum(o * d for o, d in zip(offs, dropped)))
+            self._face_at.append(len(self._face))
+            self._coface_at.append(len(self._coface))
+            self._closure_at.append(len(self._closure))
+
+    def code(self, cell: CubicalCell) -> int:
+        """The cell's code; the cell must lie in the ambient."""
+        x = self._slot[cell.axes]
+        for b, lo, sh in zip(cell.base, self._lo, self._shift):
+            x |= (b - lo) << sh
+        return x
+
+    def cell(self, x: int) -> CubicalCell:
+        axes = self._slot_axes[x & self._low]
+        base = tuple(((x >> sh) & f) + lo for sh, f, lo in zip(self._shift, self._field, self._lo))
+        return CubicalCell(len(axes), base, axes)
+
+    def faces(self, x: int) -> List[int]:
+        """Codes of the cell's 2*dim faces."""
+        s = x & self._low
+        return [x + d for d in self._face[self._face_at[s] : self._face_at[s + 1]]]
+
+    def closure(self, x: int) -> List[int]:
+        """Codes of every cell of the cell's closure, itself included."""
+        s = x & self._low
+        return [x + d for d in self._closure[self._closure_at[s] : self._closure_at[s + 1]]]
+
+    def cofaces(self, x: int) -> List[int]:
+        """Codes of the cells one dimension up that contain the cell and lie
+        in the ambient, in the order of `AmbientSpace.cofaces`."""
+        s, table, out = x & self._low, self._coface, []
+        for k in range(self._coface_at[s], self._coface_at[s + 1], 3):
+            a = table[k]
+            at = (x >> self._shift[a]) & self._field[a]  # the coordinate on axis a, from the low bound
+            if at < self._span[a]:
+                out.append(x + table[k + 1])
+            if at > 0:
+                out.append(x + table[k + 2])
+        return out
 
 
 def build_ambient(n: int, extent: Sequence[Tuple[int, int]]) -> AmbientSpace:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,15 +144,6 @@ class StateIndex:
         self.vertex_id: Dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
         self.cells: Tuple[CubicalCell, ...] = M.canonical_cells()
         self.cell_id: Dict[CubicalCell, int] = {c: i for i, c in enumerate(self.cells)}
-        vid = self.vertex_id
-        self.cell_vertices = np.fromiter(
-            (vid[v] for c in self.cells for v in c.vertices()), np.intp, len(self.cells) << m
-        ).reshape(len(self.cells), 1 << m)
-
-        self.dist = _all_pairs_levels(
-            len(self.vertices), [vid[v] for e in M.edges for v in e.vertices()]
-        )
-
         self.faces: Tuple[CubicalCell, ...] = tuple(sorted(M.closure.get(m - 1, ())))
         face_id = {f: i for i, f in enumerate(self.faces)}
         self.cell_faces: Tuple[int, ...] = tuple(face_id[f] for c in self.cells for f in c.faces())
@@ -166,8 +157,25 @@ class StateIndex:
             ridge_id = {r: i for i, r in enumerate(sorted(M.closure.get(m - 2, ())))}
             self.face_ridges = tuple(ridge_id[r] for f in self.faces for r in f.faces())
 
+        # The ends of every edge, and each cell's vertices.  A curve's cells
+        # are its edges and their faces its vertices; a surface's faces are
+        # its edges and their ridges its vertices.  Vertex cells are
+        # numbered as their coordinates, and an edge lists its two faces
+        # in the order of its vertices.
+        vid = self.vertex_id
+        if m == 1:
+            ends = self.cell_faces
+            cell_vertices: Iterable[int] = ends
+        else:
+            ends = self.face_ridges if m == 2 else [vid[v] for e in M.edges for v in e.vertices()]
+            cell_vertices = (vid[v] for c in self.cells for v in c.vertices())
+        self.cell_vertices = np.fromiter(cell_vertices, np.intp, len(self.cells) << m).reshape(
+            len(self.cells), 1 << m
+        )
+        self.dist = _all_pairs_levels(len(self.vertices), ends)
 
-def _all_pairs_levels(n: int, ends: List[int]) -> np.ndarray:
+
+def _all_pairs_levels(n: int, ends: Sequence[int]) -> np.ndarray:
     """Edge counts of shortest paths between all n vertices, `inf` where
     none exists; `ends` lists each edge's two vertex ids in turn.
 
@@ -285,6 +293,19 @@ def components(
                     members.append(j)
         comps.append(frozenset(order[i] for i in members))
     return comps
+
+
+def one_component(ids: AbstractSet[int], neighbours: Callable[[int], Iterable[int]]) -> bool:
+    """Whether the non-empty ids form one component, `neighbours(i)` naming
+    the ids adjacent to i (ids outside the set are skipped)."""
+    start = next(iter(ids))
+    seen, todo = {start}, [start]
+    while todo:
+        for j in neighbours(todo.pop()):
+            if j in ids and j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return len(seen) == len(ids)
 
 
 def region_boundary(region: Iterable[CubicalCell]) -> CellSet:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
 
 from .cells import AmbientSpace, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, region_boundary
+from .complexes import Cycle, ManifoldComplex, one_component, region_boundary
 from .errors import (
     CodimensionUnsupported,
     CycleFitFailed,
@@ -44,7 +44,6 @@ from .filling import (  # VARIANTS is re-exported here, beside the measures
     VARIANTS,
     Filling,
     ScanContext,
-    closure_of,
     filling_lower_bound,
     min_filling,
     one_sided_min_cut,
@@ -132,7 +131,7 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
         return (face_cells[2 * f] + face_cells[2 * f + 1] - i for f in cell_faces[k * i : k * i + k])
 
     while True:
-        if _is_cycle(ix, bd, M.m) and _one_component(region, across):
+        if _is_cycle(ix, bd, M.m) and one_component(region, across):
             cells = frozenset(ix.cells[i] for i in region)
             cyc = Cycle(frozenset(ix.faces[f] for f in bd), M.m)
             return RegionFit(cells, cyc, M.cells - cells)
@@ -165,22 +164,9 @@ def _is_cycle(ix, faces: Set[int], m: int) -> bool:
     for f in faces:
         for x in ridges[r * f : r * f + r]:
             at[x].append(f)
-    return all(len(fs) == 2 for fs in at.values()) and _one_component(
+    return all(len(fs) == 2 for fs in at.values()) and one_component(
         faces, lambda f: (g for x in ridges[r * f : r * f + r] for g in at[x])
     )
-
-
-def _one_component(ids: Set[int], neighbours) -> bool:
-    """Whether the ids form one component, `neighbours(i)` naming the ids
-    adjacent to i (ids outside the set are skipped)."""
-    start = next(iter(ids))
-    seen, todo = {start}, [start]
-    while todo:
-        for j in neighbours(todo.pop()):
-            if j in ids and j not in seen:
-                seen.add(j)
-                todo.append(j)
-    return len(seen) == len(ids)
 
 
 def boundary_cycle_fit(
@@ -223,23 +209,22 @@ def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
 
     The arc itself bounds the cycle, so the effective cap never exceeds the
     arc size; when the exact search runs out of nodes, the better one-sided
-    cut stands in.
+    cut stands in if it is no larger than the arc.
     """
     eff_cap = min(ctx.cfg.filling_cap, len(arc.region))
     try:
-        return min_filling(ctx.M.ambient, arc.cycle, cap=eff_cap)
+        return min_filling(ctx.M.ambient, arc.cycle, ctx.exclusion(), cap=eff_cap)
     except SearchBudgetExceeded:
-        cut = _best_one_sided_cut(ctx, arc)
-        if cut is not None and len(cut) <= len(arc.region):
-            return Filling(cells=cut, boundary=arc.cycle)
-        return Filling(cells=arc.region, boundary=arc.cycle)
+        cut = _best_one_sided_cut(ctx, arc, len(arc.region))
+        return Filling(cells=arc.region if cut is None else cut, boundary=arc.cycle)
 
 
-def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion) -> Optional[CellSet]:
-    """Filling cells of the smaller one-sided minimum cut, inside on ties."""
+def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion, cap: int) -> Optional[CellSet]:
+    """Filling cells of the smaller one-sided minimum cut of at most `cap`
+    cells, inside on ties."""
     best = None
     for side in ("inside", "outside"):
-        got = one_sided_min_cut(ctx, arc.region, side)
+        got = one_sided_min_cut(ctx, arc.region, side, cap)
         if got is not None and (best is None or len(got[0]) < len(best)):
             best = got[0]
     return best
@@ -276,21 +261,17 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     eff_cap = _replacement_cap(ctx, arc)
     if eff_cap < 1:
         return None
-    exclude = M.closure_cells - closure_of(arc.cycle.cells)
     if M.m == 1:
         try:
-            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=eff_cap)
+            return min_filling(M.ambient, arc.cycle, exclude=ctx.exclusion(arc.cycle), cap=eff_cap)
         except (FillingNotFound, SearchBudgetExceeded):
             return None
 
-    cut = _best_one_sided_cut(ctx, arc)
-    if cut is not None and len(cut) > eff_cap:
-        cut = None
-
+    cut = _best_one_sided_cut(ctx, arc, eff_cap)
     exact_cap = min(eff_cap, len(cut) if cut is not None else _EXACT_THRESHOLD)
     if exact_cap <= _EXACT_THRESHOLD:
         try:
-            return min_filling(M.ambient, arc.cycle, exclude=exclude, cap=exact_cap)
+            return min_filling(M.ambient, arc.cycle, exclude=ctx.exclusion(arc.cycle), cap=exact_cap)
         except (FillingNotFound, SearchBudgetExceeded):
             pass
     if cut is None:

@@ -162,6 +162,7 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
     """
     d, _ = diameter(M)
     gmax = max(1, d // 2)
+    nothing = ScanContext(M).exclusion()  # no excluded cell, on codes built once for every ring
     for center in sorted(M.closure_cells):
         for g in range(1, gmax + 1):
             region = ball(M, center, g)
@@ -184,7 +185,7 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
                     )
                 try:
                     filling = min_filling(
-                        M.ambient, cyc, cap=min(12, len(small)), node_budget=_PROBE_BUDGET
+                        M.ambient, cyc, nothing, cap=min(12, len(small)), node_budget=_PROBE_BUDGET
                     )
                 except (FillingNotFound, SearchBudgetExceeded):
                     continue

@@ -14,29 +14,36 @@ runs iterative deepening over the filling size, always extending on the
 canonically smallest deficient edge; when its fixed node budget runs out,
 a deterministic minimum-cut over one side of the manifold supplies a valid
 (possibly non-certified) filling instead.
+
+The surface search runs on `cells.CellCodes`: integer codes whose order
+within a dimension is canonical order, so every choice and tie-break falls
+as it would on cells.  The cells it may not touch are a `CodeExclusion`:
+the codes of M's closure, built once per state, and the few codes of the
+cycle's closure, which stay allowed, so no test costs more in a larger
+ambient.  The minimum cut is a max flow by augmenting
+paths over flat arrays, with the arc's and the rest's carriers as implicit
+terminals; each unit of flow is one cell of the cut, so a caller that can
+use only small cuts passes a cap and the search stops once the flow
+exceeds it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, product
-from collections import deque
+from array import array
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from functools import cached_property
+from itertools import accumulate, product
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
-
-from .cells import AmbientSpace, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, components, region_boundary, split_by_cycle
+from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
+from .complexes import Cycle, ManifoldComplex, components, one_component, region_boundary, split_by_cycle
 from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
 from .metric import ambient_distance, ball
 
 CellSet = FrozenSet[CubicalCell]
 
-_INF_CAP = 1 << 20
 _NODE_BUDGET = 200_000  # search nodes per exact filling
 
 # The curviness measures a run can rank reports by.
@@ -99,18 +106,6 @@ def jordan_split(M: ManifoldComplex, cycle: Cycle) -> Tuple[CellSet, CellSet]:
     return b, a
 
 
-def _boundary_ok(cells: CellSet, cycle_cells: CellSet) -> bool:
-    """Exact-boundary and regularity check for a candidate filling."""
-    counts: Dict[CubicalCell, int] = {}
-    for c in cells:
-        for f in c.faces():
-            counts[f] = counts.get(f, 0) + 1
-    ones = {f for f, k in counts.items() if k == 1}
-    if any(k > 2 for k in counts.values()):
-        return False
-    return ones == cycle_cells
-
-
 def _lex_shortest_path(
     ambient: AmbientSpace,
     p: Coord,
@@ -151,10 +146,6 @@ def _lex_shortest_path(
     return [ambient.edge_between(a, b) for a, b in zip(path, path[1:])]
 
 
-def _banned_filler(cell: CubicalCell, exclude: CellSet) -> bool:
-    return any(f in exclude for f in cell.all_faces())
-
-
 def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
     """Fewest cells any filling of the cycle can have.
 
@@ -168,37 +159,46 @@ def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
     return max(1, math.ceil(len(cycle.cells) / (2 * cycle.m)))
 
 
-def _parity_min_filling(
-    ambient: AmbientSpace,
-    cycle: Cycle,
-    exclude: CellSet,
-    cap: int,
-    node_budget: int,
-) -> CellSet:
+class CodeExclusion(NamedTuple):
+    """The cells a surface search may not touch, on one ambient's codes:
+    those in `closure` that are not in `allowed`."""
+
+    codes: CellCodes
+    closure: FrozenSet[int] = frozenset()
+    allowed: FrozenSet[int] = frozenset()
+
+
+def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_budget: int) -> CellSet:
     """Exact minimum filling by iterative deepening over the size.
 
     States are face sets; each state extends only on its canonically
     smallest parity-deficient (m-1)-cell, which keeps the search complete
-    while avoiding permutations of the same set.
+    while avoiding permutations of the same set.  The search runs on the
+    cells' codes, whose order within a dimension is canonical order, so
+    every choice and tie-break falls as on cells.
     """
+    codes, closure, allowed = exclude
     m = cycle.m
-    target = frozenset(cycle.cells)
+    target = frozenset(codes.code(c) for c in cycle.cells)
     per_cell = 2 * m
-    axes = range(ambient.n)
+    known: Dict[int, Tuple[Tuple[int, Tuple[int, ...]], ...]] = {}
 
-    @lru_cache(maxsize=None)
-    def fillers(e: CubicalCell) -> Tuple[CubicalCell, ...]:
-        out = []
-        for f in e.cofaces(axes):
-            if f.dim == m and ambient.contains_cell(f) and not _banned_filler(f, exclude):
-                out.append(f)
-        return tuple(sorted(out))
+    def fillers(e: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """The ambient m-cells on face e touching no excluded cell,
+        ascending, each with its faces."""
+        if e not in known:
+            known[e] = tuple(
+                (f, tuple(codes.faces(f)))
+                for f in sorted(codes.cofaces(e))
+                if closure.intersection(codes.closure(f)) <= allowed
+            )
+        return known[e]
 
     nodes = 0
-    for limit in range(filling_lower_bound(ambient, cycle), cap + 1):
-        solutions: List[CellSet] = []
+    for limit in range(filling_lower_bound(codes.ambient, cycle), cap + 1):
+        solutions: List[FrozenSet[int]] = []
         seen: set = set()
-        stack: List[Tuple[CellSet, FrozenSet[CubicalCell]]] = [(frozenset(), target)]
+        stack: List[Tuple[FrozenSet[int], FrozenSet[int]]] = [(frozenset(), target)]
         while stack:
             S, D = stack.pop()
             nodes += 1
@@ -208,38 +208,51 @@ def _parity_min_filling(
                     break
                 raise SearchBudgetExceeded(f"filling search exceeded {node_budget} nodes")
             if not D:
-                if _boundary_ok(S, target) and len(components(S, m)) <= 1:
+                if _closes(codes, S, target):
                     solutions.append(S)
                 continue
             if len(S) + math.ceil(len(D) / per_cell) > limit:
                 continue
-            e = min(D)
-            for f in fillers(e):
+            for f, faces in fillers(min(D)):
                 if f in S:
                     continue
                 S2 = S | {f}
                 if S2 in seen:
                     continue
                 seen.add(S2)
-                D2 = D.symmetric_difference(f.faces())
-                stack.append((S2, D2))
+                stack.append((S2, D.symmetric_difference(faces)))
         if solutions:
-            return min(solutions, key=lambda s: tuple(sorted(s)))
+            return frozenset(codes.cell(x) for x in min(solutions, key=sorted))
     raise FillingNotFound(f"no filling of {len(target)} boundary cells within cap {cap}")
+
+
+def _closes(codes: CellCodes, cells: FrozenSet[int], target: FrozenSet[int]) -> bool:
+    """Whether the coded cells have exactly `target` as boundary, no face
+    in more than two of them, and form at most one component through
+    shared faces."""
+    at: Dict[int, List[int]] = defaultdict(list)
+    for f in cells:
+        for x in codes.faces(f):
+            at[x].append(f)
+    if any(len(fs) > 2 for fs in at.values()) or {x for x, fs in at.items() if len(fs) == 1} != target:
+        return False
+    return not cells or one_component(cells, lambda f: (g for x in codes.faces(f) for g in at[x]))
 
 
 def min_filling(
     ambient: AmbientSpace,
     cycle: Cycle,
-    exclude: CellSet = frozenset(),
+    exclude: Union[CellSet, CodeExclusion] = frozenset(),
     cap: int = ContractionConfig.filling_cap,
     node_budget: int = _NODE_BUDGET,
 ) -> Filling:
     """Minimum filling of a cycle, exact up to `cap`.
 
-    Cells in `exclude` are never touched.  Raises FillingNotFound when no
-    filling fits the cap and SearchBudgetExceeded when the exact search
-    runs out of nodes.
+    Cells in `exclude` are never touched; it is a set of cells, or, for a
+    surface, a `CodeExclusion` on the ambient's codes, which a
+    `ScanContext` builds without listing the cells.  Raises
+    FillingNotFound when no filling fits the cap and SearchBudgetExceeded
+    when the exact search runs out of nodes.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -252,7 +265,13 @@ def min_filling(
             raise FillingNotFound(f"no path {p} -> {q} within cap {cap}")
         cells = frozenset(edges)
     else:
-        cells = _parity_min_filling(ambient, cycle, exclude, cap, node_budget)
+        if not all(ambient.contains_cell(c) for c in cycle.cells):
+            raise FillingNotFound("the cycle leaves the ambient, so no filling in it has that boundary")
+        if not isinstance(exclude, CodeExclusion):
+            codes = CellCodes(ambient)
+            # a cell outside the ambient is in no ambient cell's closure
+            exclude = CodeExclusion(codes, frozenset(codes.code(c) for c in exclude if ambient.contains_cell(c)))
+        cells = _parity_min_filling(cycle, exclude, cap, node_budget)
     return Filling(cells=cells, boundary=cycle)
 
 
@@ -316,22 +335,25 @@ class _CutNetwork:
     """The arc-independent part of a one-sided minimum cut of M.
 
     Nodes are the side's top cells of M's bounding block, in canonical
-    order, then source and sink and, outside, one far-outside node.  Unit
-    arcs join neighbouring cells across faces off M; an outside cell meets
-    the far node once per face leading out of the block, and the source
-    feeds the far node.  `carrier` maps each face of M to the node of its
-    top cell on this side; `stranded` holds the faces whose top cell is not
-    in the block.  A solve adds only its arc's terminal arcs.
+    order, then, outside, one far-outside node (`far`).  An edge joins
+    neighbouring cells across each face off M with capacity 1, and an
+    outside cell meets the far node with capacity equal to its faces
+    leading out of the block.  The edges are stored as pairs of arcs in
+    flat CSR arrays: node u's arcs are `start[u]` to `start[u + 1]`, arc k
+    runs to `head[k]` with capacity `cap[k]`, and `rev[k]` is its twin the
+    other way.  `carrier` maps each face of M to the node of its top cell
+    on this side; `stranded` holds the faces whose top cell is not in the
+    block.  A solve adds only its arc's terminals.
     """
 
     def __init__(self, M: ManifoldComplex, inside: CellSet, on_inside: bool):
         ambient, n = M.ambient, M.ambient.n
         self.cells = [c for c in _bbox_top_cells(ambient, M.vertices) if (c in inside) == on_inside]
         index = {c: i for i, c in enumerate(self.cells)}
-        self.source, self.sink, far = len(index), len(index) + 1, len(index) + 2
-        self.size = far if on_inside else far + 1
+        self.far = None if on_inside else len(self.cells)
+        self.size = len(self.cells) + (not on_inside)
         rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
-        edges: List[Tuple[int, int, int]] = []  # (from, to, capacity)
+        edges: List[Tuple[int, int, int]] = []  # (u, v, capacity)
         for i, c in enumerate(self.cells):
             leaving = 0
             for a in range(n):
@@ -342,13 +364,21 @@ class _CutNetwork:
                     if j is None:
                         leaving += nb not in inside
                     elif d == 1 and CubicalCell(n - 1, base, rest[a]) not in M.cells:
-                        edges += ((i, j, 1), (j, i, 1))
+                        edges.append((i, j, 1))
             if leaving and not on_inside:
-                edges += ((i, far, leaving), (far, i, leaving))
-        if not on_inside:
-            edges.append((self.source, far, _INF_CAP))
-        self.rows, self.cols, caps = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-        self.caps = caps.astype(np.int32)
+                edges.append((i, self.far, leaving))
+        degree = [0] * (self.size + 1)
+        for u, v, _ in edges:
+            degree[u + 1] += 1
+            degree[v + 1] += 1
+        self.start = array("l", accumulate(degree))
+        self.head, self.cap, self.rev = (array("l", [0]) * (2 * len(edges)) for _ in range(3))
+        fill = self.start.tolist()
+        for u, v, c in edges:
+            k, l = fill[u], fill[v]
+            fill[u], fill[v] = k + 1, l + 1
+            self.head[k], self.cap[k], self.rev[k] = v, c, l
+            self.head[l], self.cap[l], self.rev[l] = u, c, k
         tops = {
             f: next((t for t in ambient.top_cells_containing(f) if (t in inside) == on_inside), None)
             for f in M.cells
@@ -356,13 +386,58 @@ class _CutNetwork:
         self.carrier = {f: index[t] for f, t in tops.items() if t in index}
         self.stranded = frozenset(f for f, t in tops.items() if t not in index)
 
+    def reached(self, sources: List[int], targets: Iterable[int], cap: Optional[int]) -> Optional[List[bool]]:
+        """Which nodes the sources reach once the flow from them to the
+        targets is maximum, or None as soon as it exceeds `cap`.
+
+        Augments along shortest paths (Edmonds-Karp); the sources and the
+        targets stand for arcs of unbounded capacity from a source and
+        into a sink, so every augmenting path runs between them.
+        """
+        residual = array("l", self.cap)
+        start, head, rev = self.start, self.head, self.rev
+        is_target = bytearray(self.size)
+        for t in targets:
+            is_target[t] = 1
+        flow = 0
+        while True:
+            via = [-1] * self.size  # the arc each node was reached by; -2 at a source
+            for s in sources:
+                via[s] = -2
+            queue, end = list(sources), -1
+            for u in queue:
+                for k in range(start[u], start[u + 1]):
+                    v = head[k]
+                    if via[v] == -1 and residual[k]:
+                        via[v] = k
+                        if is_target[v]:
+                            end = v
+                            break
+                        queue.append(v)
+                if end >= 0:
+                    break
+            if end < 0:
+                return [k != -1 for k in via]
+            path = []
+            while via[end] >= 0:
+                path.append(via[end])
+                end = head[rev[via[end]]]
+            push = min(residual[k] for k in path)
+            for k in path:
+                residual[k] -= push
+                residual[rev[k]] += push
+            flow += push
+            if cap is not None and flow > cap:
+                return None
+
 
 class ScanContext:
     """One manifold state under scan, and what all of its arcs share.
 
     Holds the state `M` and the run's `cfg`; the enclosed region
-    (`inside`) and one cut network per side are built on first use.  A
-    context belongs to its state: build a new one when the state changes.
+    (`inside`), one cut network per side, the ambient's cell codes and the
+    codes of M's closure are built on first use.  A context belongs to
+    its state: build a new one when the state changes.
     """
 
     def __init__(self, M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()):
@@ -379,17 +454,46 @@ class ScanContext:
             self._networks[side] = _CutNetwork(self.M, self.inside, side == "inside")
         return self._networks[side]
 
+    @cached_property
+    def codes(self) -> CellCodes:
+        return CellCodes(self.M.ambient)
 
-def one_sided_min_cut(ctx: ScanContext, arc_cells: CellSet, side: str) -> Optional[Tuple[CellSet, CellSet]]:
+    @cached_property
+    def _closure_codes(self) -> FrozenSet[int]:
+        return frozenset(map(self.codes.code, self.M.closure_cells))
+
+    def exclusion(self, cycle: Optional[Cycle] = None) -> Union[CellSet, CodeExclusion]:
+        """What a filling of `cycle`, a cycle on M, may not touch: M's
+        closure except the cycle's closure; without a cycle, no cell.  It
+        comes in the form `min_filling` takes for M's dimension: cells for
+        a curve, whose path search runs on cells, and codes for a surface,
+        on this state's codes, so no search builds its own."""
+        M = self.M
+        if M.m == 1:
+            return frozenset() if cycle is None else M.closure_cells - closure_of(cycle.cells)
+        if cycle is None:
+            return CodeExclusion(self.codes)
+        codes = self.codes
+        allowed = frozenset(x for c in cycle.cells for x in codes.closure(codes.code(c)))
+        return CodeExclusion(codes, self._closure_codes, allowed)
+
+
+def one_sided_min_cut(
+    ctx: ScanContext, arc_cells: CellSet, side: str, cap: Optional[int] = None
+) -> Optional[Tuple[CellSet, CellSet]]:
     """Minimum-area replacement surface for an arc, on one side of M.
 
-    Returns (filling cells, flipped region) or None when the side is
-    infeasible.  The filling is the minimum cut separating the cells that
-    carry the arc from the cells that carry the rest of the manifold,
-    restricted to the requested side, so it never touches M outside the
-    arc boundary.  The cut is the set the source cannot reach in the
-    residual graph, the same for every maximum flow, so reusing the
-    side's network changes no result.
+    Returns (filling cells, flipped region), or None when the side is
+    infeasible or, given a `cap`, when the filling would have more than
+    `cap` cells.  The filling is the minimum cut separating the cells that
+    carry the arc from the cells that carry the rest of the manifold (and,
+    outside, from the far outside), restricted to the requested side, so
+    it never touches M outside the arc boundary.  It is found by
+    augmenting paths; each unit of flow crosses one filling cell (an edge
+    is one face, a far edge counts its faces), so the search stops, with
+    None, once the flow exceeds the cap.  The flipped region is the set
+    the carriers of the rest cannot reach at maximum flow, the same for
+    every maximum flow, so reusing the side's network changes no result.
     """
     net = ctx.network(side)
     if not net.stranded.isdisjoint(arc_cells):
@@ -399,20 +503,11 @@ def one_sided_min_cut(ctx: ScanContext, arc_cells: CellSet, side: str) -> Option
         (arc_nodes if f in arc_cells else rest_nodes).add(i)
     if arc_nodes & rest_nodes or not arc_nodes:
         return None
-    w = np.fromiter(sorted(arc_nodes), np.int64)
-    v = np.fromiter(sorted(rest_nodes), np.int64)
-    rows = np.concatenate((net.rows, np.full(len(v), net.source), w))
-    cols = np.concatenate((net.cols, v, np.full(len(w), net.sink)))
-    caps = np.concatenate((net.caps, np.full(len(v) + len(w), _INF_CAP, dtype=np.int32)))
-    graph = csr_matrix((caps, (rows, cols)), shape=(net.size, net.size))
-    result = maximum_flow(graph, net.source, net.sink)
-    if result.flow_value >= _INF_CAP:
+    sources = sorted(rest_nodes) + ([] if net.far is None else [net.far])
+    reached = net.reached(sources, arc_nodes, cap)
+    if reached is None:
         return None
-    unreached = np.ones(net.size, dtype=bool)
-    unreached[breadth_first_order(graph - result.flow > 0, net.source, return_predecessors=False)] = False
-    w_cells = frozenset(compress(net.cells, unreached))
-    if not w_cells:
-        return None
+    w_cells = frozenset(c for c, r in zip(net.cells, reached) if not r)
     return region_boundary(w_cells) - ctx.M.cells, w_cells
 
 
@@ -454,7 +549,7 @@ def lofted(
         fit = fit_region(M, ball(M, center, i), level=i)
         try:
             cap = min(ctx.cfg.filling_cap, len(fit.region))
-            m_i = min_filling(M.ambient, fit.cycle, cap=cap)
+            m_i = min_filling(M.ambient, fit.cycle, ctx.exclusion(), cap=cap)
             meets = bool(m_i.cells & arc_cells) and m_i.N < len(fit.region)
         except SearchBudgetExceeded:
             # the inside cut first, the outside one only when it is infeasible

@@ -1,8 +1,12 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtopo import CubicalCell, boundary_cells, build_ambient
+from gridtopo.cells import CellCodes
 from gridtopo.errors import DegenerateExtent
 
 
@@ -94,3 +98,28 @@ def test_canonical_ordering():
     b = CubicalCell.make((1, 1), (0,))
     v = CubicalCell.make((9, 9))
     assert v < a < b
+
+
+@pytest.mark.parametrize("n, extent", [(2, (0, 15)), (3, (-2, 5)), (4, (-1, 2))])
+def test_cell_codes_round_trip_and_order(n, extent):
+    """Codes decode to their cells, sort as the cells sort within each
+    dimension, and give each cell's faces, closure and in-ambient cofaces
+    (those in the order `AmbientSpace.cofaces` gives)."""
+    amb = build_ambient(n, [extent] * n)
+    codes = CellCodes(amb)
+    lo, hi = extent
+    rng = random.Random(n)
+    for dim in range(n + 1):
+        all_axes = list(combinations(range(n), dim))
+        cells = set()
+        while len(cells) < 60:
+            axes = rng.choice(all_axes)
+            cells.add(CubicalCell(dim, tuple(rng.randint(lo, hi - (a in axes)) for a in range(n)), axes))
+        coded = {codes.code(c): c for c in cells}
+        assert len(coded) == len(cells)
+        assert all(x >= 0 and codes.cell(x) == c for x, c in coded.items())
+        assert [coded[x] for x in sorted(coded)] == sorted(cells)
+        for x, c in coded.items():
+            assert sorted(map(codes.cell, codes.faces(x))) == sorted(c.faces())
+            assert sorted(map(codes.cell, codes.closure(x))) == sorted(c.all_faces())
+            assert list(map(codes.cell, codes.cofaces(x))) == list(amb.cofaces(c))

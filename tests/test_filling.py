@@ -1,12 +1,20 @@
+import math
+from functools import lru_cache
+
 import pytest
 
 from gridtopo import CubicalCell, Cycle, build_ambient, jordan_split, min_filling
-from gridtopo.curviness import boundary_cycle_fit, candidate_arcs
+from gridtopo.complexes import components, region_boundary
+from gridtopo.curviness import boundary_cycle_fit, candidate_arcs, replacement_filling
 from gridtopo.engine import radius_sweep
-from gridtopo.errors import FillingNotFound, NotSeparating
+from gridtopo.errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
 from gridtopo.filling import (
+    Filling,
     ScanContext,
+    _bbox_top_cells,
+    closure_of,
     enclosed_cells,
+    filling_lower_bound,
     inside_region,
     lofted,
     one_sided_min_cut,
@@ -15,8 +23,10 @@ from gridtopo.filling import (
 from gridtopo.metric import ball
 
 from util import (
+    POLYCUBE_VOXELS,
     SPHERE28_VOXELS,
     face_vertices,
+    golden_states,
     oracle_min_paths,
     oracle_min_surface_fillings,
     surface_from_voxels,
@@ -138,22 +148,6 @@ def test_one_sided_min_cut_box211(box211):
     assert region == {CubicalCell.make((0, 0, 0), (0, 1, 2))}
 
 
-def test_shared_context_cut_matches_fresh(amb3, box211, torus):
-    """Every arc and side solved on one shared context gives what a fresh
-    context gives: no solve leaks into the shared networks."""
-    poly = surface_from_voxels(amb3, SPHERE28_VOXELS)
-    for M in (box211, torus, poly):
-        shared = ScanContext(M)
-        feasible = 0
-        for gamma in radius_sweep(M):
-            for arc in candidate_arcs(M, gamma):
-                for side in ("inside", "outside"):
-                    got = one_sided_min_cut(shared, arc.region, side)
-                    assert got == one_sided_min_cut(ScanContext(M), arc.region, side)
-                    feasible += got is not None
-        assert feasible
-
-
 def test_lofted_ushape_inner(ushape):
     center = CubicalCell.make((1, 1), (0,))
     b = ball(ushape, center, 2)
@@ -190,3 +184,315 @@ def test_lofted_fillings_are_minimal_per_level(ushape):
         p, q = sorted(v.base for v in lv.circle.cells)
         best, _ = oracle_min_paths(ushape.ambient.extent, p, q, cap=8)
         assert lv.filling.N == best
+
+
+# ---------------------------------------------------------------------------
+# References: the cell-set exact search and the scipy min-cut solver that the
+# integer-coded search and the augmenting-path cut replaced, kept here as
+# oracles.
+
+
+def _reference_parity_min_filling(ambient, cycle, exclude, cap, node_budget):
+    """The exact search on cells, with the closure test against `exclude`."""
+    m = cycle.m
+    target = frozenset(cycle.cells)
+    axes = range(ambient.n)
+
+    def boundary_ok(cells):
+        counts = {}
+        for c in cells:
+            for f in c.faces():
+                counts[f] = counts.get(f, 0) + 1
+        ones = {f for f, k in counts.items() if k == 1}
+        return all(k <= 2 for k in counts.values()) and ones == target
+
+    @lru_cache(maxsize=None)
+    def fillers(e):
+        out = []
+        for f in e.cofaces(axes):
+            if ambient.contains_cell(f) and not any(g in exclude for g in f.all_faces()):
+                out.append(f)
+        return tuple(sorted(out))
+
+    nodes = 0
+    for limit in range(filling_lower_bound(ambient, cycle), cap + 1):
+        solutions, seen = [], set()
+        stack = [(frozenset(), target)]
+        while stack:
+            S, D = stack.pop()
+            nodes += 1
+            if nodes > node_budget:
+                if solutions:
+                    break
+                raise SearchBudgetExceeded(f"filling search exceeded {node_budget} nodes")
+            if not D:
+                if boundary_ok(S) and len(components(S, m)) <= 1:
+                    solutions.append(S)
+                continue
+            if len(S) + math.ceil(len(D) / (2 * m)) > limit:
+                continue
+            for f in fillers(min(D)):
+                if f in S or S | {f} in seen:
+                    continue
+                seen.add(S | {f})
+                stack.append((S | {f}, D.symmetric_difference(f.faces())))
+        if solutions:
+            return min(solutions, key=lambda s: tuple(sorted(s)))
+    raise FillingNotFound(f"no filling of {len(target)} boundary cells within cap {cap}")
+
+
+class _ReferenceNetwork:
+    """The one-sided cut network as scipy's sparse arrays, with explicit
+    source, sink and far nodes; a solve adds unbounded terminal arcs."""
+
+    def __init__(self, M, inside, side):
+        self.M, self.on_inside = M, side == "inside"
+        ambient, n = M.ambient, M.ambient.n
+        self.cells = [c for c in _bbox_top_cells(ambient, M.vertices) if (c in inside) == self.on_inside]
+        index = {c: i for i, c in enumerate(self.cells)}
+        self.source, self.sink, far = len(index), len(index) + 1, len(index) + 2
+        self.size = far if self.on_inside else far + 1
+        rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
+        self.edges = []
+        for i, c in enumerate(self.cells):
+            leaving = 0
+            for a in range(n):
+                for d in (-1, 1):
+                    base = c.base[:a] + (c.base[a] + d,) + c.base[a + 1 :]
+                    nb = CubicalCell(n, base, c.axes)
+                    j = index.get(nb)
+                    if j is None:
+                        leaving += nb not in inside
+                    elif d == 1 and CubicalCell(n - 1, base, rest[a]) not in M.cells:
+                        self.edges += ((i, j, 1), (j, i, 1))
+            if leaving and not self.on_inside:
+                self.edges += ((i, far, leaving), (far, i, leaving))
+        if not self.on_inside:
+            self.edges.append((self.source, far, _BIG))
+        tops = {
+            f: next((t for t in ambient.top_cells_containing(f) if (t in inside) == self.on_inside), None)
+            for f in M.cells
+        }
+        self.carrier = {f: index[t] for f, t in tops.items() if t in index}
+        self.stranded = frozenset(f for f, t in tops.items() if t not in index)
+
+    def cut(self, arc_cells):
+        import numpy as np
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+        if not self.stranded.isdisjoint(arc_cells):
+            return None
+        arc_nodes, rest_nodes = set(), set()
+        for f, i in self.carrier.items():
+            (arc_nodes if f in arc_cells else rest_nodes).add(i)
+        if arc_nodes & rest_nodes or not arc_nodes:
+            return None
+        edges = self.edges + [(self.source, v, _BIG) for v in sorted(rest_nodes)]
+        edges += [(w, self.sink, _BIG) for w in sorted(arc_nodes)]
+        rows, cols, caps = np.array(edges, dtype=np.int64).T
+        graph = csr_matrix((caps.astype(np.int32), (rows, cols)), shape=(self.size, self.size))
+        result = maximum_flow(graph, self.source, self.sink)
+        if result.flow_value >= _BIG:
+            return None
+        unreached = np.ones(self.size, dtype=bool)
+        unreached[breadth_first_order(graph - result.flow > 0, self.source, return_predecessors=False)] = False
+        w_cells = frozenset(c for c, u in zip(self.cells, unreached) if u)
+        if not w_cells:
+            return None
+        return region_boundary(w_cells) - self.M.cells, w_cells
+
+
+_BIG = 1 << 20
+
+
+def _reference_min_cut(networks, ctx, arc_cells, side):
+    """The one-sided cut through scipy's maximum flow, on one network per
+    context and side, kept in `networks`."""
+    if (ctx, side) not in networks:
+        networks[ctx, side] = _ReferenceNetwork(ctx.M, ctx.inside, side)
+    return networks[ctx, side].cut(arc_cells)
+
+
+def _arcs(manifolds):
+    """Each manifold's context and its candidate arcs at every scanned
+    radius, each region once."""
+    for M in manifolds:
+        ctx, regions = ScanContext(M), set()
+        for gamma in radius_sweep(M):
+            for arc in candidate_arcs(M, gamma):
+                if arc.region not in regions:
+                    regions.add(arc.region)
+                    yield ctx, arc
+
+
+def _surfaces(amb3, box211, torus):
+    polycubes = [surface_from_voxels(amb3, v) for v in POLYCUBE_VOXELS]
+    return [box211, torus, *polycubes, *golden_states("box211")]
+
+
+def test_min_cut_matches_reference(amb3, box211, torus):
+    """Every candidate arc and side, all solved on one context per state
+    (so no solve may leak into the shared networks): uncapped, the cut is
+    the reference's; capped, it is the reference's when that fits the cap
+    and None when it does not."""
+    sizes, networks = set(), {}
+    box333_states = list(golden_states("box333"))[::22]  # first, middle and last
+    for ctx, arc in _arcs([*_surfaces(amb3, box211, torus), *box333_states]):
+        M = ctx.M
+        for side in ("inside", "outside"):
+            want = _reference_min_cut(networks, ctx, arc.region, side)
+            assert one_sided_min_cut(ctx, arc.region, side) == want
+            if want is None:
+                assert one_sided_min_cut(ctx, arc.region, side, cap=len(M.cells)) is None
+                continue
+            k = len(want[0])
+            sizes.add(k)
+            assert one_sided_min_cut(ctx, arc.region, side, cap=k) == want
+            assert one_sided_min_cut(ctx, arc.region, side, cap=k - 1) is None
+    assert len(sizes) > 5
+
+
+def _reference_replacement_filling(networks, ctx, arc):
+    """`curviness.replacement_filling` for a surface, with the reference
+    cut and search: both cuts uncapped, the smaller (inside on ties) kept
+    only when it fits the cap, then the exact search up to it."""
+    M = ctx.M
+    eff_cap = min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1)
+    if eff_cap < 1:
+        return None
+    cut = None
+    for side in ("inside", "outside"):
+        got = _reference_min_cut(networks, ctx, arc.region, side)
+        if got is not None and (cut is None or len(got[0]) < len(cut)):
+            cut = got[0]
+    if cut is not None and len(cut) > eff_cap:
+        cut = None
+    exact_cap = min(eff_cap, len(cut) if cut is not None else 8)
+    if exact_cap <= 8:
+        exclude = M.closure_cells - closure_of(arc.cycle.cells)
+        try:
+            return _reference_parity_min_filling(M.ambient, arc.cycle, exclude, exact_cap, 200_000)
+        except (FillingNotFound, SearchBudgetExceeded):
+            pass
+    return cut
+
+
+def test_replacement_filling_matches_reference(amb3, box211, torus):
+    """The capped cuts and the coded search inside `replacement_filling`
+    pick what the uncapped reference cuts and the cell search pick."""
+    found, networks = 0, {}
+    for ctx, arc in _arcs(_surfaces(amb3, box211, torus)):
+        got = replacement_filling(ctx, arc)
+        assert (got and got.cells) == _reference_replacement_filling(networks, ctx, arc)
+        found += got is not None
+    assert found
+
+
+def _outcome(search, *args):
+    try:
+        got = search(*args)
+    except (FillingNotFound, SearchBudgetExceeded) as err:
+        return type(err), str(err)
+    return got.cells if isinstance(got, Filling) else got
+
+
+def test_parity_search_matches_reference(amb3, box211, torus):
+    """The coded exact search against the cell search on every candidate
+    arc's cycle, at the cap `replacement_filling` gives it, with the
+    exclusion that function passes (as a context's code exclusion and as a
+    cell set) and with none, under node budgets that stop it at once, truncate
+    it and let it finish: the same filling or the same error."""
+    seen = set()
+    for ctx, arc in _arcs(_surfaces(amb3, box211, torus)):
+        M, cycle = ctx.M, arc.cycle
+        excluded = M.closure_cells - closure_of(cycle.cells)
+        cap = max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1, 8))
+        for budget in (1, 10, 100, 1000):
+            want = _outcome(_reference_parity_min_filling, M.ambient, cycle, excluded, cap, budget)
+            assert _outcome(min_filling, M.ambient, cycle, ctx.exclusion(cycle), cap, budget) == want
+            assert _outcome(min_filling, M.ambient, cycle, excluded, cap, budget) == want
+            want_free = _outcome(_reference_parity_min_filling, M.ambient, cycle, frozenset(), cap, budget)
+            assert _outcome(min_filling, M.ambient, cycle, frozenset(), cap, budget) == want_free
+            for w in (want, want_free):
+                seen.add(w[0] if isinstance(w, tuple) else "filling")
+    assert seen == {"filling", FillingNotFound, SearchBudgetExceeded}
+
+
+def test_parity_search_matches_reference_on_made_cycles(amb3):
+    """Cycles where the parity set closes on a set that is no filling: two
+    disjoint rings (closed by two separate squares), the rim of four
+    squares around one edge (that edge lies in all four) and the skew
+    hexagon around a unit cube, which has two minimum fillings (the
+    canonically smaller wins)."""
+    square = CubicalCell.make
+    rings = region_boundary([square((0, 0, 0), (0, 1)), square((3, 0, 0), (0, 1))])
+    cross = region_boundary(
+        [square((0, 0, 0), (0, 1)), square((0, -1, 0), (0, 1)), square((0, 0, 0), (0, 2)), square((0, 0, -1), (0, 2))]
+    )
+    hexagon = region_boundary([square((0, 0, 0), (1, 2)), square((0, 0, 0), (0, 2)), square((0, 0, 0), (0, 1))])
+    for cells in (rings, cross, hexagon):
+        cycle = Cycle(cells, 2)
+        for cap, budget in ((3, 20_000), (6, 20_000)):
+            want = _outcome(_reference_parity_min_filling, amb3, cycle, frozenset(), cap, budget)
+            assert _outcome(min_filling, amb3, cycle, frozenset(), cap, budget) == want
+    assert min_filling(amb3, Cycle(hexagon, 2), cap=3).cells == {
+        square((0, 0, 0), (1, 2)), square((0, 0, 0), (0, 2)), square((0, 0, 0), (0, 1))
+    }
+
+
+def test_min_filling_cycle_outside_ambient():
+    amb = build_ambient(3, [(0, 3)] * 3)
+    square = CubicalCell.make((4, 0, 0), (1, 2))  # past the ambient on axis 0
+    with pytest.raises(FillingNotFound):
+        min_filling(amb, edge_ring(square.faces()))
+
+
+def test_fillings_in_a_large_ambient():
+    """Nothing in the surface fillings grows with the ambient: surfaces
+    moved into an ambient a million units a side (whose codes take 63
+    bits) get, for every candidate arc, the replacement filling, the exact
+    search with a cell-set exclusion and the cuts they get in an ambient
+    with ten units of room on each side, moved along."""
+
+    def moved(cells, d):
+        return frozenset(CubicalCell(c.dim, tuple(b + d for b in c.base), c.axes) for c in cells)
+
+    near = 500_000
+    roomy = build_ambient(3, [(-10, 13)] * 3)
+    large = build_ambient(3, [(0, 1_000_000)] * 3)
+    for voxels in ([(0, 0, 0), (1, 0, 0)], SPHERE28_VOXELS):
+        M = surface_from_voxels(roomy, voxels)
+        far = surface_from_voxels(large, [tuple(x + near for x in v) for v in voxels])
+        arcs = list(_arcs([M]))
+        far_arcs = list(_arcs([far]))
+        assert [moved(a.region, near) for _, a in arcs] == [a.region for _, a in far_arcs]
+        for (ctx, arc), (far_ctx, far_arc) in zip(arcs, far_arcs):
+            got, far_got = replacement_filling(ctx, arc), replacement_filling(far_ctx, far_arc)
+            assert (got and moved(got.cells, near)) == (far_got and far_got.cells)
+            want = _outcome(min_filling, roomy, arc.cycle, M.closure_cells - closure_of(arc.cycle.cells), 8, 10_000)
+            far_want = _outcome(
+                min_filling, large, far_arc.cycle, far.closure_cells - closure_of(far_arc.cycle.cells), 8, 10_000
+            )
+            assert (moved(want, near) if isinstance(want, frozenset) else want) == far_want
+            for side in ("inside", "outside"):
+                cut = one_sided_min_cut(ctx, arc.region, side)
+                far_cut = one_sided_min_cut(far_ctx, far_arc.region, side)
+                assert (cut and tuple(moved(x, near) for x in cut)) == far_cut
+
+
+def test_exclusion_is_closure_less_cycle_closure(ushape, box211, torus):
+    """A context's exclusion for a cycle on M is M's closure less the
+    cycle's closure, as cells for a curve and as codes for a surface, and
+    the replacement filling keeps out of it; without a cycle it is empty."""
+    for ctx, arc in _arcs([ushape, box211, torus]):
+        M = ctx.M
+        want = M.closure_cells - closure_of(arc.cycle.cells)
+        got = ctx.exclusion(arc.cycle)
+        if M.m == 1:
+            assert got == want and ctx.exclusion() == frozenset()
+        else:
+            assert {got.codes.cell(x) for x in got.closure - got.allowed} == want
+            assert not ctx.exclusion().closure
+        filling = replacement_filling(ctx, arc)
+        assert filling is None or closure_of(filling.cells).isdisjoint(want)
