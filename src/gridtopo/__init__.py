@@ -21,7 +21,6 @@ from .curviness import (
 from .deform import (
     DeformationTrace,
     interpolate,
-    is_gradually_varied,
     replace_arc,
     replay,
 )
@@ -29,7 +28,6 @@ from .engine import (
     ContractionConfig,
     ContractionResult,
     contract,
-    diameter_sphere_check,
     is_irreducible_sphere,
 )
 from .filling import Filling, LoftedSequence, ScanContext, jordan_split, lofted, min_filling, semi_convex
@@ -61,9 +59,7 @@ __all__ = [
     "contract",
     "curviness",
     "diameter",
-    "diameter_sphere_check",
     "interpolate",
-    "is_gradually_varied",
     "is_irreducible_sphere",
     "jordan_split",
     "link",

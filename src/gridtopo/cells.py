@@ -167,14 +167,6 @@ class AmbientSpace:
             if self.contains_cell(top):
                 yield top
 
-    def edge_between(self, u: Coord, v: Coord) -> CubicalCell:
-        diff = [i for i in range(self.n) if u[i] != v[i]]
-        if len(diff) != 1 or abs(u[diff[0]] - v[diff[0]]) != 1:
-            raise ValueError(f"{u} and {v} are not grid neighbors")
-        a = diff[0]
-        base = u if u[a] < v[a] else v
-        return CubicalCell(1, tuple(base), (a,))
-
 
 class CellCodes:
     """Order-preserving integer codes for the cells of one ambient box.

@@ -55,7 +55,7 @@ CellSet = FrozenSet[CubicalCell]
 # Surfaces try the exact filling search only up to this many cells.
 _EXACT_THRESHOLD = 8
 
-RegionFit = namedtuple("RegionFit", "region cycle complement")
+RegionFit = namedtuple("RegionFit", "region cycle")
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,6 @@ class ArcRegion:
     gamma: int
     region: CellSet
     cycle: Cycle
-    complement: CellSet
 
     @property
     def N(self) -> int:
@@ -99,12 +98,12 @@ class CurvinessReport:
 def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = None) -> RegionFit:
     """Grow a ball into a region whose boundary is one regular cycle.
 
-    The ball is extended by canonically smallest complement cells until the
-    topological boundary is a single closed regular (m-1)-manifold, or the
-    region would exceed half of M.  M must be closed and connected, as every
-    state `contract` reaches is; the cycle then separates M.  The ball's
-    cells must be cells of M.  The search runs on the ids of `M.index`;
-    cells are built only for the returned fit.
+    The ball is extended by the canonically smallest cells of M across its
+    boundary until the topological boundary is a single closed regular
+    (m-1)-manifold, or the region would exceed half of M.  M must be closed
+    and connected, as every state `contract` reaches is; the cycle then
+    separates M.  The ball's cells must be cells of M.  The search runs on
+    the ids of `M.index`; cells are built only for the returned fit.
     """
     def fail(msg):
         if level is not None:
@@ -134,7 +133,7 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
         if _is_cycle(ix, bd, M.m) and one_component(region, across):
             cells = frozenset(ix.cells[i] for i in region)
             cyc = Cycle(frozenset(ix.faces[f] for f in bd), M.m)
-            return RegionFit(cells, cyc, M.cells - cells)
+            return RegionFit(cells, cyc)
         # Repair: absorb the smallest cell of M across the current
         # boundary; each absorption can only merge components or remove a
         # boundary defect, and the region stops at half of M.  A boundary
@@ -179,7 +178,7 @@ def boundary_cycle_fit(
     fit = fit_region(M, ball_cells)
     if center is None:
         center = min(ball_cells)
-    return ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle, complement=fit.complement)
+    return ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle)
 
 
 def height(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> int:
@@ -280,8 +279,9 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
 
 
 def _replacement_cap(ctx: ScanContext, arc: ArcRegion) -> int:
-    """Most cells a useful replacement filling of the arc may have."""
-    return min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1)
+    """Most cells a useful replacement filling of the arc may have: fewer
+    than the arc and than the rest of M."""
+    return min(ctx.cfg.filling_cap, len(arc.region) - 1, len(ctx.M.cells) - len(arc.region) - 1)
 
 
 def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
@@ -310,9 +310,7 @@ def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
         except GridTopoError:
             continue
         if fit.region not in seen:
-            seen[fit.region] = ArcRegion(
-                center=center, gamma=gamma, region=fit.region, cycle=fit.cycle, complement=fit.complement
-            )
+            seen[fit.region] = ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle)
     return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
 
 
@@ -344,12 +342,9 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
             yield heapq.heappop(solved)[1]
             continue
         _, center, region = pending.pop()
-        arc = ArcRegion(
-            center=center, gamma=gamma, region=region,
-            cycle=Cycle(region_boundary(region), M.m), complement=M.cells - region,
-        )
+        arc = ArcRegion(center=center, gamma=gamma, region=region, cycle=Cycle(region_boundary(region), M.m))
         filling = replacement_filling(ctx, arc)
-        if filling is None or filling.N >= min(len(arc.region), len(arc.complement)):
+        if filling is None or filling.N >= min(len(region), len(M.cells) - len(region)):
             continue
         rep = curviness(ctx, arc, filling=filling)
         heapq.heappush(solved, ((-rep.measure(variant), center), rep))

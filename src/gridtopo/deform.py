@@ -1,4 +1,4 @@
-"""Elementary moves, gradual variation, interpolation, arc replacement, traces.
+"""Elementary moves, interpolation, arc replacement, traces.
 
 A deformation is recorded as a sequence of elementary moves, each flipping
 the state across one (m+1)-cell: the new state is the symmetric difference
@@ -36,40 +36,6 @@ def apply_flip(state: CellSet, flip_cell: CubicalCell) -> CellSet:
     if not (bd - state):
         raise ValueError(f"flip {flip_cell} would detach the state")
     return state.symmetric_difference(bd)
-
-
-def is_gradually_varied(ambient: AmbientSpace, A: CellSet, B: CellSet) -> bool:
-    """True when A turns into B by a set of independent single flips.
-
-    Independent means the flip boundaries are pairwise disjoint, so the
-    symmetric difference of the states must split exactly into boundaries
-    of (m+1)-cells.
-    """
-    diff = A.symmetric_difference(B)
-    if not diff:
-        return True
-    m = next(iter(diff)).dim
-    candidates = set()
-    for e in diff:
-        for c in e.cofaces(range(ambient.n)):
-            if c.dim == m + 1 and ambient.contains_cell(c):
-                bd = frozenset(c.faces())
-                if bd <= diff and (bd & A) and (bd - A):
-                    candidates.add(c)
-    return _cover(diff, sorted(candidates))
-
-
-def _cover(remaining: CellSet, candidates: List[CubicalCell]) -> bool:
-    """Split `remaining` exactly into boundaries of candidates, covering
-    its smallest cell first."""
-    if not remaining:
-        return True
-    e = min(remaining)
-    for c in candidates:
-        bd = frozenset(c.faces())
-        if e in bd and bd <= remaining and _cover(remaining - bd, candidates):
-            return True
-    return False
 
 
 def interpolate(

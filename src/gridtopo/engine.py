@@ -47,7 +47,7 @@ from .errors import (
     ValidationFailed,
 )
 from .filling import ContractionConfig, Filling, ScanContext, jordan_split, lofted, min_filling
-from .metric import ambient_distance, ball, diameter
+from .metric import ball, diameter
 
 _MAX_ITERATIONS = 10_000  # replacement rounds per node before it ends exhausted
 _PROBE_BUDGET = 20_000  # search nodes per filling in the obstruction probe
@@ -124,23 +124,6 @@ def is_irreducible_sphere(M: ManifoldComplex) -> Optional[CubicalCell]:
         return None
     axes = tuple(i for i in range(n) if low[i] > high[i])
     return CubicalCell(len(axes), tuple(lo - (i in axes) for i, lo in enumerate(low)), axes)
-
-
-def diameter_sphere_check(M: ManifoldComplex) -> Tuple[bool, int, Tuple]:
-    """Roundness diagnostic: every vertex nearly attains the diameter.
-
-    Distances here are ambient distances between vertices of M; returns
-    (flag, diameter, failing vertices with their best distance).
-    """
-    verts = sorted(M.vertices)
-    best_of = {}
-    D = 0
-    for v in verts:
-        b = max(ambient_distance(M.ambient, v, w) for w in verts if w != v)
-        best_of[v] = b
-        D = max(D, b)
-    failures = tuple((v, b) for v, b in sorted(best_of.items()) if b < D - 1)
-    return (not failures, D, failures)
 
 
 def radius_sweep(M: ManifoldComplex) -> List[int]:

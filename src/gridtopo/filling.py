@@ -15,27 +15,27 @@ canonically smallest deficient edge; when its fixed node budget runs out,
 a deterministic minimum-cut over one side of the manifold supplies a valid
 (possibly non-certified) filling instead.
 
-The surface search runs on `cells.CellCodes`: integer codes whose order
-within a dimension is canonical order, so every choice and tie-break falls
-as it would on cells.  The cells it may not touch are a `CodeExclusion`:
-the codes of M's closure, built once per state, and the few codes of the
-cycle's closure, which stay allowed, so no test costs more in a larger
-ambient.  The minimum cut is a max flow by augmenting
-paths over flat arrays, with the arc's and the rest's carriers as implicit
-terminals; each unit of flow is one cell of the cut, so a caller that can
-use only small cuts passes a cap and the search stops once the flow
-exceeds it.
+Both searches, the path and the surface one, run on `cells.CellCodes`:
+integer codes whose order within a dimension is canonical order, so every
+choice and tie-break falls as it would on cells.  The cells they may not
+touch are one `CodeExclusion`: the codes of M's closure, built once per
+state, and the few codes of the cycle's closure, which stay allowed, so
+no test costs more in a larger ambient.  The minimum cut is a max flow by
+augmenting paths over flat arrays, with the arc's and the rest's carriers
+as implicit terminals; each unit of flow is one cell of the cut, so a
+caller that can use only small cuts passes a cap and the search stops once
+the flow exceeds it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, one_component, region_boundary, split_by_cycle
@@ -86,13 +86,6 @@ class Filling:
         return frozenset(v for c in self.cells | self.boundary.cells for v in c.vertices())
 
 
-def closure_of(cells: Iterable[CubicalCell]) -> CellSet:
-    out = set()
-    for c in cells:
-        out.update(c.all_faces())
-    return frozenset(out)
-
-
 def jordan_split(M: ManifoldComplex, cycle: Cycle) -> Tuple[CellSet, CellSet]:
     """Split a closed manifold along a cycle into (smaller, larger) sides."""
     comps = split_by_cycle(M, cycle)
@@ -104,46 +97,6 @@ def jordan_split(M: ManifoldComplex, cycle: Cycle) -> Tuple[CellSet, CellSet]:
     if (len(a), sorted(a)) <= (len(b), sorted(b)):
         return a, b
     return b, a
-
-
-def _lex_shortest_path(
-    ambient: AmbientSpace,
-    p: Coord,
-    q: Coord,
-    banned_vertices: FrozenSet[Coord],
-    banned_edges: CellSet,
-) -> Optional[List[CubicalCell]]:
-    """Deterministic shortest grid path p -> q as an edge list."""
-
-    def usable(u: Coord, v: Coord) -> bool:
-        if v in banned_vertices and v != q and v != p:
-            return False
-        return ambient.edge_between(u, v) not in banned_edges
-
-    dist = {p: 0}
-    queue = deque([p])
-    while queue:
-        u = queue.popleft()
-        if u == q:
-            break
-        for v in sorted(ambient.vertex_neighbors(u)):
-            if v not in dist and usable(u, v):
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    if q not in dist:
-        return None
-    path = [q]
-    cur = q
-    while cur != p:
-        preds = [
-            v
-            for v in sorted(ambient.vertex_neighbors(cur))
-            if dist.get(v) == dist[cur] - 1 and usable(v, cur)
-        ]
-        cur = preds[0]
-        path.append(cur)
-    path.reverse()
-    return [ambient.edge_between(a, b) for a, b in zip(path, path[1:])]
 
 
 def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
@@ -160,12 +113,55 @@ def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
 
 
 class CodeExclusion(NamedTuple):
-    """The cells a surface search may not touch, on one ambient's codes:
+    """The cells a filling search may not touch, on one ambient's codes:
     those in `closure` that are not in `allowed`."""
 
     codes: CellCodes
     closure: FrozenSet[int] = frozenset()
     allowed: FrozenSet[int] = frozenset()
+
+
+def _shortest_path(cycle: Cycle, exclude: CodeExclusion, cap: int) -> CellSet:
+    """Shortest grid path between a curve cycle's two vertices, as edges.
+
+    A breadth-first search over vertex codes, up to `cap` steps: a
+    vertex's edges are its cofaces, and an edge's far end is its other
+    face.  The path is read back from the larger vertex, each step to the
+    smallest vertex one step nearer the smaller one; code order is
+    canonical order, so ties fall as on cells.  The two ends stay usable
+    even when excluded.
+    """
+    codes, closure, allowed = exclude
+    p, q = sorted(codes.code(v) for v in cycle.cells)
+
+    def steps(u: int) -> Iterator[Tuple[int, int]]:
+        """(edge, far end) for each usable edge at vertex u."""
+        for e in codes.cofaces(u):
+            if e not in closure or e in allowed:
+                a, b = codes.faces(e)
+                v = a + b - u
+                if v not in closure or v in allowed or v == p or v == q:
+                    yield e, v
+
+    dist, layer = {p: 0}, [p]
+    for d in range(1, cap + 1):
+        if q in dist or not layer:
+            break
+        reached = []
+        for u in layer:
+            for _, v in steps(u):
+                if v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        layer = reached
+    if q not in dist:
+        a, b = sorted(v.base for v in cycle.cells)
+        raise FillingNotFound(f"no path {a} -> {b} within cap {cap}")
+    path, cur = [], q
+    while cur != p:
+        cur, e = min((v, e) for e, v in steps(cur) if dist.get(v) == dist[cur] - 1)
+        path.append(e)
+    return frozenset(map(codes.cell, path))
 
 
 def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_budget: int) -> CellSet:
@@ -248,29 +244,25 @@ def min_filling(
 ) -> Filling:
     """Minimum filling of a cycle, exact up to `cap`.
 
-    Cells in `exclude` are never touched; it is a set of cells, or, for a
-    surface, a `CodeExclusion` on the ambient's codes, which a
-    `ScanContext` builds without listing the cells.  Raises
-    FillingNotFound when no filling fits the cap and SearchBudgetExceeded
-    when the exact search runs out of nodes.
+    Cells in `exclude` are never touched, apart from a curve cycle's two
+    vertices.  Both searches run on the ambient's `CellCodes` against one
+    `CodeExclusion`: the one a `ScanContext` builds without listing the
+    cells, or the one made here from a set of cells.  Raises
+    FillingNotFound when the cycle leaves the ambient or no filling fits
+    the cap, and SearchBudgetExceeded when the surface search runs out of
+    nodes.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if not all(ambient.contains_cell(c) for c in cycle.cells):
+        raise FillingNotFound("the cycle leaves the ambient, so no filling in it has that boundary")
+    if not isinstance(exclude, CodeExclusion):
+        codes = CellCodes(ambient)
+        # a cell outside the ambient is in no ambient cell's closure
+        exclude = CodeExclusion(codes, frozenset(codes.code(c) for c in exclude if ambient.contains_cell(c)))
     if cycle.dim == 0:
-        p, q = sorted(v.base for v in cycle.cells)
-        banned_vs = frozenset(c.base for c in exclude if c.dim == 0)
-        banned_es = frozenset(c for c in exclude if c.dim == 1)
-        edges = _lex_shortest_path(ambient, p, q, banned_vs, banned_es)
-        if edges is None or len(edges) > cap:
-            raise FillingNotFound(f"no path {p} -> {q} within cap {cap}")
-        cells = frozenset(edges)
+        cells = _shortest_path(cycle, exclude, cap)
     else:
-        if not all(ambient.contains_cell(c) for c in cycle.cells):
-            raise FillingNotFound("the cycle leaves the ambient, so no filling in it has that boundary")
-        if not isinstance(exclude, CodeExclusion):
-            codes = CellCodes(ambient)
-            # a cell outside the ambient is in no ambient cell's closure
-            exclude = CodeExclusion(codes, frozenset(codes.code(c) for c in exclude if ambient.contains_cell(c)))
         cells = _parity_min_filling(cycle, exclude, cap, node_budget)
     return Filling(cells=cells, boundary=cycle)
 
@@ -462,18 +454,14 @@ class ScanContext:
     def _closure_codes(self) -> FrozenSet[int]:
         return frozenset(map(self.codes.code, self.M.closure_cells))
 
-    def exclusion(self, cycle: Optional[Cycle] = None) -> Union[CellSet, CodeExclusion]:
+    def exclusion(self, cycle: Optional[Cycle] = None) -> CodeExclusion:
         """What a filling of `cycle`, a cycle on M, may not touch: M's
         closure except the cycle's closure; without a cycle, no cell.  It
-        comes in the form `min_filling` takes for M's dimension: cells for
-        a curve, whose path search runs on cells, and codes for a surface,
-        on this state's codes, so no search builds its own."""
-        M = self.M
-        if M.m == 1:
-            return frozenset() if cycle is None else M.closure_cells - closure_of(cycle.cells)
-        if cycle is None:
-            return CodeExclusion(self.codes)
+        is on this state's codes, for a curve and a surface alike, so no
+        search builds its own."""
         codes = self.codes
+        if cycle is None:
+            return CodeExclusion(codes)
         allowed = frozenset(x for c in cycle.cells for x in codes.closure(codes.code(c)))
         return CodeExclusion(codes, self._closure_codes, allowed)
 

@@ -62,7 +62,7 @@ def test_fit_ushape_inner_arc(ushape):
     arc = inner_arc(ushape)
     assert len(arc.region) == 5
     assert arc.cycle.cells == {CubicalCell.make((1, 3)), CubicalCell.make((2, 3))}
-    assert len(arc.complement) == 11
+    assert len(ushape.cells) - arc.N == 11
 
 
 def test_fit_box211_left_cap(box211):
@@ -183,7 +183,6 @@ def test_arc_sign_codimension_guard(pinch):
         gamma=1,
         region=frozenset([sq]),
         cycle=Cycle(frozenset(sq.faces()), 2),
-        complement=frozenset([CubicalCell.make((1, 1), (0, 1))]),
     )
     filling = Filling(cells=dummy.region, boundary=dummy.cycle)
     with pytest.raises(CodimensionUnsupported):
@@ -217,14 +216,14 @@ def eager_reports(ctx, gamma):
     for arc in candidate_arcs(M, gamma):
         lb = filling_lower_bound(M.ambient, arc.cycle)
         filling = replacement_filling(ctx, arc)
-        if lb > min(ctx.cfg.filling_cap, arc.N - 1, len(arc.complement) - 1):
+        if lb > min(ctx.cfg.filling_cap, arc.N - 1, len(M.cells) - arc.N - 1):
             assert filling is None
         if filling is None:
             continue
         assert filling.N >= lb
         rep = curviness(ctx, arc, filling=filling)
         assert rep.measure(variant) <= measure_bound(M.ambient, arc, lb, variant)
-        if filling.N < min(arc.N, len(arc.complement)):
+        if filling.N < min(arc.N, len(M.cells) - arc.N):
             out.append(rep)
     out.sort(key=lambda r: r.center)
     out.sort(key=lambda r: r.measure(variant), reverse=True)
@@ -288,7 +287,7 @@ def reference_fit_region(M, ball_cells, level=None):
             complement = M.cells - frozenset(region)
             if not complement or len(components(complement, M.m)) != 1:
                 fail("boundary does not separate M into two components")
-            return curviness_module.RegionFit(frozenset(region), cyc, complement)
+            return curviness_module.RegionFit(frozenset(region), cyc)
         candidates = set()
         for c in sorted(M.cells - region):
             if any(f in bd for f in c.faces()):
@@ -323,7 +322,7 @@ def test_fit_region_matches_reference(amb3, ushape, rect12, sq1, box111, box211,
                 got = _fit_outcome(curviness_module.fit_region, M, cells, level)
                 assert got == _fit_outcome(reference_fit_region, M, cells, level)
                 if isinstance(got, curviness_module.RegionFit):
-                    assert len(components(got.complement, M.m)) == 1
+                    assert len(components(M.cells - got.region, M.m)) == 1
                     fitted += 1
                     repaired += got.region != cells
                 else:

@@ -6,7 +6,6 @@ from gridtopo import (
     ScanContext,
     ball,
     interpolate,
-    is_gradually_varied,
     replace_arc,
     validate,
 )
@@ -27,21 +26,6 @@ from util import curve_from_pixels, surface_from_voxels
 def arc_and_filling(M, center, gamma):
     arc = boundary_cycle_fit(M, ball(M, center, gamma), center=center, gamma=gamma)
     return arc, minimum_filling_of_arc(ScanContext(M), arc)
-
-
-def test_gradual_variation_rect_cap(rect12, amb2):
-    arc, filling = arc_and_filling(rect12, CubicalCell.make((0, 0), (1,)), 1)
-    assert len(arc.region) == 3 and filling.N == 1
-    assert is_gradually_varied(amb2, arc.region, filling.cells)
-
-
-def test_gradual_variation_ushape_inner_false(ushape, amb2):
-    arc, filling = arc_and_filling(ushape, CubicalCell.make((1, 1), (0,)), 2)
-    assert not is_gradually_varied(amb2, arc.region, filling.cells)
-
-
-def test_gradual_variation_identity(ushape, amb2):
-    assert is_gradually_varied(amb2, ushape.cells, ushape.cells)
 
 
 def test_interpolate_ushape_inner_two_moves(ushape):

@@ -9,7 +9,6 @@ from gridtopo import (
     ManifoldComplex,
     build_ambient,
     contract,
-    diameter_sphere_check,
     is_irreducible_sphere,
     validate,
 )
@@ -37,15 +36,6 @@ def test_irreducible_witnesses(sq1, box111, rect12):
     assert is_irreducible_sphere(sq1) == CubicalCell.make((0, 0), (0, 1))
     assert is_irreducible_sphere(box111) == CubicalCell.make((0, 0, 0), (0, 1, 2))
     assert is_irreducible_sphere(rect12) is None
-
-
-def test_diameter_sphere_check(sq1, ushape, box111):
-    ok, d, failures = diameter_sphere_check(sq1)
-    assert ok and d == 2
-    ok, d, failures = diameter_sphere_check(box111)
-    assert ok and d == 3
-    ok, _, failures = diameter_sphere_check(ushape)
-    assert not ok and failures
 
 
 def test_radius_sweep_order(ushape):

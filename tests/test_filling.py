@@ -1,18 +1,21 @@
 import math
+import random
+from collections import deque
 from functools import lru_cache
 
 import pytest
 
 from gridtopo import CubicalCell, Cycle, build_ambient, jordan_split, min_filling
 from gridtopo.complexes import components, region_boundary
+from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import boundary_cycle_fit, candidate_arcs, replacement_filling
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
 from gridtopo.filling import (
+    CodeExclusion,
     Filling,
     ScanContext,
     _bbox_top_cells,
-    closure_of,
     enclosed_cells,
     filling_lower_bound,
     inside_region,
@@ -25,6 +28,7 @@ from gridtopo.metric import ball
 from util import (
     POLYCUBE_VOXELS,
     SPHERE28_VOXELS,
+    closure_of,
     face_vertices,
     golden_states,
     oracle_min_paths,
@@ -358,7 +362,7 @@ def _reference_replacement_filling(networks, ctx, arc):
     cut and search: both cuts uncapped, the smaller (inside on ties) kept
     only when it fits the cap, then the exact search up to it."""
     M = ctx.M
-    eff_cap = min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1)
+    eff_cap = min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)
     if eff_cap < 1:
         return None
     cut = None
@@ -407,7 +411,7 @@ def test_parity_search_matches_reference(amb3, box211, torus):
     for ctx, arc in _arcs(_surfaces(amb3, box211, torus)):
         M, cycle = ctx.M, arc.cycle
         excluded = M.closure_cells - closure_of(cycle.cells)
-        cap = max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(arc.complement) - 1, 8))
+        cap = max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1, 8))
         for budget in (1, 10, 100, 1000):
             want = _outcome(_reference_parity_min_filling, M.ambient, cycle, excluded, cap, budget)
             assert _outcome(min_filling, M.ambient, cycle, ctx.exclusion(cycle), cap, budget) == want
@@ -442,6 +446,11 @@ def test_parity_search_matches_reference_on_made_cycles(amb3):
 
 
 def test_min_filling_cycle_outside_ambient():
+    """A cycle with a cell past the ambient has no filling in it, for a
+    curve (one endpoint a step outside) and a surface alike."""
+    amb = build_ambient(2, [(0, 5), (0, 5)])
+    with pytest.raises(FillingNotFound):
+        min_filling(amb, vertex_cycle((-1, 0), (2, 0)))
     amb = build_ambient(3, [(0, 3)] * 3)
     square = CubicalCell.make((4, 0, 0), (1, 2))  # past the ambient on axis 0
     with pytest.raises(FillingNotFound):
@@ -483,16 +492,102 @@ def test_fillings_in_a_large_ambient():
 
 def test_exclusion_is_closure_less_cycle_closure(ushape, box211, torus):
     """A context's exclusion for a cycle on M is M's closure less the
-    cycle's closure, as cells for a curve and as codes for a surface, and
-    the replacement filling keeps out of it; without a cycle it is empty."""
+    cycle's closure, on the state's codes for a curve and a surface alike,
+    and the replacement filling keeps out of it; without a cycle it is
+    empty."""
     for ctx, arc in _arcs([ushape, box211, torus]):
         M = ctx.M
         want = M.closure_cells - closure_of(arc.cycle.cells)
         got = ctx.exclusion(arc.cycle)
-        if M.m == 1:
-            assert got == want and ctx.exclusion() == frozenset()
-        else:
-            assert {got.codes.cell(x) for x in got.closure - got.allowed} == want
-            assert not ctx.exclusion().closure
+        assert isinstance(got, CodeExclusion) and got.codes is ctx.codes
+        assert {got.codes.cell(x) for x in got.closure - got.allowed} == want
+        nothing = ctx.exclusion()
+        assert isinstance(nothing, CodeExclusion) and nothing.codes is ctx.codes and not nothing.closure
         filling = replacement_filling(ctx, arc)
         assert filling is None or closure_of(filling.cells).isdisjoint(want)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the path search on coordinates that the coded search replaced,
+# with its cell-set exclusion, kept here as an oracle.
+
+
+def _reference_lex_shortest_path(ambient, p, q, banned_vertices, banned_edges):
+    """Deterministic shortest grid path p -> q as an edge list."""
+
+    def edge_between(u, v):
+        (a,) = [i for i in range(ambient.n) if u[i] != v[i]]
+        return CubicalCell(1, min(u, v), (a,))
+
+    def usable(u, v):
+        if v in banned_vertices and v != q and v != p:
+            return False
+        return edge_between(u, v) not in banned_edges
+
+    dist = {p: 0}
+    queue = deque([p])
+    while queue:
+        u = queue.popleft()
+        if u == q:
+            break
+        for v in sorted(ambient.vertex_neighbors(u)):
+            if v not in dist and usable(u, v):
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    if q not in dist:
+        return None
+    path = [q]
+    cur = q
+    while cur != p:
+        preds = [
+            v
+            for v in sorted(ambient.vertex_neighbors(cur))
+            if dist.get(v) == dist[cur] - 1 and usable(v, cur)
+        ]
+        cur = preds[0]
+        path.append(cur)
+    path.reverse()
+    return [edge_between(a, b) for a, b in zip(path, path[1:])]
+
+
+def _reference_path_fillings(ambient, cycle, exclude, caps):
+    """`min_filling` for a curve cycle in the ambient, on coordinates, at
+    each cap in turn: the cap keeps the one path found or rejects it."""
+    p, q = sorted(v.base for v in cycle.cells)
+    banned_vs = frozenset(c.base for c in exclude if c.dim == 0)
+    banned_es = frozenset(c for c in exclude if c.dim == 1)
+    edges = _reference_lex_shortest_path(ambient, p, q, banned_vs, banned_es)
+    for cap in caps:
+        if edges is None or len(edges) > cap:
+            yield FillingNotFound, f"no path {p} -> {q} within cap {cap}"
+        else:
+            yield frozenset(edges)
+
+
+def test_path_search_matches_reference(sq1, rect12, ushape):
+    """The coded path search against the coordinate search on every
+    candidate arc's cycle of the small curves and of criterion 7's first
+    ten random curves, at every cap from 1 to the replacement cap, with
+    the context's exclusion, the same cells as a set, no exclusion in
+    either form, and M's whole closure as a set (which lists both
+    endpoints): the same path or the same error."""
+    amb = build_ambient(2, [(0, 15), (0, 15)])
+    rng = random.Random(20260809)  # criterion 7's seed
+    curves = [random_simple_curve(amb, rng, max_perimeter=60) for _ in range(10)]
+    seen = set()
+    for ctx, arc in _arcs([sq1, rect12, ushape, *curves]):
+        M, cycle = ctx.M, arc.cycle
+        excluded = M.closure_cells - closure_of(cycle.cells)
+        exclusions = (
+            (ctx.exclusion(cycle), excluded),
+            (excluded, excluded),
+            (ctx.exclusion(), frozenset()),
+            (frozenset(), frozenset()),
+            (M.closure_cells, M.closure_cells),
+        )
+        caps = range(1, max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)) + 1)
+        for exclude, cells in exclusions:
+            for cap, want in zip(caps, _reference_path_fillings(M.ambient, cycle, cells, caps)):
+                assert _outcome(min_filling, M.ambient, cycle, exclude, cap) == want
+                seen.add(want[0] if isinstance(want, tuple) else "filling")
+    assert seen == {"filling", FillingNotFound}

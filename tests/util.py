@@ -221,6 +221,11 @@ def face_vertices(cell):
     return frozenset(cell.vertices())
 
 
+def closure_of(cells):
+    """Every cell of the cells' closures, themselves included."""
+    return frozenset(f for c in cells for f in c.all_faces())
+
+
 def _face_edges(face):
     """Edges of a face given as a frozenset of 4 vertices."""
     vs = sorted(face)
