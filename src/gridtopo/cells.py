@@ -5,15 +5,16 @@ axes it spans; a vertex spans no axes, an edge one, a square two, a voxel
 three.  All incidence (faces, cofaces, vertices) is computed from the
 coordinates.  `CellCodes` numbers the cells of one ambient by integers in
 canonical order, with incidence as fixed code offsets, for searches that
-run on integers.  A cell's text token,
-`b0,b1,...|a0,a1` (base, then axes), is the one cell format of traces and
-command output.
+run on integers; each ambient holds one, as `AmbientSpace.codes`.  A
+cell's text token, `b0,b1,...|a0,a1` (base, then axes), is the one cell
+format of traces and command output.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -125,11 +126,16 @@ class AmbientSpace:
     """A simply connected box of grid cells: dimension plus per-axis bounds.
 
     `extent[i] = (lo, hi)` bounds vertex coordinates inclusively on axis i.
-    Cells are enumerated implicitly; nothing is materialised.
+    Cells are enumerated implicitly; nothing is materialised but the
+    ambient's one `CellCodes`, built on first use.
     """
 
     n: int
     extent: Tuple[Tuple[int, int], ...]
+
+    @cached_property
+    def codes(self) -> "CellCodes":
+        return CellCodes(self)
 
     def contains_cell(self, cell: CubicalCell) -> bool:
         for i, (lo, hi) in enumerate(self.extent):

@@ -14,6 +14,11 @@ The scan functions (`valid_reports`, `select_peak`, `replacement_filling`,
 `ContractionConfig`, whose variant ranks the reports and whose filling cap
 bounds the filling searches.
 
+A replacement filling keeps off M outside its arc: a shortest path for a
+curve, the better one-sided minimum cut for a surface, which is exact.
+The exact surface search serves only fillings free to run through M:
+`minimum_filling_of_arc`, the lofted circles and the obstruction probe.
+
 `valid_reports` is lazy.  Every filling of an arc's cycle has at least a
 known number of cells (the endpoint distance for curves, a face count for
 surfaces), which bounds each measure from above before any search.  The
@@ -51,9 +56,6 @@ from .filling import (  # VARIANTS is re-exported here, beside the measures
 from .metric import ambient_distance, ball, diameter
 
 CellSet = FrozenSet[CubicalCell]
-
-# Surfaces try the exact filling search only up to this many cells.
-_EXACT_THRESHOLD = 8
 
 RegionFit = namedtuple("RegionFit", "region cycle")
 
@@ -212,7 +214,7 @@ def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
     """
     eff_cap = min(ctx.cfg.filling_cap, len(arc.region))
     try:
-        return min_filling(ctx.M.ambient, arc.cycle, ctx.exclusion(), cap=eff_cap)
+        return min_filling(ctx.M.ambient, arc.cycle, cap=eff_cap)
     except SearchBudgetExceeded:
         cut = _best_one_sided_cut(ctx, arc, len(arc.region))
         return Filling(cells=arc.region if cut is None else cut, boundary=arc.cycle)
@@ -252,9 +254,18 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     """Smallest filling of the arc boundary that avoids M outside it.
 
     Only fillings strictly smaller than both sides of the split are
-    useful, so the size cap is tightened accordingly.  Curves use an exact
-    excluded-path search; surfaces try the exact search when the instance
-    is small and otherwise take the better one-sided minimum cut.
+    useful, so the size cap is tightened accordingly.  Curves take the
+    shortest path that keeps off M's closure; surfaces take the better
+    one-sided minimum cut, which is exact here.  A valid replacement F
+    meets M's closure only inside the cycle's closure and is connected,
+    so F less the cycle lies on one side of M.  F and the arc A together
+    form a 2-cycle, which in the box bounds one voxel set V on F's side,
+    and so F = A + boundary(V) (mod 2): one of that side's cuts, and the
+    least cut is a least replacement.  This is the graph-cut construction
+    of minimal surfaces, on one side of M: Sullivan, "A crystalline
+    approximation theorem for hypersurfaces" (PhD thesis, Princeton
+    1990); Boykov & Kolmogorov, "Computing geodesics and minimal surfaces
+    via graph cuts" (ICCV 2003).
     """
     M = ctx.M
     eff_cap = _replacement_cap(ctx, arc)
@@ -262,20 +273,11 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
         return None
     if M.m == 1:
         try:
-            return min_filling(M.ambient, arc.cycle, exclude=ctx.exclusion(arc.cycle), cap=eff_cap)
-        except (FillingNotFound, SearchBudgetExceeded):
+            return min_filling(M.ambient, arc.cycle, exclude=ctx.exclusion, cap=eff_cap)
+        except FillingNotFound:
             return None
-
     cut = _best_one_sided_cut(ctx, arc, eff_cap)
-    exact_cap = min(eff_cap, len(cut) if cut is not None else _EXACT_THRESHOLD)
-    if exact_cap <= _EXACT_THRESHOLD:
-        try:
-            return min_filling(M.ambient, arc.cycle, exclude=ctx.exclusion(arc.cycle), cap=exact_cap)
-        except (FillingNotFound, SearchBudgetExceeded):
-            pass
-    if cut is None:
-        return None
-    return Filling(cells=cut, boundary=arc.cycle)
+    return None if cut is None else Filling(cells=cut, boundary=arc.cycle)
 
 
 def _replacement_cap(ctx: ScanContext, arc: ArcRegion) -> int:

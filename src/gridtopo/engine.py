@@ -145,7 +145,6 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
     """
     d, _ = diameter(M)
     gmax = max(1, d // 2)
-    nothing = ScanContext(M).exclusion()  # no excluded cell, on codes built once for every ring
     for center in sorted(M.closure_cells):
         for g in range(1, gmax + 1):
             region = ball(M, center, g)
@@ -167,9 +166,7 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
                         cells=cyc.canonical_cells(),
                     )
                 try:
-                    filling = min_filling(
-                        M.ambient, cyc, nothing, cap=min(12, len(small)), node_budget=_PROBE_BUDGET
-                    )
+                    filling = min_filling(M.ambient, cyc, cap=min(12, len(small)), node_budget=_PROBE_BUDGET)
                 except (FillingNotFound, SearchBudgetExceeded):
                     continue
                 hits = filling.cells & M.cells

@@ -11,20 +11,19 @@ A filling of a cycle C is a set of m-cells in the ambient whose topological
 boundary is exactly C.  For curves (m=1) the minimum filling is a shortest
 grid path between the two boundary vertices.  For surfaces the exact search
 runs iterative deepening over the filling size, always extending on the
-canonically smallest deficient edge; when its fixed node budget runs out,
-a deterministic minimum-cut over one side of the manifold supplies a valid
-(possibly non-certified) filling instead.
+canonically smallest deficient edge; it serves only the fillings free to
+run through M.  A surface replacement, which keeps off M, is a one-sided
+minimum cut (`curviness.replacement_filling`); the cut also stands in
+when the exact search runs out of nodes.
 
-Both searches, the path and the surface one, run on `cells.CellCodes`:
-integer codes whose order within a dimension is canonical order, so every
-choice and tie-break falls as it would on cells.  The cells they may not
-touch are one `CodeExclusion`: the codes of M's closure, built once per
-state, and the few codes of the cycle's closure, which stay allowed, so
-no test costs more in a larger ambient.  The minimum cut is a max flow by
-augmenting paths over flat arrays, with the arc's and the rest's carriers
-as implicit terminals; each unit of flow is one cell of the cut, so a
-caller that can use only small cuts passes a cap and the search stops once
-the flow exceeds it.
+Both searches, the path and the surface one, run on the ambient's
+`cells.CellCodes`: integer codes whose order within a dimension is
+canonical order, so every choice and tie-break falls as it would on cells.
+The cells they may not touch are one `CodeExclusion`, a set of codes.  The
+minimum cut is a max flow by augmenting paths over flat arrays, with the
+arc's and the rest's carriers as implicit terminals; each unit of flow is
+one cell of the cut, so a caller that can use only small cuts passes a cap
+and the search stops once the flow exceeds it.
 """
 
 from __future__ import annotations
@@ -113,12 +112,11 @@ def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
 
 
 class CodeExclusion(NamedTuple):
-    """The cells a filling search may not touch, on one ambient's codes:
-    those in `closure` that are not in `allowed`."""
+    """The cells a filling search may not touch, as codes in `closure`, on
+    one ambient's codes."""
 
     codes: CellCodes
-    closure: FrozenSet[int] = frozenset()
-    allowed: FrozenSet[int] = frozenset()
+    closure: FrozenSet[int]
 
 
 def _shortest_path(cycle: Cycle, exclude: CodeExclusion, cap: int) -> CellSet:
@@ -131,16 +129,16 @@ def _shortest_path(cycle: Cycle, exclude: CodeExclusion, cap: int) -> CellSet:
     canonical order, so ties fall as on cells.  The two ends stay usable
     even when excluded.
     """
-    codes, closure, allowed = exclude
+    codes, closure = exclude
     p, q = sorted(codes.code(v) for v in cycle.cells)
 
     def steps(u: int) -> Iterator[Tuple[int, int]]:
         """(edge, far end) for each usable edge at vertex u."""
         for e in codes.cofaces(u):
-            if e not in closure or e in allowed:
+            if e not in closure:
                 a, b = codes.faces(e)
                 v = a + b - u
-                if v not in closure or v in allowed or v == p or v == q:
+                if v not in closure or v == p or v == q:
                     yield e, v
 
     dist, layer = {p: 0}, [p]
@@ -173,7 +171,7 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
     cells' codes, whose order within a dimension is canonical order, so
     every choice and tie-break falls as on cells.
     """
-    codes, closure, allowed = exclude
+    codes, closure = exclude
     m = cycle.m
     target = frozenset(codes.code(c) for c in cycle.cells)
     per_cell = 2 * m
@@ -186,7 +184,7 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
             known[e] = tuple(
                 (f, tuple(codes.faces(f)))
                 for f in sorted(codes.cofaces(e))
-                if closure.intersection(codes.closure(f)) <= allowed
+                if closure.isdisjoint(codes.closure(f))
             )
         return known[e]
 
@@ -246,18 +244,17 @@ def min_filling(
 
     Cells in `exclude` are never touched, apart from a curve cycle's two
     vertices.  Both searches run on the ambient's `CellCodes` against one
-    `CodeExclusion`: the one a `ScanContext` builds without listing the
-    cells, or the one made here from a set of cells.  Raises
-    FillingNotFound when the cycle leaves the ambient or no filling fits
-    the cap, and SearchBudgetExceeded when the surface search runs out of
-    nodes.
+    `CodeExclusion`: a `ScanContext`'s, or the one made here from a set of
+    cells.  Raises FillingNotFound when the cycle leaves the ambient or no
+    filling fits the cap, and SearchBudgetExceeded when the surface search
+    runs out of nodes.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if not all(ambient.contains_cell(c) for c in cycle.cells):
         raise FillingNotFound("the cycle leaves the ambient, so no filling in it has that boundary")
     if not isinstance(exclude, CodeExclusion):
-        codes = CellCodes(ambient)
+        codes = ambient.codes
         # a cell outside the ambient is in no ambient cell's closure
         exclude = CodeExclusion(codes, frozenset(codes.code(c) for c in exclude if ambient.contains_cell(c)))
     if cycle.dim == 0:
@@ -427,9 +424,9 @@ class ScanContext:
     """One manifold state under scan, and what all of its arcs share.
 
     Holds the state `M` and the run's `cfg`; the enclosed region
-    (`inside`), one cut network per side, the ambient's cell codes and the
-    codes of M's closure are built on first use.  A context belongs to
-    its state: build a new one when the state changes.
+    (`inside`), one cut network per side and the exclusion of a curve
+    replacement are built on first use.  A context belongs to its state:
+    build a new one when the state changes.
     """
 
     def __init__(self, M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()):
@@ -447,23 +444,12 @@ class ScanContext:
         return self._networks[side]
 
     @cached_property
-    def codes(self) -> CellCodes:
-        return CellCodes(self.M.ambient)
-
-    @cached_property
-    def _closure_codes(self) -> FrozenSet[int]:
-        return frozenset(map(self.codes.code, self.M.closure_cells))
-
-    def exclusion(self, cycle: Optional[Cycle] = None) -> CodeExclusion:
-        """What a filling of `cycle`, a cycle on M, may not touch: M's
-        closure except the cycle's closure; without a cycle, no cell.  It
-        is on this state's codes, for a curve and a surface alike, so no
-        search builds its own."""
-        codes = self.codes
-        if cycle is None:
-            return CodeExclusion(codes)
-        allowed = frozenset(x for c in cycle.cells for x in codes.closure(codes.code(c)))
-        return CodeExclusion(codes, self._closure_codes, allowed)
+    def exclusion(self) -> CodeExclusion:
+        """What a curve replacement may not touch: M's closure, on the
+        ambient's codes.  A curve cycle's closure is its two vertices,
+        which the path search lets through as its ends."""
+        codes = self.M.ambient.codes
+        return CodeExclusion(codes, frozenset(map(codes.code, self.M.closure_cells)))
 
 
 def one_sided_min_cut(
@@ -537,7 +523,7 @@ def lofted(
         fit = fit_region(M, ball(M, center, i), level=i)
         try:
             cap = min(ctx.cfg.filling_cap, len(fit.region))
-            m_i = min_filling(M.ambient, fit.cycle, ctx.exclusion(), cap=cap)
+            m_i = min_filling(M.ambient, fit.cycle, cap=cap)
             meets = bool(m_i.cells & arc_cells) and m_i.N < len(fit.region)
         except SearchBudgetExceeded:
             # the inside cut first, the outside one only when it is infeasible

@@ -1,6 +1,6 @@
 """Fixture files and trace serialization.
 
-Fixture grammar, one statement per line, `#` comments allowed:
+Fixture grammar, one statement per line, `#` starting a comment:
 
     ambient <n> <lo:hi> ... <lo:hi>
     cell <b0> ... <b_{n-1}> axes <a1> ... <am>

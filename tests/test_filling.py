@@ -5,10 +5,11 @@ from functools import lru_cache
 
 import pytest
 
-from gridtopo import CubicalCell, Cycle, build_ambient, jordan_split, min_filling
+from gridtopo import CubicalCell, Cycle, build_ambient, jordan_split, min_filling, validate
+from gridtopo.cells import CellCodes
 from gridtopo.complexes import components, region_boundary
 from gridtopo.corpus import random_simple_curve
-from gridtopo.curviness import boundary_cycle_fit, candidate_arcs, replacement_filling
+from gridtopo.curviness import _replacement_cap, boundary_cycle_fit, candidate_arcs, replacement_filling
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
 from gridtopo.filling import (
@@ -335,6 +336,34 @@ def _surfaces(amb3, box211, torus):
     return [box211, torus, *polycubes, *golden_states("box211")]
 
 
+def _random_polycube(rng, n):
+    """A face-connected set of n voxels in the 3x3x3 block, grown from one
+    voxel (the benchmark's polycube generator)."""
+    vox = {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))}
+    while len(vox) < n:
+        x, y, z = rng.choice(sorted(vox))
+        w = [x, y, z]
+        w[rng.randrange(3)] += rng.choice((-1, 1))
+        if all(0 <= c <= 2 for c in w):
+            vox.add(tuple(w))
+    return tuple(sorted(vox))
+
+
+def _random_polycube_surfaces(amb3, count, seed):
+    """The boundaries of the first `count` distinct polycubes of 3 to 12
+    voxels, drawn from a fixed seed, whose boundary is a closed surface."""
+    rng, seen, out = random.Random(seed), set(), []
+    while len(out) < count:
+        vox = _random_polycube(rng, rng.randint(3, 12))
+        if vox in seen:
+            continue
+        seen.add(vox)
+        M = surface_from_voxels(amb3, vox)
+        if validate(M).ok:
+            out.append(M)
+    return out
+
+
 def test_min_cut_matches_reference(amb3, box211, torus):
     """Every candidate arc and side, all solved on one context per state
     (so no solve may leak into the shared networks): uncapped, the cut is
@@ -383,10 +412,17 @@ def _reference_replacement_filling(networks, ctx, arc):
 
 
 def test_replacement_filling_matches_reference(amb3, box211, torus):
-    """The capped cuts and the coded search inside `replacement_filling`
-    pick what the uncapped reference cuts and the cell search pick."""
+    """The capped cut that `replacement_filling` takes for a surface picks
+    what the reference rule picks: the uncapped reference cuts, then the
+    cell search, on the fixture surfaces, ten random polycubes and the
+    first, middle and last box333 states."""
     found, networks = 0, {}
-    for ctx, arc in _arcs(_surfaces(amb3, box211, torus)):
+    manifolds = [
+        *_surfaces(amb3, box211, torus),
+        *_random_polycube_surfaces(amb3, 10, seed=1),
+        *list(golden_states("box333"))[::22],
+    ]
+    for ctx, arc in _arcs(manifolds):
         got = replacement_filling(ctx, arc)
         assert (got and got.cells) == _reference_replacement_filling(networks, ctx, arc)
         found += got is not None
@@ -403,10 +439,10 @@ def _outcome(search, *args):
 
 def test_parity_search_matches_reference(amb3, box211, torus):
     """The coded exact search against the cell search on every candidate
-    arc's cycle, at the cap `replacement_filling` gives it, with the
-    exclusion that function passes (as a context's code exclusion and as a
-    cell set) and with none, under node budgets that stop it at once, truncate
-    it and let it finish: the same filling or the same error."""
+    arc's cycle, at the replacement cap up to 8, with M's closure less the
+    cycle's closure as a cell set and with no exclusion, under node budgets
+    that stop it at once, truncate it and let it finish: the same filling
+    or the same error."""
     seen = set()
     for ctx, arc in _arcs(_surfaces(amb3, box211, torus)):
         M, cycle = ctx.M, arc.cycle
@@ -414,7 +450,6 @@ def test_parity_search_matches_reference(amb3, box211, torus):
         cap = max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1, 8))
         for budget in (1, 10, 100, 1000):
             want = _outcome(_reference_parity_min_filling, M.ambient, cycle, excluded, cap, budget)
-            assert _outcome(min_filling, M.ambient, cycle, ctx.exclusion(cycle), cap, budget) == want
             assert _outcome(min_filling, M.ambient, cycle, excluded, cap, budget) == want
             want_free = _outcome(_reference_parity_min_filling, M.ambient, cycle, frozenset(), cap, budget)
             assert _outcome(min_filling, M.ambient, cycle, frozenset(), cap, budget) == want_free
@@ -491,20 +526,71 @@ def test_fillings_in_a_large_ambient():
 
 
 def test_exclusion_is_closure_less_cycle_closure(ushape, box211, torus):
-    """A context's exclusion for a cycle on M is M's closure less the
-    cycle's closure, on the state's codes for a curve and a surface alike,
-    and the replacement filling keeps out of it; without a cycle it is
-    empty."""
+    """A context's exclusion is M's closure on the ambient's codes, and
+    every replacement filling, a curve's or a surface's, keeps out of M's
+    closure less the cycle's closure."""
     for ctx, arc in _arcs([ushape, box211, torus]):
         M = ctx.M
-        want = M.closure_cells - closure_of(arc.cycle.cells)
-        got = ctx.exclusion(arc.cycle)
-        assert isinstance(got, CodeExclusion) and got.codes is ctx.codes
-        assert {got.codes.cell(x) for x in got.closure - got.allowed} == want
-        nothing = ctx.exclusion()
-        assert isinstance(nothing, CodeExclusion) and nothing.codes is ctx.codes and not nothing.closure
+        got = ctx.exclusion
+        assert isinstance(got, CodeExclusion) and got.codes is M.ambient.codes
+        assert {got.codes.cell(x) for x in got.closure} == M.closure_cells
         filling = replacement_filling(ctx, arc)
-        assert filling is None or closure_of(filling.cells).isdisjoint(want)
+        assert filling is None or closure_of(filling.cells).isdisjoint(M.closure_cells - closure_of(arc.cycle.cells))
+
+
+def test_cell_set_exclusions_build_no_codes(monkeypatch):
+    """Fillings with cell-set exclusions all run on the ambient's one
+    `CellCodes`: a loop of them builds it once, on first use, and no more."""
+    amb = build_ambient(3, [(-2, 5)] * 3)
+    M = surface_from_voxels(amb, [(0, 0, 0), (1, 0, 0)])
+    built, init = [], CellCodes.__init__
+
+    def counted_init(self, ambient):
+        built.append(ambient)
+        init(self, ambient)
+
+    monkeypatch.setattr(CellCodes, "__init__", counted_init)
+    arcs = [arc for _, arc in _arcs([M])]
+    for arc in arcs:
+        exclude = M.closure_cells - closure_of(arc.cycle.cells)
+        _outcome(min_filling, amb, arc.cycle, exclude, 8, 1_000)
+    assert len(arcs) > 1 and built == [amb]
+    assert amb.codes is amb.codes
+
+
+def test_replacement_filling_is_exact_on_random_polycubes(amb3):
+    """On random polycubes in a 3x3x3 block, at every candidate arc and
+    radius, whenever the exact search keeping off M's closure less the
+    cycle's closure finishes with a filling within the replacement cap,
+    the replacement filling (the better one-sided cut) has as many cells."""
+    both = 0
+    for ctx, arc in _arcs(_random_polycube_surfaces(amb3, 16, seed=1)):
+        M = ctx.M
+        cap = _replacement_cap(ctx, arc)
+        if cap < 1:
+            continue
+        exclude = M.closure_cells - closure_of(arc.cycle.cells)
+        want = _outcome(min_filling, M.ambient, arc.cycle, exclude, cap, 20_000)
+        if isinstance(want, tuple):
+            continue
+        got = replacement_filling(ctx, arc)
+        assert got is not None and got.N == len(want)
+        both += 1
+    assert both > 0
+
+
+def test_replacement_filling_lids_a_pit(amb3):
+    """A 3x3x2 box less its top centre voxel has a pit.  The arc of the
+    pit's five faces has no inside cut, so its replacement is the outside
+    one, the lid, which the exact search also finds."""
+    voxels = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
+    M = surface_from_voxels(amb3, [v for v in voxels if v != (1, 1, 1)])
+    lid = CubicalCell.make((1, 1, 2), (0, 1))
+    pit = frozenset(CubicalCell.make((1, 1, 1), (0, 1, 2)).faces()) - {lid}
+    ((ctx, arc),) = [(ctx, arc) for ctx, arc in _arcs([M]) if arc.region == pit]
+    assert one_sided_min_cut(ctx, pit, "inside") is None
+    assert replacement_filling(ctx, arc).cells == {lid}
+    assert min_filling(M.ambient, arc.cycle, M.closure_cells - closure_of(arc.cycle.cells), cap=4).cells == {lid}
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +654,9 @@ def test_path_search_matches_reference(sq1, rect12, ushape):
     """The coded path search against the coordinate search on every
     candidate arc's cycle of the small curves and of criterion 7's first
     ten random curves, at every cap from 1 to the replacement cap, with
-    the context's exclusion, the same cells as a set, no exclusion in
-    either form, and M's whole closure as a set (which lists both
-    endpoints): the same path or the same error."""
+    the context's exclusion (M's whole closure), M's closure less the
+    cycle's closure as a set, no exclusion, and M's whole closure as a set
+    (which lists both endpoints): the same path or the same error."""
     amb = build_ambient(2, [(0, 15), (0, 15)])
     rng = random.Random(20260809)  # criterion 7's seed
     curves = [random_simple_curve(amb, rng, max_perimeter=60) for _ in range(10)]
@@ -579,9 +665,8 @@ def test_path_search_matches_reference(sq1, rect12, ushape):
         M, cycle = ctx.M, arc.cycle
         excluded = M.closure_cells - closure_of(cycle.cells)
         exclusions = (
-            (ctx.exclusion(cycle), excluded),
+            (ctx.exclusion, M.closure_cells),
             (excluded, excluded),
-            (ctx.exclusion(), frozenset()),
             (frozenset(), frozenset()),
             (M.closure_cells, M.closure_cells),
         )
