@@ -57,6 +57,8 @@ def _cmd_curviness(args) -> int:
 
 def _cmd_contract(args) -> int:
     M = io.load_fixture(args.input)
+    if args.frames_out:
+        render_mod.frame_format(args.format, M.ambient.n, M.m)
     cfg = engine.ContractionConfig(
         variant=args.variant,
         filling_cap=args.filling_cap,

@@ -3,15 +3,18 @@
 A ManifoldComplex is a finite set of m-cells plus its derived closure.  The
 validation report checks the regular-manifold conditions: coface counts of
 (m-1)-cells, connectivity through shared (m-1)-cells, and the local link
-condition at every vertex.  Every connectivity question on cell sets
-(validation, cycle validity, splitting along a cycle, flooding the region a
-surface encloses) goes through the one `components` helper here.
+condition at every vertex.  Every connectivity question on sets of cells
+(validation, cycle validity, splitting along a cycle) goes through the one
+`components` helper here; the region a surface encloses is flooded on the
+integer grid of its bounding block instead (`filling.enclosed_cells`).
 
 Each complex also carries one integer `StateIndex`, built on first use: its
 vertices, m-cells and (m-1)-cells numbered in canonical order, the distance
 matrix between its vertices inside the complex, and flat incidence tables.
-Balls, diameters and region fits read it instead of searching the graph
-again for every center.
+On first use it also tabulates the distance from every closure cell, as a
+ball center, to every vertex.  Balls, diameters and region fits read it
+instead of searching the graph again for every center, and the candidate
+scan thresholds every center's row at once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import AbstractSet, Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,10 +140,15 @@ class StateIndex:
     - `face_ridges[2(m-1)*f : 2(m-1)*f + 2(m-1)]`: for m >= 2, the ids of
       the (m-2)-cells bounding face f in the canonical order of
       (m-2)-cells; for m = 2 these are its two vertex ids.
+    - `centers`, `center_id`: every cell of the closure, all dimensions,
+      by id in canonical order, built on first use.
+    - `center_dist[c, v]`: the distance inside the complex from center c
+      to vertex v, the least over c's own vertices; built on first use.
     """
 
     def __init__(self, M: ManifoldComplex):
         m = M.m
+        self._closure = M.closure
         self.vertices: Tuple[Coord, ...] = tuple(sorted(M.vertices))
         self.vertex_id: Dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
         self.cells: Tuple[CubicalCell, ...] = M.canonical_cells()
@@ -173,6 +182,23 @@ class StateIndex:
             len(self.cells), 1 << m
         )
         self.dist = _all_pairs_levels(len(self.vertices), ends)
+
+    @cached_property
+    def centers(self) -> Tuple[CubicalCell, ...]:
+        # canonical order sorts on the dimension first
+        return tuple(c for k in sorted(self._closure) for c in sorted(self._closure[k]))
+
+    @cached_property
+    def center_id(self) -> Dict[CubicalCell, int]:
+        return {c: i for i, c in enumerate(self.centers)}
+
+    @cached_property
+    def center_dist(self) -> np.ndarray:
+        vid, rows = self.vertex_id, []
+        for k, same_dim in groupby(self.centers, key=lambda c: c.dim):
+            corners = [vid[v] for c in same_dim for v in c.vertices()]
+            rows.append(self.dist[np.reshape(corners, (-1, 1 << k))].min(axis=1))
+        return np.concatenate(rows)
 
 
 def _all_pairs_levels(n: int, ends: Sequence[int]) -> np.ndarray:

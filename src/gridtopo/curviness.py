@@ -33,7 +33,9 @@ import heapq
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
+
+import numpy as np
 
 from .cells import AmbientSpace, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, one_component, region_boundary
@@ -41,7 +43,6 @@ from .errors import (
     CodimensionUnsupported,
     CycleFitFailed,
     FillingNotFound,
-    GridTopoError,
     NoFittingCycle,
     SearchBudgetExceeded,
 )
@@ -53,7 +54,7 @@ from .filling import (  # VARIANTS is re-exported here, beside the measures
     min_filling,
     one_sided_min_cut,
 )
-from .metric import ambient_distance, ball, diameter
+from .metric import ambient_distance, diameter
 
 CellSet = FrozenSet[CubicalCell]
 
@@ -105,7 +106,8 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
     (m-1)-manifold, or the region would exceed half of M.  M must be closed
     and connected, as every state `contract` reaches is; the cycle then
     separates M.  The ball's cells must be cells of M.  The search runs on
-    the ids of `M.index`; cells are built only for the returned fit.
+    the ids of `M.index` (`_grow`); cells are built only for the returned
+    fit.
     """
     def fail(msg):
         if level is not None:
@@ -114,15 +116,30 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
 
     if not ball_cells:
         fail("empty region")
-    half = len(M.cells) // 2
-    if len(ball_cells) > half:
+    if len(ball_cells) > len(M.cells) // 2:
         fail(f"region of {len(ball_cells)} cells exceeds half of {len(M.cells)}")
     ix = M.index
+    region = {ix.cell_id[c] for c in ball_cells}
+    bd = _grow(ix, M.m, region)
+    if bd is None:
+        fail("no regular separating cycle within half of M")
+    return _region_fit(ix, M.m, region, bd)
+
+
+def _region_fit(ix, m: int, region: Set[int], bd: Set[int]) -> RegionFit:
+    """The fit of cell ids `region` with boundary face ids `bd`, as cells."""
+    return RegionFit(frozenset(ix.cells[i] for i in region), Cycle(frozenset(ix.faces[f] for f in bd), m))
+
+
+def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
+    """`fit_region` on cell ids: grows the non-empty `region`, of at most
+    half of M's cells, in place, and returns its boundary's face ids, or
+    None when no fit stays within half of M."""
     if ix.face_cells is None:
         raise ValueError("fit_region needs a closed manifold: a face lies in other than two cells")
-    k = 2 * M.m
+    k = 2 * m
     cell_faces, face_cells = ix.cell_faces, ix.face_cells
-    region = {ix.cell_id[c] for c in ball_cells}
+    half = len(ix.cells) // 2
     bd = set()  # faces with an odd number of cells in the region
     for i in region:
         bd.symmetric_difference_update(cell_faces[k * i : k * i + k])
@@ -132,10 +149,8 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
         return (face_cells[2 * f] + face_cells[2 * f + 1] - i for f in cell_faces[k * i : k * i + k])
 
     while True:
-        if _is_cycle(ix, bd, M.m) and one_component(region, across):
-            cells = frozenset(ix.cells[i] for i in region)
-            cyc = Cycle(frozenset(ix.faces[f] for f in bd), M.m)
-            return RegionFit(cells, cyc)
+        if _is_cycle(ix, bd, m) and one_component(region, across):
+            return bd
         # Repair: absorb the smallest cell of M across the current
         # boundary; each absorption can only merge components or remove a
         # boundary defect, and the region stops at half of M.  A boundary
@@ -146,7 +161,7 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
             a, b = face_cells[2 * f], face_cells[2 * f + 1]
             candidates.add(b if a in region else a)
         if not candidates or len(region) + 1 > half:
-            fail("no regular separating cycle within half of M")
+            return None
         c = min(candidates)
         region.add(c)
         bd.symmetric_difference_update(cell_faces[k * c : k * c + k])
@@ -304,16 +319,36 @@ def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
 
 
 def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
-    """Deduplicated fitted arcs from balls around every closure cell."""
-    seen: Dict[CellSet, ArcRegion] = {}
-    for center in sorted(M.closure_cells):
-        try:
-            fit = fit_region(M, ball(M, center, gamma))
-        except GridTopoError:
+    """Deduplicated fitted arcs from balls around every closure cell.
+
+    Every center's ball comes from one threshold of the state's
+    center-to-vertex distances (`StateIndex.center_dist`); a ball that is
+    empty or holds more than half of M has no fit and is skipped.  The
+    balls are grown on cell ids, and the first center in canonical order
+    keeps each distinct region.  Arcs come in the canonical order of their
+    centers.
+    """
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
+    ix, m = M.index, M.m
+    in_ball = (ix.center_dist <= gamma)[:, ix.cell_vertices].all(axis=2)
+    ids = np.nonzero(in_ball)[1].tolist()  # each center's ball ids, ascending, center by center
+    half = len(ix.cells) // 2
+    regions: Set[FrozenSet[int]] = set()
+    arcs = []
+    end = 0
+    for center, size in zip(ix.centers, in_ball.sum(axis=1).tolist()):
+        start, end = end, end + size
+        if not 0 < size <= half:
             continue
-        if fit.region not in seen:
-            seen[fit.region] = ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle)
-    return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
+        region = set(ids[start:end])
+        bd = _grow(ix, m, region)
+        key = frozenset(region)
+        if bd is None or key in regions:
+            continue
+        regions.add(key)
+        arcs.append(ArcRegion(center, gamma, *_region_fit(ix, m, region, bd)))
+    return arcs
 
 
 def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:

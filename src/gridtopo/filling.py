@@ -34,10 +34,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
+from operator import add, mul
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
+import numpy as np
+
 from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, components, one_component, region_boundary, split_by_cycle
+from .complexes import Cycle, ManifoldComplex, one_component, region_boundary, split_by_cycle
 from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
 from .metric import ambient_distance, ball
 
@@ -268,51 +271,73 @@ def min_filling(
 # Region machinery for codimension-one manifolds.
 
 
+def _bbox(ambient: AmbientSpace, verts: Iterable[Coord]) -> Tuple[List[int], List[int]]:
+    """Per axis, the least and the largest base of a top cell in the
+    vertices' bounding block, one cell wider on every side and clipped to
+    the ambient."""
+    coords = list(zip(*verts))
+    lo = [max(min(x) - 1, l) for x, (l, _) in zip(coords, ambient.extent)]
+    hi = [min(max(x), h - 1) for x, (_, h) in zip(coords, ambient.extent)]
+    return lo, hi
+
+
 def _bbox_top_cells(ambient: AmbientSpace, verts: Iterable[Coord]) -> List[CubicalCell]:
-    """Top cells of the vertices' bounding block, one cell wider on the low
-    side and clipped to the ambient, in canonical order."""
-    verts = list(verts)
-    n = ambient.n
-    lo = [min(v[i] for v in verts) - 1 for i in range(n)]
-    hi = [max(v[i] for v in verts) for i in range(n)]
-    lo = [max(l, ambient.extent[i][0]) for i, l in enumerate(lo)]
-    hi = [min(h, ambient.extent[i][1] - 1) for i, h in enumerate(hi)]
-    axes = tuple(range(n))
-    ranges = [range(l, h + 1) for l, h in zip(lo, hi)]
-    return [CubicalCell(n, base, axes) for base in product(*ranges)]
+    """Top cells of the vertices' bounding block (`_bbox`), in canonical
+    order."""
+    lo, hi = _bbox(ambient, verts)
+    axes = tuple(range(ambient.n))
+    return [CubicalCell(ambient.n, base, axes) for base in product(*(range(l, h + 1) for l, h in zip(lo, hi)))]
 
 
 def enclosed_cells(ambient: AmbientSpace, surface: CellSet) -> CellSet:
     """Top-dimensional cells enclosed by a closed codimension-one surface.
 
-    Within the bounding block of the surface (one cell wider on the low
-    side, clipped to the ambient), a component of cells joined across
-    faces off the surface is outside when one of its cells has a face on
-    the block's outer boundary that is not on the surface; the rest is
-    enclosed.
+    Within the surface's bounding block (`_bbox`), a cell is outside when
+    cells joined across faces off the surface lead from it out of the
+    block; the rest is enclosed.  Only the surface's (n-1)-cells are
+    walls, so cells of other dimensions enclose nothing.
+
+    The labelling (Rosenfeld & Pfaltz, "Sequential operations in digital
+    picture processing", JACM 1966) is a flood on integers.  The block and
+    one outer layer of cells are numbered with the last axis fastest, so a
+    cell's neighbour along axis a is `stride[a]` away, and bit i stands
+    for cell i.  From the outer layer, each bitwise step crosses every
+    face off the surface at once, until nothing new is reached.  A step
+    that runs off a row lands in the outer layer, reached from the start.
     """
     if not surface:
         return frozenset()
-    verts = set()
-    for c in surface:
-        verts.update(c.vertices())
     n = ambient.n
-    cells = _bbox_top_cells(ambient, verts)
-    lo, hi = cells[0].base, cells[-1].base
-    rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
-    hull = set()
-    for c in cells:
-        for a in range(n):
-            for bound, step in ((lo[a], 0), (hi[a], 1)):
-                if c.base[a] == bound:
-                    outer = c.base[:a] + (bound + step,) + c.base[a + 1 :]
-                    if CubicalCell(n - 1, outer, rest[a]) not in surface:
-                        hull.add(c)
-    inside: set = set()
-    for comp in components(cells, n, blocked=surface):
-        if comp.isdisjoint(hull):
-            inside |= comp
-    return frozenset(inside)
+    far = {axes: tuple(int(i in axes) for i in range(n)) for axes in {c.axes for c in surface}}
+    lo, hi = _bbox(ambient, [c.base for c in surface] + [tuple(map(add, c.base, far[c.axes])) for c in surface])
+    shape = [h - l + 3 for l, h in zip(lo, hi)]
+    stride = [math.prod(shape[a + 1 :]) for a in range(n)]
+    # Bit i of walls[a]: the face between cell i and its lower neighbour
+    # along axis a is on the surface.  Faces of the outer layer alone are
+    # left out; a cell outside the ambient lies on no face of the block.
+    perp = {tuple(x for x in range(n) if x != a): a for a in range(n)}
+    walls = [0] * n
+    for c in surface:
+        a = perp.get(c.axes)
+        if a is not None:
+            at = [b - l + 1 for b, l in zip(c.base, lo)]
+            if all(0 < x < s - (i != a) for i, (x, s) in enumerate(zip(at, shape))):
+                walls[a] |= 1 << sum(map(mul, at, stride))
+    block = np.zeros(shape, bool)
+    block[(slice(1, -1),) * n] = True
+    every = (1 << block.size) - 1
+    inner = int.from_bytes(np.packbits(block, bitorder="little").tobytes(), "little")
+    reached, grown = 0, every & ~inner
+    while grown != reached:
+        reached = grown
+        for wall, step in zip(walls, stride):
+            grown |= (reached << step) & ~wall | (reached & ~wall) >> step
+        grown &= every
+    left = (inner & ~reached).to_bytes(block.size // 8 + 1, "little")
+    inside = np.flatnonzero(np.unpackbits(np.frombuffer(left, np.uint8), bitorder="little"))
+    bases = np.transpose(np.unravel_index(inside, shape)) + np.subtract(lo, 1)
+    axes = tuple(range(n))
+    return frozenset(CubicalCell(n, tuple(b), axes) for b in bases.tolist())
 
 
 def inside_region(M: ManifoldComplex) -> CellSet:

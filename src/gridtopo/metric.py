@@ -6,9 +6,12 @@ Distances inside a complex use only its own cells; ambient distances may
 use every grid cell.
 
 Vertex distances inside a complex M come from one matrix per state,
-`M.index.dist`, computed once: `ball`, `diameter` and `all_pairs` read it.
-`vertex_distances` is the plain breadth-first search; `cell_distance` uses
-it, and the tests use it as the oracle the matrix must match.
+`M.index.dist`, computed once: `diameter` and `all_pairs` read it.  A ball
+reads one row of `M.index.center_dist`, the distances from its center,
+which the candidate scan (`curviness.candidate_arcs`) thresholds for every
+center at once.  `vertex_distances` is the plain breadth-first search;
+`cell_distance` uses it, and the tests use it as the oracle the tables
+must match.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .cells import AmbientSpace, Coord, CubicalCell
 from .complexes import ManifoldComplex
-from .errors import Unreachable
+from .errors import CellNotInComplex, Unreachable
 
 Space = Union[ManifoldComplex, AmbientSpace]
 
@@ -173,14 +176,15 @@ def diameter(M: ManifoldComplex) -> Tuple[int, Tuple[Coord, Coord]]:
 def ball(M: ManifoldComplex, center: CubicalCell, gamma: int) -> FrozenSet[CubicalCell]:
     """m-cells of M whose every vertex lies within gamma of the center.
 
-    The center may be any cell of M's closure; vertex distances are taken
-    inside M from the center's own vertices.
+    The center may be any cell of M's closure, and CellNotInComplex is
+    raised for any other; vertex distances are taken inside M from the
+    center's own vertices.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     ix = M.index
-    rows = [ix.vertex_id[v] for v in center.vertices() if v in ix.vertex_id]
-    if not rows:
-        return frozenset()
-    near = ix.dist[rows].min(axis=0) <= gamma
+    row = ix.center_id.get(center)
+    if row is None:
+        raise CellNotInComplex(f"{center} is not a cell of M's closure")
+    near = ix.center_dist[row] <= gamma
     return frozenset(compress(ix.cells, near[ix.cell_vertices].all(axis=1).tolist()))

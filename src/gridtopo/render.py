@@ -13,7 +13,7 @@ from typing import List, Union
 
 from .cells import CubicalCell
 from .deform import DeformationTrace
-from .errors import ReplayMismatch
+from .errors import GridTopoError, ReplayMismatch
 
 _SCALE = 24
 _PAD = 12
@@ -101,12 +101,28 @@ def _obj_frame(state, changed) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(trace: DeformationTrace, out_dir: Union[str, Path], fmt: str = "auto") -> List[Path]:
-    """Write one frame file per state; returns the paths written."""
+# What each format draws: (ambient dimension, cell dimension).
+_DRAWS = {"svg-2d": (2, 1), "obj-3d": (3, 2)}
+
+
+def frame_format(fmt: str, n: int, m: int) -> str:
+    """The format `fmt` names for m-cells in an n-dimensional ambient,
+    `auto` choosing by the ambient.  Raises GridTopoError when that
+    format cannot draw them."""
     if fmt == "auto":
-        fmt = "svg-2d" if trace.ambient.n == 2 else "obj-3d"
-    if fmt not in ("svg-2d", "obj-3d"):
+        fmt = "svg-2d" if n == 2 else "obj-3d"
+    if fmt not in _DRAWS:
         raise ValueError(f"unknown format {fmt!r}")
+    if _DRAWS[fmt] != (n, m):
+        want_n, want_m = _DRAWS[fmt]
+        raise GridTopoError(f"{fmt} draws {want_m}-cells in a {want_n}-d ambient, not {m}-cells in a {n}-d one")
+    return fmt
+
+
+def render(trace: DeformationTrace, out_dir: Union[str, Path], fmt: str = "auto") -> List[Path]:
+    """Write one frame file per state; returns the paths written.  The
+    format is checked (`frame_format`) before any frame is written."""
+    fmt = frame_format(fmt, trace.ambient.n, trace.m)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

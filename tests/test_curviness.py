@@ -20,6 +20,7 @@ from gridtopo.complexes import Cycle, components, region_boundary
 from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import (
     VARIANTS,
+    ArcRegion,
     boundary_cycle_fit,
     candidate_arcs,
     filling_lower_bound,
@@ -39,6 +40,8 @@ from util import (
     edge_graph_of_complex,
     golden_states,
     oracle_min_paths,
+    random_polycube_surfaces,
+    reference_ball,
     surface_from_voxels,
 )
 
@@ -193,6 +196,41 @@ def test_candidate_arcs_deduplicate(ushape):
     arcs = candidate_arcs(ushape, 2)
     regions = [a.region for a in arcs]
     assert len(regions) == len(set(regions))
+
+
+def reference_candidate_arcs(M, gamma):
+    """`candidate_arcs` as it was before the batch scan: a ball from a
+    fresh search and a fit at every closure center in canonical order,
+    failed fits skipped, the first center of each region kept."""
+    seen = {}
+    for center in sorted(M.closure_cells):
+        try:
+            fit = curviness_module.fit_region(M, reference_ball(M, center, gamma))
+        except GridTopoError:
+            continue
+        if fit.region not in seen:
+            seen[fit.region] = ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle)
+    return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
+
+
+def test_candidate_arcs_match_reference(amb3, ushape, rect12, sq1, box111, box211, torus):
+    """The batch scan against the per-center scan at every scanned radius:
+    the same arcs (center, radius, region, cycle), in the same order, on
+    the fixtures, every golden state, seeded random curves and random
+    polycubes, the last of which has distinct balls that fit one region."""
+    amb2 = build_ambient(2, [(0, 15), (0, 15)])
+    manifolds = [ushape, rect12, sq1, box111, box211, torus]
+    for name in ("sq1", "rect12", "ushape", "box111", "box211", "box333", "torus", "spacecurve"):
+        manifolds += golden_states(name)
+    manifolds += [random_simple_curve(amb2, random.Random(seed)) for seed in (3, 11, 29)]
+    manifolds += random_polycube_surfaces(amb3, 10, seed=2)
+    arcs = 0
+    for M in manifolds:
+        for gamma in radius_sweep(M):
+            got = candidate_arcs(M, gamma)
+            assert got == reference_candidate_arcs(M, gamma)
+            arcs += len(got)
+    assert arcs
 
 
 def test_determinism_of_reports(ushape):

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import json
 import random
+import re
 
 import pytest
 
@@ -16,8 +18,10 @@ from gridtopo.corpus import random_simple_curve
 from gridtopo.deform import ReplaceStep, SplitStep
 from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
 from gridtopo.errors import ValidationFailed
+from gridtopo.io import load_fixture, trace_to_json
 
-from util import curve_from_pixels, golden_states
+from conftest import FIXTURE_DIR
+from util import GOLDEN_DIR, curve_from_pixels, golden_states
 
 def replace_steps(trace):
     return [s for s in trace.steps if isinstance(s, (ReplaceStep, SplitStep))]
@@ -206,3 +210,71 @@ def test_irreducible_witness_matches_enumeration():
         assert got == reference_witness(M)
         dims.add(None if got is None else got.dim)
     assert dims == {None, 0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# Symmetry: moving the input moves the trace.
+
+_TOKEN = re.compile(r"(-?\d+(?:,-?\d+)*)\|([\d,]*)")
+
+
+def _moved(M, extent, move):
+    """M carried into an ambient of the given extent, cell by cell."""
+    return ManifoldComplex.make(build_ambient(M.ambient.n, extent), M.m, map(move, M.cells))
+
+
+def _translated_doc(doc, shift):
+    """A trace document with every cell token and the ambient translated."""
+    if isinstance(doc, dict):
+        out = {k: _translated_doc(v, shift) for k, v in doc.items()}
+        if "extent" in doc:
+            out["extent"] = [[lo + t, hi + t] for (lo, hi), t in zip(doc["extent"], shift)]
+        return out
+    if isinstance(doc, list):
+        return [_translated_doc(v, shift) for v in doc]
+    if isinstance(doc, str) and _TOKEN.fullmatch(doc):
+        base, axes = doc.split("|")
+        return ",".join(str(int(b) + t) for b, t in zip(base.split(","), shift)) + "|" + axes
+    return doc
+
+
+def _trace_text(result):
+    """The text `gridtopo contract --trace-out` writes."""
+    children = {n.node_id: n.trace for n in result.nodes if n.node_id != result.root.node_id}
+    return json.dumps(trace_to_json(result.root.trace, children), indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", ["ushape", "rect12", "box211", "box111"])
+def test_translation_translates_the_trace(name):
+    """Translating the input with its ambient by (3, -1[, -1]) gives the
+    golden trace with every cell token translated, byte for byte."""
+    M = load_fixture(FIXTURE_DIR / f"{name}.txt")
+    shift = (3, -1, -1)[: M.ambient.n]
+    extent = [(lo + t, hi + t) for (lo, hi), t in zip(M.ambient.extent, shift)]
+    moved = _moved(M, extent, lambda c: CubicalCell(c.dim, tuple(b + t for b, t in zip(c.base, shift)), c.axes))
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    expected = json.dumps(_translated_doc(golden, shift), indent=1, sort_keys=True) + "\n"
+    assert _trace_text(contract(moved)) == expected
+
+
+@pytest.mark.parametrize("name", ["ushape", "rect12", "box211", "box111"])
+def test_axis_permutation_and_reflection_keep_the_verdict(name):
+    """Permuting the axes cyclically, or reflecting axis 0, gives the same
+    exit code."""
+    M = load_fixture(FIXTURE_DIR / f"{name}.txt")
+    n, ext = M.ambient.n, M.ambient.extent
+    perm = [(i + 1) % n for i in range(n)]  # new axis i is old axis perm[i]
+    permuted = _moved(
+        M,
+        [ext[p] for p in perm],
+        lambda c: CubicalCell.make([c.base[p] for p in perm], [i for i, p in enumerate(perm) if p in c.axes]),
+    )
+    (lo, hi), rest = ext[0], list(ext[1:])
+    reflected = _moved(
+        M,
+        [(-hi, -lo), *rest],
+        lambda c: CubicalCell(c.dim, (-c.base[0] - (0 in c.axes),) + c.base[1:], c.axes),
+    )
+    want = contract(M).exit_code
+    assert contract(permuted).exit_code == want
+    assert contract(reflected).exit_code == want

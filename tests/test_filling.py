@@ -5,7 +5,8 @@ from functools import lru_cache
 
 import pytest
 
-from gridtopo import CubicalCell, Cycle, build_ambient, jordan_split, min_filling, validate
+from gridtopo import CubicalCell, Cycle, build_ambient, contract, jordan_split, min_filling
+from gridtopo import deform as deform_module
 from gridtopo.cells import CellCodes
 from gridtopo.complexes import components, region_boundary
 from gridtopo.corpus import random_simple_curve
@@ -24,6 +25,7 @@ from gridtopo.filling import (
     one_sided_min_cut,
     semi_convex,
 )
+from gridtopo.io import load_fixture
 from gridtopo.metric import ball
 
 from util import (
@@ -34,8 +36,13 @@ from util import (
     golden_states,
     oracle_min_paths,
     oracle_min_surface_fillings,
+    random_polycube,
+    random_polycube_surfaces,
+    solid_surface_cells,
     surface_from_voxels,
 )
+
+from conftest import FIXTURE_DIR
 
 
 def vertex_cycle(p, q):
@@ -135,6 +142,74 @@ def test_enclosed_cells_square():
     amb = build_ambient(2, [(-1, 3), (-1, 3)])
     sq = CubicalCell.make((0, 0), (0, 1))
     assert enclosed_cells(amb, frozenset(sq.faces())) == {sq}
+
+
+def reference_enclosed_cells(ambient, surface):
+    """`enclosed_cells` as it was before the integer flood: components of
+    the block's top cells joined across faces off the surface, a
+    component outside when one of its cells has a face off the surface on
+    the block's outer boundary."""
+    if not surface:
+        return frozenset()
+    n = ambient.n
+    cells = _bbox_top_cells(ambient, {v for c in surface for v in c.vertices()})
+    lo, hi = cells[0].base, cells[-1].base
+    rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
+    hull = set()
+    for c in cells:
+        for a in range(n):
+            for bound, step in ((lo[a], 0), (hi[a], 1)):
+                if c.base[a] == bound:
+                    outer = c.base[:a] + (bound + step,) + c.base[a + 1 :]
+                    if CubicalCell(n - 1, outer, rest[a]) not in surface:
+                        hull.add(c)
+    inside = set()
+    for comp in components(cells, n, blocked=surface):
+        if comp.isdisjoint(hull):
+            inside |= comp
+    return frozenset(inside)
+
+
+def test_enclosed_cells_match_reference(monkeypatch, amb2, amb3):
+    """The flood against the component search on every golden state, the
+    difference surfaces interpolation passes it, random polycube surfaces
+    (closed or not), surfaces clipped by the ambient, a space curve's
+    edges and sets of mixed dimension."""
+    cases = []
+    for name in ("sq1", "rect12", "ushape", "box111", "box211", "box333", "torus", "spacecurve"):
+        cases += [(M.ambient, M.cells) for M in golden_states(name)]
+    recorded = []
+
+    def recording(ambient, surface):
+        recorded.append((ambient, surface))
+        return enclosed_cells(ambient, surface)
+
+    monkeypatch.setattr(deform_module, "enclosed_cells", recording)
+    for M in (load_fixture(FIXTURE_DIR / f"{name}.txt") for name in ("rect12", "ushape", "box211", "spacecurve")):
+        contract(M)
+    contract(surface_from_voxels(amb3, SPHERE28_VOXELS))
+    assert any(a.n == 3 and all(c.dim == 1 for c in surface) for a, surface in recorded)  # the space curve's
+    cases += recorded
+    rng = random.Random(5)
+    for _ in range(40):
+        voxels = random_polycube(rng, rng.randint(1, 12))
+        cases.append((amb3, frozenset(solid_surface_cells(voxels))))
+        cases.append((amb3, frozenset(solid_surface_cells(voxels)[::2])))
+    corners = [(-2, -2, -2), (4, 4, 4), (-2, 4, 0)]
+    cases += [(amb3, frozenset(solid_surface_cells([v]))) for v in corners]
+    space_curve = load_fixture(FIXTURE_DIR / "spacecurve.txt")
+    cases.append((space_curve.ambient, space_curve.cells))
+    square = CubicalCell.make((0, 0), (0, 1))
+    box = CubicalCell.make((0, 0, 0), (0, 1, 2))
+    cases.append((amb2, frozenset([*square.faces(), CubicalCell.make((3, 3)), CubicalCell.make((2, 2), (0, 1))])))
+    cases.append((amb3, frozenset([*box.faces(), *space_curve.cells, box, CubicalCell.make((3, 3, 3))])))
+    cases.append((amb3, frozenset([CubicalCell.make((1, 1, 1))])))
+    enclosing = 0
+    for ambient, surface in cases:
+        got = enclosed_cells(ambient, surface)
+        assert got == reference_enclosed_cells(ambient, surface)
+        enclosing += bool(got)
+    assert 0 < enclosing < len(cases)
 
 
 def test_inside_region_counts(box211, torus):
@@ -336,34 +411,6 @@ def _surfaces(amb3, box211, torus):
     return [box211, torus, *polycubes, *golden_states("box211")]
 
 
-def _random_polycube(rng, n):
-    """A face-connected set of n voxels in the 3x3x3 block, grown from one
-    voxel (the benchmark's polycube generator)."""
-    vox = {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))}
-    while len(vox) < n:
-        x, y, z = rng.choice(sorted(vox))
-        w = [x, y, z]
-        w[rng.randrange(3)] += rng.choice((-1, 1))
-        if all(0 <= c <= 2 for c in w):
-            vox.add(tuple(w))
-    return tuple(sorted(vox))
-
-
-def _random_polycube_surfaces(amb3, count, seed):
-    """The boundaries of the first `count` distinct polycubes of 3 to 12
-    voxels, drawn from a fixed seed, whose boundary is a closed surface."""
-    rng, seen, out = random.Random(seed), set(), []
-    while len(out) < count:
-        vox = _random_polycube(rng, rng.randint(3, 12))
-        if vox in seen:
-            continue
-        seen.add(vox)
-        M = surface_from_voxels(amb3, vox)
-        if validate(M).ok:
-            out.append(M)
-    return out
-
-
 def test_min_cut_matches_reference(amb3, box211, torus):
     """Every candidate arc and side, all solved on one context per state
     (so no solve may leak into the shared networks): uncapped, the cut is
@@ -419,7 +466,7 @@ def test_replacement_filling_matches_reference(amb3, box211, torus):
     found, networks = 0, {}
     manifolds = [
         *_surfaces(amb3, box211, torus),
-        *_random_polycube_surfaces(amb3, 10, seed=1),
+        *random_polycube_surfaces(amb3, 10, seed=1),
         *list(golden_states("box333"))[::22],
     ]
     for ctx, arc in _arcs(manifolds):
@@ -564,7 +611,7 @@ def test_replacement_filling_is_exact_on_random_polycubes(amb3):
     cycle's closure finishes with a filling within the replacement cap,
     the replacement filling (the better one-sided cut) has as many cells."""
     both = 0
-    for ctx, arc in _arcs(_random_polycube_surfaces(amb3, 16, seed=1)):
+    for ctx, arc in _arcs(random_polycube_surfaces(amb3, 16, seed=1)):
         M = ctx.M
         cap = _replacement_cap(ctx, arc)
         if cap < 1:

@@ -4,7 +4,7 @@ import pytest
 
 from gridtopo import contract, validate
 from gridtopo.cli import main
-from gridtopo.errors import ParseError, ReplayMismatch, ValidationFailed
+from gridtopo.errors import GridTopoError, ParseError, ReplayMismatch, ValidationFailed
 from gridtopo.io import (
     load_fixture,
     load_trace,
@@ -16,6 +16,7 @@ from gridtopo.io import (
 from gridtopo.render import render
 
 from conftest import FIXTURE_DIR
+from util import GOLDEN_DIR
 
 
 def test_load_named_fixtures(sq1, rect12, ushape, box111, box211, box333, torus):
@@ -180,6 +181,39 @@ def test_cli_contract_and_render(tmp_path, capsys):
 def test_cli_contract_exit_code_obstruction(tmp_path):
     rc = main(["--quiet", "contract", "--input", str(FIXTURE_DIR / "torus.txt")])
     assert rc == 2
+
+
+def test_cli_contract_space_curve(tmp_path, capsys):
+    """A closed curve in a 3-D ambient: no voxel is enclosed between an
+    arc and its filling, so every replacement splits instead.  Pinned by
+    its golden trace."""
+    trace_path = tmp_path / "t.json"
+    rc = main(["contract", "--input", str(FIXTURE_DIR / "spacecurve.txt"), "--trace-out", str(trace_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("status=irreducible_sphere nodes=6\n")
+    assert trace_path.read_bytes() == (GOLDEN_DIR / "spacecurve.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, fmt",
+    [("spacecurve", "auto"), ("ushape", "obj-3d"), ("box111", "svg-2d")],
+)
+def test_render_rejects_format_it_cannot_draw(tmp_path, capsys, name, fmt):
+    """A format that cannot draw the trace's cells fails before any frame
+    is written: `render` raises, and the CLI exits 4, `contract` before
+    it contracts."""
+    trace = load_trace(GOLDEN_DIR / f"{name}.json")
+    frames = tmp_path / "frames"
+    with pytest.raises(GridTopoError, match="draws"):
+        render(trace, frames, fmt=fmt)
+    assert not frames.exists()
+    rc = main(["render", "--trace", str(GOLDEN_DIR / f"{name}.json"), "--out", str(frames), "--format", fmt])
+    assert rc == 4 and capsys.readouterr().err.startswith("error:")
+    trace_path = tmp_path / "t.json"
+    argv = ["contract", "--input", str(FIXTURE_DIR / f"{name}.txt"), "--trace-out", str(trace_path)]
+    rc = main(argv + ["--frames-out", str(frames), "--format", fmt])
+    assert rc == 4 and capsys.readouterr().err.startswith("error:")
+    assert not trace_path.exists() and not frames.exists()
 
 
 def test_parse_error_margin(tmp_path):

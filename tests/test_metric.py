@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from gridtopo import CubicalCell, all_pairs, ball, build_ambient, cell_distance, diameter
 from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
 from gridtopo.engine import radius_sweep
-from gridtopo.errors import Unreachable
+from gridtopo.errors import CellNotInComplex, Unreachable
 from gridtopo.metric import ambient_distance, vertex_distances
 
 from util import (
@@ -15,8 +16,10 @@ from util import (
     bfs_levels,
     curve_from_pixels,
     edge_graph_of_complex,
+    golden_states,
     grid_graph,
     oracle_chain_distance,
+    reference_ball,
     surface_from_voxels,
 )
 
@@ -165,11 +168,6 @@ def test_metric_axioms_random_complexes(seed):
 # The per-state index against a fresh breadth-first search.
 
 
-def reference_ball(M, center, gamma):
-    table = vertex_distances(M, center.vertices())
-    return frozenset(c for c in M.cells if all(table.get(v, gamma + 1) <= gamma for v in c.vertices()))
-
-
 def reference_diameter(M):
     verts = sorted(M.vertices)
     best, witness = -1, None
@@ -184,21 +182,35 @@ def reference_diameter(M):
 
 
 def test_index_matches_bfs(amb3, sq1, ushape, rect12, box211, torus):
-    """Balls, diameters and pair distances read from the per-state index
-    against fresh searches, on closed curves and surfaces: the
-    fixtures, seeded random curves and polycubes."""
+    """Balls, diameters, pair distances and center rows read from the
+    per-state index against fresh searches, on closed curves and surfaces:
+    the fixtures, seeded random curves, polycubes and the states of a
+    curve in a 3-D ambient."""
     amb2 = build_ambient(2, [(0, 15), (0, 15)])
     curves = [random_simple_curve(amb2, random.Random(seed)) for seed in (3, 11, 29)]
     surfaces = [surface_from_voxels(amb3, v) for v in POLYCUBE_VOXELS]
-    for M in [sq1, ushape, rect12, box211, torus, *curves, *surfaces]:
+    for M in [sq1, ushape, rect12, box211, torus, *curves, *surfaces, *golden_states("spacecurve")]:
         assert diameter(M) == reference_diameter(M)
         ap = all_pairs(M)
         for u in sorted(M.vertices):
             table = vertex_distances(M, [u])
             assert all(ap.d_m(u, v) == table[v] for v in M.vertices)
-        for gamma in radius_sweep(M):
-            for center in sorted(M.closure_cells):
+        ix = M.index
+        assert list(ix.centers) == sorted(M.closure_cells)
+        for center in ix.centers:
+            table = vertex_distances(M, center.vertices())
+            row = ix.center_dist[ix.center_id[center]].tolist()
+            assert row == [table.get(v, math.inf) for v in ix.vertices]
+            for gamma in radius_sweep(M):
                 assert ball(M, center, gamma) == reference_ball(M, center, gamma)
+
+
+def test_ball_rejects_center_outside_closure(ushape):
+    """A vertex off the curve, and a square with a vertex on it, are not
+    cells of its closure."""
+    for center in (CubicalCell.make((4, 4)), CubicalCell.make((0, 0), (0, 1))):
+        with pytest.raises(CellNotInComplex):
+            ball(ushape, center, 2)
 
 
 def test_index_on_disconnected_complex(amb2, amb3):

@@ -6,12 +6,14 @@ with the implementation they check.
 """
 
 import json
+import random
 from collections import Counter, deque
 from itertools import combinations, product
 from pathlib import Path
 
-from gridtopo import CubicalCell, ManifoldComplex
+from gridtopo import CubicalCell, ManifoldComplex, validate
 from gridtopo.io import trace_from_json
+from gridtopo.metric import vertex_distances
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -56,6 +58,40 @@ POLYCUBE_VOXELS = [
     [(x, y, z) for x in range(2) for y in range(2) for z in range(2) if (x, y, z) != (1, 1, 1)],
     [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)],
 ]
+
+
+def random_polycube(rng, n):
+    """A face-connected set of n voxels in the 3x3x3 block, grown from one
+    voxel (the benchmark's polycube generator)."""
+    vox = {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))}
+    while len(vox) < n:
+        x, y, z = rng.choice(sorted(vox))
+        w = [x, y, z]
+        w[rng.randrange(3)] += rng.choice((-1, 1))
+        if all(0 <= c <= 2 for c in w):
+            vox.add(tuple(w))
+    return tuple(sorted(vox))
+
+
+def random_polycube_surfaces(amb3, count, seed):
+    """The boundaries of the first `count` distinct polycubes of 3 to 12
+    voxels, drawn from a fixed seed, whose boundary is a closed surface."""
+    rng, seen, out = random.Random(seed), set(), []
+    while len(out) < count:
+        vox = random_polycube(rng, rng.randint(3, 12))
+        if vox in seen:
+            continue
+        seen.add(vox)
+        M = surface_from_voxels(amb3, vox)
+        if validate(M).ok:
+            out.append(M)
+    return out
+
+
+def reference_ball(M, center, gamma):
+    """`metric.ball` by a fresh breadth-first search from the center."""
+    table = vertex_distances(M, center.vertices())
+    return frozenset(c for c in M.cells if all(table.get(v, gamma + 1) <= gamma for v in c.vertices()))
 
 
 def golden_states(name):
