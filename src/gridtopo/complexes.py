@@ -3,9 +3,11 @@
 A ManifoldComplex is a finite set of m-cells plus its derived closure.  The
 validation report checks the regular-manifold conditions: coface counts of
 (m-1)-cells, connectivity through shared (m-1)-cells, and the local link
-condition at every vertex.  Every connectivity question on sets of cells
-(validation, cycle validity, splitting along a cycle) goes through the one
-`components` helper here; the region a surface encloses is flooded on the
+condition at every vertex.  Every "is it one piece" question goes through
+the one `components` flood here, over any face table: cells (validation,
+vertex links, Jordan splits), `StateIndex` face ids (region fits) and
+`CellCodes` codes (the exact filling search); `is_cycle` adds the face
+count of a closed cycle.  The region a surface encloses is flooded on the
 integer grid of its bounding block instead (`filling.enclosed_cells`).
 
 Each complex also carries one integer `StateIndex`, built on first use: its
@@ -107,10 +109,6 @@ class ManifoldComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in self.closure.items())
-
-    def boundary(self) -> CellSet:
-        """(m-1)-cells lying in exactly one m-cell."""
-        return frozenset(f for f, k in self.coface_counts.items() if k == 1)
 
     def replace(self, removed: Iterable[CubicalCell], added: Iterable[CubicalCell]) -> "ManifoldComplex":
         return ManifoldComplex.make(self.ambient, self.m, (self.cells - frozenset(removed)) | frozenset(added))
@@ -248,17 +246,7 @@ class Cycle:
 
     def is_valid(self) -> bool:
         """Closed (every (dim-1)-cell in exactly two cells) and connected."""
-        if not self.cells:
-            return False
-        if self.dim == 0:
-            return len(self.cells) == 2
-        counts: Counter = Counter()
-        for c in self.cells:
-            for f in c.faces():
-                counts[f] += 1
-        if any(k != 2 for k in counts.values()):
-            return False
-        return len(components(self.cells, self.dim)) == 1
+        return is_cycle(self.cells)
 
 
 @dataclass(frozen=True)
@@ -284,54 +272,43 @@ class ValidationReport:
 
 
 def components(
-    cells: Iterable[CubicalCell], dim: int, blocked: CellSet = frozenset()
-) -> List[CellSet]:
-    """Connected components under shared-(dim-1)-cell adjacency.
+    items: Iterable, faces_of: Callable[[object], Iterable] = CubicalCell.faces, blocked: AbstractSet = frozenset()
+) -> List[FrozenSet]:
+    """The pieces of `items`, two items joined when they share a face (as
+    `faces_of` lists them) not in `blocked`.
 
-    Cells sharing a (dim-1)-cell listed in `blocked` are not joined
-    through it.  Components come in the canonical order of their smallest
-    cell.
+    Items are cells by default, or any ordered ids with their face table:
+    `StateIndex` face ids with slices of `face_ridges`, or `CellCodes`
+    codes with `codes.faces`.  Items without faces, as vertices, are each
+    a piece of their own.  Pieces come in the order of their least item.
     """
-    order = sorted(set(cells))
-    if dim == 0:
-        return [frozenset([c]) for c in order]
-    # Cells are numbered in canonical order; the search runs on the numbers.
-    by_face: Dict[CubicalCell, List[int]] = defaultdict(list)
-    for i, c in enumerate(order):
-        for f in c.faces():
+    order = sorted(set(items))
+    root = list(range(len(order)))  # union-find on positions in order
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    first: Dict = {}  # each face's first item
+    for i, x in enumerate(order):
+        for f in faces_of(x):
             if f not in blocked:
-                by_face[f].append(i)
-    neighbors: List[List[int]] = [[] for _ in order]
-    for shared in by_face.values():
-        for i in shared:
-            neighbors[i].extend(j for j in shared if j != i)
-    seen = [False] * len(order)
-    comps: List[CellSet] = []
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members = [start]
-        for i in members:
-            for j in neighbors[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    members.append(j)
-        comps.append(frozenset(order[i] for i in members))
-    return comps
+                root[find(i)] = find(first.setdefault(f, i))
+    pieces: Dict[int, List] = {}  # filled in order, so least items first
+    for i, x in enumerate(order):
+        pieces.setdefault(find(i), []).append(x)
+    return [frozenset(p) for p in pieces.values()]
 
 
-def one_component(ids: AbstractSet[int], neighbours: Callable[[int], Iterable[int]]) -> bool:
-    """Whether the non-empty ids form one component, `neighbours(i)` naming
-    the ids adjacent to i (ids outside the set are skipped)."""
-    start = next(iter(ids))
-    seen, todo = {start}, [start]
-    while todo:
-        for j in neighbours(todo.pop()):
-            if j in ids and j not in seen:
-                seen.add(j)
-                todo.append(j)
-    return len(seen) == len(ids)
+def is_cycle(items: Collection, faces_of: Callable[[object], Iterable] = CubicalCell.faces) -> bool:
+    """Whether the items form one closed cycle: every face lies in exactly
+    two of them and they are one piece (`components`).  Items without
+    faces, as vertices, form a cycle, a 0-sphere, when there are two."""
+    counts = Counter(f for x in items for f in faces_of(x))
+    if not counts:
+        return len(items) == 2
+    return all(k == 2 for k in counts.values()) and len(components(items, faces_of)) == 1
 
 
 def region_boundary(region: Iterable[CubicalCell]) -> CellSet:
@@ -373,62 +350,39 @@ def link(M: ManifoldComplex, x: CubicalCell) -> CellSet:
     return frozenset(out)
 
 
-def _vertex_link_ok(m: int, v: Coord, incident: List[CubicalCell], boundary_faces: CellSet) -> bool:
-    """Check the local structure of a complex around vertex v.
-
-    The m-cells incident to v, connected through shared (m-1)-cells (which
-    always contain v), must form a single cycle (interior vertex) or a
-    single path (vertex on the boundary of an arc).
-    """
-    if m == 1:
-        return len(incident) in (1, 2)
-    vx = CubicalCell(0, v, ())
-    local_faces = Counter(f for c in incident for f in c.faces() if f.contains(vx))
-    if any(k > 2 for k in local_faces.values()):
-        return False
-    # A disk or half-disk neighborhood is exactly one component with every
-    # local face shared by <= 2 cells.
-    if len(components(incident, m)) != 1:
-        return False
-    if any(f in boundary_faces for f in local_faces):
-        return True  # boundary vertex: a single path suffices
-    return all(k == 2 for k in local_faces.values())
-
-
 def validate(M: ManifoldComplex) -> ValidationReport:
-    """Check the regular-manifold conditions and report, never raise."""
-    offending: set = set()
+    """Check the regular-manifold conditions and report, never raise.
+
+    A vertex breaks the link condition when it lies on an (m-1)-cell with
+    more than two cofaces, or, for m >= 2, when the m-cells at it form
+    more than one piece: two of them can only share a face at the vertex.
+    A curve's edges at a vertex all share it, so for m = 1 the first rule
+    is the whole test.
+    """
     counts = M.coface_counts
     bad_counts = [f for f, k in counts.items() if k > 2]
-    offending.update(bad_counts)
+    offending = set(bad_counts)
     is_manifold = not bad_counts
     is_closed = is_manifold and all(k == 2 for k in counts.values())
 
-    comps = components(M.cells, M.m)
+    comps = components(M.cells)
     connected = len(comps) == 1
     if not connected and comps:
-        offending.update(sorted(comps[-1])[:1])
+        offending.add(min(comps[-1]))
     is_regular = is_manifold and connected
 
-    boundary_faces = M.boundary()
-    incident: Dict[Coord, List[CubicalCell]] = defaultdict(list)
-    for c in M.cells:
-        for v in c.vertices():
-            incident[v].append(c)
-    link_ok = True
-    for v in sorted(incident):
-        if not _vertex_link_ok(M.m, v, incident[v], boundary_faces):
-            link_ok = False
-            offending.add(CubicalCell(0, v, ()))
+    broken = {v for f in bad_counts for v in f.vertices()}
+    if M.m >= 2:
+        incident: Dict[Coord, List[CubicalCell]] = defaultdict(list)
+        for c in M.cells:
+            for v in c.vertices():
+                incident[v].append(c)
+        broken.update(v for v, cs in incident.items() if len(components(cs)) > 1)
+    offending.update(CubicalCell(0, v, ()) for v in broken)
     return ValidationReport(
         is_manifold=is_manifold,
         is_closed=is_closed,
         is_regular=is_regular,
-        link_spheres_ok=link_ok,
+        link_spheres_ok=not broken,
         offending_cells=tuple(sorted(offending)),
     )
-
-
-def split_by_cycle(M: ManifoldComplex, cycle: Cycle) -> List[CellSet]:
-    """Components of M's m-cells when adjacency may not cross the cycle."""
-    return components(M.cells, M.m, blocked=cycle.cells)

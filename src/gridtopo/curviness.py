@@ -30,7 +30,7 @@ so the first report costs a few solves instead of one per candidate.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
@@ -38,7 +38,7 @@ from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
 import numpy as np
 
 from .cells import AmbientSpace, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, one_component, region_boundary
+from .complexes import Cycle, ManifoldComplex, is_cycle, region_boundary
 from .errors import (
     CodimensionUnsupported,
     CycleFitFailed,
@@ -104,10 +104,10 @@ def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = N
     The ball is extended by the canonically smallest cells of M across its
     boundary until the topological boundary is a single closed regular
     (m-1)-manifold, or the region would exceed half of M.  M must be closed
-    and connected, as every state `contract` reaches is; the cycle then
-    separates M.  The ball's cells must be cells of M.  The search runs on
-    the ids of `M.index` (`_grow`); cells are built only for the returned
-    fit.
+    and connected, as every state `contract` reaches is; the region is then
+    one piece and the cycle separates M.  The ball's cells must be cells of
+    M.  The search runs on the ids of `M.index` (`_grow`); cells are built
+    only for the returned fit.
     """
     def fail(msg):
         if level is not None:
@@ -134,7 +134,15 @@ def _region_fit(ix, m: int, region: Set[int], bd: Set[int]) -> RegionFit:
 def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
     """`fit_region` on cell ids: grows the non-empty `region`, of at most
     half of M's cells, in place, and returns its boundary's face ids, or
-    None when no fit stays within half of M."""
+    None when no fit stays within half of M.
+
+    A region whose boundary is one cycle is one piece, as M is closed and
+    connected: each piece of the region is not all of M, so it has a
+    non-empty boundary, and no face bounds two pieces.  Two such
+    boundaries meeting at a ridge would give it four or more boundary
+    faces (a curve's pieces give four or more vertices), so a connected
+    boundary with every ridge in two faces bounds a single piece.
+    """
     if ix.face_cells is None:
         raise ValueError("fit_region needs a closed manifold: a face lies in other than two cells")
     k = 2 * m
@@ -144,12 +152,11 @@ def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
     for i in region:
         bd.symmetric_difference_update(cell_faces[k * i : k * i + k])
 
-    def across(i):
-        """The cells sharing a face with cell i."""
-        return (face_cells[2 * f] + face_cells[2 * f + 1] - i for f in cell_faces[k * i : k * i + k])
+    r = 2 * (m - 1)  # a face's ridges, none for a curve's vertex faces
+    ridges = ix.face_ridges
 
     while True:
-        if _is_cycle(ix, bd, m) and one_component(region, across):
+        if is_cycle(bd, lambda f: ridges[r * f : r * f + r]):
             return bd
         # Repair: absorb the smallest cell of M across the current
         # boundary; each absorption can only merge components or remove a
@@ -165,24 +172,6 @@ def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
         c = min(candidates)
         region.add(c)
         bd.symmetric_difference_update(cell_faces[k * c : k * c + k])
-
-
-def _is_cycle(ix, faces: Set[int], m: int) -> bool:
-    """`Cycle.is_valid` on face ids: closed (every (m-2)-cell in exactly
-    two of the faces) and connected."""
-    if not faces:
-        return False
-    if m == 1:
-        return len(faces) == 2
-    r = 2 * (m - 1)
-    ridges = ix.face_ridges
-    at = defaultdict(list)
-    for f in faces:
-        for x in ridges[r * f : r * f + r]:
-            at[x].append(f)
-    return all(len(fs) == 2 for fs in at.values()) and one_component(
-        faces, lambda f: (g for x in ridges[r * f : r * f + r] for g in at[x])
-    )
 
 
 def boundary_cycle_fit(

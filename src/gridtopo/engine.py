@@ -151,7 +151,7 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
             if not region or len(region) == len(M.cells):
                 continue
             bd = region_boundary(region)
-            for comp in components(bd, M.m - 1):
+            for comp in components(bd):
                 cyc = Cycle(frozenset(comp), M.m)
                 if not cyc.is_valid():
                     continue
@@ -224,7 +224,7 @@ class _Run:
                     break
         except CycleFitFailed as err:
             obstructed, level = True, err.level
-        except (FillingNotFound, SearchBudgetExceeded):
+        except FillingNotFound:
             obstructed = True
 
         if not obstructed:

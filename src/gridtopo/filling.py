@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
@@ -40,7 +40,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 import numpy as np
 
 from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, one_component, region_boundary, split_by_cycle
+from .complexes import Cycle, ManifoldComplex, components, region_boundary
 from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
 from .metric import ambient_distance, ball
 
@@ -90,7 +90,7 @@ class Filling:
 
 def jordan_split(M: ManifoldComplex, cycle: Cycle) -> Tuple[CellSet, CellSet]:
     """Split a closed manifold along a cycle into (smaller, larger) sides."""
-    comps = split_by_cycle(M, cycle)
+    comps = components(M.cells, blocked=cycle.cells)
     if len(comps) == 1:
         raise NotSeparating(f"cycle of {len(cycle.cells)} cells does not separate")
     if len(comps) != 2:
@@ -225,15 +225,11 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
 
 def _closes(codes: CellCodes, cells: FrozenSet[int], target: FrozenSet[int]) -> bool:
     """Whether the coded cells have exactly `target` as boundary, no face
-    in more than two of them, and form at most one component through
-    shared faces."""
-    at: Dict[int, List[int]] = defaultdict(list)
-    for f in cells:
-        for x in codes.faces(f):
-            at[x].append(f)
-    if any(len(fs) > 2 for fs in at.values()) or {x for x, fs in at.items() if len(fs) == 1} != target:
+    in more than two of them, and form at most one piece."""
+    counts = Counter(x for f in cells for x in codes.faces(f))
+    if any(k > 2 for k in counts.values()) or {x for x, k in counts.items() if k == 1} != target:
         return False
-    return not cells or one_component(cells, lambda f: (g for x in codes.faces(f) for g in at[x]))
+    return len(components(cells, codes.faces)) <= 1
 
 
 def min_filling(

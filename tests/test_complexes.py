@@ -1,8 +1,16 @@
+import random
+from collections import Counter, defaultdict
+
 import pytest
 
-from gridtopo import CubicalCell, Cycle, ManifoldComplex, link, star, validate
-from gridtopo.complexes import region_boundary
+from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, link, star, validate
+from gridtopo.complexes import ValidationReport, components, region_boundary
+from gridtopo.corpus import random_connected_subcomplex
 from gridtopo.errors import CellNotInComplex
+from gridtopo.io import load_fixture
+
+from conftest import FIXTURE_DIR
+from util import GOLDEN_DIR, golden_states
 
 def test_sq1_validates(sq1):
     report = validate(sq1)
@@ -82,3 +90,173 @@ def test_region_boundary_parity():
 def test_closure_counts(sq1):
     assert len(sq1.closure[1]) == 4
     assert len(sq1.closure[0]) == 4
+
+
+# ---------------------------------------------------------------------------
+# References: `validate`, `components` and `Cycle.is_valid` as they were
+# before every connectivity question went through one `components` flood.
+
+
+def reference_components(cells, dim, blocked=frozenset()):
+    order = sorted(set(cells))
+    if dim == 0:
+        return [frozenset([c]) for c in order]
+    by_face = defaultdict(list)
+    for i, c in enumerate(order):
+        for f in c.faces():
+            if f not in blocked:
+                by_face[f].append(i)
+    neighbors = [[] for _ in order]
+    for shared in by_face.values():
+        for i in shared:
+            neighbors[i].extend(j for j in shared if j != i)
+    seen = [False] * len(order)
+    comps = []
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        for i in members:
+            for j in neighbors[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+        comps.append(frozenset(order[i] for i in members))
+    return comps
+
+
+def reference_is_valid(cells, dim):
+    if not cells:
+        return False
+    if dim == 0:
+        return len(cells) == 2
+    counts = Counter(f for c in cells for f in c.faces())
+    if any(k != 2 for k in counts.values()):
+        return False
+    return len(reference_components(cells, dim)) == 1
+
+
+def _reference_vertex_link_ok(m, v, incident, boundary_faces):
+    if m == 1:
+        return len(incident) in (1, 2)
+    vx = CubicalCell(0, v, ())
+    local_faces = Counter(f for c in incident for f in c.faces() if f.contains(vx))
+    if any(k > 2 for k in local_faces.values()):
+        return False
+    if len(reference_components(incident, m)) != 1:
+        return False
+    if any(f in boundary_faces for f in local_faces):
+        return True
+    return all(k == 2 for k in local_faces.values())
+
+
+def reference_validate(M):
+    offending = set()
+    counts = M.coface_counts
+    bad_counts = [f for f, k in counts.items() if k > 2]
+    offending.update(bad_counts)
+    is_manifold = not bad_counts
+    is_closed = is_manifold and all(k == 2 for k in counts.values())
+    comps = reference_components(M.cells, M.m)
+    connected = len(comps) == 1
+    if not connected and comps:
+        offending.update(sorted(comps[-1])[:1])
+    is_regular = is_manifold and connected
+    boundary_faces = frozenset(f for f, k in counts.items() if k == 1)
+    incident = defaultdict(list)
+    for c in M.cells:
+        for v in c.vertices():
+            incident[v].append(c)
+    link_ok = True
+    for v in sorted(incident):
+        if not _reference_vertex_link_ok(M.m, v, incident[v], boundary_faces):
+            link_ok = False
+            offending.add(CubicalCell(0, v, ()))
+    return ValidationReport(is_manifold, is_closed, is_regular, link_ok, tuple(sorted(offending)))
+
+
+def _voxels(*bases):
+    return [CubicalCell.make(b, (0, 1, 2)) for b in bases]
+
+
+def hand_made_invalid(amb2, amb3):
+    """A pinch, three squares on one edge, two boxes touching at a vertex
+    and at an edge, a curve with a branch and two disjoint squares."""
+    three = sorted(CubicalCell.make((1, 1, 1), (0,)).cofaces(range(3)))[:3]
+    return [
+        ManifoldComplex.make(amb2, 2, [CubicalCell.make((0, 0), (0, 1)), CubicalCell.make((1, 1), (0, 1))]),
+        ManifoldComplex.make(amb3, 2, three),
+        ManifoldComplex.make(amb3, 2, region_boundary(_voxels((0, 0, 0))) | region_boundary(_voxels((1, 1, 1)))),
+        ManifoldComplex.make(amb3, 2, region_boundary(_voxels((0, 0, 0))) | region_boundary(_voxels((1, 1, 0)))),
+        ManifoldComplex.make(
+            amb2, 1, [CubicalCell.make((0, 0), (0,)), CubicalCell.make((1, 0), (0,)), CubicalCell.make((1, 0), (1,))]
+        ),
+        ManifoldComplex.make(amb3, 2, [CubicalCell.make((0, 0, 0), (0, 1)), CubicalCell.make((2, 2, 2), (0, 1))]),
+    ]
+
+
+def reference_cases(amb2, amb3):
+    """Random connected subcomplexes of every dimension in 2-D and 3-D, the
+    hand-made invalid sets, every fixture and every golden state."""
+    rng = random.Random(14)
+    cases = []
+    for amb in (build_ambient(2, [(0, 7), (0, 7)]), build_ambient(3, [(0, 5), (0, 5), (0, 5)])):
+        for m in range(amb.n + 1):
+            for _ in range(120):
+                cases.append(random_connected_subcomplex(amb, m, rng.randint(1, 14), rng))
+    cases += hand_made_invalid(amb2, amb3)
+    cases += [load_fixture(p, require_valid=False) for p in sorted(FIXTURE_DIR.glob("*.txt"))]
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        cases += golden_states(path.stem)
+    return cases
+
+
+def test_validate_matches_reference(amb2, amb3):
+    """Every report field and its text, against the per-vertex link check;
+    every kind of failure shows up."""
+    seen = Counter()
+    for M in reference_cases(amb2, amb3):
+        got, want = validate(M), reference_validate(M)
+        assert got == want and str(got) == str(want), sorted(M.cells)
+        seen[got.is_manifold, got.is_closed, got.is_regular, got.link_spheres_ok] += 1
+    # broken links with and without a crowded face, and valid closed ones
+    assert seen[False, False, False, False] and seen[True, False, False, False] and seen[True, True, True, True]
+    assert seen[True, False, True, True] and seen[True, False, False, True]
+
+
+def test_hand_made_invalid_sets(amb2, amb3):
+    pinch, three, at_vertex, at_edge, branch, apart = hand_made_invalid(amb2, amb3)
+    for M in (pinch, three, at_vertex, at_edge, branch):
+        assert not validate(M).link_spheres_ok
+    assert CubicalCell.make((1, 1)) in validate(pinch).offending_cells
+    assert validate(three).offending_cells == (
+        CubicalCell.make((1, 1, 1)), CubicalCell.make((2, 1, 1)), CubicalCell.make((1, 1, 1), (0,))
+    )
+    assert validate(at_vertex).is_manifold and CubicalCell.make((1, 1, 1)) in validate(at_vertex).offending_cells
+    assert validate(branch).offending_cells == (CubicalCell.make((1, 0)),)
+    assert validate(apart).link_spheres_ok and not validate(apart).is_regular
+
+
+def test_components_and_cycles_match_reference(amb2, amb3):
+    """Component lists with a random set of blocked faces, and cycle
+    validity of each complex, of its boundary and of two of its cells,
+    against the references; the floods on cells and on codes agree."""
+    rng = random.Random(41)
+    cycles = Counter()
+    for M in reference_cases(amb2, amb3):
+        faces = sorted({f for c in M.cells for f in c.faces()})
+        blocked = frozenset(f for f in faces if rng.random() < 0.3)
+        assert components(M.cells, blocked=blocked) == reference_components(M.cells, M.m, blocked)
+        assert components(M.cells) == reference_components(M.cells, M.m)
+        codes = M.ambient.codes
+        by_code = components([codes.code(c) for c in M.cells], codes.faces)
+        assert [frozenset(map(codes.cell, p)) for p in by_code] == components(M.cells)
+        bd = region_boundary(M.cells)
+        for cells, dim in ((M.cells, M.m), (bd, M.m - 1), (frozenset(sorted(M.cells)[:2]), M.m)):
+            if dim >= 0:
+                got = Cycle(frozenset(cells), dim + 1).is_valid()
+                assert got == reference_is_valid(frozenset(cells), dim)
+                cycles[dim, got] += 1
+    assert all(cycles[d, ok] for d in range(3) for ok in (False, True))
+

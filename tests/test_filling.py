@@ -7,12 +7,13 @@ import pytest
 
 from gridtopo import CubicalCell, Cycle, build_ambient, contract, jordan_split, min_filling
 from gridtopo import deform as deform_module
+from gridtopo import filling as filling_module
 from gridtopo.cells import CellCodes
 from gridtopo.complexes import components, region_boundary
 from gridtopo.corpus import random_simple_curve
-from gridtopo.curviness import _replacement_cap, boundary_cycle_fit, candidate_arcs, replacement_filling
+from gridtopo.curviness import _replacement_cap, boundary_cycle_fit, candidate_arcs, fit_region, replacement_filling
 from gridtopo.engine import radius_sweep
-from gridtopo.errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
+from gridtopo.errors import CycleFitFailed, FillingNotFound, NoFittingCycle, NotSeparating, SearchBudgetExceeded
 from gridtopo.filling import (
     CodeExclusion,
     Filling,
@@ -164,7 +165,7 @@ def reference_enclosed_cells(ambient, surface):
                     if CubicalCell(n - 1, outer, rest[a]) not in surface:
                         hull.add(c)
     inside = set()
-    for comp in components(cells, n, blocked=surface):
+    for comp in components(cells, blocked=surface):
         if comp.isdisjoint(hull):
             inside |= comp
     return frozenset(inside)
@@ -256,6 +257,31 @@ def test_lofted_torus_inner_wall_obstructed(torus):
     assert not semi_convex(arc, seq)
 
 
+def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box211):
+    """With every exact search over budget, `lofted` gives each level the
+    inside cut, or the outside one when that is infeasible, or raises
+    FillingNotFound: the budget error never leaves it."""
+
+    def over_budget(*args, **kwargs):
+        raise SearchBudgetExceeded("over budget")
+
+    monkeypatch.setattr(filling_module, "min_filling", over_budget)
+    cut_levels = 0
+    for M in (torus, box211):
+        ctx = ScanContext(M)
+        for center in sorted(M.closure_cells):
+            try:
+                seq = lofted(ctx, center, 2)
+            except (CycleFitFailed, NoFittingCycle, FillingNotFound):
+                continue
+            for lv in seq.levels:
+                region = fit_region(M, ball(M, center, lv.level)).region
+                cut = one_sided_min_cut(ctx, region, "inside") or one_sided_min_cut(ctx, region, "outside")
+                assert lv.filling.cells == cut[0] and not lv.meets_arc
+                cut_levels += 1
+    assert cut_levels
+
+
 def test_lofted_fillings_are_minimal_per_level(ushape):
     """Monotonicity is not asserted, minimality per circle is."""
     center = CubicalCell.make((1, 1), (0,))
@@ -306,7 +332,7 @@ def _reference_parity_min_filling(ambient, cycle, exclude, cap, node_budget):
                     break
                 raise SearchBudgetExceeded(f"filling search exceeded {node_budget} nodes")
             if not D:
-                if boundary_ok(S) and len(components(S, m)) <= 1:
+                if boundary_ok(S) and len(components(S)) <= 1:
                     solutions.append(S)
                 continue
             if len(S) + math.ceil(len(D) / (2 * m)) > limit:

@@ -137,6 +137,10 @@ def test_cli_validate_ok(capsys):
 def test_cli_validate_bad(capsys):
     rc = main(["validate", str(FIXTURE_DIR / "pinch.txt")])
     assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "cells=2 m=2 ambient_n=2",
+        "manifold=True closed=False regular=False links=False offending=[Cell(1,1|), Cell(1,1|0,1)]",
+    ]
 
 
 def test_cli_distances(capsys):
