@@ -6,9 +6,12 @@ validation report checks the regular-manifold conditions: coface counts of
 condition at every vertex.  Every "is it one piece" question goes through
 the one `components` flood here, over any face table: cells (validation,
 vertex links, Jordan splits), `StateIndex` face ids (region fits) and
-`CellCodes` codes (the exact filling search); `is_cycle` adds the face
-count of a closed cycle.  The region a surface encloses is flooded on the
-integer grid of its bounding block instead (`filling.enclosed_cells`).
+`CellCodes` codes (the exact filling search).  `is_cycle`, over the same
+face tables, asks whether a set is one closed cycle: every face in exactly
+two of its members, then one flood from any member; it serves
+`Cycle.is_valid` and the region fits.  The region a surface encloses is
+flooded on the integer grid of its bounding block instead
+(`filling.enclosed_cells`).
 
 Each complex also carries one integer `StateIndex`, built on first use: its
 vertices, m-cells and (m-1)-cells numbered in canonical order, the distance
@@ -122,8 +125,8 @@ class StateIndex:
 
     Ids follow canonical order, so the least id is the canonically smallest
     cell and a tie broken on ids is broken as on cells.  Every contraction
-    node keeps its first state with its caches, so the tables are flat
-    tuples and numpy arrays rather than per-cell lists, and the faces are
+    node keeps its first state with its caches, so the tables are tuples
+    and numpy arrays rather than per-cell lists, and the faces are
     those of `ManifoldComplex.closure`.
 
     - `vertices`, `cells`, `faces`: the vertex coordinates, m-cells and
@@ -135,17 +138,24 @@ class StateIndex:
     - `face_cells[2*f]`, `face_cells[2*f + 1]`: the two cells of face f,
       smaller id first; None unless every face lies in exactly two cells,
       as in a closed manifold.
-    - `face_ridges[2(m-1)*f : 2(m-1)*f + 2(m-1)]`: for m >= 2, the ids of
-      the (m-2)-cells bounding face f in the canonical order of
-      (m-2)-cells; for m = 2 these are its two vertex ids.
+    - `face_ridges[f]`: the ids of the (m-2)-cells bounding face f, in the
+      canonical order of (m-2)-cells; for m = 2 these are its two vertex
+      ids, and a curve's vertex faces have none.  One tuple per face, so
+      that `face_ridges.__getitem__` serves `is_cycle` as a face table.
     - `centers`, `center_id`: every cell of the closure, all dimensions,
       by id in canonical order, built on first use.
     - `center_dist[c, v]`: the distance inside the complex from center c
-      to vertex v, the least over c's own vertices; built on first use.
+      to vertex v, the least over c's own vertices; built on first use,
+      for curves and surfaces from `dist`, `face_ridges` and
+      `cell_vertices` alone.
+
+    The candidate scan (`curviness.candidate_arcs`) works on these ids:
+    a fit is a center id, region cell ids and boundary face ids, and
+    cells are built only for the candidates it solves.
     """
 
     def __init__(self, M: ManifoldComplex):
-        m = M.m
+        self.m = m = M.m
         self._closure = M.closure
         self.vertices: Tuple[Coord, ...] = tuple(sorted(M.vertices))
         self.vertex_id: Dict[Coord, int] = {v: i for i, v in enumerate(self.vertices)}
@@ -159,10 +169,10 @@ class StateIndex:
             cofaces[f].append(pos // (2 * m))
         closed = all(len(cs) == 2 for cs in cofaces)
         self.face_cells: Optional[Tuple[int, ...]] = tuple(i for cs in cofaces for i in cs) if closed else None
-        self.face_ridges: Tuple[int, ...] = ()
+        self.face_ridges: Tuple[Tuple[int, ...], ...] = ((),) * len(self.faces)
         if m >= 2:
             ridge_id = {r: i for i, r in enumerate(sorted(M.closure.get(m - 2, ())))}
-            self.face_ridges = tuple(ridge_id[r] for f in self.faces for r in f.faces())
+            self.face_ridges = tuple(tuple(map(ridge_id.__getitem__, f.faces())) for f in self.faces)
 
         # The ends of every edge, and each cell's vertices.  A curve's cells
         # are its edges and their faces its vertices; a surface's faces are
@@ -174,7 +184,9 @@ class StateIndex:
             ends = self.cell_faces
             cell_vertices: Iterable[int] = ends
         else:
-            ends = self.face_ridges if m == 2 else [vid[v] for e in M.edges for v in e.vertices()]
+            ends = (
+                [v for e in self.face_ridges for v in e] if m == 2 else [vid[v] for e in M.edges for v in e.vertices()]
+            )
             cell_vertices = (vid[v] for c in self.cells for v in c.vertices())
         self.cell_vertices = np.fromiter(cell_vertices, np.intp, len(self.cells) << m).reshape(
             len(self.cells), 1 << m
@@ -192,6 +204,15 @@ class StateIndex:
 
     @cached_property
     def center_dist(self) -> np.ndarray:
+        # Rows come dimension by dimension, each block the least of `dist`
+        # over its cells' vertex ids.  For curves and surfaces the index
+        # already holds every block's ids: a vertex is its own row, a
+        # surface's edges are its faces, and the m-cells have
+        # `cell_vertices`.
+        if self.m in (1, 2):
+            edges = [np.reshape(self.face_ridges, (-1, 2))] if self.m == 2 else []
+            rows = [self.dist[ids].min(axis=1) for ids in (*edges, self.cell_vertices)]
+            return np.concatenate([self.dist, *rows])
         vid, rows = self.vertex_id, []
         for k, same_dim in groupby(self.centers, key=lambda c: c.dim):
             corners = [vid[v] for c in same_dim for v in c.vertices()]
@@ -278,7 +299,7 @@ def components(
     `faces_of` lists them) not in `blocked`.
 
     Items are cells by default, or any ordered ids with their face table:
-    `StateIndex` face ids with slices of `face_ridges`, or `CellCodes`
+    `StateIndex` face ids with rows of `face_ridges`, or `CellCodes`
     codes with `codes.faces`.  Items without faces, as vertices, are each
     a piece of their own.  Pieces come in the order of their least item.
     """
@@ -302,13 +323,28 @@ def components(
 
 
 def is_cycle(items: Collection, faces_of: Callable[[object], Iterable] = CubicalCell.faces) -> bool:
-    """Whether the items form one closed cycle: every face lies in exactly
-    two of them and they are one piece (`components`).  Items without
-    faces, as vertices, form a cycle, a 0-sphere, when there are two."""
-    counts = Counter(f for x in items for f in faces_of(x))
-    if not counts:
+    """Whether the distinct items form one closed cycle: every face lies in
+    exactly two of them, and one flood from any item through the shared
+    faces reaches them all.  Items are cells by default, or ids with their
+    face table, as `components` takes them.  Items without faces, as
+    vertices, form a cycle, a 0-sphere, when there are two."""
+    holders: Dict = {}  # each face's items
+    for x in items:
+        for f in faces_of(x):
+            holders.setdefault(f, []).append(x)
+    if not holders:
         return len(items) == 2
-    return all(k == 2 for k in counts.values()) and len(components(items, faces_of)) == 1
+    if set(map(len, holders.values())) != {2}:
+        return False
+    start = next(iter(items))
+    seen, stack = {start}, [start]
+    while stack:
+        for f in faces_of(stack.pop()):
+            for y in holders[f]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(seen) == len(items)
 
 
 def region_boundary(region: Iterable[CubicalCell]) -> CellSet:

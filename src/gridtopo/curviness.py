@@ -19,26 +19,30 @@ curve, the better one-sided minimum cut for a surface, which is exact.
 The exact surface search serves only fillings free to run through M:
 `minimum_filling_of_arc`, the lofted circles and the obstruction probe.
 
-`valid_reports` is lazy.  Every filling of an arc's cycle has at least a
-known number of cells (the endpoint distance for curves, a face count for
-surfaces), which bounds each measure from above before any search.  The
-candidates wait in bound order, and a replacement filling is solved only
-while a waiting candidate could still beat or tie the best solved report,
-so the first report costs a few solves instead of one per candidate.
+`valid_reports` is lazy.  `candidate_arcs` fits its candidates on the ids
+of `M.index` (`ArcFit`: center id, region cell ids, boundary face ids), and
+every filling of a fit's cycle has at least a known number of cells (the
+endpoint distance for curves, a face count for surfaces), which bounds
+each measure from above before any cell is built.  The candidates wait in
+bound order, and a replacement filling is solved only while a waiting
+candidate could still beat or tie the best solved report, so the first
+report costs a few solves instead of one per candidate.  Only a candidate
+taken up for solving is built as cells, an `ArcRegion`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set
 
 import numpy as np
 
 from .cells import AmbientSpace, Coord, CubicalCell
-from .complexes import Cycle, ManifoldComplex, is_cycle, region_boundary
+from .complexes import Cycle, ManifoldComplex, is_cycle
 from .errors import (
     CodimensionUnsupported,
     CycleFitFailed,
@@ -50,7 +54,6 @@ from .filling import (  # VARIANTS is re-exported here, beside the measures
     VARIANTS,
     Filling,
     ScanContext,
-    filling_lower_bound,
     min_filling,
     one_sided_min_cut,
 )
@@ -73,6 +76,20 @@ class ArcRegion:
     @property
     def N(self) -> int:
         return len(self.region)
+
+
+class ArcFit(NamedTuple):
+    """A candidate arc on the ids of `M.index`: its center's id in
+    `centers`, its region's cell ids and its boundary's face ids."""
+
+    center: int
+    region: FrozenSet[int]
+    boundary: FrozenSet[int]
+
+    def arc(self, M: ManifoldComplex, gamma: int) -> ArcRegion:
+        """The fit as cells, on the state M it was fitted on."""
+        ix = M.index
+        return ArcRegion(ix.centers[self.center], gamma, *_region_fit(ix, M.m, self.region, self.boundary))
 
 
 @dataclass(frozen=True)
@@ -152,11 +169,9 @@ def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
     for i in region:
         bd.symmetric_difference_update(cell_faces[k * i : k * i + k])
 
-    r = 2 * (m - 1)  # a face's ridges, none for a curve's vertex faces
-    ridges = ix.face_ridges
-
+    ridges = ix.face_ridges.__getitem__
     while True:
-        if is_cycle(bd, lambda f: ridges[r * f : r * f + r]):
+        if is_cycle(bd, ridges):
             return bd
         # Repair: absorb the smallest cell of M across the current
         # boundary; each absorption can only merge components or remove a
@@ -272,7 +287,7 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     via graph cuts" (ICCV 2003).
     """
     M = ctx.M
-    eff_cap = _replacement_cap(ctx, arc)
+    eff_cap = _replacement_cap(ctx, arc.N)
     if eff_cap < 1:
         return None
     if M.m == 1:
@@ -284,10 +299,29 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
     return None if cut is None else Filling(cells=cut, boundary=arc.cycle)
 
 
-def _replacement_cap(ctx: ScanContext, arc: ArcRegion) -> int:
-    """Most cells a useful replacement filling of the arc may have: fewer
-    than the arc and than the rest of M."""
-    return min(ctx.cfg.filling_cap, len(arc.region) - 1, len(ctx.M.cells) - len(arc.region) - 1)
+def _replacement_cap(ctx: ScanContext, n: int) -> int:
+    """Most cells a useful replacement filling of an arc of n cells may
+    have: fewer than the arc and than the rest of M."""
+    return min(ctx.cfg.filling_cap, n - 1, len(ctx.M.cells) - n - 1)
+
+
+def _fit_lower_bound(M: ManifoldComplex, fit: ArcFit) -> int:
+    """`filling_lower_bound` of the fit's cycle, read from its face ids: a
+    curve's two boundary vertices, or a surface's boundary size."""
+    if M.m == 1:
+        p, q = (M.index.faces[f].base for f in fit.boundary)
+        return ambient_distance(M.ambient, p, q)
+    return max(1, math.ceil(len(fit.boundary) / (2 * M.m)))
+
+
+def _fit_measure_bound(M: ManifoldComplex, gamma: int, fit: ArcFit, lb: int, variant: str):
+    """`measure_bound` of the fit's arc.  The ratio and the difference need
+    only the region's size; the heights build the arc."""
+    if variant == "ratio":
+        return Fraction(len(fit.region), lb)
+    if variant == "diff":
+        return len(fit.region) - lb
+    return measure_bound(M.ambient, fit.arc(M, gamma), lb, variant)
 
 
 def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
@@ -307,15 +341,15 @@ def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
     return Fraction(h, max(1, _span(ambient, cycle_verts)))
 
 
-def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
-    """Deduplicated fitted arcs from balls around every closure cell.
+def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcFit]:
+    """Deduplicated fits from balls around every closure cell, on ids.
 
     Every center's ball comes from one threshold of the state's
     center-to-vertex distances (`StateIndex.center_dist`); a ball that is
     empty or holds more than half of M has no fit and is skipped.  The
     balls are grown on cell ids, and the first center in canonical order
-    keeps each distinct region.  Arcs come in the canonical order of their
-    centers.
+    keeps each distinct region.  Fits come in the canonical order of their
+    centers, and no cell is built: `ArcFit.arc` gives a fit's `ArcRegion`.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -324,9 +358,9 @@ def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
     ids = np.nonzero(in_ball)[1].tolist()  # each center's ball ids, ascending, center by center
     half = len(ix.cells) // 2
     regions: Set[FrozenSet[int]] = set()
-    arcs = []
+    fits = []
     end = 0
-    for center, size in zip(ix.centers, in_ball.sum(axis=1).tolist()):
+    for center, size in enumerate(in_ball.sum(axis=1).tolist()):
         start, end = end, end + size
         if not 0 < size <= half:
             continue
@@ -336,8 +370,8 @@ def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcRegion]:
         if bd is None or key in regions:
             continue
         regions.add(key)
-        arcs.append(ArcRegion(center, gamma, *_region_fit(ix, m, region, bd)))
-    return arcs
+        fits.append(ArcFit(center, key, frozenset(bd)))
+    return fits
 
 
 def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
@@ -351,26 +385,28 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
     its filling is solved only while that bound can still beat or tie the
     best solved report, which is yielded as soon as no waiting candidate
     can.  A candidate whose filling lower bound already exceeds the
-    replacement cap has no filling and is dropped unsolved.  Waiting
-    candidates keep only their region; the rest of the arc is rebuilt when
-    it is solved.
+    replacement cap has no filling and is dropped unsolved.  The bounds
+    are read from the candidates' ids (the height variants build the arc
+    for theirs), and a candidate is built as cells when it is solved.
+    Waiting candidates are keyed by center id, which follows the canonical
+    order of the centers, so ties fall as on cells.
     """
     M, variant = ctx.M, ctx.cfg.variant
-    pending = []  # (-bound, center, region), best key last
-    for arc in candidate_arcs(M, gamma):
-        lb = filling_lower_bound(M.ambient, arc.cycle)
-        if lb <= _replacement_cap(ctx, arc):
-            pending.append((-measure_bound(M.ambient, arc, lb, variant), arc.center, arc.region))
+    pending = []  # (-bound, center id, fit), best key last
+    for fit in candidate_arcs(M, gamma):
+        lb = _fit_lower_bound(M, fit)
+        if lb <= _replacement_cap(ctx, len(fit.region)):
+            pending.append((-_fit_measure_bound(M, gamma, fit, lb, variant), fit.center, fit))
     pending.sort(key=lambda e: e[:2], reverse=True)
-    solved = []  # heap of ((-measure, center), report)
+    solved = []  # heap of ((-measure, center id), report)
     while pending or solved:
         if solved and (not pending or pending[-1][:2] > solved[0][0]):
             yield heapq.heappop(solved)[1]
             continue
-        _, center, region = pending.pop()
-        arc = ArcRegion(center=center, gamma=gamma, region=region, cycle=Cycle(region_boundary(region), M.m))
+        _, center, fit = pending.pop()
+        arc = fit.arc(M, gamma)
         filling = replacement_filling(ctx, arc)
-        if filling is None or filling.N >= min(len(region), len(M.cells) - len(region)):
+        if filling is None or filling.N >= min(arc.N, len(M.cells) - arc.N):
             continue
         rep = curviness(ctx, arc, filling=filling)
         heapq.heappush(solved, ((-rep.measure(variant), center), rep))

@@ -142,7 +142,13 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
     a ring that fails to separate M is reported with its cells (by Jordan,
     a certificate), and a ring whose minimum filling is smaller than its
     smaller side yet passes through M with the cells it passes through.
+
+    A curve (m = 1) has no such ring, so its probe returns None at once: a
+    ball's boundary is a set of vertices, each vertex is a piece of its
+    own, and a single vertex is never a valid cycle.
     """
+    if M.m == 1:
+        return None
     d, _ = diameter(M)
     gmax = max(1, d // 2)
     for center in sorted(M.closure_cells):

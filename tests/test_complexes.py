@@ -4,13 +4,13 @@ from collections import Counter, defaultdict
 import pytest
 
 from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, link, star, validate
-from gridtopo.complexes import ValidationReport, components, region_boundary
+from gridtopo.complexes import ValidationReport, components, is_cycle, region_boundary
 from gridtopo.corpus import random_connected_subcomplex
 from gridtopo.errors import CellNotInComplex
 from gridtopo.io import load_fixture
 
 from conftest import FIXTURE_DIR
-from util import GOLDEN_DIR, golden_states
+from util import GOLDEN_DIR, golden_states, reference_is_cycle
 
 def test_sq1_validates(sq1):
     report = validate(sq1)
@@ -260,3 +260,33 @@ def test_components_and_cycles_match_reference(amb2, amb3):
                 cycles[dim, got] += 1
     assert all(cycles[d, ok] for d in range(3) for ok in (False, True))
 
+
+
+def test_is_cycle_on_hand_made_sets(amb2):
+    """The one-flood cycle test against the face count plus `components`,
+    on cells and on their codes, with the answers pinned: two vertices
+    (a 0-sphere) and a square's ring are cycles; no set, one vertex, three
+    vertices, two apart rings, a figure-eight (two rings at one vertex)
+    and an open path are not."""
+    def ring(x, y):
+        return region_boundary([CubicalCell.make((x, y), (0, 1))])
+
+    def vertices(*points):
+        return frozenset(CubicalCell.make(p) for p in points)
+
+    edge = CubicalCell.make((0, 0), (0,))
+    cases = {
+        "empty": (frozenset(), False),
+        "one vertex": (vertices((0, 0)), False),
+        "two vertices": (vertices((0, 0), (3, 1)), True),
+        "three vertices": (vertices((0, 0), (1, 0), (3, 1)), False),
+        "ring": (ring(0, 0), True),
+        "two apart rings": (ring(0, 0) | ring(2, 2), False),
+        "figure-eight": (ring(0, 0) | ring(1, 1), False),
+        "open path": (frozenset([edge, CubicalCell.make((1, 0), (0,)), CubicalCell.make((2, 0), (1,))]), False),
+    }
+    codes = amb2.codes
+    for name, (cells, want) in cases.items():
+        assert is_cycle(cells) == reference_is_cycle(cells) == want, name
+        ids = frozenset(map(codes.code, cells))
+        assert is_cycle(ids, codes.faces) == reference_is_cycle(ids, codes.faces) == want, name

@@ -1,5 +1,6 @@
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,14 +17,13 @@ from gridtopo import (
     radius_schedule,
     select_peak,
 )
-from gridtopo.complexes import Cycle, components, region_boundary
+from gridtopo.complexes import Cycle, components, is_cycle, region_boundary
 from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import (
     VARIANTS,
     ArcRegion,
     boundary_cycle_fit,
     candidate_arcs,
-    filling_lower_bound,
     measure_bound,
     radius_schedule_from,
     replacement_filling,
@@ -31,6 +31,7 @@ from gridtopo.curviness import (
 )
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CodimensionUnsupported, CycleFitFailed, GridTopoError, NoFittingCycle
+from gridtopo.filling import filling_lower_bound
 
 from util import (
     POLYCUBE_VOXELS,
@@ -41,6 +42,7 @@ from util import (
     oracle_min_paths,
     random_polycube_surfaces,
     reference_ball,
+    reference_is_cycle,
     surface_from_voxels,
 )
 
@@ -192,7 +194,7 @@ def test_arc_sign_codimension_guard(pinch):
 
 
 def test_candidate_arcs_deduplicate(ushape):
-    arcs = candidate_arcs(ushape, 2)
+    arcs = [fit.arc(ushape, 2) for fit in candidate_arcs(ushape, 2)]
     regions = [a.region for a in arcs]
     assert len(regions) == len(set(regions))
 
@@ -212,24 +214,66 @@ def reference_candidate_arcs(M, gamma):
     return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
 
 
-def test_candidate_arcs_match_reference(amb3, ushape, rect12, sq1, box111, box211, torus):
-    """The batch scan against the per-center scan at every scanned radius:
-    the same arcs (center, radius, region, cycle), in the same order, on
-    the fixtures, every golden state, seeded random curves and random
+def _scanned_manifolds(amb3, fixtures):
+    """The fixtures, every golden state, seeded random curves and random
     polycubes, the last of which has distinct balls that fit one region."""
     amb2 = build_ambient(2, [(0, 15), (0, 15)])
-    manifolds = [ushape, rect12, sq1, box111, box211, torus]
+    manifolds = list(fixtures)
     for name in ("sq1", "rect12", "ushape", "box111", "box211", "box333", "torus", "spacecurve"):
         manifolds += golden_states(name)
     manifolds += [random_simple_curve(amb2, random.Random(seed)) for seed in (3, 11, 29)]
-    manifolds += random_polycube_surfaces(amb3, 10, seed=2)
+    return manifolds + random_polycube_surfaces(amb3, 10, seed=2)
+
+
+def test_candidate_arcs_match_reference(amb3, ushape, rect12, sq1, box111, box211, torus):
+    """The batch scan against the per-center scan at every scanned radius:
+    the same arcs (center, radius, region, cycle), in the same order, on
+    `_scanned_manifolds`."""
     arcs = 0
-    for M in manifolds:
+    for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
         for gamma in radius_sweep(M):
-            got = candidate_arcs(M, gamma)
+            got = [fit.arc(M, gamma) for fit in candidate_arcs(M, gamma)]
             assert got == reference_candidate_arcs(M, gamma)
             arcs += len(got)
     assert arcs
+
+
+def test_grow_cycle_test_matches_reference(amb3, ushape, rect12, sq1, box111, box211, torus, monkeypatch):
+    """Every boundary the region growth tests, over a scan at every radius,
+    gets the same answer from the one-flood `is_cycle` on face ids as from
+    the face count plus `components`; both answers occur."""
+    seen = Counter()
+
+    def checked(items, faces_of):
+        got = is_cycle(items, faces_of)
+        assert got == reference_is_cycle(items, faces_of), sorted(items)
+        seen[got] += 1
+        return got
+
+    monkeypatch.setattr(curviness_module, "is_cycle", checked)
+    for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
+        for gamma in radius_sweep(M):
+            candidate_arcs(M, gamma)
+    assert seen[True] and seen[False]
+
+
+def test_fit_bounds_match_cycle_bounds(amb3, ushape, rect12, sq1, box111, box211, torus):
+    """The bounds the scan reads from a fit's ids equal those of its arc:
+    `filling_lower_bound` of the cycle, and `measure_bound` for the ratio
+    and the difference.  The height variants take `measure_bound` of the
+    built arc itself; `eager_reports` checks all four on its fixtures."""
+    fits = 0
+    for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
+        for gamma in radius_sweep(M):
+            for fit in candidate_arcs(M, gamma):
+                arc = fit.arc(M, gamma)
+                lb = filling_lower_bound(M.ambient, arc.cycle)
+                assert curviness_module._fit_lower_bound(M, fit) == lb
+                for variant in ("ratio", "diff"):
+                    got = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
+                    assert got == measure_bound(M.ambient, arc, lb, variant)
+                fits += 1
+    assert fits
 
 
 def test_determinism_of_reports(ushape):
@@ -250,8 +294,13 @@ def eager_reports(ctx, gamma):
     """
     M, variant = ctx.M, ctx.cfg.variant
     out = []
-    for arc in candidate_arcs(M, gamma):
+    for fit in candidate_arcs(M, gamma):
+        arc = fit.arc(M, gamma)
         lb = filling_lower_bound(M.ambient, arc.cycle)
+        assert curviness_module._fit_lower_bound(M, fit) == lb
+        assert curviness_module._fit_measure_bound(M, gamma, fit, lb, variant) == measure_bound(
+            M.ambient, arc, lb, variant
+        )
         filling = replacement_filling(ctx, arc)
         if lb > min(ctx.cfg.filling_cap, arc.N - 1, len(M.cells) - arc.N - 1):
             assert filling is None

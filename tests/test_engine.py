@@ -1,4 +1,5 @@
 import gc
+import importlib
 import itertools
 import json
 import random
@@ -144,6 +145,28 @@ def test_probe_on_torus(torus):
     ev = probe_obstruction(torus)
     assert ev is not None
     assert ev.kind in ("lofted_intersection", "non_separating")
+
+
+def test_probe_on_curves_returns_at_once(ushape, box111, monkeypatch):
+    """A curve's probe returns None without computing a ball, on ushape and
+    on criterion 7's curves; a surface's probe still computes them."""
+    engine_module = importlib.import_module("gridtopo.engine")
+    balls = []
+    real_ball = engine_module.ball
+
+    def counting(*args):
+        balls.append(args)
+        return real_ball(*args)
+
+    monkeypatch.setattr(engine_module, "ball", counting)
+    amb = build_ambient(2, [(0, 15), (0, 15)])
+    rng = random.Random(20260809)  # criterion 7's seed
+    curves = [random_simple_curve(amb, rng, max_perimeter=60) for _ in range(100)]
+    for M in (ushape, *curves):
+        assert probe_obstruction(M) is None
+    assert balls == []
+    probe_obstruction(box111)
+    assert balls
 
 
 def test_random_curves_contract():

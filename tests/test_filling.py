@@ -426,7 +426,7 @@ def _arcs(manifolds):
     for M in manifolds:
         ctx, regions = ScanContext(M), set()
         for gamma in radius_sweep(M):
-            for arc in candidate_arcs(M, gamma):
+            for arc in (fit.arc(M, gamma) for fit in candidate_arcs(M, gamma)):
                 if arc.region not in regions:
                     regions.add(arc.region)
                     yield ctx, arc
@@ -639,7 +639,7 @@ def test_replacement_filling_is_exact_on_random_polycubes(amb3):
     both = 0
     for ctx, arc in _arcs(random_polycube_surfaces(amb3, 16, seed=1)):
         M = ctx.M
-        cap = _replacement_cap(ctx, arc)
+        cap = _replacement_cap(ctx, arc.N)
         if cap < 1:
             continue
         exclude = M.closure_cells - closure_of(arc.cycle.cells)

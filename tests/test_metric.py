@@ -1,6 +1,8 @@
 import math
 import random
+from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,12 @@ from gridtopo import CubicalCell, all_pairs, ball, build_ambient, cell_distance,
 from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CellNotInComplex, Unreachable
+from gridtopo.io import load_fixture
 from gridtopo.metric import ambient_distance, vertex_distances
 
+from conftest import FIXTURE_DIR
 from util import (
+    GOLDEN_DIR,
     POLYCUBE_VOXELS,
     bfs_levels,
     curve_from_pixels,
@@ -203,6 +208,31 @@ def test_index_matches_bfs(amb3, sq1, ushape, rect12, box211, torus):
             assert row == [table.get(v, math.inf) for v in ix.vertices]
             for gamma in radius_sweep(M):
                 assert ball(M, center, gamma) == reference_ball(M, center, gamma)
+
+
+def reference_center_dist(M):
+    """`StateIndex.center_dist` as it was built for every m: each block of
+    rows from the vertices of every closure cell of one dimension."""
+    ix, rows = M.index, []
+    for k, same_dim in groupby(ix.centers, key=lambda c: c.dim):
+        corners = [ix.vertex_id[v] for c in same_dim for v in c.vertices()]
+        rows.append(ix.dist[np.reshape(corners, (-1, 1 << k))].min(axis=1))
+    return np.concatenate(rows)
+
+
+def test_center_dist_matches_cell_vertex_construction(amb3):
+    """The table read from `dist`, `face_ridges` and `cell_vertices`
+    against the one built from every closure cell's vertices, on every
+    fixture, every golden state and the polycubes."""
+    manifolds = [load_fixture(p, require_valid=False) for p in sorted(FIXTURE_DIR.glob("*.txt"))]
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        manifolds += golden_states(path.stem)
+    manifolds += [surface_from_voxels(amb3, v) for v in POLYCUBE_VOXELS]
+    assert {M.m for M in manifolds} == {1, 2}
+    for M in manifolds:
+        got = M.index.center_dist
+        assert got.shape == (len(M.closure_cells), len(M.vertices))
+        assert np.array_equal(got, reference_center_dist(M))
 
 
 def test_ball_rejects_center_outside_closure(ushape):

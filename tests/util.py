@@ -12,6 +12,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 from gridtopo import CubicalCell, ManifoldComplex, validate
+from gridtopo.complexes import components
 from gridtopo.io import trace_from_json
 from gridtopo.metric import vertex_distances
 
@@ -101,6 +102,15 @@ def golden_states(name):
         trace = trace_from_json(d)
         for state in trace.states():
             yield ManifoldComplex(trace.ambient, trace.m, state)
+
+
+def reference_is_cycle(items, faces_of=CubicalCell.faces):
+    """`complexes.is_cycle` as it was before its one-flood form: a face
+    count, then the `components` union-find over the items."""
+    counts = Counter(f for x in items for f in faces_of(x))
+    if not counts:
+        return len(items) == 2
+    return all(k == 2 for k in counts.values()) and len(components(items, faces_of)) == 1
 
 
 # ---------------------------------------------------------------------------
