@@ -1,8 +1,9 @@
 """Boundary-cycle fitting, curviness measures, peak selection, arc signs.
 
 The curviness of an arc compares its cell count against the cell count of
-a minimum filling of its boundary.  Four measures are kept side by side:
-the ratio, the difference, the height of the arc over the filling, and the
+a minimum filling of its boundary.  A `CurvinessReport` holds the arc and
+the filling, and computes each of four measures when it is read: the
+ratio, the difference, the height of the arc over the filling, and the
 height scaled by the filling span.  Peaks are selected by scanning balls
 around every cell of the manifold closure; using edges and faces as ball
 centers in addition to vertices reaches the odd-diameter arcs a vertex
@@ -23,11 +24,12 @@ The exact surface search serves only fillings free to run through M:
 of `M.index` (`ArcFit`: center id, region cell ids, boundary face ids), and
 every filling of a fit's cycle has at least a known number of cells (the
 endpoint distance for curves, a face count for surfaces), which bounds
-each measure from above before any cell is built.  The candidates wait in
-bound order, and a replacement filling is solved only while a waiting
-candidate could still beat or tie the best solved report, so the first
-report costs a few solves instead of one per candidate.  Only a candidate
-taken up for solving is built as cells, an `ArcRegion`.
+each measure from above before any cell is built.  The candidates wait
+in one heap with the solved reports, and a replacement filling is solved
+only while a waiting candidate could still beat or tie the best solved
+report, so the first report costs a few solves instead of one per
+candidate.  Only a candidate taken up for solving is built as cells, an
+`ArcRegion`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Se
 
 import numpy as np
 
-from .cells import AmbientSpace, Coord, CubicalCell
+from .cells import Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, is_cycle
 from .errors import (
     CodimensionUnsupported,
@@ -94,25 +96,38 @@ class ArcFit(NamedTuple):
 
 @dataclass(frozen=True)
 class CurvinessReport:
+    """A solved candidate: its arc and the filling it is measured against.
+    Each measure is computed when read; `measure` names them by variant."""
+
     center: CubicalCell
     gamma: int
     arc: ArcRegion
     filling: Filling
-    r: Fraction
-    r1: int
-    r2_h: int
-    r3: Fraction
+
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self.arc.N, self.filling.N)
+
+    @property
+    def r1(self) -> int:
+        return self.arc.N - self.filling.N
+
+    @property
+    def r2_h(self) -> int:
+        return _height(self.arc.region, self.filling.vertices)
+
+    @property
+    def r3(self) -> Fraction:
+        span = _span(self.filling.vertices)
+        return Fraction(self.r2_h, span) if span else Fraction(0)
 
     def measure(self, variant: str):
-        if variant == "ratio":
-            return self.r
-        if variant == "diff":
-            return self.r1
-        if variant == "height":
-            return self.r2_h
-        if variant == "height_ratio":
-            return self.r3
-        raise ValueError(f"unknown variant {variant!r}")
+        if variant not in _MEASURES:
+            raise ValueError(f"unknown variant {variant!r}")
+        return getattr(self, _MEASURES[variant])
+
+
+_MEASURES = dict(zip(VARIANTS, ("r", "r1", "r2_h", "r3")))  # each variant's report property
 
 
 def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = None) -> RegionFit:
@@ -202,26 +217,18 @@ def boundary_cycle_fit(
     return ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle)
 
 
-def height(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> int:
-    """Largest ambient vertex distance from arc cells to the filling."""
-    return _height(M.ambient, arc.region, filling.vertices)
+def _height(region: CellSet, verts: FrozenSet[Coord]) -> int:
+    """Largest, over the region's cells, grid distance from a cell's
+    corners to the vertices: 0 when every cell has a corner among them."""
+    corners = np.array([list(c.vertices()) for c in region])  # cell, corner, axis
+    gaps = np.abs(corners[:, :, None, :] - np.array(list(verts))).sum(axis=3)
+    return int(gaps.min(axis=(1, 2)).max())
 
 
-def _height(ambient: AmbientSpace, region: CellSet, verts: FrozenSet[Coord]) -> int:
-    """Largest, over the region's cells, distance from a cell to the vertices."""
-    h = 0
-    for c in region:
-        d = min(ambient_distance(ambient, v, w) for v in c.vertices() for w in verts)
-        h = max(h, d)
-    return h
-
-
-def _span(ambient: AmbientSpace, verts: Iterable[Coord]) -> int:
-    verts = sorted(verts)
-    return max(
-        (ambient_distance(ambient, u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]),
-        default=0,
-    )
+def _span(verts: Iterable[Coord]) -> int:
+    """Largest grid distance between two of the vertices."""
+    points = np.array(list(verts))
+    return int(np.abs(points[:, None, :] - points).sum(axis=2).max(initial=0))
 
 
 def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
@@ -251,22 +258,11 @@ def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion, cap: int) -> Optional[
 
 
 def curviness(ctx: ScanContext, arc: ArcRegion, filling: Optional[Filling] = None) -> CurvinessReport:
-    """All four curviness measures of an arc against a minimum filling."""
+    """The curviness report of an arc against a filling, by default a
+    minimum filling of its boundary; the measures are read from it."""
     if filling is None:
         filling = minimum_filling_of_arc(ctx, arc)
-    n_arc, n_fill = len(arc.region), filling.N
-    h = height(ctx.M, arc, filling)
-    span = _span(ctx.M.ambient, filling.vertices)
-    return CurvinessReport(
-        center=arc.center,
-        gamma=arc.gamma,
-        arc=arc,
-        filling=filling,
-        r=Fraction(n_arc, n_fill),
-        r1=n_arc - n_fill,
-        r2_h=h,
-        r3=Fraction(h, span) if span else Fraction(0),
-    )
+    return CurvinessReport(center=arc.center, gamma=arc.gamma, arc=arc, filling=filling)
 
 
 def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
@@ -321,10 +317,10 @@ def _fit_measure_bound(M: ManifoldComplex, gamma: int, fit: ArcFit, lb: int, var
         return Fraction(len(fit.region), lb)
     if variant == "diff":
         return len(fit.region) - lb
-    return measure_bound(M.ambient, fit.arc(M, gamma), lb, variant)
+    return measure_bound(fit.arc(M, gamma), lb, variant)
 
 
-def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
+def measure_bound(arc: ArcRegion, lb: int, variant: str):
     """Upper bound on the arc's measure against any filling of >= lb cells.
 
     The height is taken to the cycle's vertices, which every filling
@@ -335,10 +331,10 @@ def measure_bound(ambient: AmbientSpace, arc: ArcRegion, lb: int, variant: str):
     if variant == "diff":
         return arc.N - lb
     cycle_verts = frozenset(v for c in arc.cycle.cells for v in c.vertices())
-    h = _height(ambient, arc.region, cycle_verts)
+    h = _height(arc.region, cycle_verts)
     if variant == "height":
         return h
-    return Fraction(h, max(1, _span(ambient, cycle_verts)))
+    return Fraction(h, max(1, _span(cycle_verts)))
 
 
 def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcFit]:
@@ -381,35 +377,33 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
     its volume is smaller than both components of the split.  Reports are
     yielded best first by the configured variant, centers breaking ties.
 
-    Lazy: each candidate waits under an upper bound on its measure, and
-    its filling is solved only while that bound can still beat or tie the
-    best solved report, which is yielded as soon as no waiting candidate
-    can.  A candidate whose filling lower bound already exceeds the
-    replacement cap has no filling and is dropped unsolved.  The bounds
-    are read from the candidates' ids (the height variants build the arc
-    for theirs), and a candidate is built as cells when it is solved.
-    Waiting candidates are keyed by center id, which follows the canonical
-    order of the centers, so ties fall as on cells.
+    Lazy: candidates wait under upper bounds on their measures, in one
+    heap with the solved reports, as (-bound, center id, fit) and
+    (-measure, center id, report).  No two entries share a center, so each
+    pop is the best entry: a report to yield, or a candidate to solve,
+    whose report goes back in.  A candidate whose filling lower bound
+    exceeds the replacement cap is dropped unsolved.  The bounds are read
+    from ids (the height variants build the arc for theirs); center ids
+    follow canonical order, so ties fall as on cells.
     """
     M, variant = ctx.M, ctx.cfg.variant
-    pending = []  # (-bound, center id, fit), best key last
+    queue = []
     for fit in candidate_arcs(M, gamma):
         lb = _fit_lower_bound(M, fit)
         if lb <= _replacement_cap(ctx, len(fit.region)):
-            pending.append((-_fit_measure_bound(M, gamma, fit, lb, variant), fit.center, fit))
-    pending.sort(key=lambda e: e[:2], reverse=True)
-    solved = []  # heap of ((-measure, center id), report)
-    while pending or solved:
-        if solved and (not pending or pending[-1][:2] > solved[0][0]):
-            yield heapq.heappop(solved)[1]
+            queue.append((-_fit_measure_bound(M, gamma, fit, lb, variant), fit.center, fit))
+    heapq.heapify(queue)
+    while queue:
+        _, center, item = heapq.heappop(queue)
+        if isinstance(item, CurvinessReport):
+            yield item
             continue
-        _, center, fit = pending.pop()
-        arc = fit.arc(M, gamma)
+        arc = item.arc(M, gamma)
         filling = replacement_filling(ctx, arc)
         if filling is None or filling.N >= min(arc.N, len(M.cells) - arc.N):
             continue
         rep = curviness(ctx, arc, filling=filling)
-        heapq.heappush(solved, ((-rep.measure(variant), center), rep))
+        heapq.heappush(queue, (-rep.measure(variant), center, rep))
 
 
 def select_peak(ctx: ScanContext, gamma: int) -> Optional[CurvinessReport]:
@@ -436,19 +430,20 @@ def arc_sign(ctx: ScanContext, arc: ArcRegion, filling: Filling) -> str:
 
     Works in codimension one only, where the bounded component of the
     ambient is well defined; the filling sits inside it for a peak and
-    outside for a valley.
+    outside for a valley.  It is flat when every arc cell has a vertex on
+    the filling: its height over the filling is 0.
     """
     M = ctx.M
     if M.ambient.n != M.m + 1:
         raise CodimensionUnsupported(f"m={M.m} in ambient n={M.ambient.n}")
-    if height(M, arc, filling) == 0:
+    verts = filling.vertices
+    if all(not verts.isdisjoint(c.vertices()) for c in arc.region):
         return "flat"
     inside = ctx.inside
     for c in sorted(filling.cells):
         if c in M.cells:
             continue
-        carriers = list(M.ambient.top_cells_containing(c))
-        if any(t in inside for t in carriers):
+        if any(t in inside for t in M.ambient.top_cells_containing(c)):
             return "peak"
         return "valley"
     return "flat"

@@ -211,10 +211,6 @@ class _Run:
             return None
         removed = tuple(sorted(arc.region - filling.cells))
         added = tuple(sorted(filling.cells - arc.region))
-        try:
-            sign = arc_sign(ctx, arc, filling)
-        except CodimensionUnsupported:
-            sign = "unknown"
 
         obstructed = False
         level = None
@@ -240,6 +236,10 @@ class _Run:
             except InterpolationFailed:
                 pass
             else:
+                try:
+                    sign = arc_sign(ctx, arc, filling)
+                except CodimensionUnsupported:
+                    sign = "unknown"
                 marker = ReplaceStep(
                     center=arc.center, gamma=arc.gamma, removed=removed, added=added,
                     sign=sign, lofted=loft_summary,

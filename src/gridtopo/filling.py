@@ -460,6 +460,8 @@ class ScanContext:
         return inside_region(self.M)
 
     def network(self, side: str) -> _CutNetwork:
+        if side not in ("inside", "outside"):
+            raise ValueError(f"side must be 'inside' or 'outside', got {side!r}")
         if side not in self._networks:
             self._networks[side] = _CutNetwork(self.M, self.inside, side == "inside")
         return self._networks[side]
@@ -489,6 +491,7 @@ def one_sided_min_cut(
     None, once the flow exceeds the cap.  The flipped region is the set
     the carriers of the rest cannot reach at maximum flow, the same for
     every maximum flow, so reusing the side's network changes no result.
+    Raises ValueError for a side other than "inside" or "outside".
     """
     net = ctx.network(side)
     if not net.stranded.isdisjoint(arc_cells):

@@ -133,10 +133,11 @@ class AllPairs:
         self._index = M.index
 
     def d_m(self, x: Coord, y: Coord) -> int:
+        """Edges on a shortest path from x to y in M; Unreachable if there is none."""
         ix = self._index
-        i = ix.vertex_id[tuple(x)]
+        i = ix.vertex_id.get(tuple(x))
         j = ix.vertex_id.get(tuple(y))
-        if j is None or isinf(ix.dist[i, j]):
+        if i is None or j is None or isinf(ix.dist[i, j]):
             raise Unreachable(f"{y} not reachable from {x} in M")
         return int(ix.dist[i, j])
 

@@ -1,6 +1,8 @@
+import heapq
 import importlib
+import itertools
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
@@ -32,8 +34,10 @@ from gridtopo.curviness import (
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CodimensionUnsupported, CycleFitFailed, GridTopoError, NoFittingCycle
 from gridtopo.filling import filling_lower_bound
+from gridtopo.metric import ambient_distance
 
 from util import (
+    GOLDEN_DIR,
     POLYCUBE_VOXELS,
     SPHERE28_VOXELS,
     bfs_levels,
@@ -271,7 +275,7 @@ def test_fit_bounds_match_cycle_bounds(amb3, ushape, rect12, sq1, box111, box211
                 assert curviness_module._fit_lower_bound(M, fit) == lb
                 for variant in ("ratio", "diff"):
                     got = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
-                    assert got == measure_bound(M.ambient, arc, lb, variant)
+                    assert got == measure_bound(arc, lb, variant)
                 fits += 1
     assert fits
 
@@ -298,9 +302,7 @@ def eager_reports(ctx, gamma):
         arc = fit.arc(M, gamma)
         lb = filling_lower_bound(M.ambient, arc.cycle)
         assert curviness_module._fit_lower_bound(M, fit) == lb
-        assert curviness_module._fit_measure_bound(M, gamma, fit, lb, variant) == measure_bound(
-            M.ambient, arc, lb, variant
-        )
+        assert curviness_module._fit_measure_bound(M, gamma, fit, lb, variant) == measure_bound(arc, lb, variant)
         filling = replacement_filling(ctx, arc)
         if lb > min(ctx.cfg.filling_cap, arc.N - 1, len(M.cells) - arc.N - 1):
             assert filling is None
@@ -308,7 +310,7 @@ def eager_reports(ctx, gamma):
             continue
         assert filling.N >= lb
         rep = curviness(ctx, arc, filling=filling)
-        assert rep.measure(variant) <= measure_bound(M.ambient, arc, lb, variant)
+        assert rep.measure(variant) <= measure_bound(arc, lb, variant)
         if filling.N < min(arc.N, len(M.cells) - arc.N):
             out.append(rep)
     out.sort(key=lambda r: r.center)
@@ -421,3 +423,161 @@ def test_fit_region_needs_closed_manifold(amb2):
     arc = ManifoldComplex.make(amb2, 1, [CubicalCell.make((0, 0), (0,)), CubicalCell.make((1, 0), (0,))])
     with pytest.raises(ValueError, match="closed manifold"):
         curviness_module.fit_region(arc, frozenset([CubicalCell.make((0, 0), (0,))]))
+
+
+# ---------------------------------------------------------------------------
+# The report, the sign and the ranking as they were when the report stored
+# all four measures, the sign computed the height, and the ranking sorted
+# its waiting candidates beside a heap of solved reports.
+
+_MEASURE_FIELD = {"ratio": "r", "diff": "r1", "height": "r2_h", "height_ratio": "r3"}
+
+
+class ReferenceReport(namedtuple("ReferenceReport", "center gamma arc filling r r1 r2_h r3")):
+    def measure(self, variant):
+        return getattr(self, _MEASURE_FIELD[variant])
+
+
+def reference_height(M, arc, filling):
+    """`curviness.height` as it was: the largest ambient vertex distance
+    from arc cells to the filling."""
+    verts, h = filling.vertices, 0
+    for c in arc.region:
+        d = min(ambient_distance(M.ambient, v, w) for v in c.vertices() for w in verts)
+        h = max(h, d)
+    return h
+
+
+def reference_span(M, verts):
+    verts = sorted(verts)
+    return max(
+        (ambient_distance(M.ambient, u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]),
+        default=0,
+    )
+
+
+def reference_curviness(ctx, arc, filling):
+    """`curviness.curviness` as it was, given the filling: every measure
+    computed when the report is built."""
+    n_arc, n_fill = len(arc.region), filling.N
+    h = reference_height(ctx.M, arc, filling)
+    span = reference_span(ctx.M, filling.vertices)
+    return ReferenceReport(
+        arc.center, arc.gamma, arc, filling,
+        Fraction(n_arc, n_fill), n_arc - n_fill, h, Fraction(h, span) if span else Fraction(0),
+    )
+
+
+def reference_arc_sign(ctx, arc, filling):
+    """`curviness.arc_sign` as it was: flat when the height is 0."""
+    M = ctx.M
+    if M.ambient.n != M.m + 1:
+        raise CodimensionUnsupported(f"m={M.m} in ambient n={M.ambient.n}")
+    if reference_height(M, arc, filling) == 0:
+        return "flat"
+    inside = ctx.inside
+    for c in sorted(filling.cells):
+        if c in M.cells:
+            continue
+        carriers = list(M.ambient.top_cells_containing(c))
+        if any(t in inside for t in carriers):
+            return "peak"
+        return "valley"
+    return "flat"
+
+
+def reference_valid_reports(ctx, gamma):
+    """`curviness.valid_reports` as it was: the waiting candidates sorted
+    on their bounds, the solved reports in a heap of their own, and a rule
+    to choose between the two tops."""
+    M, variant = ctx.M, ctx.cfg.variant
+    pending = []  # (-bound, center id, fit), best key last
+    for fit in curviness_module.candidate_arcs(M, gamma):
+        lb = curviness_module._fit_lower_bound(M, fit)
+        if lb <= curviness_module._replacement_cap(ctx, len(fit.region)):
+            bound = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
+            pending.append((-bound, fit.center, fit))
+    pending.sort(key=lambda e: e[:2], reverse=True)
+    solved = []  # heap of ((-measure, center id), report)
+    while pending or solved:
+        if solved and (not pending or pending[-1][:2] > solved[0][0]):
+            yield heapq.heappop(solved)[1]
+            continue
+        _, center, fit = pending.pop()
+        arc = fit.arc(M, gamma)
+        filling = curviness_module.replacement_filling(ctx, arc)
+        if filling is None or filling.N >= min(arc.N, len(M.cells) - arc.N):
+            continue
+        rep = reference_curviness(ctx, arc, filling)
+        heapq.heappush(solved, ((-rep.measure(variant), center), rep))
+
+
+def _sign(sign, ctx, rep):
+    try:
+        return sign(ctx, rep.arc, rep.filling)
+    except CodimensionUnsupported:
+        return "unsupported"
+
+
+def test_reports_match_reference(amb3, ushape, rect12, sq1, box111, box211, torus, monkeypatch):
+    """The one-queue ranking with measures computed on read against the
+    sorted ranking with stored measures, at every radius of the fixtures,
+    every golden state and random polycubes: the same solves and yields,
+    interleaved alike; the same reports with equal measures of the same
+    types; and the same sign from the set test as from the height."""
+    events = []
+
+    def run(reports):
+        events.clear()
+        out = []
+        for rep in reports:
+            events.append(("yield", rep.center))
+            out.append(rep)
+        return out, list(events)
+
+    # Both rankings take their candidates, bounds and fillings from the
+    # same functions, so the second ranking of a state reads the first's
+    # results; every solve is logged.
+    def remembered(fn, key_of):
+        known = {}
+
+        def call(*args):
+            key = key_of(*args)
+            if key not in known:
+                known[key] = fn(*args)
+            return known[key]
+
+        return call
+
+    fits = remembered(curviness_module.candidate_arcs, lambda M, gamma: (id(M), gamma))
+    bound = remembered(curviness_module._fit_measure_bound, lambda M, gamma, fit, lb, v: (id(M), gamma, fit, v))
+    solve = remembered(curviness_module.replacement_filling, lambda ctx, arc: (id(ctx.M), arc))
+
+    def logged_solve(ctx, arc):
+        events.append(("solve", arc.center))
+        return solve(ctx, arc)
+
+    monkeypatch.setattr(curviness_module, "candidate_arcs", fits)
+    monkeypatch.setattr(curviness_module, "_fit_measure_bound", bound)
+    monkeypatch.setattr(curviness_module, "replacement_filling", logged_solve)
+    manifolds = [ushape, rect12, sq1, box111, box211, torus]
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        manifolds += golden_states(path.stem)
+    manifolds += random_polycube_surfaces(amb3, 6, seed=5)
+    signs = Counter()
+    for M, variant in itertools.product(manifolds, VARIANTS):
+        ctx = ScanContext(M, ContractionConfig(variant=variant))
+        for gamma in radius_sweep(M):
+            want, want_events = run(reference_valid_reports(ctx, gamma))
+            got, got_events = run(valid_reports(ctx, gamma))
+            assert got_events == want_events
+            assert [(r.center, r.gamma, r.arc, r.filling) for r in got] == [w[:4] for w in want]
+            for r, w in zip(got, want):
+                measures = (r.r, r.r1, r.r2_h, r.r3)
+                assert measures == w[4:]
+                assert list(map(type, measures)) == [Fraction, int, int, Fraction]
+                assert r.measure(variant) == w.measure(variant)
+                sign = _sign(arc_sign, ctx, r)
+                assert sign == _sign(reference_arc_sign, ctx, w)
+                signs[sign] += 1
+    assert set(signs) == {"peak", "valley", "flat", "unsupported"}

@@ -229,6 +229,18 @@ def test_one_sided_min_cut_box211(box211):
     assert region == {CubicalCell.make((0, 0, 0), (0, 1, 2))}
 
 
+@pytest.mark.parametrize("side", ["Inside", "outer", ""])
+def test_one_sided_min_cut_rejects_unknown_side(box211, side):
+    """A side is "inside" or "outside"; any other raises rather than
+    solving the outside and caching a third network under its name."""
+    left = CubicalCell.make((0, 0, 0), (1, 2))
+    arc = boundary_cycle_fit(box211, ball(box211, left, 1), center=left, gamma=1)
+    ctx = ScanContext(box211)
+    with pytest.raises(ValueError, match="inside"):
+        one_sided_min_cut(ctx, arc.region, side)
+    assert ctx._networks == {}
+
+
 def test_lofted_ushape_inner(ushape):
     center = CubicalCell.make((1, 1), (0,))
     b = ball(ushape, center, 2)

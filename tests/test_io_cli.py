@@ -151,6 +151,18 @@ def test_cli_distances(capsys):
     assert lines[0].split() == ["0,0", "0,1", "1", "1"]
 
 
+# The whole `--all` table over the radius schedule, the one reader of all
+# four measures: center, radius, r, r1, height, height over span.
+CURVINESS_TABLES = {
+    "ushape": [
+        "0,3|0 2 5 4 2 2", "1,1|0 2 5 4 2 2", "2,3|0 2 5 4 2 2",
+        "0,3|0 1 3 2 1 1", "1,1|0 1 3 2 1 1", "2,3|0 1 3 2 1 1",
+    ],
+    "rect12": ["0,0|1 1 3 2 1 1", "2,0|1 1 3 2 1 1"],
+    "box211": ["0,0,0|1,2 1 5 4 1 1/2", "2,0,0|1,2 1 5 4 1 1/2"],
+}
+
+
 def test_cli_curviness(capsys):
     rc = main(["curviness", str(FIXTURE_DIR / "ushape.txt"), "--radius", "2", "--all"])
     assert rc == 0
@@ -158,6 +170,9 @@ def test_cli_curviness(capsys):
     assert lines, "expected at least one report row"
     first = lines[0].split()
     assert first[1] == "2" and first[2] == "5"
+    for name, rows in CURVINESS_TABLES.items():
+        assert main(["curviness", str(FIXTURE_DIR / f"{name}.txt"), "--all"]) == 0
+        assert capsys.readouterr().out.splitlines() == rows
 
 
 def test_cli_contract_and_render(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import groupby
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import CubicalCell, all_pairs, ball, build_ambient, cell_distance, diameter
+from gridtopo import CubicalCell, ManifoldComplex, all_pairs, ball, build_ambient, cell_distance, diameter, validate
 from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CellNotInComplex, Unreachable
@@ -104,11 +105,19 @@ def test_ball_monotone(ushape):
 def test_unreachable():
     amb = build_ambient(2, [(0, 6), (0, 6)])
     cells = [CubicalCell.make((0, 0), (0,)), CubicalCell.make((4, 4), (0,))]
-    from gridtopo import ManifoldComplex
-
     M = ManifoldComplex.make(amb, 1, cells)
     with pytest.raises(Unreachable):
         cell_distance(M, (0, 0), (4, 4), k=1)
+
+
+def test_d_m_off_the_complex_is_unreachable(ushape):
+    """A point that is not a vertex of M is out of reach at either end."""
+    ap = all_pairs(ushape)
+    for x, y in (((99, 99), (0, 0)), ((0, 0), (99, 99)), ((99, 99), (98, 98))):
+        with pytest.raises(Unreachable):
+            ap.d_m(x, y)
+        with pytest.raises(Unreachable):
+            cell_distance(ushape, x, y)
 
 
 def test_manhattan_closed_form():
@@ -262,3 +271,24 @@ def test_index_on_disconnected_complex(amb2, amb3):
                 got_ball = ball(M, center, gamma)
                 assert got_ball == reference_ball(M, center, gamma)
                 assert len(got_ball) <= len(M.cells) // 2  # one component at most
+
+
+def test_index_of_a_three_manifold():
+    """m = 3: the boundary of a 2x1x1x1 block of 4-cells, 14 cubes with
+    χ = 0.  The index's distances match a fresh search over its edges, and
+    its balls, read through the m >= 3 edge ends and the per-dimension
+    `center_dist` rows, match `reference_ball` at every center and radius."""
+    amb4 = build_ambient(4, [(-1, 3), (-1, 2), (-1, 2), (-1, 2)])
+    counts = Counter(f for x in (0, 1) for f in CubicalCell.make((x, 0, 0, 0), (0, 1, 2, 3)).faces())
+    M = ManifoldComplex.make(amb4, 3, [f for f, k in counts.items() if k == 1])
+    assert len(M.cells) == 14 and M.euler_characteristic() == 0
+    assert validate(M).ok
+    ix, adjacency = M.index, edge_graph_of_complex(M)
+    for u, row in zip(ix.vertices, ix.dist.tolist()):
+        levels = bfs_levels(adjacency, u)
+        assert row == [levels[v] for v in ix.vertices]
+    assert list(ix.centers) == sorted(M.closure_cells)
+    for center in ix.centers:
+        for gamma in range(1, 6):
+            assert ball(M, center, gamma) == reference_ball(M, center, gamma)
+    assert diameter(M) == (5, ((0, 0, 0, 0), (2, 1, 1, 1)))
