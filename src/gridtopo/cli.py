@@ -131,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Options that must be positive.  Rejected like any other bad input, with
 # exit 4: argparse's usage exit 2 would read as "obstruction" from contract.
+# A file that cannot be read or written is bad input too, not a crash.
 _POSITIVE = ("radius", "filling_cap", "move_cap")
 
 
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
             return 4
     try:
         return args.func(args)
-    except GridTopoError as err:
+    except (GridTopoError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
 

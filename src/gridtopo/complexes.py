@@ -10,8 +10,7 @@ vertex links, Jordan splits), `StateIndex` face ids (region fits) and
 face tables, asks whether a set is one closed cycle: every face in exactly
 two of its members, then one flood from any member; it serves
 `Cycle.is_valid` and the region fits.  The region a surface encloses is
-flooded on the integer grid of its bounding block instead
-(`filling.enclosed_cells`).
+no flood but a crossing parity along one axis (`filling.enclosed_cells`).
 
 Each complex also carries one integer `StateIndex`, built on first use: its
 vertices, m-cells and (m-1)-cells numbered in canonical order, the distance

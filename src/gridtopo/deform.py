@@ -49,8 +49,12 @@ def interpolate(
     The flips are exactly the top cells enclosed between arc and filling;
     the search peels them starting from the cells farthest from the
     filling, backtracking whenever an intermediate state stops being a
-    valid closed manifold.
+    valid closed manifold.  A filling of another cycle than the arc's
+    raises InterpolationFailed: arc and filling close up only when they
+    share their boundary.
     """
+    if filling.boundary.cells != arc.cycle.cells:
+        raise InterpolationFailed("filling boundary differs from arc boundary")
     X, F = arc.region, filling.cells
     diff = X.symmetric_difference(F)
     if not diff:

@@ -11,7 +11,7 @@ the manifold, which is the observable signature of a handle.
 One `_Run` carries the configuration, the node counter and the finished
 nodes of a contraction.  Each manifold state gets one `ScanContext`, built
 when the state is reached and dropped when it changes, so every radius and
-every arc of the state shares its enclosed region and cut networks.
+every arc of the state shares its enclosed region and its one cut network.
 """
 
 from __future__ import annotations

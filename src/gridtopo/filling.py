@@ -4,8 +4,10 @@ lofting, semi-convexity.
 `ContractionConfig` holds what a caller may set for a run: the curviness
 measure and the filling and move caps.  A `ScanContext` pairs it with one
 manifold state and builds, on first use and once per state, what every
-candidate arc of that state shares: the region the manifold encloses and
-one minimum-cut network per side.  The scan functions here and in `curviness` take the context.
+candidate arc of that state shares: the region the manifold encloses, a
+crossing parity by Jordan's theorem, and one minimum-cut network that
+holds both sides.  The scan functions here and in `curviness` take the
+context.
 
 A filling of a cycle C is a set of m-cells in the ambient whose topological
 boundary is exactly C.  For curves (m=1) the minimum filling is a shortest
@@ -34,7 +36,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from operator import add, mul
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -267,73 +268,41 @@ def min_filling(
 # Region machinery for codimension-one manifolds.
 
 
-def _bbox(ambient: AmbientSpace, verts: Iterable[Coord]) -> Tuple[List[int], List[int]]:
-    """Per axis, the least and the largest base of a top cell in the
-    vertices' bounding block, one cell wider on every side and clipped to
-    the ambient."""
-    coords = list(zip(*verts))
-    lo = [max(min(x) - 1, l) for x, (l, _) in zip(coords, ambient.extent)]
-    hi = [min(max(x), h - 1) for x, (_, h) in zip(coords, ambient.extent)]
-    return lo, hi
-
-
 def _bbox_top_cells(ambient: AmbientSpace, verts: Iterable[Coord]) -> List[CubicalCell]:
-    """Top cells of the vertices' bounding block (`_bbox`), in canonical
-    order."""
-    lo, hi = _bbox(ambient, verts)
+    """Top cells of the vertices' bounding block, one cell wider on every
+    side and clipped to the ambient, in canonical order."""
+    coords = list(zip(*verts))
+    ranges = [range(max(min(x) - 1, l), min(max(x), h - 1) + 1) for x, (l, h) in zip(coords, ambient.extent)]
     axes = tuple(range(ambient.n))
-    return [CubicalCell(ambient.n, base, axes) for base in product(*(range(l, h + 1) for l, h in zip(lo, hi)))]
+    return [CubicalCell(ambient.n, base, axes) for base in product(*ranges)]
 
 
 def enclosed_cells(ambient: AmbientSpace, surface: CellSet) -> CellSet:
     """Top-dimensional cells enclosed by a closed codimension-one surface.
 
-    Within the surface's bounding block (`_bbox`), a cell is outside when
-    cells joined across faces off the surface lead from it out of the
-    block; the rest is enclosed.  Only the surface's (n-1)-cells are
-    walls, so cells of other dimensions enclose nothing.
+    The surface must be closed: its (n-1)-cells form a cycle mod 2, each
+    (n-2)-cell a face of an even number of them.  Cells of other
+    dimensions are ignored, so a curve in a 3-D ambient encloses nothing.
 
-    The labelling (Rosenfeld & Pfaltz, "Sequential operations in digital
-    picture processing", JACM 1966) is a flood on integers.  The block and
-    one outer layer of cells are numbered with the last axis fastest, so a
-    cell's neighbour along axis a is `stride[a]` away, and bit i stands
-    for cell i.  From the outer layer, each bitwise step crosses every
-    face off the surface at once, until nothing new is reached.  A step
-    that runs off a row lands in the outer layer, reached from the start.
+    By Jordan's theorem a cell is enclosed when a ray from it crosses the
+    surface an odd number of times.  The ray runs down axis 0, so it
+    crosses the surface's (n-1)-cells across axis 0, and a running XOR of
+    those along axis 0, over the block they span, marks every enclosed
+    cell at once.  The result is the one set of top cells whose boundary
+    is the surface's (n-1)-cells: the cavity of a hollow shell is not
+    enclosed.
     """
-    if not surface:
-        return frozenset()
     n = ambient.n
-    far = {axes: tuple(int(i in axes) for i in range(n)) for axes in {c.axes for c in surface}}
-    lo, hi = _bbox(ambient, [c.base for c in surface] + [tuple(map(add, c.base, far[c.axes])) for c in surface])
-    shape = [h - l + 3 for l, h in zip(lo, hi)]
-    stride = [math.prod(shape[a + 1 :]) for a in range(n)]
-    # Bit i of walls[a]: the face between cell i and its lower neighbour
-    # along axis a is on the surface.  Faces of the outer layer alone are
-    # left out; a cell outside the ambient lies on no face of the block.
-    perp = {tuple(x for x in range(n) if x != a): a for a in range(n)}
-    walls = [0] * n
-    for c in surface:
-        a = perp.get(c.axes)
-        if a is not None:
-            at = [b - l + 1 for b, l in zip(c.base, lo)]
-            if all(0 < x < s - (i != a) for i, (x, s) in enumerate(zip(at, shape))):
-                walls[a] |= 1 << sum(map(mul, at, stride))
-    block = np.zeros(shape, bool)
-    block[(slice(1, -1),) * n] = True
-    every = (1 << block.size) - 1
-    inner = int.from_bytes(np.packbits(block, bitorder="little").tobytes(), "little")
-    reached, grown = 0, every & ~inner
-    while grown != reached:
-        reached = grown
-        for wall, step in zip(walls, stride):
-            grown |= (reached << step) & ~wall | (reached & ~wall) >> step
-        grown &= every
-    left = (inner & ~reached).to_bytes(block.size // 8 + 1, "little")
-    inside = np.flatnonzero(np.unpackbits(np.frombuffer(left, np.uint8), bitorder="little"))
-    bases = np.transpose(np.unravel_index(inside, shape)) + np.subtract(lo, 1)
+    across = tuple(range(1, n))
+    bases = np.array([c.base for c in surface if c.axes == across], dtype=np.int64).reshape(-1, n)
+    if not len(bases):
+        return frozenset()
+    lo = bases.min(axis=0)
+    crossings = np.zeros(bases.max(axis=0) - lo + 1, np.uint8)
+    crossings[tuple((bases - lo).T)] = 1
+    odd = np.bitwise_xor.accumulate(crossings, axis=0)
     axes = tuple(range(n))
-    return frozenset(CubicalCell(n, tuple(b), axes) for b in bases.tolist())
+    return frozenset(CubicalCell(n, tuple(b), axes) for b in (np.argwhere(odd) + lo).tolist())
 
 
 def inside_region(M: ManifoldComplex) -> CellSet:
@@ -341,41 +310,49 @@ def inside_region(M: ManifoldComplex) -> CellSet:
     return enclosed_cells(M.ambient, M.cells)
 
 
-class _CutNetwork:
-    """The arc-independent part of a one-sided minimum cut of M.
+_SIDES = ("inside", "outside")
 
-    Nodes are the side's top cells of M's bounding block, in canonical
-    order, then, outside, one far-outside node (`far`).  An edge joins
-    neighbouring cells across each face off M with capacity 1, and an
-    outside cell meets the far node with capacity equal to its faces
-    leading out of the block.  The edges are stored as pairs of arcs in
-    flat CSR arrays: node u's arcs are `start[u]` to `start[u + 1]`, arc k
-    runs to `head[k]` with capacity `cap[k]`, and `rev[k]` is its twin the
-    other way.  `carrier` maps each face of M to the node of its top cell
-    on this side; `stranded` holds the faces whose top cell is not in the
-    block.  A solve adds only its arc's terminals.
+
+class _CutNetwork:
+    """The arc-independent part of a one-sided minimum cut of M, for both
+    sides at once.
+
+    Nodes are the top cells of M's bounding block, in canonical order,
+    then one far-outside node (`far`).  An edge joins neighbouring cells
+    across each face off M with capacity 1, and an outside cell meets the
+    far node with capacity equal to its faces leading out of the block.
+    M's faces carry no edge and the inside is bounded by M, so no edge
+    joins the two sides: a search started on one side stays there.  The
+    edges are stored as pairs of arcs in flat CSR arrays: node u's arcs
+    are `start[u]` to `start[u + 1]`, arc k runs to `head[k]` with
+    capacity `cap[k]`, and `rev[k]` is its twin the other way.  Per side,
+    `nodes[side]` lists that side's cell nodes and `carrier[side]` maps
+    each face of M to the node of its top cell on that side, when that
+    cell is in the block.  A solve adds only its arc's terminals.
     """
 
-    def __init__(self, M: ManifoldComplex, inside: CellSet, on_inside: bool):
+    def __init__(self, M: ManifoldComplex, inside: CellSet):
         ambient, n = M.ambient, M.ambient.n
-        self.cells = [c for c in _bbox_top_cells(ambient, M.vertices) if (c in inside) == on_inside]
+        self.cells = _bbox_top_cells(ambient, M.vertices)
         index = {c: i for i, c in enumerate(self.cells)}
-        self.far = None if on_inside else len(self.cells)
-        self.size = len(self.cells) + (not on_inside)
+        self.far = len(self.cells)
+        self.size = self.far + 1
+        self.nodes: Dict[str, List[int]] = {side: [] for side in _SIDES}
         rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
         edges: List[Tuple[int, int, int]] = []  # (u, v, capacity)
         for i, c in enumerate(self.cells):
+            side = "inside" if c in inside else "outside"
+            self.nodes[side].append(i)
             leaving = 0
             for a in range(n):
                 for d in (-1, 1):
                     base = c.base[:a] + (c.base[a] + d,) + c.base[a + 1 :]
-                    nb = CubicalCell(n, base, c.axes)
-                    j = index.get(nb)
+                    j = index.get(CubicalCell(n, base, c.axes))
                     if j is None:
-                        leaving += nb not in inside
+                        leaving += 1
                     elif d == 1 and CubicalCell(n - 1, base, rest[a]) not in M.cells:
                         edges.append((i, j, 1))
-            if leaving and not on_inside:
+            if leaving and side == "outside":
                 edges.append((i, self.far, leaving))
         degree = [0] * (self.size + 1)
         for u, v, _ in edges:
@@ -389,12 +366,11 @@ class _CutNetwork:
             fill[u], fill[v] = k + 1, l + 1
             self.head[k], self.cap[k], self.rev[k] = v, c, l
             self.head[l], self.cap[l], self.rev[l] = u, c, k
-        tops = {
-            f: next((t for t in ambient.top_cells_containing(f) if (t in inside) == on_inside), None)
-            for f in M.cells
-        }
-        self.carrier = {f: index[t] for f, t in tops.items() if t in index}
-        self.stranded = frozenset(f for f, t in tops.items() if t not in index)
+        self.carrier: Dict[str, Dict[CubicalCell, int]] = {side: {} for side in _SIDES}
+        for f in M.cells:
+            for t in ambient.top_cells_containing(f):
+                if t in index:
+                    self.carrier["inside" if t in inside else "outside"][f] = index[t]
 
     def reached(self, sources: List[int], targets: Iterable[int], cap: Optional[int]) -> Optional[List[bool]]:
         """Which nodes the sources reach once the flow from them to the
@@ -445,26 +421,22 @@ class ScanContext:
     """One manifold state under scan, and what all of its arcs share.
 
     Holds the state `M` and the run's `cfg`; the enclosed region
-    (`inside`), one cut network per side and the exclusion of a curve
-    replacement are built on first use.  A context belongs to its state:
-    build a new one when the state changes.
+    (`inside`), the one cut network for both sides (`network`) and the
+    exclusion of a curve replacement are built on first use.  A context
+    belongs to its state: build a new one when the state changes.
     """
 
     def __init__(self, M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()):
         self.M = M
         self.cfg = cfg
-        self._networks: Dict[str, _CutNetwork] = {}
 
     @cached_property
     def inside(self) -> CellSet:
         return inside_region(self.M)
 
-    def network(self, side: str) -> _CutNetwork:
-        if side not in ("inside", "outside"):
-            raise ValueError(f"side must be 'inside' or 'outside', got {side!r}")
-        if side not in self._networks:
-            self._networks[side] = _CutNetwork(self.M, self.inside, side == "inside")
-        return self._networks[side]
+    @cached_property
+    def network(self) -> _CutNetwork:
+        return _CutNetwork(self.M, self.inside)
 
     @cached_property
     def exclusion(self) -> CodeExclusion:
@@ -484,28 +456,34 @@ def one_sided_min_cut(
     infeasible or, given a `cap`, when the filling would have more than
     `cap` cells.  The filling is the minimum cut separating the cells that
     carry the arc from the cells that carry the rest of the manifold (and,
-    outside, from the far outside), restricted to the requested side, so
-    it never touches M outside the arc boundary.  It is found by
-    augmenting paths; each unit of flow crosses one filling cell (an edge
-    is one face, a far edge counts its faces), so the search stops, with
-    None, once the flow exceeds the cap.  The flipped region is the set
-    the carriers of the rest cannot reach at maximum flow, the same for
-    every maximum flow, so reusing the side's network changes no result.
-    Raises ValueError for a side other than "inside" or "outside".
+    outside, from the far outside), on the context's one network; every
+    terminal lies on the requested side and no edge leaves it, so the cut
+    never touches M outside the arc boundary.  An arc cell whose top cell
+    on the side is off the block leaves the side infeasible.  The cut is
+    found by augmenting paths; each unit of flow crosses one filling cell
+    (an edge is one face, a far edge counts its faces), so the search
+    stops, with None, once the flow exceeds the cap.  The flipped region
+    is the side's cells the carriers of the rest cannot reach at maximum
+    flow, the same for every maximum flow, so reusing the network changes
+    no result.  Raises ValueError for a side other than "inside" or
+    "outside".
     """
-    net = ctx.network(side)
-    if not net.stranded.isdisjoint(arc_cells):
+    if side not in _SIDES:
+        raise ValueError(f"side must be 'inside' or 'outside', got {side!r}")
+    net = ctx.network
+    carrier = net.carrier[side]
+    if not carrier.keys() >= arc_cells:
         return None
     arc_nodes, rest_nodes = set(), set()
-    for f, i in net.carrier.items():
+    for f, i in carrier.items():
         (arc_nodes if f in arc_cells else rest_nodes).add(i)
     if arc_nodes & rest_nodes or not arc_nodes:
         return None
-    sources = sorted(rest_nodes) + ([] if net.far is None else [net.far])
+    sources = sorted(rest_nodes) + ([net.far] if side == "outside" else [])
     reached = net.reached(sources, arc_nodes, cap)
     if reached is None:
         return None
-    w_cells = frozenset(c for c, r in zip(net.cells, reached) if not r)
+    w_cells = frozenset(net.cells[i] for i in net.nodes[side] if not reached[i])
     return region_boundary(w_cells) - ctx.M.cells, w_cells
 
 

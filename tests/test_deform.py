@@ -9,7 +9,13 @@ from gridtopo import (
     replace_arc,
     validate,
 )
-from gridtopo.curviness import boundary_cycle_fit, minimum_filling_of_arc
+from gridtopo.curviness import (
+    boundary_cycle_fit,
+    candidate_arcs,
+    minimum_filling_of_arc,
+    radius_schedule,
+    replacement_filling,
+)
 from gridtopo.deform import (
     DeformationTrace,
     MoveStep,
@@ -59,6 +65,26 @@ def test_interpolate_cap(ushape):
     arc, filling = arc_and_filling(ushape, CubicalCell.make((1, 1), (0,)), 2)
     with pytest.raises(InterpolationFailed):
         interpolate(ushape, arc, filling, move_cap=1)
+
+
+def test_interpolate_rejects_a_filling_of_another_cycle(ushape):
+    """Every arc of ushape's scan that has a replacement filling, paired
+    with each other such arc's filling: 30 pairs, no two of one cycle.
+    Arc and filling do not close up, so interpolation raises instead of
+    returning flips that do not end at the filling."""
+    ctx, arcs, regions = ScanContext(ushape), [], set()
+    for gamma in radius_schedule(ushape):
+        for arc in (fit.arc(ushape, gamma) for fit in candidate_arcs(ushape, gamma)):
+            filling = None if arc.region in regions else replacement_filling(ctx, arc)
+            regions.add(arc.region)
+            if filling is not None:
+                arcs.append((arc, filling))
+    pairs = [(arc, filling) for arc, _ in arcs for other, filling in arcs if other is not arc]
+    assert len(pairs) == 30
+    for arc, filling in pairs:
+        assert filling.boundary.cells != arc.cycle.cells
+        with pytest.raises(InterpolationFailed, match="boundary differs"):
+            interpolate(ushape, arc, filling, move_cap=10 * len(arc.region))
 
 
 def test_move_involution(ushape):

@@ -11,7 +11,14 @@ from gridtopo import filling as filling_module
 from gridtopo.cells import CellCodes
 from gridtopo.complexes import components, region_boundary
 from gridtopo.corpus import random_simple_curve
-from gridtopo.curviness import _replacement_cap, boundary_cycle_fit, candidate_arcs, fit_region, replacement_filling
+from gridtopo.curviness import (
+    _best_one_sided_cut,
+    _replacement_cap,
+    boundary_cycle_fit,
+    candidate_arcs,
+    fit_region,
+    replacement_filling,
+)
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CycleFitFailed, FillingNotFound, NoFittingCycle, NotSeparating, SearchBudgetExceeded
 from gridtopo.filling import (
@@ -30,6 +37,7 @@ from gridtopo.io import load_fixture
 from gridtopo.metric import ball
 
 from util import (
+    BOX333_VOXELS,
     POLYCUBE_VOXELS,
     SPHERE28_VOXELS,
     closure_of,
@@ -146,10 +154,11 @@ def test_enclosed_cells_square():
 
 
 def reference_enclosed_cells(ambient, surface):
-    """`enclosed_cells` as it was before the integer flood: components of
-    the block's top cells joined across faces off the surface, a
+    """`enclosed_cells` as a flood, before the crossing parity: components
+    of the block's top cells joined across faces off the surface, a
     component outside when one of its cells has a face off the surface on
-    the block's outer boundary."""
+    the block's outer boundary.  On a closed surface it agrees with the
+    parity unless the surface has a cavity, which the flood fills."""
     if not surface:
         return frozenset()
     n = ambient.n
@@ -172,10 +181,10 @@ def reference_enclosed_cells(ambient, surface):
 
 
 def test_enclosed_cells_match_reference(monkeypatch, amb2, amb3):
-    """The flood against the component search on every golden state, the
-    difference surfaces interpolation passes it, random polycube surfaces
-    (closed or not), surfaces clipped by the ambient, a space curve's
-    edges and sets of mixed dimension."""
+    """The parity against the flood on every golden state, the difference
+    surfaces interpolation passes it, surfaces clipped by the ambient, a
+    space curve's edges and sets of mixed dimension, all closed; on each,
+    what it returns has the surface's codimension-one cells as boundary."""
     cases = []
     for name in ("sq1", "rect12", "ushape", "box111", "box211", "box333", "torus", "spacecurve"):
         cases += [(M.ambient, M.cells) for M in golden_states(name)]
@@ -191,11 +200,6 @@ def test_enclosed_cells_match_reference(monkeypatch, amb2, amb3):
     contract(surface_from_voxels(amb3, SPHERE28_VOXELS))
     assert any(a.n == 3 and all(c.dim == 1 for c in surface) for a, surface in recorded)  # the space curve's
     cases += recorded
-    rng = random.Random(5)
-    for _ in range(40):
-        voxels = random_polycube(rng, rng.randint(1, 12))
-        cases.append((amb3, frozenset(solid_surface_cells(voxels))))
-        cases.append((amb3, frozenset(solid_surface_cells(voxels)[::2])))
     corners = [(-2, -2, -2), (4, 4, 4), (-2, 4, 0)]
     cases += [(amb3, frozenset(solid_surface_cells([v]))) for v in corners]
     space_curve = load_fixture(FIXTURE_DIR / "spacecurve.txt")
@@ -209,8 +213,32 @@ def test_enclosed_cells_match_reference(monkeypatch, amb2, amb3):
     for ambient, surface in cases:
         got = enclosed_cells(ambient, surface)
         assert got == reference_enclosed_cells(ambient, surface)
+        assert region_boundary(got) == {c for c in surface if c.dim == ambient.n - 1}
         enclosing += bool(got)
     assert 0 < enclosing < len(cases)
+
+
+def test_enclosed_cells_of_solids(amb3):
+    """A solid's surface encloses the solid, and the sum (mod 2) of two
+    solids' surfaces encloses their symmetric difference: 40 seed-5
+    polycubes, each paired with the next.  The surface of a 3x3x3 cube
+    less its centre encloses the 26 voxels of the shell; a flood from
+    outside would take the cavity too."""
+
+    def solid(voxels):
+        return frozenset(CubicalCell.make(v, (0, 1, 2)) for v in voxels)
+
+    def surface(voxels):
+        return frozenset(solid_surface_cells(voxels))
+
+    rng = random.Random(5)
+    draws = [random_polycube(rng, rng.randint(1, 12)) for _ in range(40)]
+    for a, b in zip(draws, draws[1:] + draws[:1]):
+        assert enclosed_cells(amb3, surface(a)) == solid(a)
+        assert enclosed_cells(amb3, surface(a) ^ surface(b)) == solid(a) ^ solid(b)
+    shell = [v for v in BOX333_VOXELS if v != (1, 1, 1)]
+    got = enclosed_cells(amb3, surface(shell))
+    assert got == solid(shell) and len(got) == 26
 
 
 def test_inside_region_counts(box211, torus):
@@ -229,16 +257,63 @@ def test_one_sided_min_cut_box211(box211):
     assert region == {CubicalCell.make((0, 0, 0), (0, 1, 2))}
 
 
+def test_one_sided_min_cut_on_the_ambient_bound():
+    """A 1x2x1 box lying on the ambient's lower bound along axis 0, cut
+    around one end.  The arc holds a face on that bound, which has no top
+    cell outside, so the outside is infeasible.  Both of its voxels touch
+    the bound, yet only the outside meets the far node, so the inside cut
+    is the one face between them, within a cap of 1."""
+    M = surface_from_voxels(build_ambient(3, [(0, 4), (-2, 4), (-2, 3)]), [(0, 0, 0), (0, 1, 0)])
+    end = CubicalCell.make((0, 0, 0), (0, 2))
+    arc = boundary_cycle_fit(M, ball(M, end, 1), center=end, gamma=1)
+    ctx = ScanContext(M)
+    assert CubicalCell.make((0, 0, 0), (1, 2)) in arc.region
+    assert one_sided_min_cut(ctx, arc.region, "outside") is None
+    cut, region = one_sided_min_cut(ctx, arc.region, "inside", cap=1)
+    assert cut == {CubicalCell.make((0, 1, 0), (0, 2))}
+    assert region == {CubicalCell.make((0, 0, 0), (0, 1, 2))}
+
+
 @pytest.mark.parametrize("side", ["Inside", "outer", ""])
 def test_one_sided_min_cut_rejects_unknown_side(box211, side):
-    """A side is "inside" or "outside"; any other raises rather than
-    solving the outside and caching a third network under its name."""
+    """A side is "inside" or "outside"; any other raises, before the
+    context builds its network, rather than solving the outside."""
     left = CubicalCell.make((0, 0, 0), (1, 2))
     arc = boundary_cycle_fit(box211, ball(box211, left, 1), center=left, gamma=1)
     ctx = ScanContext(box211)
     with pytest.raises(ValueError, match="inside"):
         one_sided_min_cut(ctx, arc.region, side)
-    assert ctx._networks == {}
+    assert "network" not in vars(ctx)
+
+
+def test_one_network_per_context(monkeypatch, amb3):
+    """Both sides' cuts of every candidate arc, and the cuts `lofted`
+    stands in when every exact search is over budget, all solved on one
+    context, build one network."""
+    builds = []
+    build = filling_module._CutNetwork.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        build(self, *args)
+
+    def over_budget(*args, **kwargs):
+        raise SearchBudgetExceeded("over budget")
+
+    monkeypatch.setattr(filling_module._CutNetwork, "__init__", counted)
+    monkeypatch.setattr(filling_module, "min_filling", over_budget)
+    M = surface_from_voxels(amb3, SPHERE28_VOXELS)
+    ctx, cuts, levels = ScanContext(M), 0, 0
+    for gamma in radius_sweep(M):
+        for arc in (fit.arc(M, gamma) for fit in candidate_arcs(M, gamma)):
+            cuts += _best_one_sided_cut(ctx, arc, len(arc.region)) is not None
+    for center in sorted(M.closure_cells)[::7]:
+        try:
+            levels += len(lofted(ctx, center, 2).levels)
+        except (CycleFitFailed, NoFittingCycle, FillingNotFound):
+            pass
+    assert cuts and levels
+    assert len(builds) == 1
 
 
 def test_lofted_ushape_inner(ushape):

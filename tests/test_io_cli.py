@@ -268,3 +268,30 @@ def test_malformed_trace(tmp_path, capsys):
 def test_cli_rejects_non_positive(argv, capsys):
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "latin-1"])
+def test_cli_validate_unreadable_fixture(tmp_path, capsys, case):
+    """A fixture that cannot be read is bad input, exit 4, not a traceback
+    (which exits 1, the code for "not a manifold")."""
+    path = tmp_path / "fixture.txt"
+    if case == "directory":
+        path.mkdir()
+    elif case == "latin-1":
+        path.write_bytes((FIXTURE_DIR / "box111.txt").read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    assert main(["validate", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_render_missing_trace(tmp_path, capsys):
+    rc = main(["render", "--trace", str(tmp_path / "none.json"), "--out", str(tmp_path / "frames")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_contract_trace_out_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "trace.json"
+    rc = main(["--quiet", "contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--trace-out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.parent.exists()
