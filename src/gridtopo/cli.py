@@ -56,7 +56,7 @@ def _cmd_curviness(args) -> int:
 
 
 def _cmd_contract(args) -> int:
-    M = io.load_fixture(args.input)
+    M = io.load_fixture(args.input, require_valid=False)
     if args.frames_out:
         render_mod.frame_format(args.format, M.ambient.n, M.m)
     cfg = engine.ContractionConfig(

@@ -5,7 +5,8 @@ the state across one (m+1)-cell: the new state is the symmetric difference
 of the old state with the flip cell's boundary.  Replacing an arc by a
 filling decomposes into one flip per cell of the region enclosed between
 them; the interpolation search looks for an order of those flips in which
-every intermediate state is still a valid closed manifold.
+every intermediate state is a valid closed manifold, validating each state
+once: the goal before the search, the others as the search reaches them.
 
 The step records (`MoveStep`, `ReplaceStep`, `SplitStep`, `TerminalStep`)
 are the whole trace format: each one replays itself onto a state, names
@@ -46,12 +47,12 @@ def interpolate(
 ) -> List["MoveStep"]:
     """Order of single flips deforming the arc onto the filling.
 
-    The flips are exactly the top cells enclosed between arc and filling;
-    the search peels them starting from the cells farthest from the
-    filling, backtracking whenever an intermediate state stops being a
-    valid closed manifold.  A filling of another cycle than the arc's
-    raises InterpolationFailed: arc and filling close up only when they
-    share their boundary.
+    The flips are exactly the top cells enclosed between arc and filling.
+    The goal, the replaced state, is validated first; the search peels the
+    flips from the cells farthest from the filling, backtracking whenever
+    a state is not a valid closed manifold.  A filling of another cycle
+    than the arc's raises InterpolationFailed: arc and filling close up
+    only when they share their boundary.
     """
     if filling.boundary.cells != arc.cycle.cells:
         raise InterpolationFailed("filling boundary differs from arc boundary")
@@ -64,6 +65,8 @@ def interpolate(
         raise InterpolationFailed("difference surface bounds no region")
     if len(region) > move_cap:
         raise InterpolationFailed(f"{len(region)} flips exceed move cap {move_cap}")
+    if not validate(ManifoldComplex(M.ambient, M.m, M.cells ^ diff)).ok:
+        raise InterpolationFailed("the replaced state is not a valid manifold")
 
     f_verts = filling.vertices
 
@@ -80,7 +83,8 @@ class _FlipSearch:
     """Depth-first search for a flip order in which every state is valid.
 
     Flips are tried in `order`; a set of flipped cells that led nowhere is
-    remembered as dead, and the search gives up after a node budget.
+    remembered as dead, and the search gives up after a node budget.  The
+    last flip's state is the goal, which `interpolate` has validated.
     """
 
     def __init__(self, M: ManifoldComplex, order: List[CubicalCell]):
@@ -99,7 +103,7 @@ class _FlipSearch:
         self.nodes += 1
         if self.nodes > self.budget:
             raise InterpolationFailed(f"search budget exhausted after {self.nodes} nodes")
-        M = self.M
+        M, last = self.M, len(flipped) + 1 == len(self.order)
         for w in self.order:
             if w in flipped:
                 continue
@@ -107,7 +111,7 @@ class _FlipSearch:
             if not (state & bd) or not (bd - state):
                 continue
             new_state = state.symmetric_difference(bd)
-            if not validate(ManifoldComplex(M.ambient, M.m, new_state)).ok:
+            if not last and not validate(ManifoldComplex(M.ambient, M.m, new_state)).ok:
                 continue
             self.moves.append(MoveStep(flip_cell=w))
             if self.run(new_state, flipped | {w}):
@@ -118,7 +122,7 @@ class _FlipSearch:
 
 
 def replace_arc(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> ManifoldComplex:
-    """Swap an arc for a filling of the same boundary, validating the result."""
+    """Swap an arc for a filling of its boundary and validate the result; for direct callers."""
     if filling.boundary.cells != arc.cycle.cells:
         raise ReplacementNotManifold("filling boundary differs from arc boundary")
     if filling.N >= len(arc.region):

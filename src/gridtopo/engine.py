@@ -12,6 +12,9 @@ One `_Run` carries the configuration, the node counter and the finished
 nodes of a contraction.  Each manifold state gets one `ScanContext`, built
 when the state is reached and dropped when it changes, so every radius and
 every arc of the state shares its enclosed region and its one cut network.
+Each state is validated once: the input in `contract`, the flip states
+and the replaced state in `interpolate`, and on the split path the
+replaced state with the child.
 """
 
 from __future__ import annotations
@@ -34,15 +37,14 @@ from .deform import (
     SplitStep,
     TerminalStep,
     interpolate,
-    replace_arc,
 )
 from .errors import (
     CodimensionUnsupported,
     CycleFitFailed,
+    DimensionUnsupported,
     FillingNotFound,
     InterpolationFailed,
     NotSeparating,
-    ReplacementNotManifold,
     SearchBudgetExceeded,
     ValidationFailed,
 )
@@ -199,14 +201,12 @@ class _Run:
         """Attempt one replacement.
 
         Returns None when it does not apply, else (new manifold, its trace
-        steps, the contracted split child or None).
+        steps, the contracted split child or None).  The replaced state is
+        validated by `interpolate` as its goal, or here with the split child.
         """
         M, cfg = ctx.M, self.cfg
         arc, filling = report.arc, report.filling
-        try:
-            new_M = replace_arc(M, arc, filling)
-        except ReplacementNotManifold:
-            return None
+        new_M = M.replace(arc.region, filling.cells)
         if new_M.euler_characteristic() != chi:
             return None
         removed = tuple(sorted(arc.region - filling.cells))
@@ -248,7 +248,7 @@ class _Run:
 
         # Split branch: cut the arc out, close it with the filling, recurse.
         child = ManifoldComplex(M.ambient, M.m, arc.region | filling.cells)
-        if not validate(child).ok:
+        if not (validate(new_M).ok and validate(child).ok):
             return None
         child_node = self.contract_node(child, glue=(arc.cycle, filling))
         split = SplitStep(
@@ -271,19 +271,13 @@ class _Run:
                 break
             chi = M.euler_characteristic()
             ctx = ScanContext(M, self.cfg)
-            applied = None
-            for gamma in radius_sweep(M):
-                for report in valid_reports(ctx, gamma):
-                    applied = self.try_apply(ctx, report, chi)
-                    if applied is not None:
-                        M, new_steps, child = applied
-                        steps.extend(new_steps)
-                        if child is not None:
-                            children.append(child)
-                        break
-                if applied:
-                    break
-            if applied:
+            reports = (r for gamma in radius_sweep(M) for r in valid_reports(ctx, gamma))
+            applied = next(filter(None, (self.try_apply(ctx, r, chi) for r in reports)), None)
+            if applied is not None:
+                M, new_steps, child = applied
+                steps.extend(new_steps)
+                if child is not None:
+                    children.append(child)
                 continue
             probe = probe_obstruction(M)
             if probe is not None:
@@ -312,9 +306,12 @@ class _Run:
 def contract(M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()) -> ContractionResult:
     """Contract a closed manifold, returning the full split tree.
 
-    Raises ValueError when a vertex of M lies on the ambient boundary, and
-    ValidationFailed when M is not a closed regular manifold.
+    Raises DimensionUnsupported when M is a set of vertices, ValueError
+    when a vertex of M lies on the ambient boundary, and ValidationFailed
+    when M is not a closed regular manifold.
     """
+    if M.m < 1:
+        raise DimensionUnsupported(M.m)
     check_margin(M.ambient, M.cells)
     report = validate(M)
     if not report.ok:

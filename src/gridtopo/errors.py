@@ -49,6 +49,14 @@ class ReplacementNotManifold(GridTopoError):
     """An arc replacement produced an invalid manifold."""
 
 
+class DimensionUnsupported(GridTopoError):
+    """Contraction needs curves or surfaces: a set of points is no sphere."""
+
+    def __init__(self, m):
+        self.m = m
+        super().__init__(f"contract needs a manifold of dimension m >= 1, got m={m}")
+
+
 class CodimensionUnsupported(GridTopoError):
     """The operation requires the manifold to have codimension one."""
 

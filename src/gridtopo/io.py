@@ -46,7 +46,7 @@ def load_fixture(path: Union[str, Path], require_valid: bool = True) -> Manifold
             try:
                 n = int(parts[1])
                 extent = []
-                for tok in parts[2 : 2 + n]:
+                for tok in parts[2:]:
                     lo, hi = tok.split(":")
                     extent.append((int(lo), int(hi)))
                 if len(extent) != n:

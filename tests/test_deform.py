@@ -9,12 +9,14 @@ from gridtopo import (
     replace_arc,
     validate,
 )
+from gridtopo import deform
 from gridtopo.curviness import (
     boundary_cycle_fit,
     candidate_arcs,
     minimum_filling_of_arc,
     radius_schedule,
     replacement_filling,
+    valid_reports,
 )
 from gridtopo.deform import (
     DeformationTrace,
@@ -26,7 +28,7 @@ from gridtopo.deform import (
 from gridtopo.errors import InterpolationFailed, ReplacementNotManifold, ReplayMismatch
 from gridtopo.filling import Filling
 
-from util import curve_from_pixels, surface_from_voxels
+from util import curve_from_pixels, random_polycube_surfaces, surface_from_voxels
 
 
 def arc_and_filling(M, center, gamma):
@@ -95,6 +97,22 @@ def test_move_involution(ushape):
         flipped = apply_flip(state, m.flip_cell)
         assert apply_flip(flipped, m.flip_cell) == state
         state = flipped
+
+
+def test_interpolate_refuses_an_invalid_goal_at_once(amb3, monkeypatch):
+    """Draw 54 of the seed-7 polycubes has a reducing report whose replaced
+    state is not a manifold; `interpolate` refuses it on one validation,
+    of that state, without searching flip orders."""
+    M = random_polycube_surfaces(amb3, 64, seed=7)[54]
+    center = CubicalCell.make((2, 1, 3), (0,))
+    report = next(r for r in valid_reports(ScanContext(M), 2) if r.center == center)
+    goal = M.replace(report.arc.region, report.filling.cells)
+    assert not validate(goal).ok
+    calls = []
+    monkeypatch.setattr(deform, "validate", lambda S: calls.append(S.cells) or validate(S))
+    with pytest.raises(InterpolationFailed, match="not a valid manifold"):
+        interpolate(M, report.arc, report.filling, move_cap=10 * len(report.arc.region))
+    assert calls == [goal.cells]
 
 
 def test_replace_arc_rect12(rect12):

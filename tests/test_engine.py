@@ -4,6 +4,8 @@ import itertools
 import json
 import random
 import re
+import sys
+from collections import Counter
 
 import pytest
 
@@ -18,11 +20,11 @@ from gridtopo import (
 from gridtopo.corpus import random_simple_curve
 from gridtopo.deform import ReplaceStep, SplitStep
 from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
-from gridtopo.errors import ValidationFailed
+from gridtopo.errors import DimensionUnsupported, ValidationFailed
 from gridtopo.io import load_fixture, trace_to_json
 
 from conftest import FIXTURE_DIR
-from util import GOLDEN_DIR, curve_from_pixels, golden_states
+from util import GOLDEN_DIR, POLYCUBE_VOXELS, curve_from_pixels, golden_states, surface_from_voxels
 
 def replace_steps(trace):
     return [s for s in trace.steps if isinstance(s, (ReplaceStep, SplitStep))]
@@ -50,6 +52,50 @@ def test_radius_sweep_order(ushape):
 def test_contract_requires_valid(pinch):
     with pytest.raises(ValidationFailed):
         contract(pinch)
+
+
+def test_contract_refuses_a_point(amb2):
+    """A single vertex validates, but it is no sphere to contract."""
+    point = ManifoldComplex.make(amb2, 0, [CubicalCell.make((1, 1), ())])
+    assert validate(point).ok
+    with pytest.raises(DimensionUnsupported, match="m=0"):
+        contract(point)
+
+
+def test_contract_validates_each_state_once(amb3, monkeypatch):
+    """Within one contraction no state is validated twice: the input in
+    `contract`, each flip state and the goal in `interpolate`, the replaced
+    state and the child on the split path.  `validate` is counted in every
+    gridtopo module that binds it, keyed on (m, cells)."""
+    calls = []
+    real_validate = validate
+
+    def counting(M):
+        calls.append((M.m, M.cells))
+        return real_validate(M)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name == "gridtopo" or name.startswith("gridtopo."):
+            for attr, value in list(vars(module).items()):
+                if value is real_validate:
+                    monkeypatch.setattr(module, attr, counting)
+                    patched.add(name)
+    assert {"gridtopo.engine", "gridtopo.deform"} <= patched
+    manifolds = [load_fixture(FIXTURE_DIR / f"{p.stem}.txt") for p in sorted(GOLDEN_DIR.glob("*.json"))]
+    amb = build_ambient(2, [(0, 15), (0, 15)])
+    rng = random.Random(20260809)  # criterion 7's seed
+    manifolds += [random_simple_curve(amb, rng, max_perimeter=60) for _ in range(30)]
+    manifolds += [surface_from_voxels(amb3, voxels) for voxels in POLYCUBE_VOXELS]
+    flip_checks = 0
+    for M in manifolds:
+        calls.clear()
+        contract(M)
+        assert calls[0] == (M.m, M.cells)
+        repeats = [key for key, k in Counter(calls).items() if k > 1]
+        assert repeats == [], f"{len(repeats)} states validated twice"
+        flip_checks += len(calls) - 1
+    assert flip_checks
 
 
 def test_contract_requires_margin():

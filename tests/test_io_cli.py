@@ -59,6 +59,17 @@ def test_parse_error_no_header(tmp_path):
         load_fixture(p)
 
 
+@pytest.mark.parametrize("extents", ["-2:5", "-2:5 -2:5 9:9"])
+def test_parse_error_ambient_extent_count(tmp_path, extents):
+    """The header names n extents: a missing or extra one is refused, not
+    dropped."""
+    p = tmp_path / "bad.txt"
+    p.write_text(f"ambient 2 {extents}\ncell 0 0 axes 0\n")
+    with pytest.raises(ParseError, match="bad ambient header") as err:
+        load_fixture(p)
+    assert err.value.line_no == 1
+
+
 def test_load_pinch_fails_validation():
     with pytest.raises(ValidationFailed) as err:
         load_fixture(FIXTURE_DIR / "pinch.txt")
@@ -281,6 +292,16 @@ def test_cli_validate_unreadable_fixture(tmp_path, capsys, case):
         path.write_bytes((FIXTURE_DIR / "box111.txt").read_bytes() + "# caf\xe9\n".encode("latin-1"))
     assert main(["validate", str(path)]) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_contract_refuses_a_point(tmp_path, capsys):
+    """`validate` reports a single vertex; `contract` refuses it, exit 4."""
+    path = tmp_path / "point.txt"
+    path.write_text("ambient 2 -2:5 -2:5\ncell 1 1 axes\n")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["contract", "--input", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error: contract needs a manifold of dimension m >= 1, got m=0")
 
 
 def test_cli_render_missing_trace(tmp_path, capsys):
