@@ -138,6 +138,8 @@ class AmbientSpace:
         return CellCodes(self)
 
     def contains_cell(self, cell: CubicalCell) -> bool:
+        if len(cell.base) != self.n:
+            return False
         for i, (lo, hi) in enumerate(self.extent):
             top = cell.base[i] + (1 if i in cell.axes else 0)
             if cell.base[i] < lo or top > hi:

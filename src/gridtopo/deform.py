@@ -4,15 +4,20 @@ A deformation is recorded as a sequence of elementary moves, each flipping
 the state across one (m+1)-cell: the new state is the symmetric difference
 of the old state with the flip cell's boundary.  Replacing an arc by a
 filling decomposes into one flip per cell of the region enclosed between
-them; the interpolation search looks for an order of those flips in which
-every intermediate state is a valid closed manifold, validating each state
-once: the goal before the search, the others as the search reaches them.
+them.  Interpolation orders those flips in one greedy pass that peels the
+region (a shelling): each step flips the first cell left, farthest from the
+filling first, that touches the state without detaching it and whose state
+validates.  It never backtracks, so k flips cost at most k(k+1)/2
+validations; over the benchmark pools, criterion 7's curves, 64 random
+polycubes and the goldens (1191 regions) a backtracking search made 0
+backtracks.
 
 The step records (`MoveStep`, `ReplaceStep`, `SplitStep`, `TerminalStep`)
 are the whole trace format: each one replays itself onto a state, names
-the cells it changes, and writes and reads its own text line and JSON
-object.  Serialization (`io`) and rendering (`render`) go through these
-methods, so a new step kind is added here and nowhere else.
+its cells by dimension and the cells it changes, and writes and reads its
+own text line and JSON object.  Serialization (`io`) and rendering
+(`render`) go through these methods, so a new step kind is added here and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -29,14 +34,19 @@ from .filling import Filling, enclosed_cells
 CellSet = FrozenSet[CubicalCell]
 
 
-def apply_flip(state: CellSet, flip_cell: CubicalCell) -> CellSet:
-    """Flip a state across an (m+1)-cell, refusing detached moves."""
+def _flipped(state: CellSet, flip_cell: CubicalCell) -> Optional[CellSet]:
+    """The move rule: the state flipped across an (m+1)-cell, or None when
+    the flip does not touch the state or would detach it."""
     bd = frozenset(flip_cell.faces())
-    if not (state & bd):
-        raise ValueError(f"flip {flip_cell} does not touch the state")
-    if not (bd - state):
-        raise ValueError(f"flip {flip_cell} would detach the state")
-    return state.symmetric_difference(bd)
+    return state.symmetric_difference(bd) if state & bd and bd - state else None
+
+
+def apply_flip(state: CellSet, flip_cell: CubicalCell) -> CellSet:
+    """Flip a state across an (m+1)-cell, refusing moves the move rule refuses."""
+    new = _flipped(state, flip_cell)
+    if new is None:
+        raise ValueError(f"flip {flip_cell} does not touch the state or would detach it")
+    return new
 
 
 def interpolate(
@@ -48,16 +58,16 @@ def interpolate(
     """Order of single flips deforming the arc onto the filling.
 
     The flips are exactly the top cells enclosed between arc and filling.
-    The goal, the replaced state, is validated first; the search peels the
-    flips from the cells farthest from the filling, backtracking whenever
-    a state is not a valid closed manifold.  A filling of another cycle
-    than the arc's raises InterpolationFailed: arc and filling close up
-    only when they share their boundary.
+    The goal, the replaced state, is validated first; then one greedy pass
+    peels the flips, farthest from the filling first, each step taking the
+    first cell left that the move rule allows and whose state is valid.
+    The last flip's state is the goal.  A stuck pass, or a filling of
+    another cycle than the arc's (the two would not close up), raises
+    InterpolationFailed.
     """
     if filling.boundary.cells != arc.cycle.cells:
         raise InterpolationFailed("filling boundary differs from arc boundary")
-    X, F = arc.region, filling.cells
-    diff = X.symmetric_difference(F)
+    diff = arc.region ^ filling.cells
     if not diff:
         return []
     region = enclosed_cells(M.ambient, diff)
@@ -73,52 +83,18 @@ def interpolate(
     def fdist(w: CubicalCell) -> int:
         return min(sum(abs(a - b) for a, b in zip(v, u)) for v in w.vertices() for u in f_verts)
 
-    search = _FlipSearch(M, sorted(region, key=lambda w: (-fdist(w), w)))
-    if not search.run(M.cells, frozenset()):
-        raise InterpolationFailed("no valid flip order found")
-    return search.moves
-
-
-class _FlipSearch:
-    """Depth-first search for a flip order in which every state is valid.
-
-    Flips are tried in `order`; a set of flipped cells that led nowhere is
-    remembered as dead, and the search gives up after a node budget.  The
-    last flip's state is the goal, which `interpolate` has validated.
-    """
-
-    def __init__(self, M: ManifoldComplex, order: List[CubicalCell]):
-        self.M = M
-        self.order = order
-        self.budget = max(1000, 40 * len(order))
-        self.nodes = 0
-        self.dead: set = set()
-        self.moves: List[MoveStep] = []
-
-    def run(self, state: CellSet, flipped: FrozenSet[CubicalCell]) -> bool:
-        if len(flipped) == len(self.order):
-            return True
-        if flipped in self.dead:
-            return False
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise InterpolationFailed(f"search budget exhausted after {self.nodes} nodes")
-        M, last = self.M, len(flipped) + 1 == len(self.order)
-        for w in self.order:
-            if w in flipped:
-                continue
-            bd = frozenset(w.faces())
-            if not (state & bd) or not (bd - state):
-                continue
-            new_state = state.symmetric_difference(bd)
-            if not last and not validate(ManifoldComplex(M.ambient, M.m, new_state)).ok:
-                continue
-            self.moves.append(MoveStep(flip_cell=w))
-            if self.run(new_state, flipped | {w}):
-                return True
-            self.moves.pop()
-        self.dead.add(flipped)
-        return False
+    left, moves, state = sorted(region, key=lambda w: (-fdist(w), w)), [], M.cells
+    while left:
+        for w in left:
+            new = _flipped(state, w)
+            if new is not None and (len(left) == 1 or validate(ManifoldComplex(M.ambient, M.m, new)).ok):
+                break
+        else:
+            raise InterpolationFailed("no valid flip order found")
+        left.remove(w)
+        moves.append(MoveStep(flip_cell=w))
+        state = new
+    return moves
 
 
 def replace_arc(M: ManifoldComplex, arc: ArcRegion, filling: Filling) -> ManifoldComplex:
@@ -164,6 +140,9 @@ class MoveStep:
     def changed_cells(self) -> CellSet:
         return frozenset(self.flip_cell.faces())
 
+    def cells_by_dim(self, m: int) -> Tuple[Tuple[int, Tuple[CubicalCell, ...]], ...]:
+        return ((m + 1, (self.flip_cell,)),)
+
     def line(self) -> str:
         return f"move flip={cell_token(self.flip_cell)}"
 
@@ -198,6 +177,9 @@ class ReplaceStep:
     @property
     def changed_cells(self) -> CellSet:
         return frozenset(self.added)
+
+    def cells_by_dim(self, m: int) -> Tuple[Tuple[int, Tuple[CubicalCell, ...]], ...]:
+        return ((m, self.removed), (m, self.added))
 
     def line(self) -> str:
         return (
@@ -251,6 +233,9 @@ class SplitStep:
     def changed_cells(self) -> CellSet:
         return frozenset(self.added)
 
+    def cells_by_dim(self, m: int) -> Tuple[Tuple[int, Tuple[CubicalCell, ...]], ...]:
+        return ((m - 1, self.cycle_cells), (m, self.removed), (m, self.added))
+
     def line(self) -> str:
         return "split cycle=" + ",".join(_tokens(self.cycle_cells))
 
@@ -287,6 +272,9 @@ class TerminalStep:
 
     def apply(self, state: CellSet) -> CellSet:
         return state
+
+    def cells_by_dim(self, m: int) -> Tuple[Tuple[int, Tuple[CubicalCell, ...]], ...]:
+        return ()
 
     def line(self) -> str:
         center = cell_token(self.center) if self.center is not None else "-"

@@ -132,18 +132,27 @@ def trace_to_json(trace: DeformationTrace, children: Optional[Dict[int, Deformat
 
 
 def trace_from_json(doc: Dict) -> DeformationTrace:
-    """Rebuild a trace; a malformed document raises ParseError (line 0)."""
+    """Rebuild a trace; a malformed document, or a cell outside the ambient
+    or not of the dimension its place in the document needs (`cells_by_dim`
+    of the steps), raises ParseError (line 0)."""
     try:
         ambient = build_ambient(doc["ambient"]["n"], [tuple(e) for e in doc["ambient"]["extent"]])
-        return DeformationTrace(
+        trace = DeformationTrace(
             ambient=ambient,
             m=doc["m"],
             initial=tuple(parse_cell_token(t) for t in doc["initial"]),
             steps=tuple(step_from_json(s) for s in doc["steps"]),
             final=tuple(parse_cell_token(t) for t in doc["final"]),
         )
+        m = trace.m
+        sized = [(m, trace.initial), (m, trace.final), *(g for s in trace.steps for g in s.cells_by_dim(m))]
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ParseError(0, f"malformed trace document: {type(err).__name__}: {err}")
+    for dim, cells in sized:
+        for c in cells:
+            if c.dim != dim or not ambient.contains_cell(c):
+                raise ParseError(0, f"cell {cell_token(c)} is not a {dim}-cell of the {ambient.n}-d ambient")
+    return trace
 
 
 def save_trace(trace: DeformationTrace, path: Union[str, Path], children=None) -> None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import CubicalCell, boundary_cells, build_ambient
+from gridtopo import CubicalCell, ManifoldComplex, boundary_cells, build_ambient
 from gridtopo.cells import CellCodes
 from gridtopo.errors import DegenerateExtent
 
@@ -66,6 +66,17 @@ def test_contains_and_touches():
     assert not sq.contains(CubicalCell.make((2, 0)))
     assert sq.touches(CubicalCell.make((1, 1), (0, 1)))
     assert not sq.touches(CubicalCell.make((2, 2), (0, 1)))
+
+
+def test_ambient_refuses_cells_of_another_dimension():
+    """A cell with more or fewer coordinates than the ambient has axes is
+    not in it: no `IndexError`, and `ManifoldComplex.make` refuses it."""
+    amb2 = build_ambient(2, [(-2, 5), (-2, 5)])
+    assert amb2.contains_cell(CubicalCell.make((0, 0), (0,)))
+    for cell in (CubicalCell.make((0, 0, 0), (0,)), CubicalCell.make((0,), (0,))):
+        assert not amb2.contains_cell(cell)
+        with pytest.raises(ValueError, match="outside ambient"):
+            ManifoldComplex.make(amb2, 1, [cell])
 
 
 @settings(max_examples=60, deadline=None)

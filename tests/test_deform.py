@@ -10,6 +10,7 @@ from gridtopo import (
     validate,
 )
 from gridtopo import deform
+from gridtopo.complexes import ValidationReport
 from gridtopo.curviness import (
     boundary_cycle_fit,
     candidate_arcs,
@@ -113,6 +114,31 @@ def test_interpolate_refuses_an_invalid_goal_at_once(amb3, monkeypatch):
     with pytest.raises(InterpolationFailed, match="not a valid manifold"):
         interpolate(M, report.arc, report.filling, move_cap=10 * len(report.arc.region))
     assert calls == [goal.cells]
+
+
+def test_interpolate_peels_without_backtracking(ushape, monkeypatch):
+    """The peel takes, at each step, the first cell whose state validates,
+    and fails as soon as no cell does, never undoing a flip.  ushape's
+    report at `1,1|0` with γ = 3 takes 5 flips; with `validate` accepting
+    only the goal and the first flip's state, the second step tries the
+    3 flips the move rule allows and the interpolation fails after 5
+    calls, where a backtracking search would go on to try other first
+    flips."""
+    center = CubicalCell.make((1, 1), (0,))
+    report = next(r for r in valid_reports(ScanContext(ushape), 3) if r.center == center)
+    cap = 10 * len(report.arc.region)
+    assert len(interpolate(ushape, report.arc, report.filling, move_cap=cap)) == 5
+    calls = []
+
+    def accept_two(S):
+        calls.append(S.cells)
+        return validate(S) if len(calls) <= 2 else ValidationReport(False, False, False, False, ())
+
+    monkeypatch.setattr(deform, "validate", accept_two)
+    with pytest.raises(InterpolationFailed, match="no valid flip order"):
+        interpolate(ushape, report.arc, report.filling, move_cap=cap)
+    assert calls[0] == ushape.replace(report.arc.region, report.filling.cells).cells
+    assert len(calls) == len(set(calls)) == 5
 
 
 def test_replace_arc_rect12(rect12):

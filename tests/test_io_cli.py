@@ -267,6 +267,32 @@ def test_malformed_trace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+SQ1 = ["0,0|0", "0,0|1", "0,1|0", "1,0|1"]
+
+
+@pytest.mark.parametrize(
+    "states, steps",
+    [
+        (SQ1 + ["0,0|0,1"], []),  # a 2-cell in a curve
+        (["0,0,0|0"], []),  # three coordinates in a 2-d ambient
+        (SQ1 + ["9,0|1"], []),  # outside the ambient's -2:5
+        (SQ1, [{"kind": "move", "flip": "0,0|0"}]),  # a flip across an edge
+    ],
+)
+def test_render_refuses_cells_that_do_not_fit_the_trace(tmp_path, capsys, states, steps):
+    """sq1's golden trace with cells that do not fit it does not parse:
+    `render` exits 4 with an error line, not a traceback or frames."""
+    doc = json.loads((GOLDEN_DIR / "sq1.json").read_text())
+    doc["initial"] = doc["final"] = states
+    doc["steps"] = steps + doc["steps"]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    frames = tmp_path / "frames"
+    assert main(["render", "--trace", str(p), "--out", str(frames)]) == 4
+    assert capsys.readouterr().err.startswith("error: line 0: cell ")
+    assert not frames.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
