@@ -12,9 +12,11 @@ One `_Run` carries the configuration, the node counter and the finished
 nodes of a contraction.  Each manifold state gets one `ScanContext`, built
 when the state is reached and dropped when it changes, so every radius and
 every arc of the state shares its enclosed region and its one cut network.
-Each state is validated once: the input in `contract`, the flip states
-and the replaced state in `interpolate`, and on the split path the
-replaced state with the child.
+Each state is validated at most once: the input in `contract`, and on the
+split path the replaced state with the child.  `interpolate` validates
+nothing: each of its flips is a local simple-flip test (`deform.flip_ok`),
+at most k(k+1)/2 per region of k flips, and simple flips keep a valid
+state valid.
 """
 
 from __future__ import annotations
@@ -201,8 +203,9 @@ class _Run:
         """Attempt one replacement.
 
         Returns None when it does not apply, else (new manifold, its trace
-        steps, the contracted split child or None).  The replaced state is
-        validated by `interpolate` as its goal, or here with the split child.
+        steps, the contracted split child or None).  `interpolate` reaches
+        the replaced state by simple flips only, so it is valid; on the
+        split path it is validated here, with the split child.
         """
         M, cfg = ctx.M, self.cfg
         arc, filling = report.arc, report.filling

@@ -114,10 +114,13 @@ def trace_lines(trace: DeformationTrace) -> List[str]:
     return [step.line() for step in trace.steps]
 
 
+_FORMAT, _VERSION = "gridtopo-trace", 1
+
+
 def trace_to_json(trace: DeformationTrace, children: Optional[Dict[int, DeformationTrace]] = None) -> Dict:
     doc = {
-        "format": "gridtopo-trace",
-        "version": 1,
+        "format": _FORMAT,
+        "version": _VERSION,
         "ambient": {"n": trace.ambient.n, "extent": [list(e) for e in trace.ambient.extent]},
         "m": trace.m,
         "initial": [cell_token(c) for c in trace.initial],
@@ -132,10 +135,18 @@ def trace_to_json(trace: DeformationTrace, children: Optional[Dict[int, Deformat
 
 
 def trace_from_json(doc: Dict) -> DeformationTrace:
-    """Rebuild a trace; a malformed document, or a cell outside the ambient
-    or not of the dimension its place in the document needs (`cells_by_dim`
-    of the steps), raises ParseError (line 0)."""
+    """Rebuild a trace; a malformed document, one of another format or
+    version or with an empty initial or final state (the root's or any
+    child's), or a cell outside the ambient or not of the dimension its
+    place in the document needs (`cells_by_dim` of the steps), raises
+    ParseError (line 0)."""
     try:
+        for d in (doc, *doc.get("children", {}).values()):
+            if (d["format"], d["version"]) != (_FORMAT, _VERSION):
+                found = f"{d['format']!r} version {d['version']!r}"
+                raise ParseError(0, f"not a {_FORMAT} version {_VERSION} document: {found}")
+            if not (d["initial"] and d["final"]):
+                raise ParseError(0, "the initial or final state is empty")
         ambient = build_ambient(doc["ambient"]["n"], [tuple(e) for e in doc["ambient"]["extent"]])
         trace = DeformationTrace(
             ambient=ambient,

@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from util import (
     BOX333_VOXELS,
+    FIXTURE_DIR,
     TORUS_VOXELS,
     U_PIXELS,
     curve_from_pixels,
@@ -14,8 +15,6 @@ from util import (
 )
 
 from gridtopo import CubicalCell, ManifoldComplex, build_ambient
-
-FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="session")

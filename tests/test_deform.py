@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from gridtopo import (
@@ -5,12 +8,15 @@ from gridtopo import (
     ManifoldComplex,
     ScanContext,
     ball,
+    build_ambient,
+    contract,
     interpolate,
     replace_arc,
     validate,
 )
 from gridtopo import deform
-from gridtopo.complexes import ValidationReport
+from gridtopo.cells import parse_cell_token
+from gridtopo.complexes import components
 from gridtopo.curviness import (
     boundary_cycle_fit,
     candidate_arcs,
@@ -24,12 +30,13 @@ from gridtopo.deform import (
     MoveStep,
     ReplaceStep,
     apply_flip,
+    flip_ok,
     replay,
 )
 from gridtopo.errors import InterpolationFailed, ReplacementNotManifold, ReplayMismatch
 from gridtopo.filling import Filling
 
-from util import curve_from_pixels, random_polycube_surfaces, surface_from_voxels
+from util import contraction_pool, curve_from_pixels, random_polycube_surfaces, surface_from_voxels
 
 
 def arc_and_filling(M, center, gamma):
@@ -102,8 +109,9 @@ def test_move_involution(ushape):
 
 def test_interpolate_refuses_an_invalid_goal_at_once(amb3, monkeypatch):
     """Draw 54 of the seed-7 polycubes has a reducing report whose replaced
-    state is not a manifold; `interpolate` refuses it on one validation,
-    of that state, without searching flip orders."""
+    state is not a manifold.  Simple flips keep a valid state valid, so
+    the peel gets stuck before it reaches that state, and `interpolate`
+    refuses it without one call to `validate`."""
     M = random_polycube_surfaces(amb3, 64, seed=7)[54]
     center = CubicalCell.make((2, 1, 3), (0,))
     report = next(r for r in valid_reports(ScanContext(M), 2) if r.center == center)
@@ -111,34 +119,117 @@ def test_interpolate_refuses_an_invalid_goal_at_once(amb3, monkeypatch):
     assert not validate(goal).ok
     calls = []
     monkeypatch.setattr(deform, "validate", lambda S: calls.append(S.cells) or validate(S))
-    with pytest.raises(InterpolationFailed, match="not a valid manifold"):
+    with pytest.raises(InterpolationFailed, match="no valid flip order"):
         interpolate(M, report.arc, report.filling, move_cap=10 * len(report.arc.region))
-    assert calls == [goal.cells]
+    assert calls == []
 
 
 def test_interpolate_peels_without_backtracking(ushape, monkeypatch):
-    """The peel takes, at each step, the first cell whose state validates,
-    and fails as soon as no cell does, never undoing a flip.  ushape's
-    report at `1,1|0` with γ = 3 takes 5 flips; with `validate` accepting
-    only the goal and the first flip's state, the second step tries the
-    3 flips the move rule allows and the interpolation fails after 5
-    calls, where a backtracking search would go on to try other first
-    flips."""
+    """The peel takes, at each step, the first cell whose flip is simple,
+    and fails as soon as no cell's is, never undoing a flip.  ushape's
+    report at `1,1|0` with γ = 3 takes 5 flips; with `flip_ok` accepting
+    only the first flip, the second step tries the 4 cells left and the
+    interpolation fails after 5 tests, where a backtracking search would
+    go on to try other first flips."""
     center = CubicalCell.make((1, 1), (0,))
     report = next(r for r in valid_reports(ScanContext(ushape), 3) if r.center == center)
     cap = 10 * len(report.arc.region)
     assert len(interpolate(ushape, report.arc, report.filling, move_cap=cap)) == 5
     calls = []
 
-    def accept_two(S):
-        calls.append(S.cells)
-        return validate(S) if len(calls) <= 2 else ValidationReport(False, False, False, False, ())
+    def accept_one(state, flip_cell):
+        calls.append((state, flip_cell))
+        return flip_ok(state, flip_cell) if len(calls) == 1 else None
 
-    monkeypatch.setattr(deform, "validate", accept_two)
+    monkeypatch.setattr(deform, "flip_ok", accept_one)
     with pytest.raises(InterpolationFailed, match="no valid flip order"):
         interpolate(ushape, report.arc, report.filling, move_cap=cap)
-    assert calls[0] == ushape.replace(report.arc.region, report.filling.cells).cells
+    assert calls[0][0] == ushape.cells
     assert len(calls) == len(set(calls)) == 5
+    assert len({w for _, w in calls}) == 5
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_flip_ok_ball_rule_matches_pieces_and_euler(k):
+    """On a state that is B itself the rim rule has nothing to test, so
+    `flip_ok` is the ball rule alone.  Over every proper non-empty facet
+    set B of a k-cube's boundary, it accepts exactly the sets that are one
+    piece, with a complement of one piece, and whose closure has χ = 1."""
+    c = CubicalCell.make((0,) * k, range(k))
+    facets = list(c.faces())
+    checked = 0
+    for size in range(1, 2 * k):
+        for B in map(frozenset, combinations(facets, size)):
+            G = frozenset(facets) - B
+            closure = {f for b in B for f in b.all_faces()}
+            chi = sum((-1) ** f.dim for f in closure)
+            ball = len(components(B)) == len(components(G)) == 1 and chi == 1
+            assert flip_ok(B, c) == (G if ball else None)
+            checked += 1
+    assert checked == 2 ** (2 * k) - 2
+
+
+@pytest.mark.parametrize(
+    "b_tokens, rim_token",
+    [
+        # B is the facet x = 0; a square at the far corner (1, 1, 1)
+        (["0,0,0|1,2"], "1,1,1|0,1"),
+        # B is the facets z = 0, z = 1 and x = 0; a square on the edge x = 1, y = 0
+        (["0,0,0|0,1", "0,0,1|0,1", "0,0,0|1,2"], "1,-1,0|1,2"),
+    ],
+)
+def test_flip_ok_refuses_a_cell_on_the_rim(b_tokens, rim_token):
+    """A square of M through a cell that only the facets outside M hold, a
+    vertex or an edge whose own vertices lie in B, makes the flip of the
+    unit cube no simple flip, though B alone flips."""
+    c = CubicalCell.make((0, 0, 0), range(3))
+    B = frozenset(map(parse_cell_token, b_tokens))
+    assert flip_ok(B, c) == B.symmetric_difference(c.faces())
+    assert flip_ok(B | {parse_cell_token(rim_token)}, c) is None
+
+
+def test_flip_ok_refuses_the_ring_hole_flip():
+    """The boundary of a ring of eight hypercubes is S¹×S², 48 cubes.
+    Flipping the hypercube in its hole swaps 4 facets, two opposite pairs,
+    for the other 4: the move rule and `validate` accept the result, but
+    its topology changed, and `flip_ok` refuses it.  A bump on the ring's
+    outside is simple."""
+    amb4 = build_ambient(4, [(-2, 5), (-2, 5), (-1, 2), (-1, 2)])
+    ring = [(x, y, 0, 0) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+    counts = Counter(f for b in ring for f in CubicalCell.make(b, range(4)).faces())
+    M = ManifoldComplex.make(amb4, 3, [f for f, k in counts.items() if k == 1])
+    assert len(M.cells) == 48 and validate(M).ok
+    hole = parse_cell_token("1,1,0,0|0,1,2,3")
+    assert len(M.cells & frozenset(hole.faces())) == 4
+    flipped = deform._flipped(M.cells, hole)
+    assert flipped is not None and validate(ManifoldComplex(amb4, 3, flipped)).ok
+    assert flip_ok(M.cells, hole) is None
+    bump = parse_cell_token("0,-1,0,0|0,1,2,3")
+    assert flip_ok(M.cells, bump) == M.cells.symmetric_difference(bump.faces())
+
+
+def test_flip_ok_agrees_with_validate_on_every_peel_flip(amb3, monkeypatch):
+    """Every flip the peel tries over a small contraction pool: `flip_ok`
+    accepts it exactly when the move rule does and the flipped state
+    validates, and then returns that state."""
+    tried = []
+
+    def recording(state, flip_cell):
+        out = flip_ok(state, flip_cell)
+        tried.append((ambient, state, flip_cell, out))
+        return out
+
+    monkeypatch.setattr(deform, "flip_ok", recording)
+    for M in contraction_pool(amb3):
+        ambient = M.ambient
+        contract(M)
+    refused = 0
+    for ambient, state, flip_cell, out in tried:
+        new = deform._flipped(state, flip_cell)
+        valid = new is not None and validate(ManifoldComplex(ambient, flip_cell.dim - 1, new)).ok
+        assert out == (new if valid else None), flip_cell
+        refused += out is None
+    assert len(tried) > refused > 0
 
 
 def test_replace_arc_rect12(rect12):

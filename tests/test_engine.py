@@ -18,13 +18,13 @@ from gridtopo import (
     validate,
 )
 from gridtopo.corpus import random_simple_curve
-from gridtopo.deform import ReplaceStep, SplitStep
+from gridtopo.deform import MoveStep, ReplaceStep, SplitStep, flip_ok
 from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
 from gridtopo.errors import DimensionUnsupported, ValidationFailed
 from gridtopo.io import load_fixture, trace_to_json
 
 from conftest import FIXTURE_DIR
-from util import GOLDEN_DIR, POLYCUBE_VOXELS, curve_from_pixels, golden_states, surface_from_voxels
+from util import GOLDEN_DIR, POLYCUBE_VOXELS, contraction_pool, curve_from_pixels, golden_states, surface_from_voxels
 
 def replace_steps(trace):
     return [s for s in trace.steps if isinstance(s, (ReplaceStep, SplitStep))]
@@ -63,39 +63,44 @@ def test_contract_refuses_a_point(amb2):
 
 
 def test_contract_validates_each_state_once(amb3, monkeypatch):
-    """Within one contraction no state is validated twice: the input in
-    `contract`, each flip state and the goal in `interpolate`, the replaced
-    state and the child on the split path.  `validate` is counted in every
-    gridtopo module that binds it, keyed on (m, cells)."""
+    """A contraction validates only its input, in `contract`, and on the
+    split path the replaced state and the child, each once: flips are
+    checked locally by `deform.flip_ok`, so `interpolate` validates
+    nothing.  `validate` is counted in every gridtopo module that binds
+    it, keyed on (module, m, cells)."""
     calls = []
     real_validate = validate
 
-    def counting(M):
-        calls.append((M.m, M.cells))
-        return real_validate(M)
+    def counting(name):
+        def count(M):
+            calls.append((name, M.m, M.cells))
+            return real_validate(M)
+
+        return count
 
     patched = set()
     for name, module in list(sys.modules.items()):
         if name == "gridtopo" or name.startswith("gridtopo."):
             for attr, value in list(vars(module).items()):
                 if value is real_validate:
-                    monkeypatch.setattr(module, attr, counting)
+                    monkeypatch.setattr(module, attr, counting(name))
                     patched.add(name)
     assert {"gridtopo.engine", "gridtopo.deform"} <= patched
-    manifolds = [load_fixture(FIXTURE_DIR / f"{p.stem}.txt") for p in sorted(GOLDEN_DIR.glob("*.json"))]
-    amb = build_ambient(2, [(0, 15), (0, 15)])
-    rng = random.Random(20260809)  # criterion 7's seed
-    manifolds += [random_simple_curve(amb, rng, max_perimeter=60) for _ in range(30)]
-    manifolds += [surface_from_voxels(amb3, voxels) for voxels in POLYCUBE_VOXELS]
-    flip_checks = 0
-    for M in manifolds:
+    splits = 0
+    for M in contraction_pool(amb3):
         calls.clear()
-        contract(M)
-        assert calls[0] == (M.m, M.cells)
-        repeats = [key for key, k in Counter(calls).items() if k > 1]
-        assert repeats == [], f"{len(repeats)} states validated twice"
-        flip_checks += len(calls) - 1
-    assert flip_checks
+        result = contract(M)
+        assert calls[0] == ("gridtopo.engine", M.m, M.cells)
+        assert {name for name, _, _ in calls} == {"gridtopo.engine"}
+        assert len(set(calls)) == len(calls), "a state validated twice"
+        for node in result.nodes:
+            for step, state in zip(node.trace.steps, node.trace.states()[1:]):
+                if isinstance(step, SplitStep):
+                    child = next(c for c in result.nodes if c.node_id == step.child_id)
+                    checked = calls.index(("gridtopo.engine", M.m, state))
+                    assert calls[checked + 1] == ("gridtopo.engine", M.m, child.initial.cells)
+                    splits += 1
+    assert splits
 
 
 def test_contract_requires_margin():
@@ -185,6 +190,24 @@ def test_split_children_strictly_smaller(ushape):
     for node in res.nodes:
         for child in node.children:
             assert child.initial.n_cells < node.initial.n_cells
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 1, 1), (2, 2, 2, 1)])
+def test_contract_3_spheres_by_simple_flips(dims):
+    """The boundary of a box of hypercubes is a 3-sphere in a 4-d ambient
+    (m = 3): it contracts to exit 0, and every move in the trees' traces
+    is a simple flip."""
+    amb4 = build_ambient(4, [(-1, 4)] * 4)
+    counts = Counter(f for b in itertools.product(*map(range, dims)) for f in CubicalCell.make(b, range(4)).faces())
+    result = contract(ManifoldComplex.make(amb4, 3, [f for f, k in counts.items() if k == 1]))
+    assert result.exit_code == 0
+    moves = 0
+    for node in result.nodes:
+        for step, state in zip(node.trace.steps, node.trace.states()):
+            if isinstance(step, MoveStep):
+                assert flip_ok(state, step.flip_cell) == step.apply(state)
+                moves += 1
+    assert moves
 
 
 def test_probe_on_torus(torus):

@@ -267,6 +267,31 @@ def test_malformed_trace(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "name, edit, error",
+    [
+        ("sq1", lambda d: d.update(format="not-a-trace"), "not a gridtopo-trace version 1 document"),
+        ("sq1", lambda d: d.update(version=99), "not a gridtopo-trace version 1 document"),
+        ("sq1", lambda d: d.update(initial=[]), "empty"),
+        ("spacecurve", lambda d: d["children"]["1"].update(format="not-a-trace"), "not a gridtopo-trace"),
+        ("spacecurve", lambda d: d["children"]["2"].update(final=[]), "empty"),
+    ],
+)
+def test_render_refuses_another_format_or_an_empty_state(tmp_path, capsys, name, edit, error):
+    """A golden trace whose root or child names another format or version,
+    or has an empty initial or final state, does not parse: `render`
+    exits 4 with an error line and writes no frames."""
+    doc = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    edit(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    frames = tmp_path / "frames"
+    assert main(["render", "--trace", str(p), "--out", str(frames)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 0: ") and error in err
+    assert not frames.exists()
+
+
 SQ1 = ["0,0|0", "0,0|1", "0,1|0", "1,0|1"]
 
 

@@ -11,12 +11,14 @@ from collections import Counter, deque
 from itertools import combinations, product
 from pathlib import Path
 
-from gridtopo import CubicalCell, ManifoldComplex, validate
+from gridtopo import CubicalCell, ManifoldComplex, build_ambient, validate
 from gridtopo.complexes import components
-from gridtopo.io import trace_from_json
+from gridtopo.corpus import random_simple_curve
+from gridtopo.io import load_fixture, trace_from_json
 from gridtopo.metric import vertex_distances
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 # ---------------------------------------------------------------------------
 # Builders.
@@ -87,6 +89,17 @@ def random_polycube_surfaces(amb3, count, seed):
         if validate(M).ok:
             out.append(M)
     return out
+
+
+def contraction_pool(amb3):
+    """The fixtures of the goldens, 30 of criterion 7's curves and the
+    surfaces of POLYCUBE_VOXELS: a small pool that splits, flips curves
+    and surfaces, and ends at spheres and an obstruction."""
+    pool = [load_fixture(FIXTURE_DIR / f"{p.stem}.txt") for p in sorted(GOLDEN_DIR.glob("*.json"))]
+    amb = build_ambient(2, [(0, 15), (0, 15)])
+    rng = random.Random(20260809)  # criterion 7's seed
+    pool += [random_simple_curve(amb, rng, max_perimeter=60) for _ in range(30)]
+    return pool + [surface_from_voxels(amb3, voxels) for voxels in POLYCUBE_VOXELS]
 
 
 def reference_ball(M, center, gamma):
