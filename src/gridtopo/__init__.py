@@ -13,8 +13,6 @@ from .curviness import (
     ArcRegion,
     CurvinessReport,
     arc_sign,
-    boundary_cycle_fit,
-    curviness,
     radius_schedule,
     select_peak,
 )
@@ -53,11 +51,9 @@ __all__ = [
     "arc_sign",
     "ball",
     "boundary_cells",
-    "boundary_cycle_fit",
     "build_ambient",
     "cell_distance",
     "contract",
-    "curviness",
     "diameter",
     "interpolate",
     "is_irreducible_sphere",

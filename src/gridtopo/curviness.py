@@ -9,6 +9,13 @@ around every cell of the manifold closure; using edges and faces as ball
 centers in addition to vertices reaches the odd-diameter arcs a vertex
 center cannot produce.
 
+An arc is fitted one way: `fit_region(M, center, gamma)` grows the ball of
+radius gamma around the center into a region whose boundary is one regular
+cycle and returns its `ArcRegion`, or raises `NoFittingCycle` with gamma
+as its level.  `candidate_arcs` runs the same growth (`_grow`) on ids for
+every center at once.  The module is `gridtopo.curviness`; the report
+function is `gridtopo.curviness.curviness`.
+
 The scan functions (`valid_reports`, `select_peak`, `replacement_filling`,
 `curviness`, `minimum_filling_of_arc`, `arc_sign`) take a
 `filling.ScanContext`: one manifold state plus the run's
@@ -36,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set
@@ -45,13 +51,7 @@ import numpy as np
 
 from .cells import Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, is_cycle
-from .errors import (
-    CodimensionUnsupported,
-    CycleFitFailed,
-    FillingNotFound,
-    NoFittingCycle,
-    SearchBudgetExceeded,
-)
+from .errors import CodimensionUnsupported, FillingNotFound, NoFittingCycle, SearchBudgetExceeded
 from .filling import (  # VARIANTS is re-exported here, beside the measures
     VARIANTS,
     Filling,
@@ -59,11 +59,9 @@ from .filling import (  # VARIANTS is re-exported here, beside the measures
     min_filling,
     one_sided_min_cut,
 )
-from .metric import ambient_distance, diameter
+from .metric import ambient_distance, ball, diameter
 
 CellSet = FrozenSet[CubicalCell]
-
-RegionFit = namedtuple("RegionFit", "region cycle")
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,9 @@ class ArcFit(NamedTuple):
     def arc(self, M: ManifoldComplex, gamma: int) -> ArcRegion:
         """The fit as cells, on the state M it was fitted on."""
         ix = M.index
-        return ArcRegion(ix.centers[self.center], gamma, *_region_fit(ix, M.m, self.region, self.boundary))
+        region = frozenset(ix.cells[i] for i in self.region)
+        cycle = Cycle(frozenset(ix.faces[f] for f in self.boundary), M.m)
+        return ArcRegion(ix.centers[self.center], gamma, region, cycle)
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,16 @@ class CurvinessReport:
     """A solved candidate: its arc and the filling it is measured against.
     Each measure is computed when read; `measure` names them by variant."""
 
-    center: CubicalCell
-    gamma: int
     arc: ArcRegion
     filling: Filling
+
+    @property
+    def center(self) -> CubicalCell:
+        return self.arc.center
+
+    @property
+    def gamma(self) -> int:
+        return self.arc.gamma
 
     @property
     def r(self) -> Fraction:
@@ -130,37 +136,29 @@ class CurvinessReport:
 _MEASURES = dict(zip(VARIANTS, ("r", "r1", "r2_h", "r3")))  # each variant's report property
 
 
-def fit_region(M: ManifoldComplex, ball_cells: CellSet, level: Optional[int] = None) -> RegionFit:
-    """Grow a ball into a region whose boundary is one regular cycle.
+def fit_region(M: ManifoldComplex, center: CubicalCell, gamma: int) -> ArcRegion:
+    """The arc around a center: its ball of radius gamma, grown into a
+    region whose boundary is one regular cycle.
 
-    The ball is extended by the canonically smallest cells of M across its
-    boundary until the topological boundary is a single closed regular
-    (m-1)-manifold, or the region would exceed half of M.  M must be closed
+    The ball (`metric.ball`) is extended by the canonically smallest cells
+    of M across its boundary until the topological boundary is a single
+    closed regular (m-1)-manifold, or the region would exceed half of M,
+    which raises NoFittingCycle with gamma as its level.  M must be closed
     and connected, as every state `contract` reaches is; the region is then
-    one piece and the cycle separates M.  The ball's cells must be cells of
-    M.  The search runs on the ids of `M.index` (`_grow`); cells are built
-    only for the returned fit.
+    one piece and the cycle separates M.  The search runs on the ids of
+    `M.index` (`_grow`); cells are built only for the returned arc.
     """
-    def fail(msg):
-        if level is not None:
-            raise CycleFitFailed(level, msg)
-        raise NoFittingCycle(msg)
-
-    if not ball_cells:
-        fail("empty region")
-    if len(ball_cells) > len(M.cells) // 2:
-        fail(f"region of {len(ball_cells)} cells exceeds half of {len(M.cells)}")
+    cells = ball(M, center, gamma)
+    if not cells:
+        raise NoFittingCycle(gamma, "empty region")
+    if len(cells) > len(M.cells) // 2:
+        raise NoFittingCycle(gamma, f"region of {len(cells)} cells exceeds half of {len(M.cells)}")
     ix = M.index
-    region = {ix.cell_id[c] for c in ball_cells}
+    region = {ix.cell_id[c] for c in cells}
     bd = _grow(ix, M.m, region)
     if bd is None:
-        fail("no regular separating cycle within half of M")
-    return _region_fit(ix, M.m, region, bd)
-
-
-def _region_fit(ix, m: int, region: Set[int], bd: Set[int]) -> RegionFit:
-    """The fit of cell ids `region` with boundary face ids `bd`, as cells."""
-    return RegionFit(frozenset(ix.cells[i] for i in region), Cycle(frozenset(ix.faces[f] for f in bd), m))
+        raise NoFittingCycle(gamma, "no regular separating cycle within half of M")
+    return ArcFit(ix.center_id[center], frozenset(region), frozenset(bd)).arc(M, gamma)
 
 
 def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
@@ -202,19 +200,6 @@ def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
         c = min(candidates)
         region.add(c)
         bd.symmetric_difference_update(cell_faces[k * c : k * c + k])
-
-
-def boundary_cycle_fit(
-    M: ManifoldComplex,
-    ball_cells: CellSet,
-    center: Optional[CubicalCell] = None,
-    gamma: int = 0,
-) -> ArcRegion:
-    """Fit the smallest separating cycle around a set of m-cells."""
-    fit = fit_region(M, ball_cells)
-    if center is None:
-        center = min(ball_cells)
-    return ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle)
 
 
 def _height(region: CellSet, verts: FrozenSet[Coord]) -> int:
@@ -262,7 +247,7 @@ def curviness(ctx: ScanContext, arc: ArcRegion, filling: Optional[Filling] = Non
     minimum filling of its boundary; the measures are read from it."""
     if filling is None:
         filling = minimum_filling_of_arc(ctx, arc)
-    return CurvinessReport(center=arc.center, gamma=arc.gamma, arc=arc, filling=filling)
+    return CurvinessReport(arc=arc, filling=filling)
 
 
 def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:

@@ -18,7 +18,8 @@ are the whole trace format: each one replays itself onto a state, names
 its cells by dimension and the cells it changes, and writes and reads its
 own text line and JSON object.  Serialization (`io`) and rendering
 (`render`) go through these methods, so a new step kind is added here and
-nowhere else.
+nowhere else.  `flip_ok` is the one move rule: a move replays only as a
+simple flip, so replay refuses any move the peel could not have taken.
 """
 
 from __future__ import annotations
@@ -36,21 +37,6 @@ from .filling import Filling, enclosed_cells
 CellSet = FrozenSet[CubicalCell]
 
 
-def _flipped(state: CellSet, flip_cell: CubicalCell) -> Optional[CellSet]:
-    """The move rule: the state flipped across an (m+1)-cell, or None when
-    the flip does not touch the state or would detach it."""
-    bd = frozenset(flip_cell.faces())
-    return state.symmetric_difference(bd) if state & bd and bd - state else None
-
-
-def apply_flip(state: CellSet, flip_cell: CubicalCell) -> CellSet:
-    """Flip a state across an (m+1)-cell, refusing moves the move rule refuses."""
-    new = _flipped(state, flip_cell)
-    if new is None:
-        raise ValueError(f"flip {flip_cell} does not touch the state or would detach it")
-    return new
-
-
 def flip_ok(state: CellSet, flip_cell: CubicalCell) -> Optional[CellSet]:
     """The state flipped across an (m+1)-cell c when the flip is simple, else None.
 
@@ -62,8 +48,8 @@ def flip_ok(state: CellSet, flip_cell: CubicalCell) -> Optional[CellSet]:
 
     - Ball rule: B is an m-ball (so is G) exactly when some axis of c has
       one of its two facets in M, not both and not neither; a union of
-      opposite facet pairs is a sphere times a cube.  This implies the
-      move rule, as B and G are then non-empty.
+      opposite facet pairs is a sphere times a cube.  B and G are then
+      non-empty: the flip touches the state and does not detach it.
     - Rim rule: no cell of cl(G) \\ cl(B) of dimension < m lies in an
       m-cell of M, so G meets the rest of M only along ∂B.  Such a cell
       fixes two or more axes of c, each at a facet in G, and spans the
@@ -182,10 +168,10 @@ class MoveStep:
     kind = "move"
 
     def apply(self, state: CellSet) -> CellSet:
-        try:
-            return apply_flip(state, self.flip_cell)
-        except ValueError as err:
-            raise ReplayMismatch(str(err))
+        new = flip_ok(state, self.flip_cell)
+        if new is None:
+            raise ReplayMismatch(f"flip {cell_token(self.flip_cell)} is not a simple flip of the state")
+        return new
 
     @property
     def changed_cells(self) -> CellSet:

@@ -42,10 +42,10 @@ from .deform import (
 )
 from .errors import (
     CodimensionUnsupported,
-    CycleFitFailed,
     DimensionUnsupported,
     FillingNotFound,
     InterpolationFailed,
+    NoFittingCycle,
     NotSeparating,
     SearchBudgetExceeded,
     ValidationFailed,
@@ -227,7 +227,7 @@ class _Run:
                 if lv.meets_arc:
                     obstructed, level = True, lv.level
                     break
-        except CycleFitFailed as err:
+        except NoFittingCycle as err:
             obstructed, level = True, err.level
         except FillingNotFound:
             obstructed = True

@@ -18,19 +18,15 @@ class Unreachable(GridTopoError):
 
 
 class NoFittingCycle(GridTopoError):
-    """No separating boundary cycle fits the requested region."""
+    """No separating boundary cycle fits the ball of radius `level`."""
+
+    def __init__(self, level, message):
+        self.level = level
+        super().__init__(message)
 
 
 class NotSeparating(GridTopoError):
     """A cycle does not split the manifold into two components."""
-
-
-class CycleFitFailed(GridTopoError):
-    """A lofted level produced no usable boundary cycle."""
-
-    def __init__(self, level, message=""):
-        self.level = level
-        super().__init__(message or f"cycle fit failed at level {level}")
 
 
 class FillingNotFound(GridTopoError):

@@ -43,7 +43,7 @@ import numpy as np
 from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, region_boundary
 from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
-from .metric import ambient_distance, ball
+from .metric import ambient_distance
 
 CellSet = FrozenSet[CubicalCell]
 
@@ -519,10 +519,10 @@ def lofted(
 
     M = ctx.M
     if arc_cells is None:
-        arc_cells = fit_region(M, ball(M, center, gamma)).region
+        arc_cells = fit_region(M, center, gamma).region
     levels: List[LoftedLevel] = []
     for i in range(1, gamma + 1):
-        fit = fit_region(M, ball(M, center, i), level=i)
+        fit = fit_region(M, center, i)
         try:
             cap = min(ctx.cfg.filling_cap, len(fit.region))
             m_i = min_filling(M.ambient, fit.cycle, cap=cap)

@@ -121,12 +121,14 @@ def frame_format(fmt: str, n: int, m: int) -> str:
 
 def render(trace: DeformationTrace, out_dir: Union[str, Path], fmt: str = "auto") -> List[Path]:
     """Write one frame file per state; returns the paths written.  The
-    format is checked (`frame_format`) before any frame is written."""
+    format is checked (`frame_format`) and the trace replayed before
+    anything is written, so a refused trace leaves no output directory."""
     fmt = frame_format(fmt, trace.ambient.n, trace.m)
+    frames = _frame_states(trace)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for i, (state, changed) in enumerate(_frame_states(trace)):
+    for i, (state, changed) in enumerate(frames):
         if fmt == "svg-2d":
             body = _svg_frame(trace, state, changed)
             path = out_dir / f"frame_{i:04d}.svg"

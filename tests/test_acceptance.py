@@ -16,18 +16,16 @@ from gridtopo import (
     CubicalCell,
     ManifoldComplex,
     ScanContext,
-    ball,
     build_ambient,
     cell_distance,
     contract,
-    curviness,
     min_filling,
     validate,
 )
 from gridtopo.complexes import Cycle, region_boundary
 from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
-from gridtopo.curviness import boundary_cycle_fit
-from gridtopo.deform import MoveStep, ReplaceStep, SplitStep, apply_flip, replay
+from gridtopo.curviness import curviness, fit_region
+from gridtopo.deform import MoveStep, ReplaceStep, SplitStep, replay
 from gridtopo.io import trace_to_json
 from gridtopo.metric import vertex_distances
 from gridtopo.render import render
@@ -215,7 +213,7 @@ def test_criterion_3_ushape_curviness():
     assert d_m == 5 and d_u == 1 and best == 1
 
     center = CubicalCell.make((1, 1), (0,))
-    arc = boundary_cycle_fit(M, ball(M, center, 2), center=center, gamma=2)
+    arc = fit_region(M, center, 2)
     assert arc.cycle.cells == {CubicalCell.make((1, 3)), CubicalCell.make((2, 3))}
     rep = curviness(ScanContext(M), arc)
     assert rep.r == Fraction(5, 1)
@@ -321,8 +319,8 @@ def test_criterion_7_random_curous_soundness():
                 assert validate(ManifoldComplex(amb, 1, state)).ok
             for step, before in zip(node.trace.steps, states):
                 if isinstance(step, MoveStep):
-                    after = apply_flip(before, step.flip_cell)
-                    assert apply_flip(after, step.flip_cell) == before
+                    after = step.apply(before)
+                    assert step.apply(after) == before
     elapsed = time.monotonic() - start
     assert elapsed < 600, f"criterion 7 took {elapsed:.1f}s"
     print(f"\n[criterion 7] PASS random curves: 100/100 irreducible spheres ({elapsed:.1f}s)")

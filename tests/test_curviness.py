@@ -1,12 +1,14 @@
 import heapq
-import importlib
 import itertools
 import random
+import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 
 import pytest
 
+import gridtopo
+import gridtopo.curviness as curviness_module
 from gridtopo import (
     ContractionConfig,
     CubicalCell,
@@ -15,7 +17,6 @@ from gridtopo import (
     arc_sign,
     ball,
     build_ambient,
-    curviness,
     radius_schedule,
     select_peak,
 )
@@ -24,15 +25,16 @@ from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import (
     VARIANTS,
     ArcRegion,
-    boundary_cycle_fit,
     candidate_arcs,
+    curviness,
+    fit_region,
     measure_bound,
     radius_schedule_from,
     replacement_filling,
     valid_reports,
 )
 from gridtopo.engine import radius_sweep
-from gridtopo.errors import CodimensionUnsupported, CycleFitFailed, GridTopoError, NoFittingCycle
+from gridtopo.errors import CodimensionUnsupported, GridTopoError, NoFittingCycle
 from gridtopo.filling import filling_lower_bound
 from gridtopo.metric import ambient_distance
 
@@ -50,18 +52,21 @@ from util import (
     surface_from_voxels,
 )
 
-# the module, not the `curviness` function the package exports
-curviness_module = importlib.import_module("gridtopo.curviness")
+
+def test_curviness_name_is_the_module():
+    """The package does not shadow its `curviness` module with the report
+    function, so a patch through `gridtopo.curviness` reaches the module."""
+    assert gridtopo.curviness is sys.modules["gridtopo.curviness"] is curviness_module
+    assert curviness_module.curviness is curviness
 
 
 def inner_arc(ushape):
-    center = CubicalCell.make((1, 1), (0,))
-    return boundary_cycle_fit(ushape, ball(ushape, center, 2), center=center, gamma=2)
+    return fit_region(ushape, CubicalCell.make((1, 1), (0,)), 2)
 
 
 def test_fit_sq1_two_edge_ball(sq1):
     corner = CubicalCell.make((0, 0))
-    arc = boundary_cycle_fit(sq1, ball(sq1, corner, 1), center=corner, gamma=1)
+    arc = fit_region(sq1, corner, 1)
     assert len(arc.region) == 2
     assert arc.cycle.cells == {CubicalCell.make((1, 0)), CubicalCell.make((0, 1))}
 
@@ -75,15 +80,18 @@ def test_fit_ushape_inner_arc(ushape):
 
 def test_fit_box211_left_cap(box211):
     left = CubicalCell.make((0, 0, 0), (1, 2))
-    arc = boundary_cycle_fit(box211, ball(box211, left, 1), center=left, gamma=1)
+    arc = fit_region(box211, left, 1)
     assert len(arc.region) == 5
     assert len(arc.cycle.cells) == 4
     assert all(c.base[0] == 1 or c.base[0] + (0 in c.axes) == 1 for c in arc.cycle.cells)
 
 
 def test_fit_rejects_whole_manifold(sq1):
-    with pytest.raises(NoFittingCycle):
-        boundary_cycle_fit(sq1, sq1.cells)
+    corner = CubicalCell.make((0, 0))
+    assert ball(sq1, corner, 2) == sq1.cells
+    with pytest.raises(NoFittingCycle, match="exceeds half") as err:
+        fit_region(sq1, corner, 2)
+    assert err.value.level == 2
 
 
 def test_ushape_inner_arc_report(ushape):
@@ -104,14 +112,14 @@ def test_ushape_inner_arc_report(ushape):
 
 def test_flat_arc_report(ushape):
     center = CubicalCell.make((1, 0), (0,))
-    arc = boundary_cycle_fit(ushape, ball(ushape, center, 1), center=center, gamma=1)
+    arc = fit_region(ushape, center, 1)
     rep = curviness(ScanContext(ushape), arc)
     assert rep.r == 1 and rep.r1 == 0 and rep.r2_h == 0 and rep.r3 == 0
 
 
 def test_box211_cap_report(box211):
     left = CubicalCell.make((0, 0, 0), (1, 2))
-    arc = boundary_cycle_fit(box211, ball(box211, left, 1), center=left, gamma=1)
+    arc = fit_region(box211, left, 1)
     rep = curviness(ScanContext(box211), arc)
     assert rep.r == Fraction(5, 1) and rep.r1 == 4 and rep.r2_h == 1
 
@@ -171,12 +179,12 @@ def test_arc_sign_examples(ushape, rect12):
     assert arc_sign(ctx, arc, minimum_filling_of_arc(ctx, arc)) == "valley"
 
     center = CubicalCell.make((0, 0), (1,))
-    cap = boundary_cycle_fit(rect12, ball(rect12, center, 1), center=center, gamma=1)
+    cap = fit_region(rect12, center, 1)
     ctx12 = ScanContext(rect12)
     assert arc_sign(ctx12, cap, minimum_filling_of_arc(ctx12, cap)) == "peak"
 
     flat_center = CubicalCell.make((1, 0), (0,))
-    flat = boundary_cycle_fit(ushape, ball(ushape, flat_center, 1), center=flat_center, gamma=1)
+    flat = fit_region(ushape, flat_center, 1)
     assert arc_sign(ctx, flat, minimum_filling_of_arc(ctx, flat)) == "flat"
 
 
@@ -204,17 +212,16 @@ def test_candidate_arcs_deduplicate(ushape):
 
 
 def reference_candidate_arcs(M, gamma):
-    """`candidate_arcs` as it was before the batch scan: a ball from a
-    fresh search and a fit at every closure center in canonical order,
-    failed fits skipped, the first center of each region kept."""
+    """`candidate_arcs` as it was before the batch scan: a fit at every
+    closure center in canonical order, failed fits skipped, the first
+    center of each region kept."""
     seen = {}
     for center in sorted(M.closure_cells):
         try:
-            fit = curviness_module.fit_region(M, reference_ball(M, center, gamma))
+            arc = fit_region(M, center, gamma)
         except GridTopoError:
             continue
-        if fit.region not in seen:
-            seen[fit.region] = ArcRegion(center=center, gamma=gamma, region=fit.region, cycle=fit.cycle)
+        seen.setdefault(arc.region, arc)
     return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
 
 
@@ -229,10 +236,12 @@ def _scanned_manifolds(amb3, fixtures):
     return manifolds + random_polycube_surfaces(amb3, 10, seed=2)
 
 
-def test_candidate_arcs_match_reference(amb3, ushape, rect12, sq1, box111, box211, torus):
+def test_candidate_arcs_match_reference(amb3, ushape, rect12, sq1, box111, box211, torus, monkeypatch):
     """The batch scan against the per-center scan at every scanned radius:
     the same arcs (center, radius, region, cycle), in the same order, on
-    `_scanned_manifolds`."""
+    `_scanned_manifolds`.  The per-center fits take their balls from a
+    fresh search."""
+    monkeypatch.setattr(curviness_module, "ball", reference_ball)
     arcs = 0
     for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
         for gamma in radius_sweep(M):
@@ -350,18 +359,16 @@ def test_config_rejects_bad_values(bad):
         ContractionConfig(**bad)
 
 
-def reference_fit_region(M, ball_cells, level=None):
+def reference_fit_region(M, center, gamma):
     """`fit_region` as it was before it relied on M being closed and
-    connected: it checks the complement and finds repair candidates by
-    scanning every complement cell."""
+    connected, on a ball from a fresh search: it checks the complement and
+    finds repair candidates by scanning every complement cell."""
     def fail(msg):
-        if level is not None:
-            raise CycleFitFailed(level, msg)
-        raise NoFittingCycle(msg)
+        raise NoFittingCycle(gamma, msg)
 
-    if not ball_cells:
+    region = set(reference_ball(M, center, gamma))
+    if not region:
         fail("empty region")
-    region = set(ball_cells)
     half = len(M.cells) // 2
     if len(region) > half:
         fail(f"region of {len(region)} cells exceeds half of {len(M.cells)}")
@@ -375,7 +382,7 @@ def reference_fit_region(M, ball_cells, level=None):
             complement = M.cells - frozenset(region)
             if not complement or len(components(complement)) != 1:
                 fail("boundary does not separate M into two components")
-            return curviness_module.RegionFit(frozenset(region), cyc)
+            return ArcRegion(center, gamma, frozenset(region), cyc)
         candidates = set()
         for c in sorted(M.cells - region):
             if any(f in bd for f in c.faces()):
@@ -386,16 +393,17 @@ def reference_fit_region(M, ball_cells, level=None):
     fail("cycle repair did not converge")
 
 
-def _fit_outcome(fit, M, ball_cells, level):
+def _fit_outcome(fit, M, center, gamma):
     try:
-        return fit(M, ball_cells, level)
-    except GridTopoError as err:
-        return type(err), str(err)
+        return fit(M, center, gamma)
+    except NoFittingCycle as err:
+        return type(err), str(err), err.level
 
 
 def test_fit_region_matches_reference(amb3, ushape, rect12, sq1, box111, box211, torus):
     """The index-backed fit against the cell-set fit, at every closure
-    centre and every scanned radius, errors and their messages included."""
+    centre and every scanned radius, errors, their messages and their
+    levels included."""
     amb2 = build_ambient(2, [(0, 15), (0, 15)])
     manifolds = [ushape, rect12, sq1, box111, box211, torus]
     manifolds += [random_simple_curve(amb2, random.Random(seed)) for seed in (3, 11, 29)]
@@ -405,15 +413,13 @@ def test_fit_region_matches_reference(amb3, ushape, rect12, sq1, box111, box211,
     for M in manifolds:
         for gamma in radius_sweep(M):
             for center in sorted(M.closure_cells):
-                cells = ball(M, center, gamma)
-                level = gamma if center.dim else None  # lofted levels raise CycleFitFailed
-                got = _fit_outcome(curviness_module.fit_region, M, cells, level)
-                assert got == _fit_outcome(reference_fit_region, M, cells, level)
-                if isinstance(got, curviness_module.RegionFit):
+                got = _fit_outcome(fit_region, M, center, gamma)
+                assert got == _fit_outcome(reference_fit_region, M, center, gamma)
+                if isinstance(got, ArcRegion):
                     assert len(components(got.region)) == 1
                     assert len(components(M.cells - got.region)) == 1
                     fitted += 1
-                    repaired += got.region != cells
+                    repaired += got.region != ball(M, center, gamma)
                 else:
                     failed += 1
     assert fitted and repaired and failed
@@ -422,7 +428,7 @@ def test_fit_region_matches_reference(amb3, ushape, rect12, sq1, box111, box211,
 def test_fit_region_needs_closed_manifold(amb2):
     arc = ManifoldComplex.make(amb2, 1, [CubicalCell.make((0, 0), (0,)), CubicalCell.make((1, 0), (0,))])
     with pytest.raises(ValueError, match="closed manifold"):
-        curviness_module.fit_region(arc, frozenset([CubicalCell.make((0, 0), (0,))]))
+        fit_region(arc, CubicalCell.make((0, 0)), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from gridtopo import (
     CubicalCell,
     ManifoldComplex,
     ScanContext,
-    ball,
     build_ambient,
     contract,
     interpolate,
@@ -18,8 +17,8 @@ from gridtopo import deform
 from gridtopo.cells import parse_cell_token
 from gridtopo.complexes import components
 from gridtopo.curviness import (
-    boundary_cycle_fit,
     candidate_arcs,
+    fit_region,
     minimum_filling_of_arc,
     radius_schedule,
     replacement_filling,
@@ -29,7 +28,6 @@ from gridtopo.deform import (
     DeformationTrace,
     MoveStep,
     ReplaceStep,
-    apply_flip,
     flip_ok,
     replay,
 )
@@ -40,7 +38,7 @@ from util import contraction_pool, curve_from_pixels, random_polycube_surfaces, 
 
 
 def arc_and_filling(M, center, gamma):
-    arc = boundary_cycle_fit(M, ball(M, center, gamma), center=center, gamma=gamma)
+    arc = fit_region(M, center, gamma)
     return arc, minimum_filling_of_arc(ScanContext(M), arc)
 
 
@@ -54,7 +52,7 @@ def test_interpolate_ushape_inner_two_moves(ushape):
     # every intermediate full state is a valid closed manifold
     state = ushape.cells
     for m in moves:
-        state = apply_flip(state, m.flip_cell)
+        state = m.apply(state)
         assert validate(ManifoldComplex(ushape.ambient, 1, state)).ok
 
 
@@ -102,8 +100,8 @@ def test_move_involution(ushape):
     moves = interpolate(ushape, arc, filling, move_cap=50)
     state = ushape.cells
     for m in moves:
-        flipped = apply_flip(state, m.flip_cell)
-        assert apply_flip(flipped, m.flip_cell) == state
+        flipped = m.apply(state)
+        assert m.apply(flipped) == state
         state = flipped
 
 
@@ -191,27 +189,46 @@ def test_flip_ok_refuses_a_cell_on_the_rim(b_tokens, rim_token):
 def test_flip_ok_refuses_the_ring_hole_flip():
     """The boundary of a ring of eight hypercubes is S¹×S², 48 cubes.
     Flipping the hypercube in its hole swaps 4 facets, two opposite pairs,
-    for the other 4: the move rule and `validate` accept the result, but
-    its topology changed, and `flip_ok` refuses it.  A bump on the ring's
-    outside is simple."""
+    for the other 4: the flip touches M without detaching it, and
+    `validate` accepts the result, but its topology changed, and `flip_ok`
+    refuses it.  A bump on the ring's outside is simple.  Replay checks each move with `flip_ok`, so a
+    trace that makes the hole flip does not replay."""
     amb4 = build_ambient(4, [(-2, 5), (-2, 5), (-1, 2), (-1, 2)])
     ring = [(x, y, 0, 0) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
     counts = Counter(f for b in ring for f in CubicalCell.make(b, range(4)).faces())
     M = ManifoldComplex.make(amb4, 3, [f for f, k in counts.items() if k == 1])
     assert len(M.cells) == 48 and validate(M).ok
     hole = parse_cell_token("1,1,0,0|0,1,2,3")
-    assert len(M.cells & frozenset(hole.faces())) == 4
-    flipped = deform._flipped(M.cells, hole)
-    assert flipped is not None and validate(ManifoldComplex(amb4, 3, flipped)).ok
+    bd = frozenset(hole.faces())
+    assert len(M.cells & bd) == 4 and bd - M.cells  # touches M, does not detach it
+    assert validate(ManifoldComplex(amb4, 3, M.cells ^ bd)).ok
     assert flip_ok(M.cells, hole) is None
+    with pytest.raises(ReplayMismatch, match="not a simple flip"):
+        MoveStep(flip_cell=hole).apply(M.cells)
     bump = parse_cell_token("0,-1,0,0|0,1,2,3")
     assert flip_ok(M.cells, bump) == M.cells.symmetric_difference(bump.faces())
 
 
+def test_flip_ok_refuses_the_1x1x3_pinch(amb3):
+    """The middle voxel of a 1×1×3 column touches its surface in 4 side
+    squares, two opposite pairs.  The flip touches M without detaching it,
+    and the result is closed and a manifold but not regular: the column
+    is pinched into two cubes.  `flip_ok` refuses it, and so does replay."""
+    M = surface_from_voxels(amb3, [(0, 0, 0), (0, 0, 1), (0, 0, 2)])
+    middle = parse_cell_token("0,0,1|0,1,2")
+    bd = frozenset(middle.faces())
+    assert len(M.cells & bd) == 4 and bd - M.cells
+    report = validate(ManifoldComplex(amb3, 2, M.cells ^ bd))
+    assert report.is_manifold and report.is_closed and not report.is_regular
+    assert flip_ok(M.cells, middle) is None
+    with pytest.raises(ReplayMismatch, match="not a simple flip"):
+        MoveStep(flip_cell=middle).apply(M.cells)
+
+
 def test_flip_ok_agrees_with_validate_on_every_peel_flip(amb3, monkeypatch):
     """Every flip the peel tries over a small contraction pool: `flip_ok`
-    accepts it exactly when the move rule does and the flipped state
-    validates, and then returns that state."""
+    accepts it exactly when it touches the state without detaching it and
+    the flipped state validates, and then returns that state."""
     tried = []
 
     def recording(state, flip_cell):
@@ -225,7 +242,8 @@ def test_flip_ok_agrees_with_validate_on_every_peel_flip(amb3, monkeypatch):
         contract(M)
     refused = 0
     for ambient, state, flip_cell, out in tried:
-        new = deform._flipped(state, flip_cell)
+        bd = frozenset(flip_cell.faces())
+        new = state ^ bd if state & bd and bd - state else None  # touches, does not detach
         valid = new is not None and validate(ManifoldComplex(ambient, flip_cell.dim - 1, new)).ok
         assert out == (new if valid else None), flip_cell
         refused += out is None

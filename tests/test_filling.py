@@ -14,13 +14,12 @@ from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import (
     _best_one_sided_cut,
     _replacement_cap,
-    boundary_cycle_fit,
     candidate_arcs,
     fit_region,
     replacement_filling,
 )
 from gridtopo.engine import radius_sweep
-from gridtopo.errors import CycleFitFailed, FillingNotFound, NoFittingCycle, NotSeparating, SearchBudgetExceeded
+from gridtopo.errors import FillingNotFound, NoFittingCycle, NotSeparating, SearchBudgetExceeded
 from gridtopo.filling import (
     CodeExclusion,
     Filling,
@@ -34,7 +33,6 @@ from gridtopo.filling import (
     semi_convex,
 )
 from gridtopo.io import load_fixture
-from gridtopo.metric import ball
 
 from util import (
     BOX333_VOXELS,
@@ -109,8 +107,7 @@ def test_filling_not_found_cap():
 
 def test_filling_boundary_exactness(box211):
     left = CubicalCell.make((0, 0, 0), (1, 2))
-    b = ball(box211, left, 1)
-    arc = boundary_cycle_fit(box211, b, center=left, gamma=1)
+    arc = fit_region(box211, left, 1)
     assert len(arc.region) == 5
     assert len(arc.cycle.cells) == 4
     f = min_filling(box211.ambient, arc.cycle)
@@ -248,8 +245,7 @@ def test_inside_region_counts(box211, torus):
 
 def test_one_sided_min_cut_box211(box211):
     left = CubicalCell.make((0, 0, 0), (1, 2))
-    b = ball(box211, left, 1)
-    arc = boundary_cycle_fit(box211, b, center=left, gamma=1)
+    arc = fit_region(box211, left, 1)
     got = one_sided_min_cut(ScanContext(box211), arc.region, "inside")
     assert got is not None
     cut, region = got
@@ -265,7 +261,7 @@ def test_one_sided_min_cut_on_the_ambient_bound():
     is the one face between them, within a cap of 1."""
     M = surface_from_voxels(build_ambient(3, [(0, 4), (-2, 4), (-2, 3)]), [(0, 0, 0), (0, 1, 0)])
     end = CubicalCell.make((0, 0, 0), (0, 2))
-    arc = boundary_cycle_fit(M, ball(M, end, 1), center=end, gamma=1)
+    arc = fit_region(M, end, 1)
     ctx = ScanContext(M)
     assert CubicalCell.make((0, 0, 0), (1, 2)) in arc.region
     assert one_sided_min_cut(ctx, arc.region, "outside") is None
@@ -279,7 +275,7 @@ def test_one_sided_min_cut_rejects_unknown_side(box211, side):
     """A side is "inside" or "outside"; any other raises, before the
     context builds its network, rather than solving the outside."""
     left = CubicalCell.make((0, 0, 0), (1, 2))
-    arc = boundary_cycle_fit(box211, ball(box211, left, 1), center=left, gamma=1)
+    arc = fit_region(box211, left, 1)
     ctx = ScanContext(box211)
     with pytest.raises(ValueError, match="inside"):
         one_sided_min_cut(ctx, arc.region, side)
@@ -310,7 +306,7 @@ def test_one_network_per_context(monkeypatch, amb3):
     for center in sorted(M.closure_cells)[::7]:
         try:
             levels += len(lofted(ctx, center, 2).levels)
-        except (CycleFitFailed, NoFittingCycle, FillingNotFound):
+        except (NoFittingCycle, FillingNotFound):
             pass
     assert cuts and levels
     assert len(builds) == 1
@@ -318,8 +314,7 @@ def test_one_network_per_context(monkeypatch, amb3):
 
 def test_lofted_ushape_inner(ushape):
     center = CubicalCell.make((1, 1), (0,))
-    b = ball(ushape, center, 2)
-    arc = boundary_cycle_fit(ushape, b, center=center, gamma=2)
+    arc = fit_region(ushape, center, 2)
     seq = lofted(ScanContext(ushape), center, 2, arc_cells=arc.region)
     assert [l.filling.N for l in seq.levels] == [1, 1]
     assert not any(l.meets_arc for l in seq.levels)
@@ -329,16 +324,14 @@ def test_lofted_ushape_inner(ushape):
 
 def test_lofted_flat_arc_semi_convex(ushape):
     center = CubicalCell.make((1, 0), (0,))
-    b = ball(ushape, center, 1)
-    arc = boundary_cycle_fit(ushape, b, center=center, gamma=1)
+    arc = fit_region(ushape, center, 1)
     seq = lofted(ScanContext(ushape), center, 1, arc_cells=arc.region)
     assert semi_convex(arc, seq)
 
 
 def test_lofted_torus_inner_wall_obstructed(torus):
     wall = CubicalCell.make((1, 1, 1), (1, 2))
-    b = ball(torus, wall, 2)
-    arc = boundary_cycle_fit(torus, b, center=wall, gamma=2)
+    arc = fit_region(torus, wall, 2)
     seq = lofted(ScanContext(torus), wall, 2, arc_cells=arc.region)
     assert any(l.meets_arc for l in seq.levels)
     assert not semi_convex(arc, seq)
@@ -359,10 +352,10 @@ def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box
         for center in sorted(M.closure_cells):
             try:
                 seq = lofted(ctx, center, 2)
-            except (CycleFitFailed, NoFittingCycle, FillingNotFound):
+            except (NoFittingCycle, FillingNotFound):
                 continue
             for lv in seq.levels:
-                region = fit_region(M, ball(M, center, lv.level)).region
+                region = fit_region(M, center, lv.level).region
                 cut = one_sided_min_cut(ctx, region, "inside") or one_sided_min_cut(ctx, region, "outside")
                 assert lv.filling.cells == cut[0] and not lv.meets_arc
                 cut_levels += 1

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from gridtopo import contract, validate
+from gridtopo import ManifoldComplex, contract, validate
+from gridtopo.cells import cell_token, parse_cell_token
 from gridtopo.cli import main
 from gridtopo.errors import GridTopoError, ParseError, ReplayMismatch, ValidationFailed
 from gridtopo.io import (
@@ -315,6 +316,27 @@ def test_render_refuses_cells_that_do_not_fit_the_trace(tmp_path, capsys, states
     frames = tmp_path / "frames"
     assert main(["render", "--trace", str(p), "--out", str(frames)]) == 4
     assert capsys.readouterr().err.startswith("error: line 0: cell ")
+    assert not frames.exists()
+
+
+def test_render_refuses_a_move_that_is_not_a_simple_flip(tmp_path, capsys):
+    """ushape's trace with one move across the square between the U's arms,
+    `1,2|0,1`, and its final state flipped to match.  The square meets the
+    curve in two opposite edges, so the move is no simple flip and its
+    result no manifold: replay refuses it, and `render` exits 4 with an
+    error line and writes no frames."""
+    doc = json.loads((GOLDEN_DIR / "ushape.json").read_text())
+    flip = parse_cell_token("1,2|0,1")
+    final = frozenset(map(parse_cell_token, doc["initial"])) ^ frozenset(flip.faces())
+    assert not validate(ManifoldComplex(load_fixture(FIXTURE_DIR / "ushape.txt").ambient, 1, final)).ok
+    doc["steps"] = [{"kind": "move", "flip": cell_token(flip)}]
+    doc["final"] = [cell_token(c) for c in sorted(final)]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    frames = tmp_path / "frames"
+    assert main(["render", "--trace", str(p), "--out", str(frames)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a simple flip" in err
     assert not frames.exists()
 
 
