@@ -28,7 +28,7 @@ from .engine import (
     contract,
     is_irreducible_sphere,
 )
-from .filling import Filling, LoftedSequence, ScanContext, jordan_split, lofted, min_filling, semi_convex
+from .filling import Filling, ScanContext, jordan_split, lofted, min_filling
 from .metric import all_pairs, ball, cell_distance, diameter
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "Cycle",
     "DeformationTrace",
     "Filling",
-    "LoftedSequence",
     "ManifoldComplex",
     "ScanContext",
     "ValidationReport",
@@ -65,7 +64,6 @@ __all__ = [
     "replace_arc",
     "replay",
     "select_peak",
-    "semi_convex",
     "star",
     "validate",
 ]

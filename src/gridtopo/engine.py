@@ -219,7 +219,7 @@ class _Run:
         level = None
         loft_summary: Tuple = ()
         try:
-            seq = lofted(ctx, arc.center, report.gamma, arc_cells=arc.region)
+            seq = lofted(ctx, arc)
             loft_summary = tuple(
                 (lv.level, len(lv.circle.cells), lv.filling.N, lv.meets_arc) for lv in seq.levels
             )

@@ -1,5 +1,5 @@
 """Run configuration, scan context, Jordan separation, minimal fillings,
-lofting, semi-convexity.
+lofting.
 
 `ContractionConfig` holds what a caller may set for a run: the curviness
 measure and the filling and move caps.  A `ScanContext` pairs it with one
@@ -22,10 +22,13 @@ Both searches, the path and the surface one, run on the ambient's
 `cells.CellCodes`: integer codes whose order within a dimension is
 canonical order, so every choice and tie-break falls as it would on cells.
 The cells they may not touch are one `CodeExclusion`, a set of codes.  The
-minimum cut is a max flow by augmenting paths over flat arrays, with the
-arc's and the rest's carriers as implicit terminals; each unit of flow is
-one cell of the cut, so a caller that can use only small cuts passes a cap
-and the search stops once the flow exceeds it.
+minimum cut is a max flow by augmenting paths over flat arrays, on the
+flat indices of M's bounding block, with the arc's and the rest's
+carriers as implicit terminals.  The flow runs from the arc's carriers,
+so each search stays near the small arc; each unit of flow is one cell of
+the cut, so a caller that can use only small cuts passes a cap and the
+search stops once the flow exceeds it.  Only at maximum flow is the
+flipped region read, by one search from the rest.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +47,9 @@ from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, region_boundary
 from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
 from .metric import ambient_distance
+
+if TYPE_CHECKING:
+    from .curviness import ArcRegion
 
 CellSet = FrozenSet[CubicalCell]
 
@@ -268,15 +274,6 @@ def min_filling(
 # Region machinery for codimension-one manifolds.
 
 
-def _bbox_top_cells(ambient: AmbientSpace, verts: Iterable[Coord]) -> List[CubicalCell]:
-    """Top cells of the vertices' bounding block, one cell wider on every
-    side and clipped to the ambient, in canonical order."""
-    coords = list(zip(*verts))
-    ranges = [range(max(min(x) - 1, l), min(max(x), h - 1) + 1) for x, (l, h) in zip(coords, ambient.extent)]
-    axes = tuple(range(ambient.n))
-    return [CubicalCell(ambient.n, base, axes) for base in product(*ranges)]
-
-
 def enclosed_cells(ambient: AmbientSpace, surface: CellSet) -> CellSet:
     """Top-dimensional cells enclosed by a closed codimension-one surface.
 
@@ -317,41 +314,67 @@ class _CutNetwork:
     """The arc-independent part of a one-sided minimum cut of M, for both
     sides at once.
 
-    Nodes are the top cells of M's bounding block, in canonical order,
-    then one far-outside node (`far`).  An edge joins neighbouring cells
-    across each face off M with capacity 1, and an outside cell meets the
-    far node with capacity equal to its faces leading out of the block.
-    M's faces carry no edge and the inside is bounded by M, so no edge
-    joins the two sides: a search started on one side stays there.  The
-    edges are stored as pairs of arcs in flat CSR arrays: node u's arcs
-    are `start[u]` to `start[u + 1]`, arc k runs to `head[k]` with
-    capacity `cap[k]`, and `rev[k]` is its twin the other way.  Per side,
-    `nodes[side]` lists that side's cell nodes and `carrier[side]` maps
-    each face of M to the node of its top cell on that side, when that
-    cell is in the block.  A solve adds only its arc's terminals.
+    Nodes are the top cells of M's bounding block, one cell wider on every
+    side and clipped to the ambient, then one far-outside node (`far`).  A
+    cell's node is its flat index in the block, in canonical order: with
+    `lo` the block's low corner, the cell at base b is node
+    sum((b[a] - lo[a]) * stride[a]), so its neighbour across axis a is
+    `i + stride[a]`.  An edge joins neighbouring cells across each face
+    off M with capacity 1, and an outside cell meets the far node with
+    capacity equal to its faces on the block's walls.  M's faces carry no
+    edge and the inside is bounded by M, so no edge joins the two sides: a
+    search started on one side stays there.  The edges are stored as pairs
+    of arcs in flat CSR arrays: node u's arcs are `start[u]` to
+    `start[u + 1]`, arc k runs to `head[k]` with capacity `cap[k]`, and
+    `rev[k]` is its twin the other way.  Per side, `nodes[side]` lists that
+    side's cell nodes and `carrier[side]` maps each face of M to the node
+    of its top cell on that side, when that cell is in the block;
+    `load[side][i]` counts the faces node i carries, and `terminals[side]`
+    marks the nodes that carry one, and outside the far node: the rest's
+    terminals, once a solve clears its arc's nodes.  A solve (`reached`)
+    runs the flow from the arc's carriers, and only at maximum flow reads
+    the flipped region, by one search from the rest.
     """
 
     def __init__(self, M: ManifoldComplex, inside: CellSet):
         ambient, n = M.ambient, M.ambient.n
-        self.cells = _bbox_top_cells(ambient, M.vertices)
-        index = {c: i for i, c in enumerate(self.cells)}
-        self.far = len(self.cells)
+        coords = list(zip(*M.vertices))
+        self.lo = [max(min(x) - 1, l) for x, (l, _) in zip(coords, ambient.extent)]
+        self.shape = [min(max(x), h - 1) + 1 - lo for x, (_, h), lo in zip(coords, ambient.extent, self.lo)]
+        self.stride = [1] * n
+        for a in range(n - 2, -1, -1):
+            self.stride[a] = self.stride[a + 1] * self.shape[a + 1]
+        self.far = self.stride[0] * self.shape[0]
         self.size = self.far + 1
+        is_inside = bytearray(self.far)
+        for c in inside:
+            i = self.index(c.base)
+            if i is not None:
+                is_inside[i] = 1
+        self.carrier: Dict[str, Dict[CubicalCell, int]] = {side: {} for side in _SIDES}
+        blocked = bytearray(self.far * n)  # at i * n + a: M holds the face between i and i + stride[a]
+        for f in M.cells:
+            free = [a for a in range(n) if a not in f.axes]
+            for offs in product((0, -1), repeat=len(free)):  # the order of `top_cells_containing`
+                base = list(f.base)
+                for a, o in zip(free, offs):
+                    base[a] += o
+                i = self.index(base)
+                if i is not None:
+                    self.carrier[_SIDES[not is_inside[i]]][f] = i
+                    if offs == (-1,):  # f has codimension one and i is the cell below it
+                        blocked[i * n + free[0]] = 1
         self.nodes: Dict[str, List[int]] = {side: [] for side in _SIDES}
-        rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
         edges: List[Tuple[int, int, int]] = []  # (u, v, capacity)
-        for i, c in enumerate(self.cells):
-            side = "inside" if c in inside else "outside"
+        last = [k - 1 for k in self.shape]
+        for i, x in enumerate(product(*map(range, self.shape))):
+            side = _SIDES[not is_inside[i]]
             self.nodes[side].append(i)
             leaving = 0
             for a in range(n):
-                for d in (-1, 1):
-                    base = c.base[:a] + (c.base[a] + d,) + c.base[a + 1 :]
-                    j = index.get(CubicalCell(n, base, c.axes))
-                    if j is None:
-                        leaving += 1
-                    elif d == 1 and CubicalCell(n - 1, base, rest[a]) not in M.cells:
-                        edges.append((i, j, 1))
+                leaving += (x[a] == 0) + (x[a] == last[a])
+                if x[a] < last[a] and not blocked[i * n + a]:
+                    edges.append((i, i + self.stride[a], 1))
             if leaving and side == "outside":
                 edges.append((i, self.far, leaving))
         degree = [0] * (self.size + 1)
@@ -366,44 +389,75 @@ class _CutNetwork:
             fill[u], fill[v] = k + 1, l + 1
             self.head[k], self.cap[k], self.rev[k] = v, c, l
             self.head[l], self.cap[l], self.rev[l] = u, c, k
-        self.carrier: Dict[str, Dict[CubicalCell, int]] = {side: {} for side in _SIDES}
-        for f in M.cells:
-            for t in ambient.top_cells_containing(f):
-                if t in index:
-                    self.carrier["inside" if t in inside else "outside"][f] = index[t]
+        self.load = {side: [0] * self.size for side in _SIDES}
+        self.terminals = {side: bytearray(self.size) for side in _SIDES}
+        self.terminals["outside"][self.far] = 1
+        for side in _SIDES:
+            for i in self.carrier[side].values():
+                self.load[side][i] += 1
+                self.terminals[side][i] = 1
 
-    def reached(self, sources: List[int], targets: Iterable[int], cap: Optional[int]) -> Optional[List[bool]]:
-        """Which nodes the sources reach once the flow from them to the
-        targets is maximum, or None as soon as it exceeds `cap`.
+    def index(self, base: Sequence[int]) -> Optional[int]:
+        """The node of the top cell at `base`, or None off the block."""
+        i = 0
+        for b, lo, k, s in zip(base, self.lo, self.shape, self.stride):
+            if not lo <= b < lo + k:
+                return None
+            i += (b - lo) * s
+        return i
 
-        Augments along shortest paths (Edmonds-Karp); the sources and the
-        targets stand for arcs of unbounded capacity from a source and
-        into a sink, so every augmenting path runs between them.
+    def cell(self, i: int) -> CubicalCell:
+        """The top cell of node i."""
+        base = []
+        for lo, s in zip(self.lo, self.stride):
+            x, i = divmod(i, s)
+            base.append(lo + x)
+        return CubicalCell(len(base), tuple(base), tuple(range(len(base))))
+
+    def reached(self, arc: List[int], rest: bytearray, cap: Optional[int]) -> Optional[bytearray]:
+        """Which nodes the rest reaches once the flow between the `arc`
+        nodes and the nodes `rest` marks is maximum, or None as soon as it
+        exceeds `cap`.  The marks in `rest` grow into the reached nodes.
+
+        The flow runs from the arc's nodes to the rest's, along shortest
+        paths (Edmonds-Karp); both stand for arcs of unbounded capacity
+        from a source and into a sink.  The paths of one edge are
+        saturated first, all at once, which alone settles most capped
+        solves; each later search starts from the arc, which is small, so
+        it stays near it.  At maximum flow one search from the rest reads
+        the nodes it reaches in the residual graph of the reverse flow,
+        where arc k is open when its twin `rev[k]` has residual capacity:
+        every edge's capacity is the same both ways, so that flow is a
+        maximum flow from the rest, and the set it reaches is the same for
+        every maximum flow.
         """
         residual = array("l", self.cap)
-        start, head, rev = self.start, self.head, self.rev
-        is_target = bytearray(self.size)
-        for t in targets:
-            is_target[t] = 1
+        start, head, rev, size = self.start, self.head, self.rev, self.size
         flow = 0
-        while True:
-            via = [-1] * self.size  # the arc each node was reached by; -2 at a source
-            for s in sources:
+        for u in arc:  # every path of one edge from the arc to the rest at once
+            for k in range(start[u], start[u + 1]):
+                if rest[head[k]]:
+                    flow += residual[k]
+                    residual[rev[k]] += residual[k]
+                    residual[k] = 0
+        while cap is None or flow <= cap:
+            via = [-1] * size  # the arc each node was reached by; -2 at the arc
+            for s in arc:
                 via[s] = -2
-            queue, end = list(sources), -1
+            queue, end = list(arc), -1
             for u in queue:
                 for k in range(start[u], start[u + 1]):
                     v = head[k]
                     if via[v] == -1 and residual[k]:
                         via[v] = k
-                        if is_target[v]:
+                        if rest[v]:
                             end = v
                             break
                         queue.append(v)
                 if end >= 0:
                     break
             if end < 0:
-                return [k != -1 for k in via]
+                break
             path = []
             while via[end] >= 0:
                 path.append(via[end])
@@ -413,8 +467,16 @@ class _CutNetwork:
                 residual[k] -= push
                 residual[rev[k]] += push
             flow += push
-            if cap is not None and flow > cap:
-                return None
+        if cap is not None and flow > cap:
+            return None
+        queue = [u for u, r in enumerate(rest) if r]
+        for u in queue:
+            for k in range(start[u], start[u + 1]):
+                v = head[k]
+                if not rest[v] and residual[rev[k]]:
+                    rest[v] = 1
+                    queue.append(v)
+        return rest
 
 
 class ScanContext:
@@ -460,12 +522,14 @@ def one_sided_min_cut(
     terminal lies on the requested side and no edge leaves it, so the cut
     never touches M outside the arc boundary.  An arc cell whose top cell
     on the side is off the block leaves the side infeasible.  The cut is
-    found by augmenting paths; each unit of flow crosses one filling cell
-    (an edge is one face, a far edge counts its faces), so the search
-    stops, with None, once the flow exceeds the cap.  The flipped region
-    is the side's cells the carriers of the rest cannot reach at maximum
-    flow, the same for every maximum flow, so reusing the network changes
-    no result.  Raises ValueError for a side other than "inside" or
+    found by augmenting paths from the arc's carriers towards the rest's
+    (and the far node); each unit of flow crosses one filling cell (an
+    edge is one face, a far edge counts its faces), so the search stops,
+    with None, once the flow exceeds the cap.  Only at maximum flow is
+    the flipped region read, by one residual search from the rest: it is
+    the side's cells the rest cannot reach, the same for every maximum
+    flow, so the direction of the flow and reusing the network change no
+    result.  Raises ValueError for a side other than "inside" or
     "outside".
     """
     if side not in _SIDES:
@@ -474,21 +538,22 @@ def one_sided_min_cut(
     carrier = net.carrier[side]
     if not carrier.keys() >= arc_cells:
         return None
-    arc_nodes, rest_nodes = set(), set()
-    for f, i in carrier.items():
-        (arc_nodes if f in arc_cells else rest_nodes).add(i)
-    if arc_nodes & rest_nodes or not arc_nodes:
-        return None
-    sources = sorted(rest_nodes) + ([net.far] if side == "outside" else [])
-    reached = net.reached(sources, arc_nodes, cap)
+    held = Counter(carrier[f] for f in arc_cells)
+    load = net.load[side]
+    if not held or any(load[i] != k for i, k in held.items()):
+        return None  # no arc, or a node carries both the arc and the rest
+    rest = bytearray(net.terminals[side])
+    for i in held:
+        rest[i] = 0
+    reached = net.reached(sorted(held), rest, cap)
     if reached is None:
         return None
-    w_cells = frozenset(net.cells[i] for i in net.nodes[side] if not reached[i])
+    w_cells = frozenset(net.cell(i) for i in net.nodes[side] if not reached[i])
     return region_boundary(w_cells) - ctx.M.cells, w_cells
 
 
 # ---------------------------------------------------------------------------
-# Lofted circles and semi-convexity.
+# Lofted circles.
 
 
 @dataclass(frozen=True)
@@ -506,27 +571,25 @@ class LoftedSequence:
     levels: Tuple[LoftedLevel, ...]
 
 
-def lofted(
-    ctx: ScanContext, center: CubicalCell, gamma: int, arc_cells: Optional[CellSet] = None
-) -> LoftedSequence:
-    """Distance-i circles around a center and their minimum fillings.
+def lofted(ctx: ScanContext, arc: ArcRegion) -> LoftedSequence:
+    """Distance-i circles around the arc's center, for i up to its gamma,
+    and their minimum fillings.
 
-    Each level records whether the true minimum filling runs through the
-    arc away from its own sub-arc; a level whose sub-arc is already a
-    minimum filling cannot obstruct anything.
+    Levels below gamma are fitted around the center; level gamma is the
+    arc itself.  Each level records whether the true minimum filling runs
+    through the arc away from its own sub-arc; a level whose sub-arc is
+    already a minimum filling cannot obstruct anything.
     """
     from .curviness import fit_region
 
     M = ctx.M
-    if arc_cells is None:
-        arc_cells = fit_region(M, center, gamma).region
     levels: List[LoftedLevel] = []
-    for i in range(1, gamma + 1):
-        fit = fit_region(M, center, i)
+    for i in range(1, arc.gamma + 1):
+        fit = arc if i == arc.gamma else fit_region(M, arc.center, i)
         try:
             cap = min(ctx.cfg.filling_cap, len(fit.region))
             m_i = min_filling(M.ambient, fit.cycle, cap=cap)
-            meets = bool(m_i.cells & arc_cells) and m_i.N < len(fit.region)
+            meets = bool(m_i.cells & arc.region) and m_i.N < len(fit.region)
         except SearchBudgetExceeded:
             # the inside cut first, the outside one only when it is infeasible
             cut = one_sided_min_cut(ctx, fit.region, "inside")
@@ -538,13 +601,4 @@ def lofted(
         levels.append(
             LoftedLevel(level=i, circle=fit.cycle, filling=m_i, meets_arc=meets)
         )
-    return LoftedSequence(center=center, gamma=gamma, levels=tuple(levels))
-
-
-def semi_convex(arc_region, seq: LoftedSequence) -> bool:
-    """True when no lofted minimum filling runs through the arc.
-
-    Levels whose sub-arc already realises the minimum volume are not
-    obstructions: there is nothing to deform at such a level.
-    """
-    return not any(level.meets_arc for level in seq.levels)
+    return LoftedSequence(center=arc.center, gamma=arc.gamma, levels=tuple(levels))

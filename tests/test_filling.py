@@ -1,12 +1,15 @@
 import math
 import random
+from array import array
 from collections import deque
 from functools import lru_cache
+from itertools import accumulate
 
 import pytest
 
-from gridtopo import CubicalCell, Cycle, build_ambient, contract, jordan_split, min_filling
+from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, contract, jordan_split, min_filling
 from gridtopo import deform as deform_module
+import gridtopo.curviness as curviness_module
 from gridtopo import filling as filling_module
 from gridtopo.cells import CellCodes
 from gridtopo.complexes import components, region_boundary
@@ -23,14 +26,14 @@ from gridtopo.errors import FillingNotFound, NoFittingCycle, NotSeparating, Sear
 from gridtopo.filling import (
     CodeExclusion,
     Filling,
+    LoftedLevel,
+    LoftedSequence,
     ScanContext,
-    _bbox_top_cells,
     enclosed_cells,
     filling_lower_bound,
     inside_region,
     lofted,
     one_sided_min_cut,
-    semi_convex,
 )
 from gridtopo.io import load_fixture
 
@@ -38,6 +41,7 @@ from util import (
     BOX333_VOXELS,
     POLYCUBE_VOXELS,
     SPHERE28_VOXELS,
+    bbox_top_cells,
     closure_of,
     face_vertices,
     golden_states,
@@ -159,7 +163,7 @@ def reference_enclosed_cells(ambient, surface):
     if not surface:
         return frozenset()
     n = ambient.n
-    cells = _bbox_top_cells(ambient, {v for c in surface for v in c.vertices()})
+    cells = bbox_top_cells(ambient, {v for c in surface for v in c.vertices()})
     lo, hi = cells[0].base, cells[-1].base
     rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
     hull = set()
@@ -305,7 +309,7 @@ def test_one_network_per_context(monkeypatch, amb3):
             cuts += _best_one_sided_cut(ctx, arc, len(arc.region)) is not None
     for center in sorted(M.closure_cells)[::7]:
         try:
-            levels += len(lofted(ctx, center, 2).levels)
+            levels += len(lofted(ctx, fit_region(M, center, 2)).levels)
         except (NoFittingCycle, FillingNotFound):
             pass
     assert cuts and levels
@@ -315,26 +319,24 @@ def test_one_network_per_context(monkeypatch, amb3):
 def test_lofted_ushape_inner(ushape):
     center = CubicalCell.make((1, 1), (0,))
     arc = fit_region(ushape, center, 2)
-    seq = lofted(ScanContext(ushape), center, 2, arc_cells=arc.region)
+    seq = lofted(ScanContext(ushape), arc)
     assert [l.filling.N for l in seq.levels] == [1, 1]
     assert not any(l.meets_arc for l in seq.levels)
-    assert semi_convex(arc, seq)
     assert all(l.filling.boundary.cells == l.circle.cells for l in seq.levels)
 
 
 def test_lofted_flat_arc_semi_convex(ushape):
     center = CubicalCell.make((1, 0), (0,))
     arc = fit_region(ushape, center, 1)
-    seq = lofted(ScanContext(ushape), center, 1, arc_cells=arc.region)
-    assert semi_convex(arc, seq)
+    seq = lofted(ScanContext(ushape), arc)
+    assert not any(lv.meets_arc for lv in seq.levels)
 
 
 def test_lofted_torus_inner_wall_obstructed(torus):
     wall = CubicalCell.make((1, 1, 1), (1, 2))
     arc = fit_region(torus, wall, 2)
-    seq = lofted(ScanContext(torus), wall, 2, arc_cells=arc.region)
+    seq = lofted(ScanContext(torus), arc)
     assert any(l.meets_arc for l in seq.levels)
-    assert not semi_convex(arc, seq)
 
 
 def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box211):
@@ -351,7 +353,7 @@ def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box
         ctx = ScanContext(M)
         for center in sorted(M.closure_cells):
             try:
-                seq = lofted(ctx, center, 2)
+                seq = lofted(ctx, fit_region(M, center, 2))
             except (NoFittingCycle, FillingNotFound):
                 continue
             for lv in seq.levels:
@@ -365,7 +367,7 @@ def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box
 def test_lofted_fillings_are_minimal_per_level(ushape):
     """Monotonicity is not asserted, minimality per circle is."""
     center = CubicalCell.make((1, 1), (0,))
-    seq = lofted(ScanContext(ushape), center, 2)
+    seq = lofted(ScanContext(ushape), fit_region(ushape, center, 2))
     for lv in seq.levels:
         p, q = sorted(v.base for v in lv.circle.cells)
         best, _ = oracle_min_paths(ushape.ambient.extent, p, q, cap=8)
@@ -434,7 +436,7 @@ class _ReferenceNetwork:
     def __init__(self, M, inside, side):
         self.M, self.on_inside = M, side == "inside"
         ambient, n = M.ambient, M.ambient.n
-        self.cells = [c for c in _bbox_top_cells(ambient, M.vertices) if (c in inside) == self.on_inside]
+        self.cells = [c for c in bbox_top_cells(ambient, M.vertices) if (c in inside) == self.on_inside]
         index = {c: i for i, c in enumerate(self.cells)}
         self.source, self.sink, far = len(index), len(index) + 1, len(index) + 2
         self.size = far if self.on_inside else far + 1
@@ -537,6 +539,215 @@ def test_min_cut_matches_reference(amb3, box211, torus):
             assert one_sided_min_cut(ctx, arc.region, side, cap=k) == want
             assert one_sided_min_cut(ctx, arc.region, side, cap=k - 1) is None
     assert len(sizes) > 5
+
+
+class _ReferenceCutNetwork:
+    """`filling._CutNetwork` as it was built on cells, before flat block
+    indices: a dict from each top cell of the block to its node, and a
+    face of M looked up per neighbour pair."""
+
+    def __init__(self, M, inside):
+        ambient, n = M.ambient, M.ambient.n
+        self.cells = bbox_top_cells(ambient, M.vertices)
+        index = {c: i for i, c in enumerate(self.cells)}
+        self.far = len(self.cells)
+        self.size = self.far + 1
+        self.nodes = {side: [] for side in ("inside", "outside")}
+        rest = [tuple(x for x in range(n) if x != a) for a in range(n)]
+        edges = []
+        for i, c in enumerate(self.cells):
+            side = "inside" if c in inside else "outside"
+            self.nodes[side].append(i)
+            leaving = 0
+            for a in range(n):
+                for d in (-1, 1):
+                    base = c.base[:a] + (c.base[a] + d,) + c.base[a + 1 :]
+                    j = index.get(CubicalCell(n, base, c.axes))
+                    if j is None:
+                        leaving += 1
+                    elif d == 1 and CubicalCell(n - 1, base, rest[a]) not in M.cells:
+                        edges.append((i, j, 1))
+            if leaving and side == "outside":
+                edges.append((i, self.far, leaving))
+        degree = [0] * (self.size + 1)
+        for u, v, _ in edges:
+            degree[u + 1] += 1
+            degree[v + 1] += 1
+        self.start = array("l", accumulate(degree))
+        self.head, self.cap, self.rev = (array("l", [0]) * (2 * len(edges)) for _ in range(3))
+        fill = self.start.tolist()
+        for u, v, c in edges:
+            k, l = fill[u], fill[v]
+            fill[u], fill[v] = k + 1, l + 1
+            self.head[k], self.cap[k], self.rev[k] = v, c, l
+            self.head[l], self.cap[l], self.rev[l] = u, c, k
+        self.carrier = {side: {} for side in ("inside", "outside")}
+        for f in M.cells:
+            for t in ambient.top_cells_containing(f):
+                if t in index:
+                    self.carrier["inside" if t in inside else "outside"][f] = index[t]
+
+
+def test_cut_network_matches_reference_build(amb3, box211, torus):
+    """The network built on flat block indices has the arrays, carriers,
+    side lists and far node of the one built on cells, and its nodes are
+    the block's top cells in canonical order: on the fixture surfaces, the
+    28-face sphere, ten random polycubes, every state of the box211 and
+    box333 goldens, and the 28-face sphere lifted into a 4-d ambient,
+    where a face has four top cells and blocks no edge."""
+    amb4 = build_ambient(4, [(-2, 5)] * 3 + [(-1, 2)])
+    lifted = [CubicalCell(c.dim, (*c.base, 0), c.axes) for c in solid_surface_cells(SPHERE28_VOXELS)]
+    manifolds = [
+        ManifoldComplex.make(amb4, 2, lifted),
+        box211,
+        torus,
+        surface_from_voxels(amb3, SPHERE28_VOXELS),
+        *random_polycube_surfaces(amb3, 10, seed=1),
+        *golden_states("box211"),
+        *golden_states("box333"),
+    ]
+    for M in manifolds:
+        inside = inside_region(M)
+        got, want = filling_module._CutNetwork(M, inside), _ReferenceCutNetwork(M, inside)
+        for name in ("start", "head", "cap", "rev", "carrier", "nodes", "far"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert [got.cell(i) for i in range(got.far)] == want.cells
+        assert all(got.index(c.base) == i for i, c in enumerate(want.cells))
+
+
+def _reference_reached(net, sources, targets, cap):
+    """`_CutNetwork.reached` as it was, searching from the rest: which
+    nodes the sources reach once the flow from them to the targets is
+    maximum, or None as soon as it exceeds `cap`."""
+    residual = array("l", net.cap)
+    start, head, rev = net.start, net.head, net.rev
+    is_target = bytearray(net.size)
+    for t in targets:
+        is_target[t] = 1
+    flow = 0
+    while True:
+        via = [-1] * net.size
+        for s in sources:
+            via[s] = -2
+        queue, end = list(sources), -1
+        for u in queue:
+            for k in range(start[u], start[u + 1]):
+                v = head[k]
+                if via[v] == -1 and residual[k]:
+                    via[v] = k
+                    if is_target[v]:
+                        end = v
+                        break
+                    queue.append(v)
+            if end >= 0:
+                break
+        if end < 0:
+            return [k != -1 for k in via]
+        path = []
+        while via[end] >= 0:
+            path.append(via[end])
+            end = head[rev[via[end]]]
+        push = min(residual[k] for k in path)
+        for k in path:
+            residual[k] -= push
+            residual[rev[k]] += push
+        flow += push
+        if cap is not None and flow > cap:
+            return None
+
+
+def _reference_search_cut(ctx, arc_cells, side, cap=None):
+    """`one_sided_min_cut` as it drove the search from the rest's carriers
+    (and, outside, the far node) towards the arc's."""
+    net = ctx.network
+    carrier = net.carrier[side]
+    if not carrier.keys() >= arc_cells:
+        return None
+    arc_nodes, rest_nodes = set(), set()
+    for f, i in carrier.items():
+        (arc_nodes if f in arc_cells else rest_nodes).add(i)
+    if arc_nodes & rest_nodes or not arc_nodes:
+        return None
+    sources = sorted(rest_nodes) + ([net.far] if side == "outside" else [])
+    reached = _reference_reached(net, sources, arc_nodes, cap)
+    if reached is None:
+        return None
+    w_cells = frozenset(net.cell(i) for i in net.nodes[side] if not reached[i])
+    return region_boundary(w_cells) - ctx.M.cells, w_cells
+
+
+def test_cut_search_from_the_arc_matches_search_from_the_rest(amb3, box211, torus):
+    """Augmenting from the arc and reading the flipped region from the
+    rest gives the (filling, flipped region) or None that augmenting from
+    the rest gave: both sides of every candidate arc, uncapped and capped
+    at the cut's size k, at k - 1 and at the replacement cap, on the
+    fixture surfaces, the first, middle and last box333 states and the
+    1x2x1 box on the ambient's bound."""
+    on_bound = surface_from_voxels(build_ambient(3, [(0, 4), (-2, 4), (-2, 3)]), [(0, 0, 0), (0, 1, 0)])
+    box333_states = list(golden_states("box333"))[::22]
+    found = 0
+    for ctx, arc in _arcs([*_surfaces(amb3, box211, torus), *box333_states, on_bound]):
+        for side in ("inside", "outside"):
+            want = _reference_search_cut(ctx, arc.region, side)
+            caps = [None, _replacement_cap(ctx, arc.N)]
+            if want is not None:
+                caps += [len(want[0]), len(want[0]) - 1]
+                found += 1
+            for cap in caps:
+                got = one_sided_min_cut(ctx, arc.region, side, cap)
+                assert got == _reference_search_cut(ctx, arc.region, side, cap)
+    assert found
+
+
+def test_lofted_takes_the_arc_at_its_level(monkeypatch, ushape, box211, torus):
+    """`lofted` given a candidate arc fits only the levels below its
+    gamma, and gives the sequence that refitting every level, the arc's
+    own included, gives: on every candidate arc of the U-shape and box211,
+    and of the torus up to radius 2 (its exact searches at radius 3 and
+    up take tens of seconds)."""
+    fits = []
+
+    def counted(M, center, gamma):
+        fits.append(gamma)
+        return fit_region(M, center, gamma)
+
+    monkeypatch.setattr(curviness_module, "fit_region", counted)
+    lofts = 0
+    for ctx, arc in _arcs([ushape, box211, torus]):
+        if ctx.M is torus and arc.gamma > 2:
+            continue
+        fits.clear()
+        got = _outcome_of(lofted, ctx, arc)
+        if not isinstance(got, tuple):
+            assert fits == list(range(1, arc.gamma))
+            lofts += 1
+        assert got == _outcome_of(_refitted_lofted, ctx, arc.center, arc.gamma)
+    assert lofts
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except (NoFittingCycle, FillingNotFound) as err:
+        return type(err), str(err)
+
+
+def _refitted_lofted(ctx, center, gamma):
+    """`lofted` as it was, fitting every level around the center."""
+    M, levels = ctx.M, []
+    arc_cells = fit_region(M, center, gamma).region
+    for i in range(1, gamma + 1):
+        fit = fit_region(M, center, i)
+        try:
+            m_i = min_filling(M.ambient, fit.cycle, cap=min(ctx.cfg.filling_cap, len(fit.region)))
+            meets = bool(m_i.cells & arc_cells) and m_i.N < len(fit.region)
+        except SearchBudgetExceeded:
+            cut = one_sided_min_cut(ctx, fit.region, "inside") or one_sided_min_cut(ctx, fit.region, "outside")
+            if cut is None:
+                raise FillingNotFound(f"no lofted filling at level {i}")
+            m_i, meets = Filling(cells=cut[0], boundary=fit.cycle), False
+        levels.append(LoftedLevel(level=i, circle=fit.cycle, filling=m_i, meets_arc=meets))
+    return LoftedSequence(center=center, gamma=gamma, levels=tuple(levels))
 
 
 def _reference_replacement_filling(networks, ctx, arc):

@@ -102,6 +102,16 @@ def contraction_pool(amb3):
     return pool + [surface_from_voxels(amb3, voxels) for voxels in POLYCUBE_VOXELS]
 
 
+def bbox_top_cells(ambient, verts):
+    """Top cells of the vertices' bounding block, one cell wider on every
+    side and clipped to the ambient, in canonical order (the block of the
+    one-sided cut network)."""
+    coords = list(zip(*verts))
+    ranges = [range(max(min(x) - 1, l), min(max(x), h - 1) + 1) for x, (l, h) in zip(coords, ambient.extent)]
+    axes = tuple(range(ambient.n))
+    return [CubicalCell(ambient.n, base, axes) for base in product(*ranges)]
+
+
 def reference_ball(M, center, gamma):
     """`metric.ball` by a fresh breadth-first search from the center."""
     table = vertex_distances(M, center.vertices())
