@@ -147,6 +147,10 @@ class StateIndex:
       to vertex v, the least over c's own vertices; built on first use,
       for curves and surfaces from `dist`, `face_ridges` and
       `cell_vertices` alone.
+    - `cell_plane[i]`: the projection class of cell i, built on first use:
+      two cells share a class when they have the same axes and the same
+      base on those axes, so that they project onto one cell of the
+      coordinate m-plane of those axes.
 
     The candidate scan (`curviness.candidate_arcs`) works on these ids:
     a fit is a center id, region cell ids and boundary face ids, and
@@ -200,6 +204,18 @@ class StateIndex:
     @cached_property
     def center_id(self) -> Dict[CubicalCell, int]:
         return {c: i for i, c in enumerate(self.centers)}
+
+    @cached_property
+    def cell_plane(self) -> np.ndarray:
+        # Each cell's axes and its base on them, one row per cell, read as
+        # one integer in mixed radix.
+        axes = np.array([c.axes for c in self.cells]).reshape(len(self.cells), self.m)
+        base = np.array([c.base for c in self.cells])
+        rows = np.concatenate([axes, np.take_along_axis(base, axes, axis=1)], axis=1)
+        rows -= rows.min(axis=0)
+        radix = rows.max(axis=0) + 1
+        key = rows @ np.cumprod(np.concatenate([[1], radix[:0:-1]]))[::-1]
+        return np.unique(key, return_inverse=True)[1].reshape(-1).copy()  # a copy keeps no chain of views
 
     @cached_property
     def center_dist(self) -> np.ndarray:

@@ -12,9 +12,13 @@ center cannot produce.
 An arc is fitted one way: `fit_region(M, center, gamma)` grows the ball of
 radius gamma around the center into a region whose boundary is one regular
 cycle and returns its `ArcRegion`, or raises `NoFittingCycle` with gamma
-as its level.  `candidate_arcs` runs the same growth (`_grow`) on ids for
-every center at once.  The module is `gridtopo.curviness`; the report
-function is `gridtopo.curviness.curviness`.
+as its level.  `candidate_arcs` fits every center's ball at once, in one
+array pass on ids: a ball is certified by counts first (`_disks`: a curve
+arc with two ends, or a surface ball that is one piece, with every vertex
+in 0 or 2 boundary edges and Euler characteristic 1, so a disk), and is
+then its own fit; any other ball goes through the same growth (`_grow`).
+The module is `gridtopo.curviness`; the report function is
+`gridtopo.curviness.curviness`.
 
 The scan functions (`valid_reports`, `select_peak`, `replacement_filling`,
 `curviness`, `minimum_filling_of_arc`, `arc_sign`) take a
@@ -28,24 +32,27 @@ The exact surface search serves only fillings free to run through M:
 `minimum_filling_of_arc`, the lofted circles and the obstruction probe.
 
 `valid_reports` is lazy.  `candidate_arcs` fits its candidates on the ids
-of `M.index` (`ArcFit`: center id, region cell ids, boundary face ids), and
-every filling of a fit's cycle has at least a known number of cells (the
-endpoint distance for curves, a face count for surfaces), which bounds
-each measure from above before any cell is built.  The candidates wait
-in one heap with the solved reports, and a replacement filling is solved
-only while a waiting candidate could still beat or tie the best solved
-report, so the first report costs a few solves instead of one per
-candidate.  Only a candidate taken up for solving is built as cells, an
-`ArcRegion`.
+of `M.index` (`ArcFit`: center id, region cell ids, boundary face ids),
+each with `filling.filling_lower_bound` of its cycle, read from the
+region: the larger of a face count and the projection bound, the cells of
+the region's shadows that survive mod 2 on the coordinate m-planes (for
+curves the endpoint distance).  Projection commutes with the boundary, so
+every filling has at least that many cells, and a fit whose bound exceeds
+the replacement cap has no reducing filling: it is dropped before its
+`ArcFit` is built.  The bound caps each measure from above before any
+cell is built.  The candidates wait in one heap with the solved reports,
+and a replacement filling is solved only while a waiting candidate could
+still beat or tie the best solved report, so the first report costs a few
+solves instead of one per candidate.  Only a candidate taken up for
+solving is built as cells, an `ArcRegion`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -59,7 +66,7 @@ from .filling import (  # VARIANTS is re-exported here, beside the measures
     min_filling,
     one_sided_min_cut,
 )
-from .metric import ambient_distance, ball, diameter
+from .metric import ball, diameter
 
 CellSet = FrozenSet[CubicalCell]
 
@@ -161,6 +168,9 @@ def fit_region(M: ManifoldComplex, center: CubicalCell, gamma: int) -> ArcRegion
     return ArcFit(ix.center_id[center], frozenset(region), frozenset(bd)).arc(M, gamma)
 
 
+_NOT_CLOSED = "fitting arcs needs a closed manifold: a face lies in other than two cells"
+
+
 def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
     """`fit_region` on cell ids: grows the non-empty `region`, of at most
     half of M's cells, in place, and returns its boundary's face ids, or
@@ -174,7 +184,7 @@ def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
     boundary with every ridge in two faces bounds a single piece.
     """
     if ix.face_cells is None:
-        raise ValueError("fit_region needs a closed manifold: a face lies in other than two cells")
+        raise ValueError(_NOT_CLOSED)
     k = 2 * m
     cell_faces, face_cells = ix.cell_faces, ix.face_cells
     half = len(ix.cells) // 2
@@ -286,15 +296,6 @@ def _replacement_cap(ctx: ScanContext, n: int) -> int:
     return min(ctx.cfg.filling_cap, n - 1, len(ctx.M.cells) - n - 1)
 
 
-def _fit_lower_bound(M: ManifoldComplex, fit: ArcFit) -> int:
-    """`filling_lower_bound` of the fit's cycle, read from its face ids: a
-    curve's two boundary vertices, or a surface's boundary size."""
-    if M.m == 1:
-        p, q = (M.index.faces[f].base for f in fit.boundary)
-        return ambient_distance(M.ambient, p, q)
-    return max(1, math.ceil(len(fit.boundary) / (2 * M.m)))
-
-
 def _fit_measure_bound(M: ManifoldComplex, gamma: int, fit: ArcFit, lb: int, variant: str):
     """`measure_bound` of the fit's arc.  The ratio and the difference need
     only the region's size; the heights build the arc."""
@@ -322,37 +323,124 @@ def measure_bound(arc: ArcRegion, lb: int, variant: str):
     return Fraction(h, max(1, _span(cycle_verts)))
 
 
-def candidate_arcs(M: ManifoldComplex, gamma: int) -> List[ArcFit]:
-    """Deduplicated fits from balls around every closure cell, on ids.
+def candidate_arcs(ctx: ScanContext, gamma: int) -> List[Tuple[ArcFit, int]]:
+    """The distinct fits at radius gamma that may have a reducing filling,
+    each with `filling_lower_bound` of its cycle, on ids.
 
-    Every center's ball comes from one threshold of the state's
-    center-to-vertex distances (`StateIndex.center_dist`); a ball that is
-    empty or holds more than half of M has no fit and is skipped.  The
-    balls are grown on cell ids, and the first center in canonical order
-    keeps each distinct region.  Fits come in the canonical order of their
-    centers, and no cell is built: `ArcFit.arc` gives a fit's `ArcRegion`.
+    One array pass over every center's ball: the balls come from one
+    threshold of the state's center-to-vertex distances
+    (`StateIndex.center_dist`), and a ball that is empty or holds more than
+    half of M has no fit.  A ball that `_disks` certifies is its own fit;
+    every other ball is grown on cell ids (`_grow`).  A fit whose lower
+    bound (`_lower_bounds`) exceeds `_replacement_cap` has no reducing
+    filling and is dropped unbuilt.  The first center in canonical order
+    keeps each distinct region; the bound and the cap depend on the region
+    alone, so dropping before that choice changes no kept center.  Fits
+    come in the canonical order of their centers, and no cell is built:
+    `ArcFit.arc` gives a fit's `ArcRegion`.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
+    M = ctx.M
     ix, m = M.index, M.m
+    if ix.face_cells is None:
+        raise ValueError(_NOT_CLOSED)
+    n = len(ix.cells)
     in_ball = (ix.center_dist <= gamma)[:, ix.cell_vertices].all(axis=2)
-    ids = np.nonzero(in_ball)[1].tolist()  # each center's ball ids, ascending, center by center
-    half = len(ix.cells) // 2
-    regions: Set[FrozenSet[int]] = set()
-    fits = []
-    end = 0
-    for center, size in enumerate(in_ball.sum(axis=1).tolist()):
-        start, end = end, end + size
-        if not 0 < size <= half:
-            continue
-        region = set(ids[start:end])
-        bd = _grow(ix, m, region)
-        key = frozenset(region)
-        if bd is None or key in regions:
-            continue
-        regions.add(key)
-        fits.append(ArcFit(center, key, frozenset(bd)))
-    return fits
+    size = in_ball.sum(axis=1)
+    centers = np.flatnonzero((size > 0) & (size <= n // 2))
+    regions = in_ball[centers]  # one row per center, grown in place
+    faces = np.reshape(ix.face_cells, (-1, 2))
+    fitted = _disks(ix, m, regions, regions[:, faces[:, 0]] ^ regions[:, faces[:, 1]])
+    for row in np.flatnonzero(~fitted).tolist():
+        region = set(np.flatnonzero(regions[row]).tolist())
+        if _grow(ix, m, region) is not None:
+            regions[row, list(region)] = fitted[row] = True
+    bd = regions[:, faces[:, 0]] ^ regions[:, faces[:, 1]]
+    size = regions.sum(axis=1)
+    cap = np.minimum(np.minimum(ctx.cfg.filling_cap, size - 1), n - size - 1)  # `_replacement_cap` by row
+    bound = _lower_bounds(ix, m, regions, bd)
+    first = {}  # each region's first center
+    for row in np.flatnonzero(fitted & (bound <= cap)).tolist():
+        first.setdefault(regions[row].tobytes(), row)
+    kept = list(first.values())
+    return [
+        (ArcFit(center, region, boundary), lb)
+        for center, region, boundary, lb in zip(
+            centers[kept].tolist(), _id_sets(regions[kept]), _id_sets(bd[kept]), bound[kept].tolist()
+        )
+    ]
+
+
+def _id_sets(marks: np.ndarray) -> List[FrozenSet[int]]:
+    """Each row's marked column ids."""
+    ids = np.nonzero(marks)[1].tolist()
+    ends = np.cumsum(marks.sum(axis=1)).tolist()
+    return [frozenset(ids[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+def _disks(ix, m: int, balls: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """Which balls are their own fit, certified from counts alone; `balls`
+    and `bd` mark, one row per ball, its cell ids and its boundary's face
+    ids.
+
+    A curve's ball is one arc exactly when it has two boundary vertices.
+    A surface's ball with every vertex in 0 or 2 boundary edges is a
+    surface with boundary; when it is also one piece with Euler
+    characteristic V - E + F = 1 it is a disk, whose boundary is one
+    cycle.  Annuli, handles and every ball for m >= 3 are left to growth.
+    """
+    if m == 1:
+        return bd.sum(axis=1) == 2
+    if m > 2:
+        return np.zeros(len(balls), bool)
+    n, nv = len(ix.cells), len(ix.vertices)
+    edge_at = np.zeros((bd.shape[1], nv), np.float32)  # each edge's two vertices
+    edge_at[np.arange(bd.shape[1])[:, None], np.reshape(ix.face_ridges, (-1, 2))] = 1
+    cell_at = np.zeros((n, nv), np.float32)  # each cell's four vertices
+    cell_at[np.arange(n)[:, None], ix.cell_vertices] = 1
+    bd_at = bd.astype(np.float32) @ edge_at
+    ok = ((bd_at == 0) | (bd_at == 2)).all(axis=1)
+    # Each cell has four edges, and only a boundary edge lies in one ball
+    # cell, so 2E = 4F + |bd| and V - E + F = V - F - |bd| / 2.
+    V = (balls.astype(np.float32) @ cell_at > 0).sum(axis=1)
+    ok &= V - balls.sum(axis=1) - bd.sum(axis=1) // 2 == 1
+    ok[ok] = _pieces(ix, m, balls[ok]) == 1
+    return ok
+
+
+def _pieces(ix, m: int, regions: np.ndarray) -> np.ndarray:
+    """How many pieces each row's region has, joined across shared faces:
+    every cell takes the least id of its piece, spread face by face, and
+    each piece keeps one cell with its own id."""
+    n = len(ix.cells)
+    ids = np.arange(n)
+    faces = np.reshape(ix.face_cells, (-1, 2))
+    neighbour = faces[np.reshape(ix.cell_faces, (n, 2 * m))].sum(axis=2) - ids[:, None]  # across each face
+    least = np.where(regions, ids, n)  # n: not in the region
+    while True:
+        spread = np.where(regions, np.minimum(least, least[:, neighbour].min(axis=2)), n)
+        if (spread == least).all():
+            return (least == ids).sum(axis=1)
+        least = spread
+
+
+def _lower_bounds(ix, m: int, regions: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """`filling_lower_bound` of each row's cycle, read from its region's
+    cell ids and its boundary's face ids: the larger of the face count
+    bound and the projection bound, which counts the region's projection
+    classes (`StateIndex.cell_plane`) that hold an odd number of its cells.
+    For a curve arc, whose boundary is its first and last vertex, that is
+    the Manhattan distance between them; a row whose boundary is not two
+    vertices has no fit, and its value is of no use."""
+    if m == 1:  # a curve's faces are its vertices, by vertex id
+        ends = np.array(ix.vertices)[[bd.argmax(axis=1), bd.shape[1] - 1 - bd[:, ::-1].argmax(axis=1)]]
+        return np.abs(ends[0] - ends[1]).sum(axis=1)
+    n = len(ix.cells)
+    in_class = np.zeros((n, int(ix.cell_plane.max()) + 1), np.float32)
+    in_class[np.arange(n), ix.cell_plane] = 1
+    odd = (regions.astype(np.float32) @ in_class).astype(np.intp) & 1
+    return np.maximum(-(-bd.sum(axis=1) // (2 * m)), odd.sum(axis=1))
 
 
 def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
@@ -366,17 +454,15 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
     heap with the solved reports, as (-bound, center id, fit) and
     (-measure, center id, report).  No two entries share a center, so each
     pop is the best entry: a report to yield, or a candidate to solve,
-    whose report goes back in.  A candidate whose filling lower bound
-    exceeds the replacement cap is dropped unsolved.  The bounds are read
-    from ids (the height variants build the arc for theirs); center ids
-    follow canonical order, so ties fall as on cells.
+    whose report goes back in.  `candidate_arcs` has already dropped every
+    fit whose filling lower bound exceeds the replacement cap.  The bounds
+    are read from ids (the height variants build the arc for theirs);
+    center ids follow canonical order, so ties fall as on cells.
     """
     M, variant = ctx.M, ctx.cfg.variant
-    queue = []
-    for fit in candidate_arcs(M, gamma):
-        lb = _fit_lower_bound(M, fit)
-        if lb <= _replacement_cap(ctx, len(fit.region)):
-            queue.append((-_fit_measure_bound(M, gamma, fit, lb, variant), fit.center, fit))
+    queue = [
+        (-_fit_measure_bound(M, gamma, fit, lb, variant), fit.center, fit) for fit, lb in candidate_arcs(ctx, gamma)
+    ]
     heapq.heapify(queue)
     while queue:
         _, center, item = heapq.heappop(queue)

@@ -38,7 +38,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
+from operator import mul
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -112,13 +113,43 @@ def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
     """Fewest cells any filling of the cycle can have.
 
     A curve's filling is a grid path between the cycle's two vertices, no
-    shorter than their Manhattan distance.  Each cell of a surface's
-    filling has 2m faces, and every cycle cell must be one of them.
+    shorter than their Manhattan distance.  A surface's is the larger of
+    two bounds.  Each cell of a filling has 2m faces, and every cycle cell
+    must be one of them.  And projecting onto a coordinate m-plane, which
+    keeps a cell with its axes among the plane's as its shadow and drops
+    any other, commutes with the boundary mod 2: the shadows of a filling
+    fill the shadows of the cycle, and in the plane that filling is
+    unique, so the filling has at least that many cells with the plane's
+    axes.  Summed over the planes this is the projection bound
+    (`_projection_bound`); for a curve it is the Manhattan distance.
     """
     if cycle.dim == 0:
         p, q = (v.base for v in cycle.cells)
         return ambient_distance(ambient, p, q)
-    return max(1, math.ceil(len(cycle.cells) / (2 * cycle.m)))
+    return max(1, math.ceil(len(cycle.cells) / (2 * cycle.m)), _projection_bound(ambient.n, cycle))
+
+
+def _projection_bound(n: int, cycle: Cycle) -> int:
+    """Cells, summed over the coordinate m-planes of an n-d ambient, of the
+    one filling of the cycle's shadows in each plane.
+
+    As in `enclosed_cells`, a plane cell is in it when a ray down the
+    plane's first axis crosses the shadows an odd number of times: a
+    running XOR, along that axis, of the shadows across it.  Two cycle
+    cells may share a shadow, which then cancels.
+    """
+    total = 0
+    for plane in combinations(range(n), cycle.m):
+        across = plane[1:]
+        shadows = [[c.base[a] for a in plane] for c in cycle.cells if c.axes == across]
+        if not shadows:
+            continue
+        at = np.array(shadows)
+        lo = at.min(axis=0)
+        crossings = np.zeros(at.max(axis=0) - lo + 1, np.uint8)
+        np.add.at(crossings, tuple((at - lo).T), 1)
+        total += int(np.bitwise_xor.accumulate(crossings & 1, axis=0).sum())
+    return total
 
 
 class CodeExclusion(NamedTuple):
@@ -199,7 +230,9 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
         return known[e]
 
     nodes = 0
-    for limit in range(filling_lower_bound(codes.ambient, cycle), cap + 1):
+    # Deepening starts at the face count bound alone: a search that runs
+    # out of nodes returns what it has, which depends on where it started.
+    for limit in range(max(1, math.ceil(len(target) / per_cell)), cap + 1):
         solutions: List[FrozenSet[int]] = []
         seen: set = set()
         stack: List[Tuple[FrozenSet[int], FrozenSet[int]]] = [(frozenset(), target)]
@@ -353,17 +386,23 @@ class _CutNetwork:
                 is_inside[i] = 1
         self.carrier: Dict[str, Dict[CubicalCell, int]] = {side: {} for side in _SIDES}
         blocked = bytearray(self.far * n)  # at i * n + a: M holds the face between i and i + stride[a]
+        hi = [lo + k - 1 for lo, k in zip(self.lo, self.shape)]
+        origin = sum(map(mul, self.lo, self.stride))
         for f in M.cells:
-            free = [a for a in range(n) if a not in f.axes]
-            for offs in product((0, -1), repeat=len(free)):  # the order of `top_cells_containing`
-                base = list(f.base)
-                for a, o in zip(free, offs):
-                    base[a] += o
-                i = self.index(base)
-                if i is not None:
-                    self.carrier[_SIDES[not is_inside[i]]][f] = i
-                    if offs == (-1,):  # f has codimension one and i is the cell below it
-                        blocked[i * n + free[0]] = 1
+            b = f.base
+            # The face's top cells: its own node and, on each free axis,
+            # every node so far and the one a stride below, those in the
+            # block, in the order of `top_cells_containing`.
+            tops = [sum(map(mul, b, self.stride)) - origin]
+            for a in range(n):
+                if a not in f.axes:
+                    free = a
+                    steps = [d for d, ok in ((0, b[a] <= hi[a]), (self.stride[a], b[a] > self.lo[a])) if ok]
+                    tops = [i - d for i in tops for d in steps]
+            for i in tops:
+                self.carrier[_SIDES[not is_inside[i]]][f] = i
+            if len(f.axes) == n - 1 and b[free] > self.lo[free]:  # M blocks the edge up from the node below
+                blocked[tops[-1] * n + free] = 1
         self.nodes: Dict[str, List[int]] = {side: [] for side in _SIDES}
         edges: List[Tuple[int, int, int]] = []  # (u, v, capacity)
         last = [k - 1 for k in self.shape]
@@ -529,11 +568,14 @@ def one_sided_min_cut(
     the flipped region read, by one residual search from the rest: it is
     the side's cells the rest cannot reach, the same for every maximum
     flow, so the direction of the flow and reusing the network change no
-    result.  Raises ValueError for a side other than "inside" or
-    "outside".
+    result.  In an ambient of more than m + 1 dimensions M bounds no side,
+    so there is no cut, and the result is None, as `arc_sign` refuses such
+    an M.  Raises ValueError for a side other than "inside" or "outside".
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'inside' or 'outside', got {side!r}")
+    if ctx.M.ambient.n != ctx.M.m + 1:
+        return None  # no side to cut on: M blocks no edge of the network
     net = ctx.network
     carrier = net.carrier[side]
     if not carrier.keys() >= arc_cells:

@@ -5,6 +5,7 @@ import sys
 from collections import Counter, namedtuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gridtopo
@@ -28,14 +29,15 @@ from gridtopo.curviness import (
     candidate_arcs,
     curviness,
     fit_region,
+    _replacement_cap,
     measure_bound,
     radius_schedule_from,
     replacement_filling,
     valid_reports,
 )
 from gridtopo.engine import radius_sweep
-from gridtopo.errors import CodimensionUnsupported, GridTopoError, NoFittingCycle
-from gridtopo.filling import filling_lower_bound
+from gridtopo.errors import CodimensionUnsupported, FillingNotFound, NoFittingCycle, SearchBudgetExceeded
+from gridtopo.filling import _projection_bound, filling_lower_bound, min_filling
 from gridtopo.metric import ambient_distance
 
 from util import (
@@ -48,6 +50,7 @@ from util import (
     oracle_min_paths,
     random_polycube_surfaces,
     reference_ball,
+    reference_candidate_arcs,
     reference_is_cycle,
     surface_from_voxels,
 )
@@ -206,23 +209,9 @@ def test_arc_sign_codimension_guard(pinch):
 
 
 def test_candidate_arcs_deduplicate(ushape):
-    arcs = [fit.arc(ushape, 2) for fit in candidate_arcs(ushape, 2)]
+    arcs = [fit.arc(ushape, 2) for fit, _ in candidate_arcs(ScanContext(ushape), 2)]
     regions = [a.region for a in arcs]
     assert len(regions) == len(set(regions))
-
-
-def reference_candidate_arcs(M, gamma):
-    """`candidate_arcs` as it was before the batch scan: a fit at every
-    closure center in canonical order, failed fits skipped, the first
-    center of each region kept."""
-    seen = {}
-    for center in sorted(M.closure_cells):
-        try:
-            arc = fit_region(M, center, gamma)
-        except GridTopoError:
-            continue
-        seen.setdefault(arc.region, arc)
-    return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
 
 
 def _scanned_manifolds(amb3, fixtures):
@@ -237,18 +226,23 @@ def _scanned_manifolds(amb3, fixtures):
 
 
 def test_candidate_arcs_match_reference(amb3, ushape, rect12, sq1, box111, box211, torus, monkeypatch):
-    """The batch scan against the per-center scan at every scanned radius:
-    the same arcs (center, radius, region, cycle), in the same order, on
+    """The array pass against the per-center scan at every scanned radius,
+    filtered by the same bound and cap: the same arcs (center, radius,
+    region, cycle) with the same bounds, in the same order, on
     `_scanned_manifolds`.  The per-center fits take their balls from a
-    fresh search."""
+    fresh search, and the bound of the cycle; the filter drops arcs."""
     monkeypatch.setattr(curviness_module, "ball", reference_ball)
-    arcs = 0
+    arcs = dropped = 0
     for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
+        ctx = ScanContext(M)
         for gamma in radius_sweep(M):
-            got = [fit.arc(M, gamma) for fit in candidate_arcs(M, gamma)]
-            assert got == reference_candidate_arcs(M, gamma)
+            got = [(fit.arc(M, gamma), lb) for fit, lb in candidate_arcs(ctx, gamma)]
+            want = [(arc, filling_lower_bound(M.ambient, arc.cycle)) for arc in reference_candidate_arcs(M, gamma)]
+            kept = [(arc, lb) for arc, lb in want if lb <= _replacement_cap(ctx, arc.N)]
+            assert got == kept
             arcs += len(got)
-    assert arcs
+            dropped += len(want) - len(kept)
+    assert arcs and dropped
 
 
 def test_grow_cycle_test_matches_reference(amb3, ushape, rect12, sq1, box111, box211, torus, monkeypatch):
@@ -265,8 +259,9 @@ def test_grow_cycle_test_matches_reference(amb3, ushape, rect12, sq1, box111, bo
 
     monkeypatch.setattr(curviness_module, "is_cycle", checked)
     for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
+        ctx = ScanContext(M)
         for gamma in radius_sweep(M):
-            candidate_arcs(M, gamma)
+            candidate_arcs(ctx, gamma)
     assert seen[True] and seen[False]
 
 
@@ -277,16 +272,128 @@ def test_fit_bounds_match_cycle_bounds(amb3, ushape, rect12, sq1, box111, box211
     built arc itself; `eager_reports` checks all four on its fixtures."""
     fits = 0
     for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
+        ctx = ScanContext(M)
         for gamma in radius_sweep(M):
-            for fit in candidate_arcs(M, gamma):
+            for fit, lb in candidate_arcs(ctx, gamma):
                 arc = fit.arc(M, gamma)
-                lb = filling_lower_bound(M.ambient, arc.cycle)
-                assert curviness_module._fit_lower_bound(M, fit) == lb
+                assert lb == filling_lower_bound(M.ambient, arc.cycle)
                 for variant in ("ratio", "diff"):
                     got = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
                     assert got == measure_bound(arc, lb, variant)
                 fits += 1
     assert fits
+
+
+def test_filling_lower_bound_holds(amb3, ushape, rect12, sq1, box111, box211, torus):
+    """Every replacement filling, and every exact minimum filling, of a
+    candidate cycle has at least `filling_lower_bound` cells, on the
+    fixtures, the box211, box333 and torus golden states and 20 random
+    polycubes; the bound the scan reads from each fit's region is that of
+    its cycle.  The exact search runs once per distinct cycle on a small
+    node budget: one that runs out of nodes returns the least filling it
+    found, which the bound must hold for too, or raises."""
+    manifolds = [ushape, rect12, sq1, box111, box211, torus]
+    for name in ("box211", "box333", "torus"):
+        manifolds += golden_states(name)
+    manifolds += random_polycube_surfaces(amb3, 20, seed=7)
+    replaced, solved = 0, set()
+    for M in manifolds:
+        ctx = ScanContext(M)
+        for gamma in radius_sweep(M):
+            for fit, lb in candidate_arcs(ctx, gamma):
+                arc = fit.arc(M, gamma)
+                assert lb == filling_lower_bound(M.ambient, arc.cycle)
+                filling = replacement_filling(ctx, arc)
+                if filling is not None:
+                    assert filling.N >= lb
+                    replaced += 1
+                if arc.cycle.cells in solved:
+                    continue
+                solved.add(arc.cycle.cells)
+                try:
+                    assert min_filling(M.ambient, arc.cycle, cap=arc.N, node_budget=200).N >= lb
+                except (FillingNotFound, SearchBudgetExceeded):
+                    pass
+    assert replaced and solved
+
+
+def test_curve_bound_is_the_manhattan_distance(ushape, rect12, sq1):
+    """For a curve the projection bound, read from the cycle or from the
+    fit's region, is the Manhattan distance between the two ends."""
+    arcs = 0
+    for M in [ushape, rect12, sq1, *golden_states("spacecurve")]:
+        ctx = ScanContext(M)
+        for gamma in radius_sweep(M):
+            for fit, lb in candidate_arcs(ctx, gamma):
+                cycle = fit.arc(M, gamma).cycle
+                p, q = (v.base for v in cycle.cells)
+                assert lb == filling_lower_bound(M.ambient, cycle) == ambient_distance(M.ambient, p, q)
+                assert _projection_bound(M.ambient.n, cycle) == lb
+                arcs += 1
+    assert arcs
+
+
+def test_projection_bound_can_fall_below_the_face_count(amb3):
+    """A saddle of eight edges around a unit column, up and down at its
+    corners: the shadows in two planes cancel and the third is one square,
+    so the projection bound is 1, below the face count bound of 2, and the
+    bound keeps the larger.  Its least filling has three squares."""
+    corners = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1), (1, 1, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1)]
+    edges = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        (axis,) = [i for i in range(3) if a[i] != b[i]]
+        edges.append(CubicalCell.make(min(a, b), (axis,)))
+    cycle = Cycle(frozenset(edges), 2)
+    assert cycle.is_valid()
+    assert _projection_bound(3, cycle) == 1
+    assert filling_lower_bound(amb3, cycle) == 2
+    assert min_filling(amb3, cycle).N == 3
+
+
+def _chi(M, ids):
+    """Euler characteristic of the closure of the cells with these ids."""
+    return ManifoldComplex(M.ambient, M.m, frozenset(M.index.cells[i] for i in ids)).euler_characteristic()
+
+
+def test_certified_balls_are_fits_and_growth_fits_the_rest(
+    amb3, ushape, rect12, sq1, box111, box211, torus, monkeypatch
+):
+    """Every ball the counts certify, on `_scanned_manifolds` at every
+    scanned radius, is its own fit: its boundary is one cycle, which
+    `_grow` would take at once, and it is one piece.  The balls left over
+    still go through growth, which fits the punctured tori (chi = -1) of
+    the torus states."""
+    certified = grown = 0
+    handles = Counter()
+    disks, grow = curviness_module._disks, curviness_module._grow
+    M = None
+
+    def checked_disks(ix, m, balls, bd):
+        nonlocal certified
+        ok = disks(ix, m, balls, bd)
+        for row in np.flatnonzero(ok).tolist():
+            region = np.flatnonzero(balls[row]).tolist()
+            assert is_cycle(np.flatnonzero(bd[row]).tolist(), ix.face_ridges.__getitem__)
+            assert len(components(region, lambda i: ix.cell_faces[2 * m * i : 2 * m * i + 2 * m])) == 1
+            certified += 1
+        return ok
+
+    def counted_grow(ix, m, region):
+        nonlocal grown
+        bd = grow(ix, m, region)
+        if bd is not None:
+            grown += 1
+            handles[M.m, _chi(M, region)] += 1
+        return bd
+
+    monkeypatch.setattr(curviness_module, "_disks", checked_disks)
+    monkeypatch.setattr(curviness_module, "_grow", counted_grow)
+    for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
+        ctx = ScanContext(M)
+        for gamma in radius_sweep(M):
+            candidate_arcs(ctx, gamma)
+    assert certified > 10 * grown > 0
+    assert handles[2, -1]
 
 
 def test_determinism_of_reports(ushape):
@@ -300,18 +407,20 @@ def test_determinism_of_reports(ushape):
 def eager_reports(ctx, gamma):
     """Reference ranking: solve every candidate, then sort best first.
 
-    Also checks, for every candidate, the bounds the lazy ranking relies
-    on: a candidate whose filling lower bound exceeds the replacement cap
-    has no filling, and a solved filling is no smaller than the bound and
-    gives a measure no larger than the measure bound.
+    Every arc of the per-center scan is a candidate here, including those
+    the lazy ranking drops on their bounds.  Also checks the bounds the
+    lazy ranking relies on: a candidate whose filling lower bound exceeds
+    the replacement cap has no filling, a solved filling is no smaller
+    than the bound and gives a measure no larger than the measure bound,
+    and the measure bound the ranking reads from a fit is that of its arc.
     """
     M, variant = ctx.M, ctx.cfg.variant
+    for fit, lb in candidate_arcs(ctx, gamma):
+        bound = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
+        assert bound == measure_bound(fit.arc(M, gamma), lb, variant)
     out = []
-    for fit in candidate_arcs(M, gamma):
-        arc = fit.arc(M, gamma)
+    for arc in reference_candidate_arcs(M, gamma):
         lb = filling_lower_bound(M.ambient, arc.cycle)
-        assert curviness_module._fit_lower_bound(M, fit) == lb
-        assert curviness_module._fit_measure_bound(M, gamma, fit, lb, variant) == measure_bound(arc, lb, variant)
         filling = replacement_filling(ctx, arc)
         if lb > min(ctx.cfg.filling_cap, arc.N - 1, len(M.cells) - arc.N - 1):
             assert filling is None
@@ -350,7 +459,7 @@ def test_first_report_solves_few_fillings(ushape, monkeypatch):
 
     monkeypatch.setattr(curviness_module, "replacement_filling", counting)
     assert next(iter(valid_reports(ScanContext(ushape), 2))) is not None
-    assert len(solved) < len(candidate_arcs(ushape, 2))
+    assert len(solved) < len(candidate_arcs(ScanContext(ushape), 2))
 
 
 @pytest.mark.parametrize("bad", [{"variant": "bogus"}, {"filling_cap": 0}])
@@ -498,11 +607,9 @@ def reference_valid_reports(ctx, gamma):
     to choose between the two tops."""
     M, variant = ctx.M, ctx.cfg.variant
     pending = []  # (-bound, center id, fit), best key last
-    for fit in curviness_module.candidate_arcs(M, gamma):
-        lb = curviness_module._fit_lower_bound(M, fit)
-        if lb <= curviness_module._replacement_cap(ctx, len(fit.region)):
-            bound = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
-            pending.append((-bound, fit.center, fit))
+    for fit, lb in curviness_module.candidate_arcs(ctx, gamma):
+        bound = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
+        pending.append((-bound, fit.center, fit))
     pending.sort(key=lambda e: e[:2], reverse=True)
     solved = []  # heap of ((-measure, center id), report)
     while pending or solved:
@@ -555,7 +662,7 @@ def test_reports_match_reference(amb3, ushape, rect12, sq1, box111, box211, toru
 
         return call
 
-    fits = remembered(curviness_module.candidate_arcs, lambda M, gamma: (id(M), gamma))
+    fits = remembered(curviness_module.candidate_arcs, lambda ctx, gamma: (id(ctx.M), gamma))
     bound = remembered(curviness_module._fit_measure_bound, lambda M, gamma, fit, lb, v: (id(M), gamma, fit, v))
     solve = remembered(curviness_module.replacement_filling, lambda ctx, arc: (id(ctx.M), arc))
 

@@ -82,7 +82,7 @@ def test_interpolate_rejects_a_filling_of_another_cycle(ushape):
     returning flips that do not end at the filling."""
     ctx, arcs, regions = ScanContext(ushape), [], set()
     for gamma in radius_schedule(ushape):
-        for arc in (fit.arc(ushape, gamma) for fit in candidate_arcs(ushape, gamma)):
+        for arc in (fit.arc(ushape, gamma) for fit, _ in candidate_arcs(ctx, gamma)):
             filling = None if arc.region in regions else replacement_filling(ctx, arc)
             regions.add(arc.region)
             if filling is not None:

@@ -30,7 +30,6 @@ from gridtopo.filling import (
     LoftedSequence,
     ScanContext,
     enclosed_cells,
-    filling_lower_bound,
     inside_region,
     lofted,
     one_sided_min_cut,
@@ -49,6 +48,7 @@ from util import (
     oracle_min_surface_fillings,
     random_polycube,
     random_polycube_surfaces,
+    reference_candidate_arcs,
     solid_surface_cells,
     surface_from_voxels,
 )
@@ -274,6 +274,23 @@ def test_one_sided_min_cut_on_the_ambient_bound():
     assert region == {CubicalCell.make((0, 0, 0), (0, 1, 2))}
 
 
+def test_one_sided_min_cut_refuses_codimension_two():
+    """On the 28-face sphere lifted into a 4-d ambient no side is bounded
+    by M, so both sides of every arc of the per-center scan, uncapped,
+    give no cut, and no replacement filling is found."""
+    amb4 = build_ambient(4, [(-2, 5)] * 3 + [(-1, 2)])
+    lifted = [CubicalCell(c.dim, (*c.base, 0), c.axes) for c in solid_surface_cells(SPHERE28_VOXELS)]
+    M = ManifoldComplex.make(amb4, 2, lifted)
+    ctx, arcs = ScanContext(M), 0
+    for gamma in radius_sweep(M):
+        for arc in reference_candidate_arcs(M, gamma):
+            assert one_sided_min_cut(ctx, arc.region, "inside") is None
+            assert one_sided_min_cut(ctx, arc.region, "outside") is None
+            assert replacement_filling(ctx, arc) is None
+            arcs += 1
+    assert arcs
+
+
 @pytest.mark.parametrize("side", ["Inside", "outer", ""])
 def test_one_sided_min_cut_rejects_unknown_side(box211, side):
     """A side is "inside" or "outside"; any other raises, before the
@@ -305,7 +322,7 @@ def test_one_network_per_context(monkeypatch, amb3):
     M = surface_from_voxels(amb3, SPHERE28_VOXELS)
     ctx, cuts, levels = ScanContext(M), 0, 0
     for gamma in radius_sweep(M):
-        for arc in (fit.arc(M, gamma) for fit in candidate_arcs(M, gamma)):
+        for arc in (fit.arc(M, gamma) for fit, _ in candidate_arcs(ctx, gamma)):
             cuts += _best_one_sided_cut(ctx, arc, len(arc.region)) is not None
     for center in sorted(M.closure_cells)[::7]:
         try:
@@ -403,7 +420,7 @@ def _reference_parity_min_filling(ambient, cycle, exclude, cap, node_budget):
         return tuple(sorted(out))
 
     nodes = 0
-    for limit in range(filling_lower_bound(ambient, cycle), cap + 1):
+    for limit in range(max(1, math.ceil(len(target) / (2 * m))), cap + 1):
         solutions, seen = [], set()
         stack = [(frozenset(), target)]
         while stack:
@@ -508,7 +525,7 @@ def _arcs(manifolds):
     for M in manifolds:
         ctx, regions = ScanContext(M), set()
         for gamma in radius_sweep(M):
-            for arc in (fit.arc(M, gamma) for fit in candidate_arcs(M, gamma)):
+            for arc in reference_candidate_arcs(M, gamma):
                 if arc.region not in regions:
                     regions.add(arc.region)
                     yield ctx, arc

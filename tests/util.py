@@ -14,6 +14,8 @@ from pathlib import Path
 from gridtopo import CubicalCell, ManifoldComplex, build_ambient, validate
 from gridtopo.complexes import components
 from gridtopo.corpus import random_simple_curve
+from gridtopo.curviness import fit_region
+from gridtopo.errors import GridTopoError
 from gridtopo.io import load_fixture, trace_from_json
 from gridtopo.metric import vertex_distances
 
@@ -116,6 +118,21 @@ def reference_ball(M, center, gamma):
     """`metric.ball` by a fresh breadth-first search from the center."""
     table = vertex_distances(M, center.vertices())
     return frozenset(c for c in M.cells if all(table.get(v, gamma + 1) <= gamma for v in c.vertices()))
+
+
+def reference_candidate_arcs(M, gamma):
+    """`curviness.candidate_arcs` as it was before the batch scan, and
+    before it dropped arcs on their bounds: a fit at every closure center
+    in canonical order, failed fits skipped, the first center of each
+    region kept."""
+    seen = {}
+    for center in sorted(M.closure_cells):
+        try:
+            arc = fit_region(M, center, gamma)
+        except GridTopoError:
+            continue
+        seen.setdefault(arc.region, arc)
+    return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
 
 
 def golden_states(name):
