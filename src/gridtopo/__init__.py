@@ -1,20 +1,16 @@
 """gridtopo: contract closed cubical manifolds to irreducible discrete spheres."""
 
-from .cells import AmbientSpace, CubicalCell, boundary_cells, build_ambient
+from .cells import AmbientSpace, CubicalCell, build_ambient
 from .complexes import (
     Cycle,
     ManifoldComplex,
     ValidationReport,
-    link,
-    star,
     validate,
 )
 from .curviness import (
     ArcRegion,
     CurvinessReport,
     arc_sign,
-    radius_schedule,
-    select_peak,
 )
 from .deform import (
     DeformationTrace,
@@ -49,7 +45,6 @@ __all__ = [
     "all_pairs",
     "arc_sign",
     "ball",
-    "boundary_cells",
     "build_ambient",
     "cell_distance",
     "contract",
@@ -57,13 +52,9 @@ __all__ = [
     "interpolate",
     "is_irreducible_sphere",
     "jordan_split",
-    "link",
     "lofted",
     "min_filling",
-    "radius_schedule",
     "replace_arc",
     "replay",
-    "select_peak",
-    "star",
     "validate",
 ]

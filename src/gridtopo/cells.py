@@ -277,13 +277,6 @@ def build_ambient(n: int, extent: Sequence[Tuple[int, int]]) -> AmbientSpace:
     return AmbientSpace(n, ext)
 
 
-def boundary_cells(cell: CubicalCell) -> frozenset:
-    """The 2*dim cells of dimension dim-1 bounding `cell`."""
-    if cell.dim < 1:
-        raise ValueError("vertices have no boundary cells")
-    return frozenset(cell.faces())
-
-
 def cell_token(cell: CubicalCell) -> str:
     """The text form `b0,b1,...|a0,a1`: base, then axes."""
     b = ",".join(str(x) for x in cell.base)

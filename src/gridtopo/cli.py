@@ -9,7 +9,7 @@ import sys
 from . import engine, io, render as render_mod
 from .cells import cell_token
 from .complexes import validate
-from .curviness import VARIANTS, radius_schedule, valid_reports
+from .curviness import VARIANTS, valid_reports
 from .errors import GridTopoError
 from .filling import ScanContext
 from .metric import all_pairs
@@ -36,7 +36,7 @@ def _cmd_distances(args) -> int:
 
 def _cmd_curviness(args) -> int:
     M = io.load_fixture(args.fixture)
-    radii = [args.radius] if args.radius else list(radius_schedule(M))
+    radii = [args.radius] if args.radius else engine.radius_sweep(M)
     ctx = ScanContext(M, engine.ContractionConfig(variant=args.variant))
     # Reports come lazily, best first per radius: without --all only the
     # first one is solved for.
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curviness", help="curviness scan table: x γ r r1 h r3")
     p.add_argument("fixture")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=int, default=None, help="scan this radius only, not the radii contract scans")
     p.add_argument("--variant", choices=VARIANTS, default="ratio")
     p.add_argument("--all", action="store_true", help="print every valid candidate, not only the first")
     p.set_defaults(func=_cmd_curviness)

@@ -32,7 +32,6 @@ from typing import AbstractSet, Callable, Collection, Dict, FrozenSet, Iterable,
 import numpy as np
 
 from .cells import AmbientSpace, Coord, CubicalCell
-from .errors import CellNotInComplex
 
 CellSet = FrozenSet[CubicalCell]
 
@@ -101,9 +100,6 @@ class ManifoldComplex:
     def index(self) -> "StateIndex":
         """Integer ids, vertex distances and incidence tables of this state."""
         return StateIndex(self)
-
-    def contains(self, cell: CubicalCell) -> bool:
-        return cell in self.closure.get(cell.dim, frozenset())
 
     @property
     def n_cells(self) -> int:
@@ -369,36 +365,6 @@ def region_boundary(region: Iterable[CubicalCell]) -> CellSet:
         for f in c.faces():
             counts[f] += 1
     return frozenset(f for f, k in counts.items() if k % 2 == 1)
-
-
-def star(M: ManifoldComplex, x: CubicalCell) -> CellSet:
-    """All cells of the closure containing x as a face, plus x itself."""
-    if not M.contains(x):
-        raise CellNotInComplex(f"{x} not in complex")
-    out = {x}
-    for d, cells in M.closure.items():
-        if d <= x.dim:
-            continue
-        for c in cells:
-            if c.contains(x):
-                out.add(c)
-    return frozenset(out)
-
-def link(M: ManifoldComplex, x: CubicalCell) -> CellSet:
-    """Faces of the star cells that are disjoint from x.
-
-    For a vertex of a closed curve this is the two opposite endpoints; for
-    a vertex of a closed surface it is the cycle of edges and vertices
-    running around x on the incident faces.
-    """
-    st = star(M, x)
-    x_pts = set(x.vertices())
-    out = set()
-    for c in st:
-        for f in c.all_faces():
-            if not (set(f.vertices()) & x_pts):
-                out.add(f)
-    return frozenset(out)
 
 
 def validate(M: ManifoldComplex) -> ValidationReport:

@@ -1,10 +1,10 @@
 """Boundary-cycle fitting, curviness measures, peak selection, arc signs.
 
 The curviness of an arc compares its cell count against the cell count of
-a minimum filling of its boundary.  A `CurvinessReport` holds the arc and
-the filling, and computes each of four measures when it is read: the
-ratio, the difference, the height of the arc over the filling, and the
-height scaled by the filling span.  Peaks are selected by scanning balls
+a filling of its boundary, in the scan its replacement filling.  A
+`CurvinessReport` holds the arc and the filling, and computes each of four
+measures when it is read: the ratio, the difference, the height of the arc
+over the filling, and the height scaled by the filling span.  Peaks are selected by scanning balls
 around every cell of the manifold closure; using edges and faces as ball
 centers in addition to vertices reaches the odd-diameter arcs a vertex
 center cannot produce.
@@ -20,16 +20,15 @@ then its own fit; any other ball goes through the same growth (`_grow`).
 The module is `gridtopo.curviness`; the report function is
 `gridtopo.curviness.curviness`.
 
-The scan functions (`valid_reports`, `select_peak`, `replacement_filling`,
-`curviness`, `minimum_filling_of_arc`, `arc_sign`) take a
-`filling.ScanContext`: one manifold state plus the run's
+The scan functions (`valid_reports`, `replacement_filling`, `curviness`,
+`arc_sign`) take a `filling.ScanContext`: one manifold state plus the run's
 `ContractionConfig`, whose variant ranks the reports and whose filling cap
 bounds the filling searches.
 
 A replacement filling keeps off M outside its arc: a shortest path for a
 curve, the better one-sided minimum cut for a surface, which is exact.
-The exact surface search serves only fillings free to run through M:
-`minimum_filling_of_arc`, the lofted circles and the obstruction probe.
+The exact surface search serves only fillings free to run through M: the
+lofted circles and the obstruction probe.
 
 `valid_reports` is lazy.  `candidate_arcs` fits its candidates on the ids
 of `M.index` (`ArcFit`: center id, region cell ids, boundary face ids),
@@ -58,7 +57,7 @@ import numpy as np
 
 from .cells import Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, is_cycle
-from .errors import CodimensionUnsupported, FillingNotFound, NoFittingCycle, SearchBudgetExceeded
+from .errors import CodimensionUnsupported, FillingNotFound, NoFittingCycle
 from .filling import (  # VARIANTS is re-exported here, beside the measures
     VARIANTS,
     Filling,
@@ -66,7 +65,7 @@ from .filling import (  # VARIANTS is re-exported here, beside the measures
     min_filling,
     one_sided_min_cut,
 )
-from .metric import ball, diameter
+from .metric import ball
 
 CellSet = FrozenSet[CubicalCell]
 
@@ -226,21 +225,6 @@ def _span(verts: Iterable[Coord]) -> int:
     return int(np.abs(points[:, None, :] - points).sum(axis=2).max(initial=0))
 
 
-def minimum_filling_of_arc(ctx: ScanContext, arc: ArcRegion) -> Filling:
-    """True minimum filling of the arc boundary, free to run through M.
-
-    The arc itself bounds the cycle, so the effective cap never exceeds the
-    arc size; when the exact search runs out of nodes, the better one-sided
-    cut stands in if it is no larger than the arc.
-    """
-    eff_cap = min(ctx.cfg.filling_cap, len(arc.region))
-    try:
-        return min_filling(ctx.M.ambient, arc.cycle, cap=eff_cap)
-    except SearchBudgetExceeded:
-        cut = _best_one_sided_cut(ctx, arc, len(arc.region))
-        return Filling(cells=arc.region if cut is None else cut, boundary=arc.cycle)
-
-
 def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion, cap: int) -> Optional[CellSet]:
     """Filling cells of the smaller one-sided minimum cut of at most `cap`
     cells, inside on ties."""
@@ -252,11 +236,9 @@ def _best_one_sided_cut(ctx: ScanContext, arc: ArcRegion, cap: int) -> Optional[
     return best
 
 
-def curviness(ctx: ScanContext, arc: ArcRegion, filling: Optional[Filling] = None) -> CurvinessReport:
-    """The curviness report of an arc against a filling, by default a
-    minimum filling of its boundary; the measures are read from it."""
-    if filling is None:
-        filling = minimum_filling_of_arc(ctx, arc)
+def curviness(ctx: ScanContext, arc: ArcRegion, filling: Filling) -> CurvinessReport:
+    """The curviness report of an arc against a filling of its boundary;
+    the measures are read from it."""
     return CurvinessReport(arc=arc, filling=filling)
 
 
@@ -477,18 +459,9 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
         heapq.heappush(queue, (-rep.measure(variant), center, rep))
 
 
-def select_peak(ctx: ScanContext, gamma: int) -> Optional[CurvinessReport]:
-    """Best report at this radius, or None when the valid set is empty."""
-    return next(valid_reports(ctx, gamma), None)
-
-
-def radius_schedule(M: ManifoldComplex) -> Iterator[int]:
-    """Radii to scan: a quarter of the diameter, then halvings down to 1."""
-    d, _ = diameter(M)
-    return radius_schedule_from(d)
-
-
 def radius_schedule_from(d: int) -> Iterator[int]:
+    """Radii of the halving schedule for a diameter d: a quarter of it,
+    then halvings down to 1."""
     g = max(1, d // 4)
     yield g
     while g > 1:

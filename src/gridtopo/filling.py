@@ -64,8 +64,8 @@ VARIANTS = ("ratio", "diff", "height", "height_ratio")
 class ContractionConfig:
     """Caps and the curviness measure of a contraction run.
 
-    Raises ValueError for a variant outside `VARIANTS` or a filling cap
-    below 1.
+    Raises ValueError for a variant outside `VARIANTS`, a filling cap
+    below 1 or a negative move cap.
     """
 
     variant: str = "ratio"
@@ -77,6 +77,8 @@ class ContractionConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.filling_cap < 1:
             raise ValueError(f"filling_cap must be >= 1, got {self.filling_cap}")
+        if self.move_cap is not None and self.move_cap < 0:
+            raise ValueError(f"move_cap must be >= 0, got {self.move_cap}")
 
 
 @dataclass(frozen=True)

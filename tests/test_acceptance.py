@@ -10,8 +10,6 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-import pytest
-
 from gridtopo import (
     CubicalCell,
     ManifoldComplex,
@@ -215,7 +213,7 @@ def test_criterion_3_ushape_curviness():
     center = CubicalCell.make((1, 1), (0,))
     arc = fit_region(M, center, 2)
     assert arc.cycle.cells == {CubicalCell.make((1, 3)), CubicalCell.make((2, 3))}
-    rep = curviness(ScanContext(M), arc)
+    rep = curviness(ScanContext(M), arc, min_filling(amb2, arc.cycle, cap=len(arc.region)))
     assert rep.r == Fraction(5, 1)
     assert rep.r1 == 4
     assert rep.r2_h == 2

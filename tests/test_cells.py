@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridtopo import CubicalCell, ManifoldComplex, boundary_cells, build_ambient
+from gridtopo import CubicalCell, ManifoldComplex, build_ambient
 from gridtopo.cells import CellCodes
 from gridtopo.errors import DegenerateExtent
 
@@ -25,7 +25,7 @@ def test_build_ambient_degenerate():
 
 def test_edge_boundary():
     e = CubicalCell.make((0, 0), (0,))
-    assert boundary_cells(e) == {
+    assert frozenset(e.faces()) == {
         CubicalCell.make((0, 0)),
         CubicalCell.make((1, 0)),
     }
@@ -33,7 +33,7 @@ def test_edge_boundary():
 
 def test_square_boundary():
     sq = CubicalCell.make((0, 0), (0, 1))
-    bd = boundary_cells(sq)
+    bd = frozenset(sq.faces())
     assert len(bd) == 4
     assert all(c.dim == 1 for c in bd)
     assert CubicalCell.make((0, 0), (0,)) in bd
@@ -42,7 +42,7 @@ def test_square_boundary():
 
 def test_voxel_boundary():
     vx = CubicalCell.make((0, 0, 0), (0, 1, 2))
-    bd = boundary_cells(vx)
+    bd = frozenset(vx.faces())
     assert len(bd) == 6
     assert all(c.dim == 2 for c in bd)
 
@@ -52,11 +52,6 @@ def test_vertices_count():
     assert len(list(sq.vertices())) == 4
     assert (2, 3) in sq.vertices()
     assert (3, 4) in sq.vertices()
-
-
-def test_boundary_rejects_vertices():
-    with pytest.raises(ValueError):
-        boundary_cells(CubicalCell.make((0, 0)))
 
 
 def test_contains_and_touches():

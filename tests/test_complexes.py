@@ -1,12 +1,9 @@
 import random
 from collections import Counter, defaultdict
 
-import pytest
-
-from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, link, star, validate
+from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, validate
 from gridtopo.complexes import ValidationReport, components, is_cycle, region_boundary
 from gridtopo.corpus import random_connected_subcomplex
-from gridtopo.errors import CellNotInComplex
 from gridtopo.io import load_fixture
 
 from conftest import FIXTURE_DIR
@@ -36,40 +33,6 @@ def test_box111_closed_regular(box111):
 def test_closed_iff_two_cofaces(rect12, ushape, box211):
     for M in (rect12, ushape, box211):
         assert validate(M).is_closed == all(k == 2 for k in M.coface_counts.values())
-
-
-def test_star_link_sq1_vertex(sq1):
-    x = CubicalCell.make((0, 0))
-    st = star(sq1, x)
-    assert sum(1 for c in st if c.dim == 1) == 2
-    lk = link(sq1, x)
-    assert lk == {CubicalCell.make((1, 0)), CubicalCell.make((0, 1))}
-
-
-def test_star_link_box111_corner(box111):
-    x = CubicalCell.make((0, 0, 0))
-    st = star(box111, x)
-    assert sum(1 for c in st if c.dim == 2) == 3
-    assert sum(1 for c in st if c.dim == 1) == 3
-    lk = link(box111, x)
-    lk_edges = frozenset(c for c in lk if c.dim == 1)
-    # the corner link is a closed hexagon of six edges in the cubical grid
-    assert len(lk_edges) == 6
-    assert Cycle(lk_edges, 2).is_valid()
-
-
-def test_star_requires_membership(sq1):
-    with pytest.raises(CellNotInComplex):
-        star(sq1, CubicalCell.make((4, 4)))
-
-
-def test_link_is_local(ushape, amb2):
-    """link on M equals link on any submanifold containing the star."""
-    x = CubicalCell.make((1, 3))
-    st = star(ushape, x)
-    sub_cells = frozenset(c for c in st if c.dim == 1)
-    sub = ManifoldComplex.make(amb2, 1, sub_cells)
-    assert link(ushape, x) == link(sub, x)
 
 
 def test_euler_characteristics(sq1, ushape, box111, box333, torus):

@@ -18,8 +18,6 @@ from gridtopo import (
     arc_sign,
     ball,
     build_ambient,
-    radius_schedule,
-    select_peak,
 )
 from gridtopo.complexes import Cycle, components, is_cycle, region_boundary
 from gridtopo.corpus import random_simple_curve
@@ -105,7 +103,7 @@ def test_ushape_inner_arc_report(ushape):
     assert best == 1
 
     arc = inner_arc(ushape)
-    rep = curviness(ScanContext(ushape), arc)
+    rep = curviness(ScanContext(ushape), arc, least_filling(ushape, arc))
     assert rep.r == Fraction(5, 1)
     assert rep.r1 == 4
     assert rep.r2_h == 2
@@ -116,14 +114,14 @@ def test_ushape_inner_arc_report(ushape):
 def test_flat_arc_report(ushape):
     center = CubicalCell.make((1, 0), (0,))
     arc = fit_region(ushape, center, 1)
-    rep = curviness(ScanContext(ushape), arc)
+    rep = curviness(ScanContext(ushape), arc, least_filling(ushape, arc))
     assert rep.r == 1 and rep.r1 == 0 and rep.r2_h == 0 and rep.r3 == 0
 
 
 def test_box211_cap_report(box211):
     left = CubicalCell.make((0, 0, 0), (1, 2))
     arc = fit_region(box211, left, 1)
-    rep = curviness(ScanContext(box211), arc)
+    rep = curviness(ScanContext(box211), arc, least_filling(box211, arc))
     assert rep.r == Fraction(5, 1) and rep.r1 == 4 and rep.r2_h == 1
 
 
@@ -138,19 +136,30 @@ def test_report_invariants(ushape, rect12, box211):
             assert len(rep.arc.region) <= len(M.cells) // 2
 
 
+def first_report(M, gamma):
+    """The best report at one radius, the pick the engine's scan takes."""
+    return next(valid_reports(ScanContext(M), gamma), None)
+
+
+def least_filling(M, arc):
+    """A minimum filling of the arc's cycle, free to run through M, within
+    the arc's size."""
+    return min_filling(M.ambient, arc.cycle, cap=len(arc.region))
+
+
 def test_select_peak_ushape(ushape):
-    rep = select_peak(ScanContext(ushape), 2)
+    rep = first_report(ushape, 2)
     assert rep is not None
     assert rep.r == Fraction(5, 1)
     assert rep.filling.N == 1
 
 
 def test_select_peak_sq1_none(sq1):
-    assert select_peak(ScanContext(sq1), 1) is None
+    assert first_report(sq1, 1) is None
 
 
 def test_select_peak_rect12(rect12):
-    rep = select_peak(ScanContext(rect12), 1)
+    rep = first_report(rect12, 1)
     assert rep is not None
     assert rep.r == Fraction(3, 1)
     assert len(rep.arc.region) == 3 and rep.filling.N == 1
@@ -170,25 +179,18 @@ def test_radius_schedule_examples():
     assert list(radius_schedule_from(40)) == [10, 5, 2, 1]
 
 
-def test_radius_schedule_of_manifold(ushape):
-    assert list(radius_schedule(ushape)) == [2, 1]
-
-
 def test_arc_sign_examples(ushape, rect12):
-    from gridtopo.curviness import minimum_filling_of_arc
-
     arc = inner_arc(ushape)
     ctx = ScanContext(ushape)
-    assert arc_sign(ctx, arc, minimum_filling_of_arc(ctx, arc)) == "valley"
+    assert arc_sign(ctx, arc, least_filling(ushape, arc)) == "valley"
 
     center = CubicalCell.make((0, 0), (1,))
     cap = fit_region(rect12, center, 1)
-    ctx12 = ScanContext(rect12)
-    assert arc_sign(ctx12, cap, minimum_filling_of_arc(ctx12, cap)) == "peak"
+    assert arc_sign(ScanContext(rect12), cap, least_filling(rect12, cap)) == "peak"
 
     flat_center = CubicalCell.make((1, 0), (0,))
     flat = fit_region(ushape, flat_center, 1)
-    assert arc_sign(ctx, flat, minimum_filling_of_arc(ctx, flat)) == "flat"
+    assert arc_sign(ctx, flat, least_filling(ushape, flat)) == "flat"
 
 
 def test_arc_sign_codimension_guard(pinch):
@@ -462,7 +464,9 @@ def test_first_report_solves_few_fillings(ushape, monkeypatch):
     assert len(solved) < len(candidate_arcs(ScanContext(ushape), 2))
 
 
-@pytest.mark.parametrize("bad", [{"variant": "bogus"}, {"filling_cap": 0}])
+# A negative move cap would run like 0, every replacement a split; 0 stays
+# legal, as the forced-split tests use it.
+@pytest.mark.parametrize("bad", [{"variant": "bogus"}, {"filling_cap": 0}, {"move_cap": -1}])
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         ContractionConfig(**bad)

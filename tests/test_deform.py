@@ -19,8 +19,6 @@ from gridtopo.complexes import components
 from gridtopo.curviness import (
     candidate_arcs,
     fit_region,
-    minimum_filling_of_arc,
-    radius_schedule,
     replacement_filling,
     valid_reports,
 )
@@ -32,14 +30,14 @@ from gridtopo.deform import (
     replay,
 )
 from gridtopo.errors import InterpolationFailed, ReplacementNotManifold, ReplayMismatch
-from gridtopo.filling import Filling
+from gridtopo.filling import Filling, min_filling
 
 from util import contraction_pool, curve_from_pixels, random_polycube_surfaces, surface_from_voxels
 
 
 def arc_and_filling(M, center, gamma):
     arc = fit_region(M, center, gamma)
-    return arc, minimum_filling_of_arc(ScanContext(M), arc)
+    return arc, min_filling(M.ambient, arc.cycle, cap=len(arc.region))
 
 
 def test_interpolate_ushape_inner_two_moves(ushape):
@@ -81,7 +79,7 @@ def test_interpolate_rejects_a_filling_of_another_cycle(ushape):
     Arc and filling do not close up, so interpolation raises instead of
     returning flips that do not end at the filling."""
     ctx, arcs, regions = ScanContext(ushape), [], set()
-    for gamma in radius_schedule(ushape):
+    for gamma in [2, 1]:  # ushape's halving schedule
         for arc in (fit.arc(ushape, gamma) for fit, _ in candidate_arcs(ctx, gamma)):
             filling = None if arc.region in regions else replacement_filling(ctx, arc)
             regions.add(arc.region)

@@ -24,7 +24,7 @@ from gridtopo.errors import DimensionUnsupported, ValidationFailed
 from gridtopo.io import load_fixture, trace_to_json
 
 from conftest import FIXTURE_DIR
-from util import GOLDEN_DIR, POLYCUBE_VOXELS, contraction_pool, curve_from_pixels, golden_states, surface_from_voxels
+from util import GOLDEN_DIR, contraction_pool, curve_from_pixels, golden_states
 
 def replace_steps(trace):
     return [s for s in trace.steps if isinstance(s, (ReplaceStep, SplitStep))]

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import gridtopo
 from gridtopo import ManifoldComplex, contract, validate
 from gridtopo.cells import cell_token, parse_cell_token
 from gridtopo.cli import main
@@ -163,12 +165,15 @@ def test_cli_distances(capsys):
     assert lines[0].split() == ["0,0", "0,1", "1", "1"]
 
 
-# The whole `--all` table over the radius schedule, the one reader of all
+# The whole `--all` table over the radii `contract` scans, in its order
+# (ushape's are 2, 1, 4, 3; radius 4 has no report), the one reader of all
 # four measures: center, radius, r, r1, height, height over span.
 CURVINESS_TABLES = {
     "ushape": [
         "0,3|0 2 5 4 2 2", "1,1|0 2 5 4 2 2", "2,3|0 2 5 4 2 2",
         "0,3|0 1 3 2 1 1", "1,1|0 1 3 2 1 1", "2,3|0 1 3 2 1 1",
+        "0,2|1 3 7 6 2 2", "3,2|1 3 7 6 2 2", "1,1| 3 3/2 2 2 2/3", "2,1| 3 3/2 2 2 2/3",
+        "1,1|0 3 7/5 2 3 3/4",
     ],
     "rect12": ["0,0|1 1 3 2 1 1", "2,0|1 1 3 2 1 1"],
     "box211": ["0,0,0|1,2 1 5 4 1 1/2", "2,0,0|1,2 1 5 4 1 1/2"],
@@ -185,6 +190,22 @@ def test_cli_curviness(capsys):
     for name, rows in CURVINESS_TABLES.items():
         assert main(["curviness", str(FIXTURE_DIR / f"{name}.txt"), "--all"]) == 0
         assert capsys.readouterr().out.splitlines() == rows
+    # Without --all only the first report: box333's halving schedule (2, 1)
+    # has none, and its first is the radius-3 arc `contract` splits off.
+    assert main(["curviness", str(FIXTURE_DIR / "box333.txt")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0,1,1|1,2 3 25/17 8 1 1/6"]
+
+
+def test_readme_imports_every_exported_function():
+    """The import block of README's "Library entry points" runs, and it
+    imports every function `gridtopo` exports, so the two cannot drift
+    apart."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library entry points", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    functions = {name for name in gridtopo.__all__ if name[0].islower()}
+    assert functions - set(names) == set()
 
 
 def test_cli_contract_and_render(tmp_path, capsys):
