@@ -67,7 +67,7 @@ def _cmd_contract(args) -> int:
     result = engine.contract(M, cfg)
     root = result.root
     if not args.quiet:
-        print(f"status={root.terminal.status} nodes={len(result.nodes)}")
+        print(f"status={result.status} nodes={len(result.nodes)}")
         for line in io.trace_lines(root.trace):
             print(line)
     if args.trace_out:

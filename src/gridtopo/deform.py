@@ -20,11 +20,14 @@ own text line and JSON object.  Serialization (`io`) and rendering
 (`render`) go through these methods, so a new step kind is added here and
 nowhere else.  `flip_ok` is the one move rule: a move replays only as a
 simple flip, so replay refuses any move the peel could not have taken.
+`DeformationTrace.states()` is the one replay, and it refuses a trace that
+does not end at its recorded final.  `TerminalStep` also holds, in memory
+only, an obstruction's evidence or why a node gave up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
@@ -261,10 +264,12 @@ class SplitStep:
     kind = "split"
 
     def apply(self, state: CellSet) -> CellSet:
-        removed = frozenset(self.removed)
+        removed, added = frozenset(self.removed), frozenset(self.added)
         if not removed <= state:
             raise ReplayMismatch("split: arc cells not present")
-        return (state - removed) | frozenset(self.added)
+        if not added.isdisjoint(state):
+            raise ReplayMismatch("split: added cells already present")
+        return (state - removed) | added
 
     @property
     def changed_cells(self) -> CellSet:
@@ -298,11 +303,23 @@ class SplitStep:
 
 
 @dataclass(frozen=True)
+class ObstructionEvidence:
+    kind: str
+    center: CubicalCell
+    gamma: int
+    level: Optional[int]
+    cells: Tuple[CubicalCell, ...]
+
+
+@dataclass(frozen=True)
 class TerminalStep:
-    """How the run ended; `center` is the irreducibility witness, if any."""
+    """How the node ended; `center` is the irreducibility witness, if any.
+    An obstruction's `evidence` and a gave-up `reason` are not in the JSON yet."""
 
     center: Optional[CubicalCell]
     status: str
+    evidence: Tuple[ObstructionEvidence, ...] = field(default=(), compare=False)
+    reason: Optional[str] = field(default=None, compare=False)
 
     kind = "terminal"
     changed_cells = frozenset()
@@ -351,20 +368,18 @@ class DeformationTrace:
     final: Tuple[CubicalCell, ...]
 
     def states(self) -> List[CellSet]:
-        """State after the initial complex and after every step."""
+        """State after the initial complex and after every step; raises
+        ReplayMismatch when a step or the recorded final does not match."""
         state = frozenset(self.initial)
         out = [state]
         for step in self.steps:
             state = step.apply(state)
             out.append(state)
+        if state != frozenset(self.final):
+            raise ReplayMismatch("replayed final state differs from recorded final")
         return out
 
 
 def replay(trace: DeformationTrace) -> ManifoldComplex:
     """Re-run the trace from the initial state, checking the final state."""
-    state = frozenset(trace.initial)
-    for step in trace.steps:
-        state = step.apply(state)
-    if state != frozenset(trace.final):
-        raise ReplayMismatch("replayed final state differs from recorded final")
-    return ManifoldComplex(trace.ambient, trace.m, state)
+    return ManifoldComplex(trace.ambient, trace.m, trace.states()[-1])

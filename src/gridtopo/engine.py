@@ -8,6 +8,11 @@ terminates at an irreducible sphere, or with obstruction evidence when
 nothing reduces and a probe finds a cycle whose minimum filling threads
 the manifold, which is the observable signature of a handle.
 
+A node's one record of how it ended is the `TerminalStep` closing its
+trace (`ContractionNode.terminal`).  M is the connected sum of the nodes'
+pieces, a sphere only when each is, so `ContractionResult.status` reads
+every node.
+
 One `_Run` carries the configuration, the node counter and the finished
 nodes of a contraction.  Each manifold state gets one `ScanContext`, built
 when the state is reached and dropped when it changes, so every radius and
@@ -35,13 +40,13 @@ from .curviness import (
 )
 from .deform import (
     DeformationTrace,
+    ObstructionEvidence,
     ReplaceStep,
     SplitStep,
     TerminalStep,
     interpolate,
 )
 from .errors import (
-    CodimensionUnsupported,
     DimensionUnsupported,
     FillingNotFound,
     InterpolationFailed,
@@ -57,34 +62,7 @@ _MAX_ITERATIONS = 10_000  # replacement rounds per node before it ends exhausted
 _PROBE_BUDGET = 20_000  # search nodes per filling in the obstruction probe
 
 
-@dataclass(frozen=True)
-class ObstructionEvidence:
-    kind: str
-    center: CubicalCell
-    gamma: int
-    level: Optional[int]
-    cells: Tuple[CubicalCell, ...]
-
-
-@dataclass(frozen=True)
-class IrreducibleSphere:
-    witness: CubicalCell
-
-    status = "irreducible_sphere"
-
-
-@dataclass(frozen=True)
-class NotSimplyConnectedObstruction:
-    evidence: Tuple[ObstructionEvidence, ...]
-
-    status = "obstruction"
-
-
-@dataclass(frozen=True)
-class Exhausted:
-    reason: str
-
-    status = "exhausted"
+_EXIT_CODES = {"obstruction": 2, "exhausted": 3, "irreducible_sphere": 0}  # worst first
 
 
 @dataclass(frozen=True)
@@ -93,9 +71,13 @@ class ContractionNode:
     initial: ManifoldComplex
     final: ManifoldComplex
     trace: DeformationTrace
-    terminal: object
     glue: Optional[Tuple[Cycle, Filling]]
     children: Tuple["ContractionNode", ...]
+
+    @property
+    def terminal(self) -> TerminalStep:
+        """How the node ended: its trace's last step."""
+        return self.trace.steps[-1]
 
 
 @dataclass(frozen=True)
@@ -104,13 +86,14 @@ class ContractionResult:
     nodes: Tuple[ContractionNode, ...]
 
     @property
+    def status(self) -> str:
+        """The worst status any node ended with: the verdict on all of M."""
+        ends = {node.terminal.status for node in self.nodes}
+        return next(s for s in _EXIT_CODES if s in ends)
+
+    @property
     def exit_code(self) -> int:
-        status = self.root.terminal.status
-        if status == "irreducible_sphere":
-            return 0
-        if status == "obstruction":
-            return 2
-        return 3
+        return _EXIT_CODES[self.status]
 
 
 def is_irreducible_sphere(M: ManifoldComplex) -> Optional[CubicalCell]:
@@ -239,13 +222,9 @@ class _Run:
             except InterpolationFailed:
                 pass
             else:
-                try:
-                    sign = arc_sign(ctx, arc, filling)
-                except CodimensionUnsupported:
-                    sign = "unknown"
                 marker = ReplaceStep(
                     center=arc.center, gamma=arc.gamma, removed=removed, added=added,
-                    sign=sign, lofted=loft_summary,
+                    sign=arc_sign(ctx, arc, filling), lofted=loft_summary,
                 )
                 return new_M, moves + [marker], None
 
@@ -265,12 +244,10 @@ class _Run:
         initial = M
         steps: List = []
         children: List[ContractionNode] = []
-        terminal = None
         for _ in range(_MAX_ITERATIONS):
             witness = is_irreducible_sphere(M)
             if witness is not None:
-                steps.append(TerminalStep(center=witness, status="irreducible_sphere"))
-                terminal = IrreducibleSphere(witness=witness)
+                terminal = TerminalStep(center=witness, status="irreducible_sphere")
                 break
             chi = M.euler_characteristic()
             ctx = ScanContext(M, self.cfg)
@@ -284,23 +261,20 @@ class _Run:
                 continue
             probe = probe_obstruction(M)
             if probe is not None:
-                terminal = NotSimplyConnectedObstruction(evidence=(probe,))
-                steps.append(TerminalStep(center=None, status="obstruction"))
+                terminal = TerminalStep(center=None, status="obstruction", evidence=(probe,))
             else:
-                terminal = Exhausted(reason="no reducible arc at any radius")
-                steps.append(TerminalStep(center=None, status="exhausted"))
+                terminal = TerminalStep(center=None, status="exhausted", reason="no reducible arc at any radius")
             break
         else:
-            terminal = Exhausted(reason="iteration cap reached")
-            steps.append(TerminalStep(center=None, status="exhausted"))
+            terminal = TerminalStep(center=None, status="exhausted", reason="iteration cap reached")
+        steps.append(terminal)
 
         trace = DeformationTrace(
             ambient=initial.ambient, m=initial.m, initial=initial.canonical_cells(),
             steps=tuple(steps), final=M.canonical_cells(),
         )
         node = ContractionNode(
-            node_id=node_id, initial=initial, final=M, trace=trace, terminal=terminal,
-            glue=glue, children=tuple(children),
+            node_id=node_id, initial=initial, final=M, trace=trace, glue=glue, children=tuple(children),
         )
         self.nodes.append(node)
         return node

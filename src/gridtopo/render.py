@@ -13,20 +13,10 @@ from typing import List, Union
 
 from .cells import CubicalCell
 from .deform import DeformationTrace
-from .errors import GridTopoError, ReplayMismatch
+from .errors import GridTopoError
 
 _SCALE = 24
 _PAD = 12
-
-
-def _frame_states(trace: DeformationTrace):
-    """(state, cells the step into it changed) for the initial state and
-    after every step; refuses a trace that does not replay to its final."""
-    states = trace.states()
-    if states[-1] != frozenset(trace.final):
-        raise ReplayMismatch("trace final state mismatch")
-    changed = [frozenset()] + [step.changed_cells for step in trace.steps]
-    return list(zip(states, changed))
 
 
 def _svg_frame(trace: DeformationTrace, state, changed) -> str:
@@ -124,7 +114,7 @@ def render(trace: DeformationTrace, out_dir: Union[str, Path], fmt: str = "auto"
     format is checked (`frame_format`) and the trace replayed before
     anything is written, so a refused trace leaves no output directory."""
     fmt = frame_format(fmt, trace.ambient.n, trace.m)
-    frames = _frame_states(trace)
+    frames = list(zip(trace.states(), [frozenset()] + [step.changed_cells for step in trace.steps]))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -17,8 +17,10 @@ from gridtopo import (
     is_irreducible_sphere,
     validate,
 )
+from gridtopo import engine
+from gridtopo.cli import main
 from gridtopo.corpus import random_simple_curve
-from gridtopo.deform import MoveStep, ReplaceStep, SplitStep, flip_ok
+from gridtopo.deform import MoveStep, ObstructionEvidence, ReplaceStep, SplitStep, TerminalStep, flip_ok, replay
 from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
 from gridtopo.errors import DimensionUnsupported, ValidationFailed
 from gridtopo.io import load_fixture, trace_to_json
@@ -124,7 +126,7 @@ def test_contract_leaves_no_reference_cycles(ushape, box211):
 def test_contract_sq1_trivial(sq1):
     res = contract(sq1)
     assert res.root.terminal.status == "irreducible_sphere"
-    assert res.root.terminal.witness == CubicalCell.make((0, 0), (0, 1))
+    assert res.root.terminal.center == CubicalCell.make((0, 0), (0, 1))
     assert replace_steps(res.root.trace) == []
 
 
@@ -370,3 +372,77 @@ def test_axis_permutation_and_reflection_keep_the_verdict(name):
     want = contract(M).exit_code
     assert contract(permuted).exit_code == want
     assert contract(reflected).exit_code == want
+
+
+# ---------------------------------------------------------------------------
+# Verdicts: every node ends in one terminal step, and the exit reads them all.
+
+
+def _check_ends(result, status, exit_code):
+    """Every node's terminal record is its trace's last step, every trace
+    replays, and the run's status and exit code are the given ones."""
+    for node in result.nodes:
+        assert node.terminal is node.trace.steps[-1]
+        assert isinstance(node.terminal, TerminalStep)
+        assert replay(node.trace).cells == node.final.cells
+    assert (result.status, result.exit_code) == (status, exit_code)
+
+
+def _in_children(monkeypatch):
+    """A list whose last entry says whether the node contracting now is a
+    split child (it has glue), kept by wrapping `_Run.contract_node`."""
+    depth = []
+    contract_node = engine._Run.contract_node
+
+    def tracking(self, M, glue):
+        depth.append(glue is not None)
+        try:
+            return contract_node(self, M, glue)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(engine._Run, "contract_node", tracking)
+    return depth
+
+
+@pytest.mark.parametrize("status, exit_code", [("exhausted", 3), ("obstruction", 2)])
+def test_the_verdict_reads_every_node(monkeypatch, status, exit_code):
+    """M is the connected sum of every node's piece, so a child that gives
+    up, or ends with obstruction evidence, decides the run even when the
+    root ends as a sphere.  spacecurve's split children are made to find
+    no witness, and to end as the case names."""
+    M = load_fixture(FIXTURE_DIR / "spacecurve.txt")
+    child = _in_children(monkeypatch)
+    real = engine.is_irreducible_sphere
+    monkeypatch.setattr(engine, "is_irreducible_sphere", lambda S: None if child[-1] else real(S))
+    evidence = ObstructionEvidence(kind="non_separating", center=min(M.cells), gamma=1, level=1, cells=())
+    if status == "obstruction":
+        monkeypatch.setattr(engine, "probe_obstruction", lambda S: evidence if child[-1] else None)
+    result = contract(M)
+    assert result.root.terminal.status == "irreducible_sphere"
+    children = [n for n in result.nodes if n is not result.root]
+    assert len(children) == 5 and all(n.terminal.status == status for n in children)
+    if status == "obstruction":
+        assert all(n.terminal.evidence == (evidence,) for n in children)
+    _check_ends(result, status, exit_code)
+
+
+def test_torus_without_a_probe_ends_exhausted(torus, monkeypatch, capsys):
+    """With no obstruction found, the torus gives up: exit 3, with the reason."""
+    monkeypatch.setattr(engine, "probe_obstruction", lambda M: None)
+    result = contract(torus)
+    assert result.root.terminal.reason == "no reducible arc at any radius"
+    assert result.root.terminal.evidence == ()
+    _check_ends(result, "exhausted", 3)
+    assert main(["contract", "--input", str(FIXTURE_DIR / "torus.txt")]) == 3
+    assert capsys.readouterr().out.startswith("status=exhausted nodes=1\n")
+
+
+def test_iteration_cap_ends_exhausted(box211, monkeypatch):
+    """A node that runs out of replacement rounds gives up: exit 3."""
+    monkeypatch.setattr(engine, "_MAX_ITERATIONS", 1)
+    result = contract(box211)
+    assert result.root.terminal.reason == "iteration cap reached"
+    assert result.root.terminal.center is None
+    _check_ends(result, "exhausted", 3)
+    assert main(["--quiet", "contract", "--input", str(FIXTURE_DIR / "box211.txt")]) == 3

@@ -7,6 +7,7 @@ import gridtopo
 from gridtopo import ManifoldComplex, contract, validate
 from gridtopo.cells import cell_token, parse_cell_token
 from gridtopo.cli import main
+from gridtopo.deform import SplitStep, replay
 from gridtopo.errors import GridTopoError, ParseError, ReplayMismatch, ValidationFailed
 from gridtopo.io import (
     load_fixture,
@@ -359,6 +360,19 @@ def test_render_refuses_a_move_that_is_not_a_simple_flip(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not a simple flip" in err
     assert not frames.exists()
+
+
+def test_replay_refuses_a_split_that_adds_cells_already_present():
+    """spacecurve's trace with its first split also adding a cell the state
+    already holds.  The union would hide the extra cell and the final
+    would still match, so the split itself refuses it."""
+    doc = json.loads((GOLDEN_DIR / "spacecurve.json").read_text())
+    trace = trace_from_json(doc)
+    i, split = next((i, s) for i, s in enumerate(trace.steps) if isinstance(s, SplitStep))
+    kept = min(trace.states()[i] - frozenset(split.removed))
+    doc["steps"][i]["added"].append(cell_token(kept))
+    with pytest.raises(ReplayMismatch, match="added cells already present"):
+        replay(trace_from_json(doc))
 
 
 @pytest.mark.parametrize(
