@@ -5,7 +5,9 @@ axes it spans; a vertex spans no axes, an edge one, a square two, a voxel
 three.  All incidence (faces, cofaces, vertices) is computed from the
 coordinates.  `CellCodes` numbers the cells of one ambient by integers in
 canonical order, with incidence as fixed code offsets, for searches that
-run on integers; each ambient holds one, as `AmbientSpace.codes`.  A
+run on integers and for the array passes that build each state's tables
+(`complexes.ManifoldComplex.table`); each ambient holds one, as
+`AmbientSpace.codes`, and it decodes codes to cells singly or as arrays.  A
 cell's text token, `b0,b1,...|a0,a1` (base, then axes), is the one cell
 format of traces and command output.
 """
@@ -16,7 +18,10 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
+from math import comb
 from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DegenerateExtent
 
@@ -61,18 +66,6 @@ class CubicalCell(NamedTuple):
             rest = axes[:i] + axes[i + 1 :]
             yield CubicalCell(dim, base, rest)
             yield CubicalCell(dim, base[:a] + (base[a] + 1,) + base[a + 1 :], rest)
-
-    def all_faces(self) -> Iterator["CubicalCell"]:
-        """Every cell of the closure, including self, down to vertices."""
-        n_ax = self.axes
-        for k in range(self.dim, -1, -1):
-            for sub in combinations(n_ax, k):
-                dropped = tuple(a for a in n_ax if a not in sub)
-                for offs in product((0, 1), repeat=len(dropped)):
-                    b = list(self.base)
-                    for a, o in zip(dropped, offs):
-                        b[a] += o
-                    yield CubicalCell(k, tuple(b), sub)
 
     def cofaces(self, up_axes: Iterable[int]) -> Iterator["CubicalCell"]:
         """Cells one dimension up that contain this cell.
@@ -185,9 +178,12 @@ class CellCodes:
     order of their axes.  So within one dimension code order is canonical
     order, and `sorted` on codes agrees with `sorted` on cells.  A cell's
     faces, cofaces and closure cells sit at code offsets that depend only
-    on its axes: they are tabulated once per slot, in flat arrays.  Only
-    cells of the ambient have codes.  Nothing here is stored per code, so
-    a larger ambient costs only wider codes.
+    on its axes: they are tabulated once per slot, in flat arrays, and
+    once per dimension k as numpy tables with one row per slot
+    (`face_table`, `closure_table`), so that one gather gives the faces,
+    closure cells or vertices of many k-cells at once.  Only cells of the
+    ambient have codes.  Nothing here is stored per code, so a larger
+    ambient costs only wider codes.
     """
 
     def __init__(self, ambient: AmbientSpace):
@@ -201,11 +197,14 @@ class CellCodes:
             shift[a] = width
             width += self._span[a].bit_length()
         self._shift = tuple(shift)
-        self._low = (1 << n) - 1
+        self.low = (1 << n) - 1
+        self._shift_array, self._field_array, self._lo_array = (
+            np.array(t, np.int64) for t in (self._shift, self._field, self._lo)
+        )
         self._slot_axes = sorted(
             (axes for k in range(n + 1) for axes in combinations(range(n), k)), key=lambda t: (len(t), t)
         )
-        self._slot = {axes: s for s, axes in enumerate(self._slot_axes)}
+        self.slot = {axes: s for s, axes in enumerate(self._slot_axes)}  # each axes tuple's slot
         step = [1 << sh for sh in shift]
         # Slot s owns entries at[s] to at[s + 1] of each flat table.
         self._face_at, self._face = array("l", [0]), array("l")
@@ -213,47 +212,88 @@ class CellCodes:
         self._closure_at, self._closure = array("l", [0]), array("l")
         for s, axes in enumerate(self._slot_axes):
             for i, a in enumerate(axes):
-                d = self._slot[axes[:i] + axes[i + 1 :]] - s
+                d = self.slot[axes[:i] + axes[i + 1 :]] - s
                 self._face.extend((d, d + step[a]))
             for a in range(n):
                 if a not in axes:
-                    d = self._slot[tuple(sorted(axes + (a,)))] - s
+                    d = self.slot[tuple(sorted(axes + (a,)))] - s
                     self._coface.extend((a, d, d - step[a]))
             for k in range(len(axes), -1, -1):
                 for sub in combinations(axes, k):
                     dropped = [step[a] for a in axes if a not in sub]
                     for offs in product((0, 1), repeat=len(dropped)):
-                        self._closure.append(self._slot[sub] - s + sum(o * d for o, d in zip(offs, dropped)))
+                        self._closure.append(self.slot[sub] - s + sum(o * d for o, d in zip(offs, dropped)))
             self._face_at.append(len(self._face))
             self._coface_at.append(len(self._coface))
             self._closure_at.append(len(self._closure))
+        # Per dimension k, the flat tables' rows of its slots; rows of
+        # other slots stay zero.  A slot's closure lists its cells
+        # dimension by dimension from k down, C(k, j) * 2^(k-j) of
+        # dimension j.
+        self._faces_k: List[np.ndarray] = []
+        self._closure_k: List[List[np.ndarray]] = []
+        for k in range(n + 1):
+            faces = np.zeros((len(self._slot_axes), 2 * k), np.int64)
+            closure = np.zeros((len(self._slot_axes), 3**k), np.int64)
+            for s, axes in enumerate(self._slot_axes):
+                if len(axes) == k:
+                    faces[s] = self._face[self._face_at[s] : self._face_at[s + 1]]
+                    closure[s] = self._closure[self._closure_at[s] : self._closure_at[s + 1]]
+            ends = np.cumsum([0] + [comb(k, j) << (k - j) for j in range(k, -1, -1)])
+            self._faces_k.append(faces)
+            self._closure_k.append([closure[:, ends[k - j] : ends[k - j + 1]] for j in range(k + 1)])
+        # Per slot: the slot's bits and the coordinate fields of its axes.
+        self.plane_mask = np.array(
+            [self.low | sum(self._field[a] << shift[a] for a in axes) for axes in self._slot_axes], np.int64
+        )
 
     def code(self, cell: CubicalCell) -> int:
         """The cell's code; the cell must lie in the ambient."""
-        x = self._slot[cell.axes]
+        x = self.slot[cell.axes]
         for b, lo, sh in zip(cell.base, self._lo, self._shift):
             x |= (b - lo) << sh
         return x
 
     def cell(self, x: int) -> CubicalCell:
-        axes = self._slot_axes[x & self._low]
+        axes = self._slot_axes[x & self.low]
         base = tuple(((x >> sh) & f) + lo for sh, f, lo in zip(self._shift, self._field, self._lo))
         return CubicalCell(len(axes), base, axes)
 
+    def bases(self, x: np.ndarray) -> np.ndarray:
+        """The base coordinates of an array of codes, one row per code."""
+        return ((x[:, None] >> self._shift_array) & self._field_array) + self._lo_array
+
+    def cells(self, x: np.ndarray) -> List[CubicalCell]:
+        """The cells of an array of codes, in its order."""
+        axes = [self._slot_axes[s] for s in (x & self.low).tolist()]
+        return [CubicalCell(len(a), tuple(b), a) for b, a in zip(self.bases(x).tolist(), axes)]
+
+    def face_table(self, k: int) -> np.ndarray:
+        """Per slot of dimension k, the code offsets of a k-cell's 2k faces,
+        in the order of `faces`: `x[:, None] + face_table(k)[x & low]`
+        gathers the faces of every k-cell code in x."""
+        return self._faces_k[k]
+
+    def closure_table(self, k: int, j: int) -> np.ndarray:
+        """Per slot of dimension k, the code offsets of the j-cells of a
+        k-cell's closure, in the order of `closure`; for j = 0 these are its
+        2^k vertices, in the order of `CubicalCell.vertices`."""
+        return self._closure_k[k][j]
+
     def faces(self, x: int) -> List[int]:
         """Codes of the cell's 2*dim faces."""
-        s = x & self._low
+        s = x & self.low
         return [x + d for d in self._face[self._face_at[s] : self._face_at[s + 1]]]
 
     def closure(self, x: int) -> List[int]:
         """Codes of every cell of the cell's closure, itself included."""
-        s = x & self._low
+        s = x & self.low
         return [x + d for d in self._closure[self._closure_at[s] : self._closure_at[s + 1]]]
 
     def cofaces(self, x: int) -> List[int]:
         """Codes of the cells one dimension up that contain the cell and lie
         in the ambient, in the order of `AmbientSpace.cofaces`."""
-        s, table, out = x & self._low, self._coface, []
+        s, table, out = x & self.low, self._coface, []
         for k in range(self._coface_at[s], self._coface_at[s + 1], 3):
             a = table[k]
             at = (x >> self._shift[a]) & self._field[a]  # the coordinate on axis a, from the low bound

@@ -67,9 +67,13 @@ def _cmd_contract(args) -> int:
     result = engine.contract(M, cfg)
     root = result.root
     if not args.quiet:
+        # the root's lines, then each child's under its node id, in id order
         print(f"status={result.status} nodes={len(result.nodes)}")
-        for line in io.trace_lines(root.trace):
-            print(line)
+        for node in sorted(result.nodes, key=lambda n: (n is not root, n.node_id)):
+            if node is not root:
+                print(f"node {node.node_id}")
+            for line in io.trace_lines(node.trace):
+                print(line)
     if args.trace_out:
         children = {
             n.node_id: n.trace for n in result.nodes if n.node_id != root.node_id

@@ -31,8 +31,9 @@ The exact surface search serves only fillings free to run through M: the
 lofted circles and the obstruction probe.
 
 `valid_reports` is lazy.  `candidate_arcs` fits its candidates on the ids
-of `M.index` (`ArcFit`: center id, region cell ids, boundary face ids),
-each with `filling.filling_lower_bound` of its cycle, read from the
+of `M.index`, each kept as its row of the scan (`ArcFit`: center id, and
+bytes marking the region's cell ids and the boundary's face ids), each
+with `filling.filling_lower_bound` of its cycle, read from the
 region: the larger of a face count and the projection bound, the cells of
 the region's shadows that survive mod 2 on the coordinate m-planes (for
 curves the endpoint distance).  Projection commutes with the boundary, so
@@ -43,7 +44,7 @@ cell is built.  The candidates wait in one heap with the solved reports,
 and a replacement filling is solved only while a waiting candidate could
 still beat or tie the best solved report, so the first report costs a few
 solves instead of one per candidate.  Only a candidate taken up for
-solving is built as cells, an `ArcRegion`.
+solving is read as id sets and built as cells, an `ArcRegion`.
 """
 
 from __future__ import annotations
@@ -86,18 +87,32 @@ class ArcRegion:
 
 class ArcFit(NamedTuple):
     """A candidate arc on the ids of `M.index`: its center's id in
-    `centers`, its region's cell ids and its boundary's face ids."""
+    `centers`, and the scan's rows of marks for its region's cell ids and
+    its boundary's face ids, one byte per id, 1 when marked."""
 
     center: int
-    region: FrozenSet[int]
-    boundary: FrozenSet[int]
+    region: bytes
+    boundary: bytes
+
+    @property
+    def size(self) -> int:
+        """The region's cell count."""
+        return self.region.count(1)
 
     def arc(self, M: ManifoldComplex, gamma: int) -> ArcRegion:
         """The fit as cells, on the state M it was fitted on."""
-        ix = M.index
-        region = frozenset(ix.cells[i] for i in self.region)
-        cycle = Cycle(frozenset(ix.faces[f] for f in self.boundary), M.m)
-        return ArcRegion(ix.centers[self.center], gamma, region, cycle)
+        region, boundary = (np.flatnonzero(np.frombuffer(b, bool)).tolist() for b in (self.region, self.boundary))
+        return _arc(M, M.index.centers[self.center], gamma, region, boundary)
+
+
+def _arc(
+    M: ManifoldComplex, center: CubicalCell, gamma: int, region: Iterable[int], boundary: Iterable[int]
+) -> ArcRegion:
+    """The arc of a fit given by its region's cell ids and its boundary's
+    face ids in `M.index`."""
+    ix = M.index
+    cycle = Cycle(frozenset(map(ix.faces.__getitem__, boundary)), M.m)
+    return ArcRegion(center, gamma, frozenset(map(ix.cells.__getitem__, region)), cycle)
 
 
 @dataclass(frozen=True)
@@ -164,7 +179,7 @@ def fit_region(M: ManifoldComplex, center: CubicalCell, gamma: int) -> ArcRegion
     bd = _grow(ix, M.m, region)
     if bd is None:
         raise NoFittingCycle(gamma, "no regular separating cycle within half of M")
-    return ArcFit(ix.center_id[center], frozenset(region), frozenset(bd)).arc(M, gamma)
+    return _arc(M, center, gamma, region, bd)
 
 
 _NOT_CLOSED = "fitting arcs needs a closed manifold: a face lies in other than two cells"
@@ -282,9 +297,9 @@ def _fit_measure_bound(M: ManifoldComplex, gamma: int, fit: ArcFit, lb: int, var
     """`measure_bound` of the fit's arc.  The ratio and the difference need
     only the region's size; the heights build the arc."""
     if variant == "ratio":
-        return Fraction(len(fit.region), lb)
+        return Fraction(fit.size, lb)
     if variant == "diff":
-        return len(fit.region) - lb
+        return fit.size - lb
     return measure_bound(fit.arc(M, gamma), lb, variant)
 
 
@@ -342,23 +357,14 @@ def candidate_arcs(ctx: ScanContext, gamma: int) -> List[Tuple[ArcFit, int]]:
     size = regions.sum(axis=1)
     cap = np.minimum(np.minimum(ctx.cfg.filling_cap, size - 1), n - size - 1)  # `_replacement_cap` by row
     bound = _lower_bounds(ix, m, regions, bd)
-    first = {}  # each region's first center
+    first = {}  # each region's first center, by the region's row of marks
     for row in np.flatnonzero(fitted & (bound <= cap)).tolist():
         first.setdefault(regions[row].tobytes(), row)
     kept = list(first.values())
     return [
-        (ArcFit(center, region, boundary), lb)
-        for center, region, boundary, lb in zip(
-            centers[kept].tolist(), _id_sets(regions[kept]), _id_sets(bd[kept]), bound[kept].tolist()
-        )
+        (ArcFit(center, region, bd[row].tobytes()), lb)
+        for (region, row), center, lb in zip(first.items(), centers[kept].tolist(), bound[kept].tolist())
     ]
-
-
-def _id_sets(marks: np.ndarray) -> List[FrozenSet[int]]:
-    """Each row's marked column ids."""
-    ids = np.nonzero(marks)[1].tolist()
-    ends = np.cumsum(marks.sum(axis=1)).tolist()
-    return [frozenset(ids[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _disks(ix, m: int, balls: np.ndarray, bd: np.ndarray) -> np.ndarray:
@@ -376,7 +382,7 @@ def _disks(ix, m: int, balls: np.ndarray, bd: np.ndarray) -> np.ndarray:
         return bd.sum(axis=1) == 2
     if m > 2:
         return np.zeros(len(balls), bool)
-    n, nv = len(ix.cells), len(ix.vertices)
+    n, nv = len(ix.cells), len(ix.dist)
     edge_at = np.zeros((bd.shape[1], nv), np.float32)  # each edge's two vertices
     edge_at[np.arange(bd.shape[1])[:, None], np.reshape(ix.face_ridges, (-1, 2))] = 1
     cell_at = np.zeros((n, nv), np.float32)  # each cell's four vertices
@@ -416,7 +422,7 @@ def _lower_bounds(ix, m: int, regions: np.ndarray, bd: np.ndarray) -> np.ndarray
     the Manhattan distance between them; a row whose boundary is not two
     vertices has no fit, and its value is of no use."""
     if m == 1:  # a curve's faces are its vertices, by vertex id
-        ends = np.array(ix.vertices)[[bd.argmax(axis=1), bd.shape[1] - 1 - bd[:, ::-1].argmax(axis=1)]]
+        ends = ix.vertex_coords[[bd.argmax(axis=1), bd.shape[1] - 1 - bd[:, ::-1].argmax(axis=1)]]
         return np.abs(ends[0] - ends[1]).sum(axis=1)
     n = len(ix.cells)
     in_class = np.zeros((n, int(ix.cell_plane.max()) + 1), np.float32)

@@ -138,7 +138,7 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
         return None
     d, _ = diameter(M)
     gmax = max(1, d // 2)
-    for center in sorted(M.closure_cells):
+    for center in M.index.centers:  # the closure's cells, in canonical order
         for g in range(1, gmax + 1):
             region = ball(M, center, g)
             if not region or len(region) == len(M.cells):

@@ -373,9 +373,10 @@ class _CutNetwork:
 
     def __init__(self, M: ManifoldComplex, inside: CellSet):
         ambient, n = M.ambient, M.ambient.n
-        coords = list(zip(*M.vertices))
-        self.lo = [max(min(x) - 1, l) for x, (l, _) in zip(coords, ambient.extent)]
-        self.shape = [min(max(x), h - 1) + 1 - lo for x, (_, h), lo in zip(coords, ambient.extent, self.lo)]
+        coords = M.index.vertex_coords
+        low, high = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+        self.lo = [max(x - 1, l) for x, (l, _) in zip(low, ambient.extent)]
+        self.shape = [min(x, h - 1) + 1 - lo for x, (_, h), lo in zip(high, ambient.extent, self.lo)]
         self.stride = [1] * n
         for a in range(n - 2, -1, -1):
             self.stride[a] = self.stride[a + 1] * self.shape[a + 1]
@@ -546,8 +547,7 @@ class ScanContext:
         """What a curve replacement may not touch: M's closure, on the
         ambient's codes.  A curve cycle's closure is its two vertices,
         which the path search lets through as its ends."""
-        codes = self.M.ambient.codes
-        return CodeExclusion(codes, frozenset(map(codes.code, self.M.closure_cells)))
+        return CodeExclusion(self.M.ambient.codes, frozenset(np.concatenate(self.M.table.closure).tolist()))
 
 
 def one_sided_min_cut(

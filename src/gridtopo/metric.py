@@ -9,9 +9,10 @@ Vertex distances inside a complex M come from one matrix per state,
 `M.index.dist`, computed once: `diameter` and `all_pairs` read it.  A ball
 reads one row of `M.index.center_dist`, the distances from its center,
 which the candidate scan (`curviness.candidate_arcs`) thresholds for every
-center at once.  `vertex_distances` is the plain breadth-first search;
-`cell_distance` uses it, and the tests use it as the oracle the tables
-must match.
+center at once; the row is found by the center's code, so a ball builds
+no closure cells.  `vertex_distances` is the plain breadth-first search;
+`cell_distance` uses it, and the closure as cells for chains of higher
+cells, and the tests use it as the oracle the tables must match.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def diameter(M: ManifoldComplex) -> Tuple[int, Tuple[Coord, Coord]]:
     Raises Unreachable, naming the least pair, when M is disconnected.
     """
     ix = M.index
-    n = len(ix.vertices)
+    n, cells = len(ix.dist), ix.centers  # the first n centers are the vertices, by id
     if n < 2:
         raise ValueError("complex has fewer than two vertices")
     # Row-major order visits pairs as (u, v) with u < v first, vertices in
@@ -169,9 +170,9 @@ def diameter(M: ManifoldComplex) -> Tuple[int, Tuple[Coord, Coord]]:
     unreachable = np.isinf(ix.dist)
     if unreachable.any():
         u, v = divmod(int(unreachable.argmax()), n)
-        raise Unreachable(f"{ix.vertices[v]} not reachable from {ix.vertices[u]} in M")
+        raise Unreachable(f"{cells[v].base} not reachable from {cells[u].base} in M")
     u, v = divmod(int(ix.dist.argmax()), n)
-    return int(ix.dist[u, v]), (ix.vertices[u], ix.vertices[v])
+    return int(ix.dist[u, v]), (cells[u].base, cells[v].base)
 
 
 def ball(M: ManifoldComplex, center: CubicalCell, gamma: int) -> FrozenSet[CubicalCell]:
@@ -184,8 +185,9 @@ def ball(M: ManifoldComplex, center: CubicalCell, gamma: int) -> FrozenSet[Cubic
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
     ix = M.index
-    row = ix.center_id.get(center)
-    if row is None:
-        raise CellNotInComplex(f"{center} is not a cell of M's closure")
+    try:
+        row = ix.centers.index(center)
+    except ValueError:
+        raise CellNotInComplex(f"{center} is not a cell of M's closure") from None
     near = ix.center_dist[row] <= gamma
     return frozenset(compress(ix.cells, near[ix.cell_vertices].all(axis=1).tolist()))

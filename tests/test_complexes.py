@@ -1,13 +1,23 @@
 import random
 from collections import Counter, defaultdict
+from itertools import groupby, product
+
+import numpy as np
+import pytest
 
 from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, validate
-from gridtopo.complexes import ValidationReport, components, is_cycle, region_boundary
+from gridtopo.complexes import ValidationReport, _all_pairs_levels, components, is_cycle, region_boundary
 from gridtopo.corpus import random_connected_subcomplex
 from gridtopo.io import load_fixture
 
 from conftest import FIXTURE_DIR
-from util import GOLDEN_DIR, golden_states, reference_is_cycle
+from util import GOLDEN_DIR, all_faces, contraction_pool, golden_states, reference_is_cycle
+
+
+def coface_counts(M):
+    """For each (m-1)-cell of M's closure, how many m-cells contain it."""
+    return Counter(f for c in M.cells for f in c.faces())
+
 
 def test_sq1_validates(sq1):
     report = validate(sq1)
@@ -26,13 +36,13 @@ def test_box111_closed_regular(box111):
     report = validate(box111)
     assert report.is_closed and report.is_regular
     # direct incidence count: every edge in exactly two faces
-    assert all(k == 2 for k in box111.coface_counts.values())
-    assert len(box111.coface_counts) == 12
+    assert all(k == 2 for k in coface_counts(box111).values())
+    assert len(coface_counts(box111)) == 12
 
 
 def test_closed_iff_two_cofaces(rect12, ushape, box211):
     for M in (rect12, ushape, box211):
-        assert validate(M).is_closed == all(k == 2 for k in M.coface_counts.values())
+        assert validate(M).is_closed == all(k == 2 for k in coface_counts(M).values())
 
 
 def test_euler_characteristics(sq1, ushape, box111, box333, torus):
@@ -116,7 +126,7 @@ def _reference_vertex_link_ok(m, v, incident, boundary_faces):
 
 def reference_validate(M):
     offending = set()
-    counts = M.coface_counts
+    counts = coface_counts(M)
     bad_counts = [f for f, k in counts.items() if k > 2]
     offending.update(bad_counts)
     is_manifold = not bad_counts
@@ -253,3 +263,120 @@ def test_is_cycle_on_hand_made_sets(amb2):
         assert is_cycle(cells) == reference_is_cycle(cells) == want, name
         ids = frozenset(map(codes.code, cells))
         assert is_cycle(ids, codes.faces) == reference_is_cycle(ids, codes.faces) == want, name
+
+
+# ---------------------------------------------------------------------------
+# References: `ManifoldComplex.closure` and `StateIndex` as they were built
+# from cells, before each state had one code table.
+
+
+def reference_closure(M):
+    by_dim = defaultdict(set)
+    for c in M.cells:
+        for f in all_faces(c):
+            by_dim[f.dim].add(f)
+    return {d: frozenset(s) for d, s in by_dim.items()}
+
+
+class ReferenceIndex:
+    """`StateIndex` from cells: every table from sorted cells and dicts."""
+
+    def __init__(self, M):
+        self.m = m = M.m
+        closure = reference_closure(M)
+        self.vertices = tuple(sorted(c.base for c in closure.get(0, ())))
+        self.vertex_id = {v: i for i, v in enumerate(self.vertices)}
+        self.cells = tuple(sorted(M.cells))
+        self.cell_id = {c: i for i, c in enumerate(self.cells)}
+        self.faces = tuple(sorted(closure.get(m - 1, ())))
+        face_id = {f: i for i, f in enumerate(self.faces)}
+        self.cell_faces = tuple(face_id[f] for c in self.cells for f in c.faces())
+        cofaces = [[] for _ in self.faces]
+        for pos, f in enumerate(self.cell_faces):
+            cofaces[f].append(pos // (2 * m))
+        closed = all(len(cs) == 2 for cs in cofaces)
+        self.face_cells = tuple(i for cs in cofaces for i in cs) if closed else None
+        self.face_ridges = ((),) * len(self.faces)
+        if m >= 2:
+            ridge_id = {r: i for i, r in enumerate(sorted(closure.get(m - 2, ())))}
+            self.face_ridges = tuple(tuple(map(ridge_id.__getitem__, f.faces())) for f in self.faces)
+        vid = self.vertex_id
+        if m == 1:
+            ends = cell_vertices = self.cell_faces
+        else:
+            if m == 2:
+                ends = [v for e in self.face_ridges for v in e]
+            else:
+                ends = [vid[v] for e in closure.get(1, ()) for v in e.vertices()]
+            cell_vertices = [vid[v] for c in self.cells for v in c.vertices()]
+        self.cell_vertices = np.array(cell_vertices, np.intp).reshape(len(self.cells), 1 << m)
+        self.dist = _all_pairs_levels(len(self.vertices), ends)
+        self.centers = tuple(c for k in sorted(closure) for c in sorted(closure[k]))
+        rows = []
+        for k, same_dim in groupby(self.centers, key=lambda c: c.dim):
+            corners = [vid[v] for c in same_dim for v in c.vertices()]
+            rows.append(self.dist[np.reshape(corners, (-1, 1 << k))].min(axis=1))
+        self.center_dist = np.concatenate(rows) if rows else np.zeros((0, 0))
+        axes = np.array([c.axes for c in self.cells], np.intp).reshape(len(self.cells), m)
+        base = np.array([c.base for c in self.cells])
+        plane = np.concatenate([axes, np.take_along_axis(base, axes, axis=1)], axis=1)
+        self.cell_plane = np.unique(plane, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _first_seen(labels):
+    """Class labels renumbered in order of first appearance."""
+    seen = {}
+    return [seen.setdefault(x, len(seen)) for x in labels]
+
+
+def test_closure_and_index_match_reference(amb2, amb3):
+    """The closure and every `StateIndex` table, read from the state's code
+    table, against the copies built from cells, on every golden state, the
+    contraction pool, the 3-sphere bounding a 2x2x2x1 block of 4-cells and
+    seeded random subcomplexes of every dimension in 2-D, 3-D and 4-D
+    (open, branched and disconnected ones too)."""
+    cases = [M for path in sorted(GOLDEN_DIR.glob("*.json")) for M in golden_states(path.stem)]
+    cases += contraction_pool(amb3)
+    amb4 = build_ambient(4, [(-1, 4)] * 4)
+    counts = Counter(
+        f for b in product((0, 1), (0, 1), (0, 1), (0,)) for f in CubicalCell.make(b, range(4)).faces()
+    )
+    cases.append(ManifoldComplex.make(amb4, 3, [f for f, k in counts.items() if k == 1]))
+    rng = random.Random(33)
+    for amb in (amb2, amb3, amb4):
+        for m in range(amb.n + 1):
+            for _ in range(8):
+                cases.append(random_connected_subcomplex(amb, m, rng.randint(1, 12), rng))
+    assert {M.m for M in cases} == {0, 1, 2, 3, 4}
+    for M in cases:
+        closure = reference_closure(M)
+        assert M.closure == closure
+        assert M.closure_cells == frozenset().union(*closure.values())
+        assert M.vertices == frozenset(c.base for c in closure.get(0, ()))
+        assert M.edges == closure.get(1, frozenset())
+        assert M.euler_characteristic() == sum((-1) ** d * len(s) for d, s in closure.items())
+        ix, want = M.index, ReferenceIndex(M)
+        for name in ("cells", "vertices", "vertex_id", "cell_id", "faces", "cell_faces", "face_cells", "face_ridges"):
+            assert getattr(ix, name) == getattr(want, name), name
+        for name in ("cell_vertices", "dist", "center_dist"):
+            assert np.array_equal(getattr(ix, name), getattr(want, name)), name
+        assert np.array_equal(ix.vertex_coords, np.reshape(want.vertices, (-1, M.ambient.n)))
+        assert tuple(ix.centers) == want.centers and len(ix.centers) == len(want.centers)
+        assert all(ix.centers[i] == c and ix.centers.index(c) == i for i, c in enumerate(want.centers))
+        assert _first_seen(ix.cell_plane.tolist()) == _first_seen(want.cell_plane.tolist())
+
+
+def test_center_index_of_cells_off_the_closure(ushape):
+    """A cell off the closure, or off the ambient, or with axes no cell
+    has, is no center and has no center id."""
+    ix = ushape.index
+    off = [
+        CubicalCell.make((4, 4)),
+        CubicalCell.make((0, 0), (0, 1)),
+        CubicalCell.make((9, 0), (0,)),
+        CubicalCell(1, (0, 0), (1, 0)),
+    ]
+    for cell in off:
+        assert cell not in ix.centers
+        with pytest.raises(ValueError):
+            ix.centers.index(cell)

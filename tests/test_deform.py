@@ -32,7 +32,7 @@ from gridtopo.deform import (
 from gridtopo.errors import InterpolationFailed, ReplacementNotManifold, ReplayMismatch
 from gridtopo.filling import Filling, min_filling
 
-from util import contraction_pool, curve_from_pixels, random_polycube_surfaces, surface_from_voxels
+from util import closure_of, contraction_pool, curve_from_pixels, random_polycube_surfaces, surface_from_voxels
 
 
 def arc_and_filling(M, center, gamma):
@@ -157,7 +157,7 @@ def test_flip_ok_ball_rule_matches_pieces_and_euler(k):
     for size in range(1, 2 * k):
         for B in map(frozenset, combinations(facets, size)):
             G = frozenset(facets) - B
-            closure = {f for b in B for f in b.all_faces()}
+            closure = closure_of(B)
             chi = sum((-1) ** f.dim for f in closure)
             ball = len(components(B)) == len(components(G)) == 1 and chi == 1
             assert flip_ok(B, c) == (G if ball else None)

@@ -2,13 +2,17 @@ import gc
 import importlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import gridtopo
 from gridtopo import (
     CubicalCell,
     ManifoldComplex,
@@ -446,3 +450,34 @@ def test_iteration_cap_ends_exhausted(box211, monkeypatch):
     assert result.root.terminal.center is None
     _check_ends(result, "exhausted", 3)
     assert main(["--quiet", "contract", "--input", str(FIXTURE_DIR / "box211.txt")]) == 3
+
+
+_FIRST_USE_SCRIPT = """
+import gc, sys
+from collections import Counter
+from gridtopo import CubicalCell, ManifoldComplex, build_ambient, contract
+
+amb = build_ambient(3, [(-2, 5)] * 3)
+faces = Counter(f for z in (0, 1) for f in CubicalCell.make((0, 0, z), (0, 1, 2)).faces())
+retained = []
+for _ in range(3):
+    M = ManifoldComplex.make(amb, 2, [f for f, k in faces.items() if k == 1])
+    gc.collect()
+    before = sys.getallocatedblocks()
+    assert contract(M).exit_code == 0
+    del M
+    gc.collect()
+    retained.append(sys.getallocatedblocks() - before)
+print(retained[0] - retained[2])
+"""
+
+
+def test_first_contraction_retains_few_heap_blocks():
+    """A fresh interpreter contracts box 1x1x2 three times in one new
+    ambient.  After a collection, the first run, which fills the ambient's
+    code tables and numpy's first-use state, retains fewer than 500 heap
+    blocks more than the third: a first call of a plain 1-D `np.unique`
+    alone would leave about 5000."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gridtopo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _FIRST_USE_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 500

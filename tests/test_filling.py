@@ -415,7 +415,7 @@ def _reference_parity_min_filling(ambient, cycle, exclude, cap, node_budget):
     def fillers(e):
         out = []
         for f in e.cofaces(axes):
-            if ambient.contains_cell(f) and not any(g in exclude for g in f.all_faces()):
+            if ambient.contains_cell(f) and closure_of([f]).isdisjoint(exclude):
                 out.append(f)
         return tuple(sorted(out))
 

@@ -247,6 +247,20 @@ def test_cli_contract_space_curve(tmp_path, capsys):
     assert trace_path.read_bytes() == (GOLDEN_DIR / "spacecurve.json").read_bytes()
 
 
+def test_cli_contract_prints_every_node(capsys):
+    """Without --quiet, the root's trace lines come first, then each
+    child's under a `node <id>` line in id order, so the nodes that decide
+    a split run show; the first line is the verdict over every node."""
+    assert main(["contract", "--input", str(FIXTURE_DIR / "spacecurve.txt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "status=irreducible_sphere nodes=6"
+    headers = [line for line in lines if line.startswith("node ")]
+    assert headers == ["node 1", "node 2", "node 3", "node 4", "node 5"]
+    # every node's block, the root's too, ends with its terminal line
+    ends = [lines.index(h) - 1 for h in headers] + [len(lines) - 1]
+    assert all(lines[i].startswith("terminal ") for i in ends)
+
+
 @pytest.mark.parametrize(
     "name, fmt",
     [("spacecurve", "auto"), ("ushape", "obj-3d"), ("box111", "svg-2d")],

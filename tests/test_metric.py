@@ -213,7 +213,7 @@ def test_index_matches_bfs(amb3, sq1, ushape, rect12, box211, torus):
         assert list(ix.centers) == sorted(M.closure_cells)
         for center in ix.centers:
             table = vertex_distances(M, center.vertices())
-            row = ix.center_dist[ix.center_id[center]].tolist()
+            row = ix.center_dist[ix.centers.index(center)].tolist()
             assert row == [table.get(v, math.inf) for v in ix.vertices]
             for gamma in radius_sweep(M):
                 assert ball(M, center, gamma) == reference_ball(M, center, gamma)

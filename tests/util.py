@@ -307,9 +307,22 @@ def face_vertices(cell):
     return frozenset(cell.vertices())
 
 
+def all_faces(cell):
+    """Every cell of the cell's closure, itself included, down to vertices:
+    each subset of its axes, with the base moved by 0 or 1 on the others."""
+    for k in range(cell.dim, -1, -1):
+        for sub in combinations(cell.axes, k):
+            dropped = [a for a in cell.axes if a not in sub]
+            for offs in product((0, 1), repeat=len(dropped)):
+                b = list(cell.base)
+                for a, o in zip(dropped, offs):
+                    b[a] += o
+                yield CubicalCell(k, tuple(b), sub)
+
+
 def closure_of(cells):
     """Every cell of the cells' closures, themselves included."""
-    return frozenset(f for c in cells for f in c.all_faces())
+    return frozenset(f for c in cells for f in all_faces(c))
 
 
 def _face_edges(face):
