@@ -4,8 +4,9 @@ A cell is identified by an integer base coordinate and the sorted set of
 axes it spans; a vertex spans no axes, an edge one, a square two, a voxel
 three.  All incidence (faces, cofaces, vertices) is computed from the
 coordinates.  `CellCodes` numbers the cells of one ambient by integers in
-canonical order, with incidence as fixed code offsets, for searches that
-run on integers and for the array passes that build each state's tables
+canonical order, with incidence as fixed code offsets, for the searches
+that run on integers (the filling searches and `metric`'s chain
+distances) and for the array passes that build each state's tables
 (`complexes.ManifoldComplex.table`); each ambient holds one, as
 `AmbientSpace.codes`, and it decodes codes to cells singly or as arrays.  A
 cell's text token, `b0,b1,...|a0,a1` (base, then axes), is the one cell
@@ -83,33 +84,6 @@ class CubicalCell(NamedTuple):
             shifted[a] -= 1
             yield CubicalCell(self.dim + 1, tuple(shifted), new_axes)
 
-    def contains(self, other: "CubicalCell") -> bool:
-        """True when `other` is a face of this cell (or equal)."""
-        if other.dim > self.dim:
-            return False
-        for a in other.axes:
-            if a not in self.axes:
-                return False
-        for i, (b, ob) in enumerate(zip(self.base, other.base)):
-            if i in other.axes:
-                if ob != b:
-                    return False
-            elif i in self.axes:
-                if not b <= ob <= b + 1:
-                    return False
-            elif ob != b:
-                return False
-        return True
-
-    def touches(self, other: "CubicalCell") -> bool:
-        """True when the closures share at least one point."""
-        for i in range(len(self.base)):
-            lo_s, hi_s = self.base[i], self.base[i] + (1 if i in self.axes else 0)
-            lo_o, hi_o = other.base[i], other.base[i] + (1 if i in other.axes else 0)
-            if hi_s < lo_o or hi_o < lo_s:
-                return False
-        return True
-
     def __repr__(self) -> str:
         return f"Cell({cell_token(self)})"
 
@@ -138,24 +112,6 @@ class AmbientSpace:
             if cell.base[i] < lo or top > hi:
                 return False
         return True
-
-    def contains_vertex(self, v: Coord) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(v, self.extent))
-
-    def vertex_neighbors(self, v: Coord) -> Iterator[Coord]:
-        for a in range(self.n):
-            for d in (-1, 1):
-                w = list(v)
-                w[a] += d
-                w = tuple(w)
-                if self.contains_vertex(w):
-                    yield w
-
-    def cofaces(self, cell: CubicalCell) -> Iterator[CubicalCell]:
-        """In-bounds cells one dimension above `cell`."""
-        for c in cell.cofaces(range(self.n)):
-            if self.contains_cell(c):
-                yield c
 
     def top_cells_containing(self, cell: CubicalCell) -> Iterator[CubicalCell]:
         """In-bounds n-cells whose closure contains `cell`."""
@@ -292,7 +248,9 @@ class CellCodes:
 
     def cofaces(self, x: int) -> List[int]:
         """Codes of the cells one dimension up that contain the cell and lie
-        in the ambient, in the order of `AmbientSpace.cofaces`."""
+        in the ambient: per free axis in turn, the one that extends forward,
+        then the one that extends backward, as `CubicalCell.cofaces` lists
+        them."""
         s, table, out = x & self.low, self._coface, []
         for k in range(self._coface_at[s], self._coface_at[s + 1], 3):
             a = table[k]

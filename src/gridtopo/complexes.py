@@ -3,10 +3,11 @@
 A ManifoldComplex is a finite set of m-cells.  Its one `CodeTable`, built
 on first use in one array pass on the ambient's `cells.CellCodes`, holds
 its cells in canonical order and its closure's codes per dimension, each
-sorted, so in canonical order; the Euler characteristic and the vertices
-are read from it, and the closure as cells is decoded only when asked
-for.  The validation report checks the regular-manifold conditions in one
-pass over the cells' faces: coface counts of (m-1)-cells, connectivity
+sorted, so in canonical order.  The Euler characteristic, the index,
+`metric`'s chain distances and a curve replacement's exclusion are read
+from it, and a closure cell is decoded only where it is read.  The
+validation report checks the regular-manifold conditions in one pass
+over the cells' faces: coface counts of (m-1)-cells, connectivity
 through shared (m-1)-cells, and the local link condition at every vertex.
 Every other "is it one piece" question goes through the one `components`
 flood here, over any face table: cells (Jordan splits), `StateIndex` face
@@ -104,37 +105,6 @@ class ManifoldComplex:
         slots = x & codes.low
         closure = [_distinct((x[:, None] + codes.closure_table(m, j)[slots]).ravel()) for j in range(m)]
         return CodeTable(tuple(map(cells.__getitem__, order.tolist())), (*closure, x))
-
-    @cached_property
-    def closure(self) -> Dict[int, CellSet]:
-        """The closure's cells by dimension, decoded from `table`."""
-        codes = self.ambient.codes
-        return {d: frozenset(codes.cells(x)) for d, x in enumerate(self.table.closure) if len(x)}
-
-    @cached_property
-    def closure_cells(self) -> CellSet:
-        """Every cell of the closure, all dimensions together."""
-        return frozenset().union(*self.closure.values())
-
-    @cached_property
-    def vertices(self) -> FrozenSet[Coord]:
-        return frozenset(map(tuple, self.ambient.codes.bases(self.table.closure[0]).tolist()))
-
-    @cached_property
-    def edges(self) -> CellSet:
-        return self.closure.get(1, frozenset())
-
-    @cached_property
-    def vertex_adjacency(self) -> Dict[Coord, Tuple[Coord, ...]]:
-        """Each vertex's neighbours along the edges, in canonical order."""
-        adj: Dict[Coord, List[Coord]] = defaultdict(list)
-        for e in self.edges:
-            (a,) = e.axes
-            u = e.base
-            w = u[:a] + (u[a] + 1,) + u[a + 1 :]
-            adj[u].append(w)
-            adj[w].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     @cached_property
     def index(self) -> "StateIndex":

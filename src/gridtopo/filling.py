@@ -347,7 +347,7 @@ _SIDES = ("inside", "outside")
 
 class _CutNetwork:
     """The arc-independent part of a one-sided minimum cut of M, for both
-    sides at once.
+    sides at once; M lies in codimension one, as only there it has sides.
 
     Nodes are the top cells of M's bounding block, one cell wider on every
     side and clipped to the ambient, then one far-outside node (`far`).  A
@@ -391,21 +391,20 @@ class _CutNetwork:
         blocked = bytearray(self.far * n)  # at i * n + a: M holds the face between i and i + stride[a]
         hi = [lo + k - 1 for lo, k in zip(self.lo, self.shape)]
         origin = sum(map(mul, self.lo, self.stride))
+        axes_sum = n * (n - 1) // 2
         for f in M.cells:
-            b = f.base
-            # The face's top cells: its own node and, on each free axis,
-            # every node so far and the one a stride below, those in the
-            # block, in the order of `top_cells_containing`.
-            tops = [sum(map(mul, b, self.stride)) - origin]
-            for a in range(n):
-                if a not in f.axes:
-                    free = a
-                    steps = [d for d, ok in ((0, b[a] <= hi[a]), (self.stride[a], b[a] > self.lo[a])) if ok]
-                    tops = [i - d for i in tops for d in steps]
-            for i in tops:
+            # In codimension one a face spans all axes but one, and its two
+            # top cells lie across that axis: its own node and the one a
+            # stride below, those in the block, in the order of
+            # `top_cells_containing`.
+            b, a = f.base, axes_sum - sum(f.axes)
+            i = sum(map(mul, b, self.stride)) - origin
+            if b[a] <= hi[a]:
                 self.carrier[_SIDES[not is_inside[i]]][f] = i
-            if len(f.axes) == n - 1 and b[free] > self.lo[free]:  # M blocks the edge up from the node below
-                blocked[tops[-1] * n + free] = 1
+            if b[a] > self.lo[a]:
+                i -= self.stride[a]
+                self.carrier[_SIDES[not is_inside[i]]][f] = i
+                blocked[i * n + a] = 1  # M blocks the edge up from the node below
         self.nodes: Dict[str, List[int]] = {side: [] for side in _SIDES}
         edges: List[Tuple[int, int, int]] = []  # (u, v, capacity)
         last = [k - 1 for k in self.shape]

@@ -6,13 +6,14 @@ Distances inside a complex use only its own cells; ambient distances may
 use every grid cell.
 
 Vertex distances inside a complex M come from one matrix per state,
-`M.index.dist`, computed once: `diameter` and `all_pairs` read it.  A ball
-reads one row of `M.index.center_dist`, the distances from its center,
-which the candidate scan (`curviness.candidate_arcs`) thresholds for every
-center at once; the row is found by the center's code, so a ball builds
-no closure cells.  `vertex_distances` is the plain breadth-first search;
-`cell_distance` uses it, and the closure as cells for chains of higher
-cells, and the tests use it as the oracle the tables must match.
+`M.index.dist`, computed once: `diameter`, `all_pairs` and `cell_distance`
+read it.  A ball reads one row of `M.index.center_dist`, the distances
+from its center, which the candidate scan (`curviness.candidate_arcs`)
+thresholds for every center at once; the row is found by the center's
+code, so a ball builds no closure cells.  In the ambient the vertex
+distance is the Manhattan distance, exact in a box.  A chain of higher
+cells is one breadth-first search over the ambient's cell codes, in the
+ambient or in M's closure codes of that dimension.
 """
 
 from __future__ import annotations
@@ -20,105 +21,73 @@ from __future__ import annotations
 from collections import deque
 from itertools import compress
 from math import isinf
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Callable, FrozenSet, Set, Tuple, Union
 
 import numpy as np
 
-from .cells import AmbientSpace, Coord, CubicalCell
+from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
 from .complexes import ManifoldComplex
 from .errors import CellNotInComplex, Unreachable
 
 Space = Union[ManifoldComplex, AmbientSpace]
 
 
-def vertex_distances(space: Space, sources: Iterable[Coord]) -> Dict[Coord, int]:
-    """Multi-source BFS levels over the vertex graph (edges of the space)."""
-    sources = frozenset(sources)
-    dist: Dict[Coord, int] = {s: 0 for s in sources}
-    queue = deque(sorted(sources))
-    if isinstance(space, AmbientSpace):
-        neighbors = space.vertex_neighbors
-    else:
-        adj = space.vertex_adjacency
-        neighbors = lambda v: adj.get(v, ())
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        for w in neighbors(v):
-            if w not in dist:
-                dist[w] = d + 1
-                queue.append(w)
-    return dist
-
-
-def _k_cells_containing(space: Space, v: Coord, k: int) -> List[CubicalCell]:
-    vx = CubicalCell(0, v, ())
-    if isinstance(space, AmbientSpace):
-        cur = [vx]
-        for _ in range(k):
-            nxt = set()
-            for c in cur:
-                nxt.update(space.cofaces(c))
-            cur = sorted(nxt)
-        return cur
-    return sorted(c for c in space.closure.get(k, frozenset()) if c.contains(vx))
-
-
-def _k_cell_neighbors(space: Space, c: CubicalCell) -> List[CubicalCell]:
-    out = set()
-    if isinstance(space, AmbientSpace):
-        for f in c.faces():
-            for co in f.cofaces(range(space.n)):
-                if co.dim == c.dim and co != c and space.contains_cell(co):
-                    out.add(co)
-    else:
-        cells = space.closure.get(c.dim, frozenset())
-        for f in c.faces():
-            for co in f.cofaces(range(len(c.base))):
-                if co != c and co in cells:
-                    out.add(co)
-    return sorted(out)
-
-
 def cell_distance(space: Space, x: Coord, y: Coord, k: int = 1) -> int:
     """Shortest-chain distance between two vertices.
 
-    For k=1 this is the edge count of a shortest path.  For k>1 it is the
-    number of k-cells in a shortest chain whose consecutive cells share a
-    (k-1)-cell, with x in the first cell and y in the last.
+    For k=1 this is the edge count of a shortest path: inside M it is read
+    from M's index, and in the ambient it is the Manhattan distance.  For
+    k>1 it is the number of k-cells in a shortest chain whose consecutive
+    cells share a (k-1)-cell, with x in the first cell and y in the last.
+    A vertex off the space is out of reach.  Raises ValueError for k < 1.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     x, y = tuple(x), tuple(y)
-    if k == 1:
-        table = vertex_distances(space, [x])
-        if y not in table:
-            raise Unreachable(f"{y} not reachable from {x}")
-        return table[y]
-    starts = _k_cells_containing(space, x, k)
+    if isinstance(space, ManifoldComplex):
+        if k == 1:
+            return AllPairs(space).d_m(x, y)
+        ambient, closure = space.ambient, space.table.closure
+        member = frozenset(closure[k].tolist() if k < len(closure) else ()).__contains__
+    else:
+        ambient, member = space, lambda c: True
+        if k == 1:
+            if not (_on(ambient, x) and _on(ambient, y)):
+                raise Unreachable(f"{y} not reachable from {x}")
+            return ambient_distance(ambient, x, y)
+    codes = ambient.codes
+    starts = _cells_at(codes, x, k, member)
     if not starts:
         raise Unreachable(f"no {k}-cells contain {x}")
-    goal_vertex = CubicalCell(0, y, ())
-    dist: Dict[CubicalCell, int] = {c: 1 for c in starts}
+    goals = _cells_at(codes, y, k, member)
+    dist = dict.fromkeys(starts, 1)
     queue = deque(starts)
-    best: Optional[int] = None
-    for c in starts:
-        if c.contains(goal_vertex):
-            return 1
-    while queue:
+    while queue:  # breadth-first, so the first goal taken is a nearest one
         c = queue.popleft()
-        d = dist[c]
-        if best is not None and d >= best:
-            continue
-        for nb in _k_cell_neighbors(space, c):
-            if nb not in dist:
-                dist[nb] = d + 1
-                if nb.contains(goal_vertex):
-                    if best is None or d + 1 < best:
-                        best = d + 1
-                else:
+        if c in goals:
+            return dist[c]
+        for f in codes.faces(c):
+            for nb in codes.cofaces(f):
+                if nb not in dist and member(nb):
+                    dist[nb] = dist[c] + 1
                     queue.append(nb)
-    if best is None:
-        raise Unreachable(f"no {k}-cell chain joins {x} and {y}")
-    return best
+    raise Unreachable(f"no {k}-cell chain joins {x} and {y}")
+
+
+def _on(ambient: AmbientSpace, v: Coord) -> bool:
+    return ambient.contains_cell(CubicalCell(0, v, ()))
+
+
+def _cells_at(codes: CellCodes, v: Coord, k: int, member: Callable[[int], bool]) -> Set[int]:
+    """Codes of the member k-cells whose closure holds vertex v, found by
+    stepping k times to the cofaces; none when v is off the ambient, which
+    has no code for it."""
+    if not _on(codes.ambient, v):
+        return set()
+    cells = {codes.code(CubicalCell(0, v, ()))}
+    for _ in range(k):
+        cells = {up for c in cells for up in codes.cofaces(c)}
+    return set(filter(member, cells))
 
 
 def ambient_distance(ambient: AmbientSpace, x: Coord, y: Coord) -> int:

@@ -56,15 +56,6 @@ def test_vertices_count():
     assert (3, 4) in sq.vertices()
 
 
-def test_contains_and_touches():
-    sq = CubicalCell.make((0, 0), (0, 1))
-    assert sq.contains(CubicalCell.make((1, 1)))
-    assert sq.contains(CubicalCell.make((0, 0), (0,)))
-    assert not sq.contains(CubicalCell.make((2, 0)))
-    assert sq.touches(CubicalCell.make((1, 1), (0, 1)))
-    assert not sq.touches(CubicalCell.make((2, 2), (0, 1)))
-
-
 def test_ambient_refuses_cells_of_another_dimension():
     """A cell with more or fewer coordinates than the ambient has axes is
     not in it: no `IndexError`, and `ManifoldComplex.make` refuses it."""
@@ -95,7 +86,7 @@ def test_boundary_of_boundary_vanishes(base, dim):
 def test_cofaces_inverse_of_faces():
     amb = build_ambient(2, [(0, 4), (0, 4)])
     e = CubicalCell.make((1, 1), (0,))
-    ups = list(amb.cofaces(e))
+    ups = [u for u in e.cofaces(range(amb.n)) if amb.contains_cell(u)]
     assert len(ups) == 2
     for u in ups:
         assert e in u.faces()
@@ -112,7 +103,7 @@ def test_canonical_ordering():
 def test_cell_codes_round_trip_and_order(n, extent):
     """Codes decode to their cells, sort as the cells sort within each
     dimension, and give each cell's faces, closure and in-ambient cofaces
-    (those in the order `AmbientSpace.cofaces` gives)."""
+    (those in the order `CubicalCell.cofaces` gives over every axis)."""
     amb = build_ambient(n, [extent] * n)
     codes = CellCodes(amb)
     lo, hi = extent
@@ -130,4 +121,5 @@ def test_cell_codes_round_trip_and_order(n, extent):
         for x, c in coded.items():
             assert sorted(map(codes.cell, codes.faces(x))) == sorted(c.faces())
             assert sorted(map(codes.cell, codes.closure(x))) == sorted(all_faces(c))
-            assert list(map(codes.cell, codes.cofaces(x))) == list(amb.cofaces(c))
+            ups = [u for u in c.cofaces(range(n)) if amb.contains_cell(u)]
+            assert list(map(codes.cell, codes.cofaces(x))) == ups

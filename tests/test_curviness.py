@@ -43,6 +43,7 @@ from util import (
     POLYCUBE_VOXELS,
     SPHERE28_VOXELS,
     bfs_levels,
+    closure_of,
     edge_graph_of_complex,
     golden_states,
     oracle_min_paths,
@@ -525,7 +526,7 @@ def test_fit_region_matches_reference(amb3, ushape, rect12, sq1, box111, box211,
     fitted = repaired = failed = 0
     for M in manifolds:
         for gamma in radius_sweep(M):
-            for center in sorted(M.closure_cells):
+            for center in sorted(closure_of(M.cells)):
                 got = _fit_outcome(fit_region, M, center, gamma)
                 assert got == _fit_outcome(reference_fit_region, M, center, gamma)
                 if isinstance(got, ArcRegion):

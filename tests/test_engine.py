@@ -30,7 +30,7 @@ from gridtopo.errors import DimensionUnsupported, ValidationFailed
 from gridtopo.io import load_fixture, trace_to_json
 
 from conftest import FIXTURE_DIR
-from util import GOLDEN_DIR, contraction_pool, curve_from_pixels, golden_states
+from util import GOLDEN_DIR, contraction_pool, curve_from_pixels, golden_states, vertices_of
 
 def replace_steps(trace):
     return [s for s in trace.steps if isinstance(s, (ReplaceStep, SplitStep))]
@@ -258,7 +258,13 @@ def reference_witness(M):
     """The witness by enumeration, as `is_irreducible_sphere` found it
     before its closed form: the least ambient cell of the least dimension,
     within one unit of M's bounding box, that every m-cell touches."""
-    verts = sorted(M.vertices)
+
+    def touches(c, o):  # the closures share a point: they meet on every axis
+        return all(
+            b <= ob + (i in o.axes) and ob <= b + (i in c.axes) for i, (b, ob) in enumerate(zip(c.base, o.base))
+        )
+
+    verts = sorted(vertices_of(M.cells))
     n = M.ambient.n
     lo = [min(v[i] for v in verts) for i in range(n)]
     hi = [max(v[i] for v in verts) for i in range(n)]
@@ -276,7 +282,7 @@ def reference_witness(M):
                 o = CubicalCell(dim, tuple(base), axes)
                 if not M.ambient.contains_cell(o):
                     continue
-                if all(c.touches(o) for c in cells_sorted):
+                if all(touches(c, o) for c in cells_sorted):
                     candidates.append(o)
         if candidates:
             return min(candidates)

@@ -42,8 +42,10 @@ from util import (
     SPHERE28_VOXELS,
     bbox_top_cells,
     closure_of,
+    complex_closure,
     face_vertices,
     golden_states,
+    grid_graph,
     oracle_min_paths,
     oracle_min_surface_fillings,
     random_polycube,
@@ -51,6 +53,7 @@ from util import (
     reference_candidate_arcs,
     solid_surface_cells,
     surface_from_voxels,
+    vertices_of,
 )
 
 from conftest import FIXTURE_DIR
@@ -324,7 +327,7 @@ def test_one_network_per_context(monkeypatch, amb3):
     for gamma in radius_sweep(M):
         for arc in (fit.arc(M, gamma) for fit, _ in candidate_arcs(ctx, gamma)):
             cuts += _best_one_sided_cut(ctx, arc, len(arc.region)) is not None
-    for center in sorted(M.closure_cells)[::7]:
+    for center in sorted(complex_closure(M))[::7]:
         try:
             levels += len(lofted(ctx, fit_region(M, center, 2)).levels)
         except (NoFittingCycle, FillingNotFound):
@@ -368,7 +371,7 @@ def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box
     cut_levels = 0
     for M in (torus, box211):
         ctx = ScanContext(M)
-        for center in sorted(M.closure_cells):
+        for center in sorted(complex_closure(M)):
             try:
                 seq = lofted(ctx, fit_region(M, center, 2))
             except (NoFittingCycle, FillingNotFound):
@@ -453,7 +456,7 @@ class _ReferenceNetwork:
     def __init__(self, M, inside, side):
         self.M, self.on_inside = M, side == "inside"
         ambient, n = M.ambient, M.ambient.n
-        self.cells = [c for c in bbox_top_cells(ambient, M.vertices) if (c in inside) == self.on_inside]
+        self.cells = [c for c in bbox_top_cells(ambient, vertices_of(M.cells)) if (c in inside) == self.on_inside]
         index = {c: i for i, c in enumerate(self.cells)}
         self.source, self.sink, far = len(index), len(index) + 1, len(index) + 2
         self.size = far if self.on_inside else far + 1
@@ -539,15 +542,22 @@ def _surfaces(amb3, box211, torus):
 def test_min_cut_matches_reference(amb3, box211, torus):
     """Every candidate arc and side, all solved on one context per state
     (so no solve may leak into the shared networks): uncapped, the cut is
-    the reference's; capped, it is the reference's when that fits the cap
-    and None when it does not."""
+    the reference's; capped at its size k, at the replacement cap and, when
+    there is no cut, at the size of M, it is the reference's when that fits
+    the cap and None when it does not, and capped at k - 1 it is None.  On
+    the fixture surfaces, the first, middle and last box333 states and the
+    1x2x1 box on the ambient's bound."""
     sizes, networks = set(), {}
     box333_states = list(golden_states("box333"))[::22]  # first, middle and last
-    for ctx, arc in _arcs([*_surfaces(amb3, box211, torus), *box333_states]):
+    on_bound = surface_from_voxels(build_ambient(3, [(0, 4), (-2, 4), (-2, 3)]), [(0, 0, 0), (0, 1, 0)])
+    for ctx, arc in _arcs([*_surfaces(amb3, box211, torus), *box333_states, on_bound]):
         M = ctx.M
         for side in ("inside", "outside"):
             want = _reference_min_cut(networks, ctx, arc.region, side)
             assert one_sided_min_cut(ctx, arc.region, side) == want
+            cap = _replacement_cap(ctx, arc.N)
+            fits = want is not None and len(want[0]) <= cap
+            assert one_sided_min_cut(ctx, arc.region, side, cap=cap) == (want if fits else None)
             if want is None:
                 assert one_sided_min_cut(ctx, arc.region, side, cap=len(M.cells)) is None
                 continue
@@ -565,7 +575,7 @@ class _ReferenceCutNetwork:
 
     def __init__(self, M, inside):
         ambient, n = M.ambient, M.ambient.n
-        self.cells = bbox_top_cells(ambient, M.vertices)
+        self.cells = bbox_top_cells(ambient, vertices_of(M.cells))
         index = {c: i for i, c in enumerate(self.cells)}
         self.far = len(self.cells)
         self.size = self.far + 1
@@ -610,12 +620,8 @@ def test_cut_network_matches_reference_build(amb3, box211, torus):
     side lists and far node of the one built on cells, and its nodes are
     the block's top cells in canonical order: on the fixture surfaces, the
     28-face sphere, ten random polycubes, every state of the box211 and
-    box333 goldens, and the 28-face sphere lifted into a 4-d ambient,
-    where a face has four top cells and blocks no edge."""
-    amb4 = build_ambient(4, [(-2, 5)] * 3 + [(-1, 2)])
-    lifted = [CubicalCell(c.dim, (*c.base, 0), c.axes) for c in solid_surface_cells(SPHERE28_VOXELS)]
+    box333 goldens."""
     manifolds = [
-        ManifoldComplex.make(amb4, 2, lifted),
         box211,
         torus,
         surface_from_voxels(amb3, SPHERE28_VOXELS),
@@ -630,90 +636,6 @@ def test_cut_network_matches_reference_build(amb3, box211, torus):
             assert getattr(got, name) == getattr(want, name), name
         assert [got.cell(i) for i in range(got.far)] == want.cells
         assert all(got.index(c.base) == i for i, c in enumerate(want.cells))
-
-
-def _reference_reached(net, sources, targets, cap):
-    """`_CutNetwork.reached` as it was, searching from the rest: which
-    nodes the sources reach once the flow from them to the targets is
-    maximum, or None as soon as it exceeds `cap`."""
-    residual = array("l", net.cap)
-    start, head, rev = net.start, net.head, net.rev
-    is_target = bytearray(net.size)
-    for t in targets:
-        is_target[t] = 1
-    flow = 0
-    while True:
-        via = [-1] * net.size
-        for s in sources:
-            via[s] = -2
-        queue, end = list(sources), -1
-        for u in queue:
-            for k in range(start[u], start[u + 1]):
-                v = head[k]
-                if via[v] == -1 and residual[k]:
-                    via[v] = k
-                    if is_target[v]:
-                        end = v
-                        break
-                    queue.append(v)
-            if end >= 0:
-                break
-        if end < 0:
-            return [k != -1 for k in via]
-        path = []
-        while via[end] >= 0:
-            path.append(via[end])
-            end = head[rev[via[end]]]
-        push = min(residual[k] for k in path)
-        for k in path:
-            residual[k] -= push
-            residual[rev[k]] += push
-        flow += push
-        if cap is not None and flow > cap:
-            return None
-
-
-def _reference_search_cut(ctx, arc_cells, side, cap=None):
-    """`one_sided_min_cut` as it drove the search from the rest's carriers
-    (and, outside, the far node) towards the arc's."""
-    net = ctx.network
-    carrier = net.carrier[side]
-    if not carrier.keys() >= arc_cells:
-        return None
-    arc_nodes, rest_nodes = set(), set()
-    for f, i in carrier.items():
-        (arc_nodes if f in arc_cells else rest_nodes).add(i)
-    if arc_nodes & rest_nodes or not arc_nodes:
-        return None
-    sources = sorted(rest_nodes) + ([net.far] if side == "outside" else [])
-    reached = _reference_reached(net, sources, arc_nodes, cap)
-    if reached is None:
-        return None
-    w_cells = frozenset(net.cell(i) for i in net.nodes[side] if not reached[i])
-    return region_boundary(w_cells) - ctx.M.cells, w_cells
-
-
-def test_cut_search_from_the_arc_matches_search_from_the_rest(amb3, box211, torus):
-    """Augmenting from the arc and reading the flipped region from the
-    rest gives the (filling, flipped region) or None that augmenting from
-    the rest gave: both sides of every candidate arc, uncapped and capped
-    at the cut's size k, at k - 1 and at the replacement cap, on the
-    fixture surfaces, the first, middle and last box333 states and the
-    1x2x1 box on the ambient's bound."""
-    on_bound = surface_from_voxels(build_ambient(3, [(0, 4), (-2, 4), (-2, 3)]), [(0, 0, 0), (0, 1, 0)])
-    box333_states = list(golden_states("box333"))[::22]
-    found = 0
-    for ctx, arc in _arcs([*_surfaces(amb3, box211, torus), *box333_states, on_bound]):
-        for side in ("inside", "outside"):
-            want = _reference_search_cut(ctx, arc.region, side)
-            caps = [None, _replacement_cap(ctx, arc.N)]
-            if want is not None:
-                caps += [len(want[0]), len(want[0]) - 1]
-                found += 1
-            for cap in caps:
-                got = one_sided_min_cut(ctx, arc.region, side, cap)
-                assert got == _reference_search_cut(ctx, arc.region, side, cap)
-    assert found
 
 
 def test_lofted_takes_the_arc_at_its_level(monkeypatch, ushape, box211, torus):
@@ -784,7 +706,7 @@ def _reference_replacement_filling(networks, ctx, arc):
         cut = None
     exact_cap = min(eff_cap, len(cut) if cut is not None else 8)
     if exact_cap <= 8:
-        exclude = M.closure_cells - closure_of(arc.cycle.cells)
+        exclude = complex_closure(M) - closure_of(arc.cycle.cells)
         try:
             return _reference_parity_min_filling(M.ambient, arc.cycle, exclude, exact_cap, 200_000)
         except (FillingNotFound, SearchBudgetExceeded):
@@ -827,7 +749,7 @@ def test_parity_search_matches_reference(amb3, box211, torus):
     seen = set()
     for ctx, arc in _arcs(_surfaces(amb3, box211, torus)):
         M, cycle = ctx.M, arc.cycle
-        excluded = M.closure_cells - closure_of(cycle.cells)
+        excluded = complex_closure(M) - closure_of(cycle.cells)
         cap = max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1, 8))
         for budget in (1, 10, 100, 1000):
             want = _outcome(_reference_parity_min_filling, M.ambient, cycle, excluded, cap, budget)
@@ -895,9 +817,9 @@ def test_fillings_in_a_large_ambient():
         for (ctx, arc), (far_ctx, far_arc) in zip(arcs, far_arcs):
             got, far_got = replacement_filling(ctx, arc), replacement_filling(far_ctx, far_arc)
             assert (got and moved(got.cells, near)) == (far_got and far_got.cells)
-            want = _outcome(min_filling, roomy, arc.cycle, M.closure_cells - closure_of(arc.cycle.cells), 8, 10_000)
+            want = _outcome(min_filling, roomy, arc.cycle, complex_closure(M) - closure_of(arc.cycle.cells), 8, 10_000)
             far_want = _outcome(
-                min_filling, large, far_arc.cycle, far.closure_cells - closure_of(far_arc.cycle.cells), 8, 10_000
+                min_filling, large, far_arc.cycle, complex_closure(far) - closure_of(far_arc.cycle.cells), 8, 10_000
             )
             assert (moved(want, near) if isinstance(want, frozenset) else want) == far_want
             for side in ("inside", "outside"):
@@ -914,9 +836,9 @@ def test_exclusion_is_closure_less_cycle_closure(ushape, box211, torus):
         M = ctx.M
         got = ctx.exclusion
         assert isinstance(got, CodeExclusion) and got.codes is M.ambient.codes
-        assert {got.codes.cell(x) for x in got.closure} == M.closure_cells
+        assert {got.codes.cell(x) for x in got.closure} == complex_closure(M)
         filling = replacement_filling(ctx, arc)
-        assert filling is None or closure_of(filling.cells).isdisjoint(M.closure_cells - closure_of(arc.cycle.cells))
+        assert filling is None or closure_of(filling.cells).isdisjoint(complex_closure(M) - closure_of(arc.cycle.cells))
 
 
 def test_cell_set_exclusions_build_no_codes(monkeypatch):
@@ -933,7 +855,7 @@ def test_cell_set_exclusions_build_no_codes(monkeypatch):
     monkeypatch.setattr(CellCodes, "__init__", counted_init)
     arcs = [arc for _, arc in _arcs([M])]
     for arc in arcs:
-        exclude = M.closure_cells - closure_of(arc.cycle.cells)
+        exclude = complex_closure(M) - closure_of(arc.cycle.cells)
         _outcome(min_filling, amb, arc.cycle, exclude, 8, 1_000)
     assert len(arcs) > 1 and built == [amb]
     assert amb.codes is amb.codes
@@ -950,7 +872,7 @@ def test_replacement_filling_is_exact_on_random_polycubes(amb3):
         cap = _replacement_cap(ctx, arc.N)
         if cap < 1:
             continue
-        exclude = M.closure_cells - closure_of(arc.cycle.cells)
+        exclude = complex_closure(M) - closure_of(arc.cycle.cells)
         want = _outcome(min_filling, M.ambient, arc.cycle, exclude, cap, 20_000)
         if isinstance(want, tuple):
             continue
@@ -971,7 +893,7 @@ def test_replacement_filling_lids_a_pit(amb3):
     ((ctx, arc),) = [(ctx, arc) for ctx, arc in _arcs([M]) if arc.region == pit]
     assert one_sided_min_cut(ctx, pit, "inside") is None
     assert replacement_filling(ctx, arc).cells == {lid}
-    assert min_filling(M.ambient, arc.cycle, M.closure_cells - closure_of(arc.cycle.cells), cap=4).cells == {lid}
+    assert min_filling(M.ambient, arc.cycle, complex_closure(M) - closure_of(arc.cycle.cells), cap=4).cells == {lid}
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +903,7 @@ def test_replacement_filling_lids_a_pit(amb3):
 
 def _reference_lex_shortest_path(ambient, p, q, banned_vertices, banned_edges):
     """Deterministic shortest grid path p -> q as an edge list."""
+    neighbors = grid_graph(ambient.extent)
 
     def edge_between(u, v):
         (a,) = [i for i in range(ambient.n) if u[i] != v[i]]
@@ -997,7 +920,7 @@ def _reference_lex_shortest_path(ambient, p, q, banned_vertices, banned_edges):
         u = queue.popleft()
         if u == q:
             break
-        for v in sorted(ambient.vertex_neighbors(u)):
+        for v in sorted(neighbors[u]):
             if v not in dist and usable(u, v):
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -1008,7 +931,7 @@ def _reference_lex_shortest_path(ambient, p, q, banned_vertices, banned_edges):
     while cur != p:
         preds = [
             v
-            for v in sorted(ambient.vertex_neighbors(cur))
+            for v in sorted(neighbors[cur])
             if dist.get(v) == dist[cur] - 1 and usable(v, cur)
         ]
         cur = preds[0]
@@ -1044,12 +967,12 @@ def test_path_search_matches_reference(sq1, rect12, ushape):
     seen = set()
     for ctx, arc in _arcs([sq1, rect12, ushape, *curves]):
         M, cycle = ctx.M, arc.cycle
-        excluded = M.closure_cells - closure_of(cycle.cells)
+        excluded = complex_closure(M) - closure_of(cycle.cells)
         exclusions = (
-            (ctx.exclusion, M.closure_cells),
+            (ctx.exclusion, complex_closure(M)),
             (excluded, excluded),
             (frozenset(), frozenset()),
-            (M.closure_cells, M.closure_cells),
+            (complex_closure(M), complex_closure(M)),
         )
         caps = range(1, max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)) + 1)
         for exclude, cells in exclusions:

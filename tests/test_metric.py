@@ -13,13 +13,14 @@ from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CellNotInComplex, Unreachable
 from gridtopo.io import load_fixture
-from gridtopo.metric import ambient_distance, vertex_distances
+from gridtopo.metric import ambient_distance
 
 from conftest import FIXTURE_DIR
 from util import (
     GOLDEN_DIR,
     POLYCUBE_VOXELS,
     bfs_levels,
+    closure_of,
     curve_from_pixels,
     edge_graph_of_complex,
     golden_states,
@@ -27,6 +28,7 @@ from util import (
     oracle_chain_distance,
     reference_ball,
     surface_from_voxels,
+    vertices_of,
 )
 
 
@@ -52,6 +54,41 @@ def test_chain_distance_matches_oracle_samples():
         )
 
 
+def test_chain_distance_on_complexes_and_higher_cells():
+    """Chains of k = 2..n cells against the vertex-set oracle, unreachable
+    pairs included: in a 3-d ambient, and on seeded random subcomplexes of
+    2-cells and 3-cells in 3-d and 4-d ambients, where a k above m has no
+    chain.  Each space is queried from some of its vertices and from an
+    ambient vertex off it."""
+    rng = random.Random(34)
+    amb3 = build_ambient(3, [(0, 2), (-1, 1), (0, 2)])
+    spaces = [amb3]
+    for amb in (build_ambient(3, [(0, 4)] * 3), build_ambient(4, [(0, 3)] * 4)):
+        for m in (2, 3):
+            spaces += [random_connected_subcomplex(amb, m, rng.randint(2, 6), rng) for _ in range(3)]
+    found = unreachable = 0
+    for space in spaces:
+        ambient = getattr(space, "ambient", space)
+        extent = space.extent if space is ambient else None
+        if extent is None:
+            verts = sorted(vertices_of(space.cells))
+            pts = rng.sample(verts, 3) + [tuple(hi for _, hi in ambient.extent)]
+        else:
+            pts = [tuple(rng.randint(lo, hi) for lo, hi in extent) for _ in range(4)]
+        for k in range(2, ambient.n + 1):
+            for x in pts:
+                for y in pts:
+                    want = oracle_chain_distance(space, x, y, k, extent=extent)
+                    if want is None:
+                        unreachable += 1
+                        with pytest.raises(Unreachable):
+                            cell_distance(space, x, y, k)
+                    else:
+                        found += 1
+                        assert cell_distance(space, x, y, k) == want, (x, y, k)
+    assert found > 50 and unreachable > 50
+
+
 def test_ushape_tip_distances(ushape):
     ap = all_pairs(ushape)
     assert ap.d_m((1, 3), (2, 3)) == 5
@@ -64,9 +101,10 @@ def test_ushape_tip_distances(ushape):
 def test_all_pairs_against_bfs_oracle(ushape):
     adjacency = edge_graph_of_complex(ushape)
     ap = all_pairs(ushape)
-    for u in sorted(ushape.vertices):
+    verts = sorted(vertices_of(ushape.cells))
+    for u in verts:
         levels = bfs_levels(adjacency, u)
-        for v in sorted(ushape.vertices):
+        for v in verts:
             assert ap.d_m(u, v) == levels[v]
 
 
@@ -111,13 +149,23 @@ def test_unreachable():
 
 
 def test_d_m_off_the_complex_is_unreachable(ushape):
-    """A point that is not a vertex of M is out of reach at either end."""
+    """A point that is not a vertex of M is out of reach at either end,
+    and from itself."""
     ap = all_pairs(ushape)
-    for x, y in (((99, 99), (0, 0)), ((0, 0), (99, 99)), ((99, 99), (98, 98))):
+    for x, y in (((99, 99), (0, 0)), ((0, 0), (99, 99)), ((99, 99), (98, 98)), ((99, 99), (99, 99))):
         with pytest.raises(Unreachable):
             ap.d_m(x, y)
         with pytest.raises(Unreachable):
             cell_distance(ushape, x, y)
+
+
+def test_cell_distance_rejects_k_below_one(ushape):
+    """A chain of 0-cells is no distance: k = 0 is refused, inside M and
+    in the ambient, even for a pair that is one vertex."""
+    for space in (ushape, ushape.ambient):
+        for x, y in (((0, 0), (0, 0)), ((0, 0), (1, 0))):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                cell_distance(space, x, y, k=0)
 
 
 def test_manhattan_closed_form():
@@ -129,6 +177,9 @@ def test_manhattan_closed_form():
         v = (rng.randint(0, 9), rng.randint(0, 9))
         levels = bfs_levels(adjacency, u)
         assert cell_distance(amb, u, v, k=1) == levels[v] == ambient_distance(amb, u, v)
+    for x, y in (((0, 0), (10, 9)), ((10, 9), (0, 0)), ((10, 9), (10, 9))):  # a vertex off the box
+        with pytest.raises(Unreachable):
+            cell_distance(amb, x, y, k=1)
 
 
 def test_du_never_exceeds_dm(ushape, rect12, box211):
@@ -165,8 +216,9 @@ def test_metric_axioms_random_complexes(seed):
     rng = random.Random(seed)
     amb = build_ambient(2, [(0, 9), (0, 9)])
     M = random_connected_subcomplex(amb, 1, 12, rng)
-    verts = sorted(M.vertices)
-    tables = {v: vertex_distances(M, [v]) for v in verts}
+    verts = sorted(vertices_of(M.cells))
+    adjacency = edge_graph_of_complex(M)
+    tables = {v: bfs_levels(adjacency, v) for v in verts}
     for u in verts:
         assert tables[u][u] == 0
         for v in verts:
@@ -183,10 +235,10 @@ def test_metric_axioms_random_complexes(seed):
 
 
 def reference_diameter(M):
-    verts = sorted(M.vertices)
+    verts, adjacency = sorted(vertices_of(M.cells)), edge_graph_of_complex(M)
     best, witness = -1, None
     for i, u in enumerate(verts):
-        table = vertex_distances(M, [u])
+        table = bfs_levels(adjacency, u)
         for v in verts[i + 1 :]:
             if v not in table:
                 raise Unreachable(f"{v} not reachable from {u} in M")
@@ -205,14 +257,14 @@ def test_index_matches_bfs(amb3, sq1, ushape, rect12, box211, torus):
     surfaces = [surface_from_voxels(amb3, v) for v in POLYCUBE_VOXELS]
     for M in [sq1, ushape, rect12, box211, torus, *curves, *surfaces, *golden_states("spacecurve")]:
         assert diameter(M) == reference_diameter(M)
-        ap = all_pairs(M)
-        for u in sorted(M.vertices):
-            table = vertex_distances(M, [u])
-            assert all(ap.d_m(u, v) == table[v] for v in M.vertices)
+        ap, adjacency, verts = all_pairs(M), edge_graph_of_complex(M), vertices_of(M.cells)
+        for u in sorted(verts):
+            table = bfs_levels(adjacency, u)
+            assert all(ap.d_m(u, v) == table[v] for v in verts)
         ix = M.index
-        assert list(ix.centers) == sorted(M.closure_cells)
+        assert list(ix.centers) == sorted(closure_of(M.cells))
         for center in ix.centers:
-            table = vertex_distances(M, center.vertices())
+            table = bfs_levels(adjacency, *center.vertices())
             row = ix.center_dist[ix.centers.index(center)].tolist()
             assert row == [table.get(v, math.inf) for v in ix.vertices]
             for gamma in radius_sweep(M):
@@ -240,7 +292,7 @@ def test_center_dist_matches_cell_vertex_construction(amb3):
     assert {M.m for M in manifolds} == {1, 2}
     for M in manifolds:
         got = M.index.center_dist
-        assert got.shape == (len(M.closure_cells), len(M.vertices))
+        assert got.shape == (len(closure_of(M.cells)), len(vertices_of(M.cells)))
         assert np.array_equal(got, reference_center_dist(M))
 
 
@@ -263,11 +315,11 @@ def test_index_on_disconnected_complex(amb2, amb3):
         with pytest.raises(Unreachable) as want:
             reference_diameter(M)
         assert str(got.value) == str(want.value)
-        u, v = min(M.vertices), max(M.vertices)
+        u, v = min(vertices_of(M.cells)), max(vertices_of(M.cells))
         with pytest.raises(Unreachable):
             all_pairs(M).d_m(u, v)
         for gamma in range(1, 8):
-            for center in sorted(M.closure_cells):
+            for center in sorted(closure_of(M.cells)):
                 got_ball = ball(M, center, gamma)
                 assert got_ball == reference_ball(M, center, gamma)
                 assert len(got_ball) <= len(M.cells) // 2  # one component at most
@@ -287,7 +339,7 @@ def test_index_of_a_three_manifold():
     for u, row in zip(ix.vertices, ix.dist.tolist()):
         levels = bfs_levels(adjacency, u)
         assert row == [levels[v] for v in ix.vertices]
-    assert list(ix.centers) == sorted(M.closure_cells)
+    assert list(ix.centers) == sorted(closure_of(M.cells))
     for center in ix.centers:
         for gamma in range(1, 6):
             assert ball(M, center, gamma) == reference_ball(M, center, gamma)

@@ -8,6 +8,7 @@ with the implementation they check.
 import json
 import random
 from collections import Counter, deque
+from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import fit_region
 from gridtopo.errors import GridTopoError
 from gridtopo.io import load_fixture, trace_from_json
-from gridtopo.metric import vertex_distances
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -116,7 +116,7 @@ def bbox_top_cells(ambient, verts):
 
 def reference_ball(M, center, gamma):
     """`metric.ball` by a fresh breadth-first search from the center."""
-    table = vertex_distances(M, center.vertices())
+    table = bfs_levels(edge_graph_of_complex(M), *center.vertices())
     return frozenset(c for c in M.cells if all(table.get(v, gamma + 1) <= gamma for v in c.vertices()))
 
 
@@ -126,7 +126,7 @@ def reference_candidate_arcs(M, gamma):
     in canonical order, failed fits skipped, the first center of each
     region kept."""
     seen = {}
-    for center in sorted(M.closure_cells):
+    for center in sorted(complex_closure(M)):
         try:
             arc = fit_region(M, center, gamma)
         except GridTopoError:
@@ -157,9 +157,11 @@ def reference_is_cycle(items, faces_of=CubicalCell.faces):
 # Independent BFS oracle over explicit adjacency dictionaries.
 
 
-def bfs_levels(adjacency, source):
-    seen = {source: 0}
-    frontier = [source]
+def bfs_levels(adjacency, *sources):
+    """Edge counts from the nearest of the sources, for the vertices they
+    reach."""
+    seen = dict.fromkeys(sources, 0)
+    frontier = list(seen)
     level = 0
     while frontier:
         level += 1
@@ -173,9 +175,12 @@ def bfs_levels(adjacency, source):
     return seen
 
 
+@lru_cache(maxsize=16)
 def edge_graph_of_complex(M):
+    """Each vertex's neighbours along the edges of M's closure; cached, so
+    the caller may not change it."""
     adjacency = {}
-    for e in M.closure.get(1, frozenset()):
+    for e in (c for c in closure_of(M.cells) if c.dim == 1):
         (a,) = e.axes
         u = e.base
         w = list(u)
@@ -186,7 +191,10 @@ def edge_graph_of_complex(M):
     return adjacency
 
 
+@lru_cache(maxsize=16)
 def grid_graph(extent):
+    """Each vertex's neighbours in the box `extent`, a tuple of (lo, hi)
+    pairs; cached, so the caller may not change it."""
     adjacency = {}
     ranges = [range(lo, hi + 1) for lo, hi in extent]
     for v in product(*ranges):
@@ -225,10 +233,7 @@ def _grid_k_cells(extent, k):
 
 
 def _complex_k_cells(M, k):
-    out = []
-    for c in M.closure.get(k, frozenset()):
-        out.append(frozenset(c.vertices()))
-    return out
+    return [frozenset(c.vertices()) for c in closure_of(M.cells) if c.dim == k]
 
 
 def oracle_chain_distance(space, x, y, k, extent=None):
@@ -307,6 +312,11 @@ def face_vertices(cell):
     return frozenset(cell.vertices())
 
 
+def vertices_of(cells):
+    """Every vertex of the cells."""
+    return frozenset(v for c in cells for v in c.vertices())
+
+
 def all_faces(cell):
     """Every cell of the cell's closure, itself included, down to vertices:
     each subset of its axes, with the base moved by 0 or 1 on the others."""
@@ -323,6 +333,12 @@ def all_faces(cell):
 def closure_of(cells):
     """Every cell of the cells' closures, themselves included."""
     return frozenset(f for c in cells for f in all_faces(c))
+
+
+@lru_cache(maxsize=16)
+def complex_closure(M):
+    """Every cell of M's closure, from its cells; cached per complex."""
+    return closure_of(M.cells)
 
 
 def _face_edges(face):
