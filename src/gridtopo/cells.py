@@ -2,7 +2,7 @@
 
 A cell is identified by an integer base coordinate and the sorted set of
 axes it spans; a vertex spans no axes, an edge one, a square two, a voxel
-three.  All incidence (faces, cofaces, vertices) is computed from the
+three.  A cell's faces and vertices are computed from the
 coordinates.  `CellCodes` numbers the cells of one ambient by integers in
 canonical order, with incidence as fixed code offsets, for the searches
 that run on integers (the filling searches and `metric`'s chain
@@ -67,22 +67,6 @@ class CubicalCell(NamedTuple):
             rest = axes[:i] + axes[i + 1 :]
             yield CubicalCell(dim, base, rest)
             yield CubicalCell(dim, base[:a] + (base[a] + 1,) + base[a + 1 :], rest)
-
-    def cofaces(self, up_axes: Iterable[int]) -> Iterator["CubicalCell"]:
-        """Cells one dimension up that contain this cell.
-
-        `up_axes` lists the ambient axes available for extension; each free
-        axis yields two cofaces (extend forward, or backward by shifting
-        the base).
-        """
-        for a in up_axes:
-            if a in self.axes:
-                continue
-            new_axes = tuple(sorted(self.axes + (a,)))
-            yield CubicalCell(self.dim + 1, self.base, new_axes)
-            shifted = list(self.base)
-            shifted[a] -= 1
-            yield CubicalCell(self.dim + 1, tuple(shifted), new_axes)
 
     def __repr__(self) -> str:
         return f"Cell({cell_token(self)})"
@@ -248,9 +232,9 @@ class CellCodes:
 
     def cofaces(self, x: int) -> List[int]:
         """Codes of the cells one dimension up that contain the cell and lie
-        in the ambient: per free axis in turn, the one that extends forward,
-        then the one that extends backward, as `CubicalCell.cofaces` lists
-        them."""
+        in the ambient: per free axis in turn, the one that extends forward
+        (same base), then the one that extends backward (base one lower on
+        that axis)."""
         s, table, out = x & self.low, self._coface, []
         for k in range(self._coface_at[s], self._coface_at[s + 1], 3):
             a = table[k]

@@ -1,4 +1,4 @@
-"""Randomized test corpus: connected subcomplexes and simple closed curves.
+"""Randomized test corpus: simple closed curves.
 
 Generation is driven by a caller-supplied random.Random so corpora are
 reproducible from a seed.
@@ -10,31 +10,6 @@ import random
 
 from .cells import AmbientSpace, CubicalCell
 from .complexes import ManifoldComplex, region_boundary, validate
-
-
-def random_connected_subcomplex(
-    ambient: AmbientSpace, m: int, n_cells: int, rng: random.Random
-) -> ManifoldComplex:
-    """Grow a connected set of m-cells by random adjacent extensions."""
-    lo = [e[0] + 1 for e in ambient.extent]
-    hi = [e[1] - 2 for e in ambient.extent]
-    base = tuple(rng.randint(l, max(l, h)) for l, h in zip(lo, hi))
-    axes = tuple(sorted(rng.sample(range(ambient.n), m)))
-    seed = CubicalCell.make(base, axes)
-    cells = {seed}
-    guard = 0
-    while len(cells) < n_cells and guard < n_cells * 50:
-        guard += 1
-        c = rng.choice(sorted(cells))
-        # neighbors across shared (m-1)-cells
-        options = []
-        for f in c.faces():
-            for nb in f.cofaces(range(ambient.n)):
-                if nb.dim == m and nb != c and ambient.contains_cell(nb) and nb not in cells:
-                    options.append(nb)
-        if options:
-            cells.add(rng.choice(sorted(options)))
-    return ManifoldComplex.make(ambient, m, cells)
 
 
 def random_simple_curve(

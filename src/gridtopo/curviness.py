@@ -33,18 +33,20 @@ lofted circles and the obstruction probe.
 `valid_reports` is lazy.  `candidate_arcs` fits its candidates on the ids
 of `M.index`, each kept as its row of the scan (`ArcFit`: center id, and
 bytes marking the region's cell ids and the boundary's face ids), each
-with `filling.filling_lower_bound` of its cycle, read from the
-region: the larger of a face count and the projection bound, the cells of
-the region's shadows that survive mod 2 on the coordinate m-planes (for
-curves the endpoint distance).  Projection commutes with the boundary, so
-every filling has at least that many cells, and a fit whose bound exceeds
-the replacement cap has no reducing filling: it is dropped before its
-`ArcFit` is built.  The bound caps each measure from above before any
-cell is built.  The candidates wait in one heap with the solved reports,
-and a replacement filling is solved only while a waiting candidate could
-still beat or tie the best solved report, so the first report costs a few
-solves instead of one per candidate.  Only a candidate taken up for
-solving is read as id sets and built as cells, an `ArcRegion`.
+with a lower bound on the size of any filling of its cycle, read from the
+region (`_lower_bounds`): the larger of a face count and the projection
+bound, the cells of the region's shadows that survive mod 2 on the
+coordinate m-planes (for curves the endpoint distance).  Projection
+commutes with the boundary, so every filling has at least that many
+cells, and a fit whose bound exceeds the replacement cap has no reducing
+filling: it is dropped before its `ArcFit` is built.  The bound caps each
+measure from above (`_fit_measure_bound`) before any cell is built.  The
+candidates wait in one heap with the solved reports, and a replacement
+filling is solved only while a waiting candidate could still beat or tie
+the best solved report, so the first report costs a few solves instead of
+one per candidate.  Only a candidate taken up for solving is read as id
+sets and built as cells, an `ArcRegion`.  Its replacement filling, when
+there is one, is within the replacement cap, so it reduces.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -226,12 +228,18 @@ def _grow(ix, m: int, region: Set[int]) -> Optional[Set[int]]:
         bd.symmetric_difference_update(cell_faces[k * c : k * c + k])
 
 
-def _height(region: CellSet, verts: FrozenSet[Coord]) -> int:
-    """Largest, over the region's cells, grid distance from a cell's
-    corners to the vertices: 0 when every cell has a corner among them."""
-    corners = np.array([list(c.vertices()) for c in region])  # cell, corner, axis
+def corner_gaps(cells: Sequence[CubicalCell], verts: Iterable[Coord]) -> List[int]:
+    """Each cell's least grid distance from one of its corners to one of
+    the vertices, in the cells' order: 0 for a cell with a corner among
+    them.  A height is their largest; `deform.interpolate` peels by them."""
+    corners = np.array([list(c.vertices()) for c in cells])  # cell, corner, axis
     gaps = np.abs(corners[:, :, None, :] - np.array(list(verts))).sum(axis=3)
-    return int(gaps.min(axis=(1, 2)).max())
+    return gaps.min(axis=(1, 2)).tolist()
+
+
+def _height(region: CellSet, verts: FrozenSet[Coord]) -> int:
+    """Largest corner gap of the region's cells to the vertices."""
+    return max(corner_gaps(list(region), verts))
 
 
 def _span(verts: Iterable[Coord]) -> int:
@@ -294,25 +302,19 @@ def _replacement_cap(ctx: ScanContext, n: int) -> int:
 
 
 def _fit_measure_bound(M: ManifoldComplex, gamma: int, fit: ArcFit, lb: int, variant: str):
-    """`measure_bound` of the fit's arc.  The ratio and the difference need
-    only the region's size; the heights build the arc."""
+    """Upper bound on the measure of the fit's arc against any filling of
+    at least lb cells.
+
+    The ratio and the difference need only the region's size.  The
+    heights build the arc: its height is taken to the cycle's vertices,
+    which every filling includes, and the span is the cycle's, which no
+    filling undercuts.
+    """
     if variant == "ratio":
         return Fraction(fit.size, lb)
     if variant == "diff":
         return fit.size - lb
-    return measure_bound(fit.arc(M, gamma), lb, variant)
-
-
-def measure_bound(arc: ArcRegion, lb: int, variant: str):
-    """Upper bound on the arc's measure against any filling of >= lb cells.
-
-    The height is taken to the cycle's vertices, which every filling
-    includes, and the span is the cycle's, which no filling undercuts.
-    """
-    if variant == "ratio":
-        return Fraction(arc.N, lb)
-    if variant == "diff":
-        return arc.N - lb
+    arc = fit.arc(M, gamma)
     cycle_verts = frozenset(v for c in arc.cycle.cells for v in c.vertices())
     h = _height(arc.region, cycle_verts)
     if variant == "height":
@@ -322,7 +324,8 @@ def measure_bound(arc: ArcRegion, lb: int, variant: str):
 
 def candidate_arcs(ctx: ScanContext, gamma: int) -> List[Tuple[ArcFit, int]]:
     """The distinct fits at radius gamma that may have a reducing filling,
-    each with `filling_lower_bound` of its cycle, on ids.
+    each with a lower bound on the size of any filling of its cycle
+    (`_lower_bounds`), on ids.
 
     One array pass over every center's ball: the balls come from one
     threshold of the state's center-to-vertex distances
@@ -414,12 +417,13 @@ def _pieces(ix, m: int, regions: np.ndarray) -> np.ndarray:
 
 
 def _lower_bounds(ix, m: int, regions: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """`filling_lower_bound` of each row's cycle, read from its region's
-    cell ids and its boundary's face ids: the larger of the face count
-    bound and the projection bound, which counts the region's projection
-    classes (`StateIndex.cell_plane`) that hold an odd number of its cells.
-    For a curve arc, whose boundary is its first and last vertex, that is
-    the Manhattan distance between them; a row whose boundary is not two
+    """Fewest cells any filling of each row's cycle can have, read from its
+    region's cell ids and its boundary's face ids: the larger of the face
+    count bound (a filling cell has 2m faces) and the projection bound,
+    which counts the region's projection classes (`StateIndex.cell_plane`)
+    that hold an odd number of its cells.  For a curve arc, whose boundary
+    is its first and last vertex, that is the Manhattan distance between
+    them; a row whose boundary is not two
     vertices has no fit, and its value is of no use."""
     if m == 1:  # a curve's faces are its vertices, by vertex id
         ends = ix.vertex_coords[[bd.argmax(axis=1), bd.shape[1] - 1 - bd[:, ::-1].argmax(axis=1)]]
@@ -435,7 +439,8 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
     """Curviness reports for every arc admitting a reducing filling.
 
     An arc enters the valid set only when a filling avoiding M exists and
-    its volume is smaller than both components of the split.  Reports are
+    its volume is smaller than both components of the split: a
+    replacement filling is, as it fits `_replacement_cap`.  Reports are
     yielded best first by the configured variant, centers breaking ties.
 
     Lazy: candidates wait under upper bounds on their measures, in one
@@ -459,7 +464,7 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
             continue
         arc = item.arc(M, gamma)
         filling = replacement_filling(ctx, arc)
-        if filling is None or filling.N >= min(arc.N, len(M.cells) - arc.N):
+        if filling is None:
             continue
         rep = curviness(ctx, arc, filling=filling)
         heapq.heappush(queue, (-rep.measure(variant), center, rep))

@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .cells import AmbientSpace, CubicalCell, cell_token, parse_cell_token
 from .complexes import ManifoldComplex, validate
-from .curviness import ArcRegion
+from .curviness import ArcRegion, corner_gaps
 from .errors import InterpolationFailed, ReplacementNotManifold, ReplayMismatch
 from .filling import Filling, enclosed_cells
 
@@ -118,12 +118,9 @@ def interpolate(
     if len(region) > move_cap:
         raise InterpolationFailed(f"{len(region)} flips exceed move cap {move_cap}")
 
-    f_verts = filling.vertices
-
-    def fdist(w: CubicalCell) -> int:
-        return min(sum(abs(a - b) for a, b in zip(v, u)) for v in w.vertices() for u in f_verts)
-
-    left, moves, state = sorted(region, key=lambda w: (-fdist(w), w)), [], M.cells
+    cells = list(region)
+    gap = dict(zip(cells, corner_gaps(cells, filling.vertices)))
+    left, moves, state = sorted(cells, key=lambda w: (-gap[w], w)), [], M.cells
     while left:
         for w in left:
             new = flip_ok(state, w)

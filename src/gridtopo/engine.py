@@ -202,11 +202,9 @@ class _Run:
         level = None
         loft_summary: Tuple = ()
         try:
-            seq = lofted(ctx, arc)
-            loft_summary = tuple(
-                (lv.level, len(lv.circle.cells), lv.filling.N, lv.meets_arc) for lv in seq.levels
-            )
-            for lv in seq.levels:
+            levels = lofted(ctx, arc)
+            loft_summary = tuple((lv.level, len(lv.circle.cells), lv.filling.N, lv.meets_arc) for lv in levels)
+            for lv in levels:
                 if lv.meets_arc:
                     obstructed, level = True, lv.level
                     break

@@ -38,16 +38,15 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 from operator import mul
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, region_boundary
 from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
-from .metric import ambient_distance
 
 if TYPE_CHECKING:
     from .curviness import ArcRegion
@@ -109,49 +108,6 @@ def jordan_split(M: ManifoldComplex, cycle: Cycle) -> Tuple[CellSet, CellSet]:
     if (len(a), sorted(a)) <= (len(b), sorted(b)):
         return a, b
     return b, a
-
-
-def filling_lower_bound(ambient: AmbientSpace, cycle: Cycle) -> int:
-    """Fewest cells any filling of the cycle can have.
-
-    A curve's filling is a grid path between the cycle's two vertices, no
-    shorter than their Manhattan distance.  A surface's is the larger of
-    two bounds.  Each cell of a filling has 2m faces, and every cycle cell
-    must be one of them.  And projecting onto a coordinate m-plane, which
-    keeps a cell with its axes among the plane's as its shadow and drops
-    any other, commutes with the boundary mod 2: the shadows of a filling
-    fill the shadows of the cycle, and in the plane that filling is
-    unique, so the filling has at least that many cells with the plane's
-    axes.  Summed over the planes this is the projection bound
-    (`_projection_bound`); for a curve it is the Manhattan distance.
-    """
-    if cycle.dim == 0:
-        p, q = (v.base for v in cycle.cells)
-        return ambient_distance(ambient, p, q)
-    return max(1, math.ceil(len(cycle.cells) / (2 * cycle.m)), _projection_bound(ambient.n, cycle))
-
-
-def _projection_bound(n: int, cycle: Cycle) -> int:
-    """Cells, summed over the coordinate m-planes of an n-d ambient, of the
-    one filling of the cycle's shadows in each plane.
-
-    As in `enclosed_cells`, a plane cell is in it when a ray down the
-    plane's first axis crosses the shadows an odd number of times: a
-    running XOR, along that axis, of the shadows across it.  Two cycle
-    cells may share a shadow, which then cancels.
-    """
-    total = 0
-    for plane in combinations(range(n), cycle.m):
-        across = plane[1:]
-        shadows = [[c.base[a] for a in plane] for c in cycle.cells if c.axes == across]
-        if not shadows:
-            continue
-        at = np.array(shadows)
-        lo = at.min(axis=0)
-        crossings = np.zeros(at.max(axis=0) - lo + 1, np.uint8)
-        np.add.at(crossings, tuple((at - lo).T), 1)
-        total += int(np.bitwise_xor.accumulate(crossings & 1, axis=0).sum())
-    return total
 
 
 class CodeExclusion(NamedTuple):
@@ -247,7 +203,7 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
                     break
                 raise SearchBudgetExceeded(f"filling search exceeded {node_budget} nodes")
             if not D:
-                if _closes(codes, S, target):
+                if _closes(codes, S):
                     solutions.append(S)
                 continue
             if len(S) + math.ceil(len(D) / per_cell) > limit:
@@ -265,39 +221,37 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
     raise FillingNotFound(f"no filling of {len(target)} boundary cells within cap {cap}")
 
 
-def _closes(codes: CellCodes, cells: FrozenSet[int], target: FrozenSet[int]) -> bool:
-    """Whether the coded cells have exactly `target` as boundary, no face
-    in more than two of them, and form at most one piece."""
+def _closes(codes: CellCodes, cells: FrozenSet[int]) -> bool:
+    """Whether the coded cells have no face in more than two of them and
+    form at most one piece.  The search asks only once no face is
+    deficient, when the faces an odd number of them hold are the target,
+    so with no face in more than two the boundary is the target."""
     counts = Counter(x for f in cells for x in codes.faces(f))
-    if any(k > 2 for k in counts.values()) or {x for x, k in counts.items() if k == 1} != target:
-        return False
-    return len(components(cells, codes.faces)) <= 1
+    return all(k <= 2 for k in counts.values()) and len(components(cells, codes.faces)) <= 1
 
 
 def min_filling(
     ambient: AmbientSpace,
     cycle: Cycle,
-    exclude: Union[CellSet, CodeExclusion] = frozenset(),
+    exclude: Optional[CodeExclusion] = None,
     cap: int = ContractionConfig.filling_cap,
     node_budget: int = _NODE_BUDGET,
 ) -> Filling:
     """Minimum filling of a cycle, exact up to `cap`.
 
-    Cells in `exclude` are never touched, apart from a curve cycle's two
-    vertices.  Both searches run on the ambient's `CellCodes` against one
-    `CodeExclusion`: a `ScanContext`'s, or the one made here from a set of
-    cells.  Raises FillingNotFound when the cycle leaves the ambient or no
-    filling fits the cap, and SearchBudgetExceeded when the surface search
-    runs out of nodes.
+    Both searches run on the ambient's `CellCodes`.  The cells in
+    `exclude`, a `CodeExclusion` on those codes (a `ScanContext`'s), are
+    never touched, apart from a curve cycle's two vertices; with none,
+    every cell is free.  Raises FillingNotFound when the cycle leaves the
+    ambient or no filling fits the cap, and SearchBudgetExceeded when the
+    surface search runs out of nodes.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if not all(ambient.contains_cell(c) for c in cycle.cells):
         raise FillingNotFound("the cycle leaves the ambient, so no filling in it has that boundary")
-    if not isinstance(exclude, CodeExclusion):
-        codes = ambient.codes
-        # a cell outside the ambient is in no ambient cell's closure
-        exclude = CodeExclusion(codes, frozenset(codes.code(c) for c in exclude if ambient.contains_cell(c)))
+    if exclude is None:
+        exclude = CodeExclusion(ambient.codes, frozenset())
     if cycle.dim == 0:
         cells = _shortest_path(cycle, exclude, cap)
     else:
@@ -607,16 +561,9 @@ class LoftedLevel:
     meets_arc: bool
 
 
-@dataclass(frozen=True)
-class LoftedSequence:
-    center: CubicalCell
-    gamma: int
-    levels: Tuple[LoftedLevel, ...]
-
-
-def lofted(ctx: ScanContext, arc: ArcRegion) -> LoftedSequence:
+def lofted(ctx: ScanContext, arc: ArcRegion) -> Tuple[LoftedLevel, ...]:
     """Distance-i circles around the arc's center, for i up to its gamma,
-    and their minimum fillings.
+    and their minimum fillings, one level each.
 
     Levels below gamma are fitted around the center; level gamma is the
     arc itself.  Each level records whether the true minimum filling runs
@@ -641,7 +588,5 @@ def lofted(ctx: ScanContext, arc: ArcRegion) -> LoftedSequence:
                 raise FillingNotFound(f"no lofted filling at level {i}")
             m_i = Filling(cells=cut[0], boundary=fit.cycle)
             meets = False
-        levels.append(
-            LoftedLevel(level=i, circle=fit.cycle, filling=m_i, meets_arc=meets)
-        )
-    return LoftedSequence(center=arc.center, gamma=arc.gamma, levels=tuple(levels))
+        levels.append(LoftedLevel(level=i, circle=fit.cycle, filling=m_i, meets_arc=meets))
+    return tuple(levels)

@@ -22,7 +22,7 @@ from gridtopo import (
     validate,
 )
 from gridtopo.complexes import Cycle, region_boundary
-from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
+from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import curviness, fit_region
 from gridtopo.deform import MoveStep, ReplaceStep, SplitStep, replay
 from gridtopo.errors import Unreachable
@@ -34,12 +34,14 @@ from util import (
     TORUS_VOXELS,
     U_PIXELS,
     bfs_levels,
+    cofaces,
     curve_from_pixels,
     edge_graph_of_complex,
     face_vertices,
     oracle_chain_distance,
     oracle_min_paths,
     oracle_min_surface_fillings,
+    random_connected_subcomplex,
     surface_from_voxels,
     vertices_of,
 )
@@ -167,7 +169,7 @@ def test_criterion_2_filling_oracle():
         face_sets.add(frozenset([f0]))
         nbs = set()
         for e in f0.faces():
-            for g in e.cofaces(range(3)):
+            for g in cofaces(e, range(3)):
                 if g.dim == 2 and g != f0 and amb3.contains_cell(g):
                     nbs.add(g)
         for g in sorted(nbs):
@@ -305,7 +307,7 @@ def test_criterion_6_torus_obstruction():
     )
 
 
-def test_criterion_7_random_curous_soundness():
+def test_criterion_7_random_curves_soundness():
     start = time.monotonic()
     amb = build_ambient(2, [(0, 15), (0, 15)])
     rng = random.Random(20260809)

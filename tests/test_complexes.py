@@ -7,11 +7,18 @@ import pytest
 
 from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, validate
 from gridtopo.complexes import ValidationReport, _all_pairs_levels, components, is_cycle, region_boundary
-from gridtopo.corpus import random_connected_subcomplex
 from gridtopo.io import load_fixture
 
 from conftest import FIXTURE_DIR
-from util import GOLDEN_DIR, all_faces, contraction_pool, golden_states, reference_is_cycle
+from util import (
+    GOLDEN_DIR,
+    all_faces,
+    cofaces,
+    contraction_pool,
+    golden_states,
+    random_connected_subcomplex,
+    reference_is_cycle,
+)
 
 
 def coface_counts(M):
@@ -155,7 +162,7 @@ def _voxels(*bases):
 def hand_made_invalid(amb2, amb3):
     """A pinch, three squares on one edge, two boxes touching at a vertex
     and at an edge, a curve with a branch and two disjoint squares."""
-    three = sorted(CubicalCell.make((1, 1, 1), (0,)).cofaces(range(3)))[:3]
+    three = sorted(cofaces(CubicalCell.make((1, 1, 1), (0,)), range(3)))[:3]
     return [
         ManifoldComplex.make(amb2, 2, [CubicalCell.make((0, 0), (0, 1)), CubicalCell.make((1, 1), (0, 1))]),
         ManifoldComplex.make(amb3, 2, three),

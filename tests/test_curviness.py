@@ -28,14 +28,14 @@ from gridtopo.curviness import (
     curviness,
     fit_region,
     _replacement_cap,
-    measure_bound,
+    corner_gaps,
     radius_schedule_from,
     replacement_filling,
     valid_reports,
 )
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CodimensionUnsupported, FillingNotFound, NoFittingCycle, SearchBudgetExceeded
-from gridtopo.filling import _projection_bound, filling_lower_bound, min_filling
+from gridtopo.filling import enclosed_cells, min_filling
 from gridtopo.metric import ambient_distance
 
 from util import (
@@ -44,9 +44,13 @@ from util import (
     SPHERE28_VOXELS,
     bfs_levels,
     closure_of,
+    corner_gap,
     edge_graph_of_complex,
+    filling_lower_bound,
     golden_states,
+    measure_bound,
     oracle_min_paths,
+    projection_bound,
     random_polycube_surfaces,
     reference_ball,
     reference_candidate_arcs,
@@ -148,25 +152,25 @@ def least_filling(M, arc):
     return min_filling(M.ambient, arc.cycle, cap=len(arc.region))
 
 
-def test_select_peak_ushape(ushape):
+def test_first_report_ushape(ushape):
     rep = first_report(ushape, 2)
     assert rep is not None
     assert rep.r == Fraction(5, 1)
     assert rep.filling.N == 1
 
 
-def test_select_peak_sq1_none(sq1):
+def test_first_report_sq1_none(sq1):
     assert first_report(sq1, 1) is None
 
 
-def test_select_peak_rect12(rect12):
+def test_first_report_rect12(rect12):
     rep = first_report(rect12, 1)
     assert rep is not None
     assert rep.r == Fraction(3, 1)
     assert len(rep.arc.region) == 3 and rep.filling.N == 1
 
 
-def test_select_peak_argmax_stable(ushape):
+def test_first_report_argmax_stable(ushape):
     """Scaling every measure by a positive constant keeps the argmax."""
     reports = list(valid_reports(ScanContext(ushape), 2))
     best = max(reports, key=lambda r: r.r)
@@ -269,10 +273,11 @@ def test_grow_cycle_test_matches_reference(amb3, ushape, rect12, sq1, box111, bo
 
 
 def test_fit_bounds_match_cycle_bounds(amb3, ushape, rect12, sq1, box111, box211, torus):
-    """The bounds the scan reads from a fit's ids equal those of its arc:
-    `filling_lower_bound` of the cycle, and `measure_bound` for the ratio
-    and the difference.  The height variants take `measure_bound` of the
-    built arc itself; `eager_reports` checks all four on its fixtures."""
+    """The bounds the scan reads from a fit's ids equal those the
+    references in `util` read from its arc's cells: `filling_lower_bound`
+    of the cycle, and `measure_bound` for the ratio and the difference.
+    The height variants build the arc for theirs; `eager_reports` checks
+    all four on its fixtures."""
     fits = 0
     for M in _scanned_manifolds(amb3, (ushape, rect12, sq1, box111, box211, torus)):
         ctx = ScanContext(M)
@@ -292,9 +297,12 @@ def test_filling_lower_bound_holds(amb3, ushape, rect12, sq1, box111, box211, to
     candidate cycle has at least `filling_lower_bound` cells, on the
     fixtures, the box211, box333 and torus golden states and 20 random
     polycubes; the bound the scan reads from each fit's region is that of
-    its cycle.  The exact search runs once per distinct cycle on a small
-    node budget: one that runs out of nodes returns the least filling it
-    found, which the bound must hold for too, or raises."""
+    its cycle.  Every replacement filling also fits the replacement cap,
+    so it is smaller than the arc and than the rest of M, which
+    `valid_reports` relies on without a check.  The exact search runs
+    once per distinct cycle on a small node budget: one that runs out of
+    nodes returns the least filling it found, which the bound must hold
+    for too, or raises."""
     manifolds = [ushape, rect12, sq1, box111, box211, torus]
     for name in ("box211", "box333", "torus"):
         manifolds += golden_states(name)
@@ -308,7 +316,8 @@ def test_filling_lower_bound_holds(amb3, ushape, rect12, sq1, box111, box211, to
                 assert lb == filling_lower_bound(M.ambient, arc.cycle)
                 filling = replacement_filling(ctx, arc)
                 if filling is not None:
-                    assert filling.N >= lb
+                    assert lb <= filling.N <= _replacement_cap(ctx, arc.N)
+                    assert filling.N < min(arc.N, len(M.cells) - arc.N)
                     replaced += 1
                 if arc.cycle.cells in solved:
                     continue
@@ -331,7 +340,7 @@ def test_curve_bound_is_the_manhattan_distance(ushape, rect12, sq1):
                 cycle = fit.arc(M, gamma).cycle
                 p, q = (v.base for v in cycle.cells)
                 assert lb == filling_lower_bound(M.ambient, cycle) == ambient_distance(M.ambient, p, q)
-                assert _projection_bound(M.ambient.n, cycle) == lb
+                assert projection_bound(M.ambient.n, cycle) == lb
                 arcs += 1
     assert arcs
 
@@ -348,9 +357,27 @@ def test_projection_bound_can_fall_below_the_face_count(amb3):
         edges.append(CubicalCell.make(min(a, b), (axis,)))
     cycle = Cycle(frozenset(edges), 2)
     assert cycle.is_valid()
-    assert _projection_bound(3, cycle) == 1
+    assert projection_bound(3, cycle) == 1
     assert filling_lower_bound(amb3, cycle) == 2
     assert min_filling(amb3, cycle).N == 3
+
+
+def test_corner_gaps_match_per_cell_distances(amb3, ushape, rect12, box211, torus):
+    """`corner_gaps` gives, cell by cell, the least corner-to-vertex
+    Manhattan distance to a filling's vertices: for every solved report's
+    arc, and for the top cells `deform.interpolate` peels, on the
+    fixtures and ten random polycubes."""
+    checked = 0
+    for M in [ushape, rect12, box211, torus, *random_polycube_surfaces(amb3, 10, seed=3)]:
+        ctx = ScanContext(M)
+        for gamma in radius_sweep(M):
+            for rep in valid_reports(ctx, gamma):
+                verts = rep.filling.vertices
+                tops = sorted(enclosed_cells(M.ambient, rep.arc.region ^ rep.filling.cells))
+                for cells in (sorted(rep.arc.region), tops):
+                    assert corner_gaps(cells, verts) == [corner_gap(c, verts) for c in cells]
+                checked += bool(tops)
+    assert checked
 
 
 def _chi(M, ids):

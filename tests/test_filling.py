@@ -11,7 +11,6 @@ from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, contrac
 from gridtopo import deform as deform_module
 import gridtopo.curviness as curviness_module
 from gridtopo import filling as filling_module
-from gridtopo.cells import CellCodes
 from gridtopo.complexes import components, region_boundary
 from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import (
@@ -27,7 +26,6 @@ from gridtopo.filling import (
     CodeExclusion,
     Filling,
     LoftedLevel,
-    LoftedSequence,
     ScanContext,
     enclosed_cells,
     inside_region,
@@ -42,6 +40,8 @@ from util import (
     SPHERE28_VOXELS,
     bbox_top_cells,
     closure_of,
+    code_exclusion,
+    cofaces,
     complex_closure,
     face_vertices,
     golden_states,
@@ -102,7 +102,7 @@ def test_min_filling_domino_ring():
 def test_min_filling_exclude_forces_detour():
     amb = build_ambient(2, [(0, 4), (0, 4)])
     barrier = [CubicalCell.make((2, y)) for y in range(0, 3)]
-    f = min_filling(amb, vertex_cycle((0, 0), (4, 0)), exclude=frozenset(barrier))
+    f = min_filling(amb, vertex_cycle((0, 0), (4, 0)), exclude=code_exclusion(amb, barrier))
     assert f.N > 4
 
 
@@ -329,7 +329,7 @@ def test_one_network_per_context(monkeypatch, amb3):
             cuts += _best_one_sided_cut(ctx, arc, len(arc.region)) is not None
     for center in sorted(complex_closure(M))[::7]:
         try:
-            levels += len(lofted(ctx, fit_region(M, center, 2)).levels)
+            levels += len(lofted(ctx, fit_region(M, center, 2)))
         except (NoFittingCycle, FillingNotFound):
             pass
     assert cuts and levels
@@ -339,24 +339,22 @@ def test_one_network_per_context(monkeypatch, amb3):
 def test_lofted_ushape_inner(ushape):
     center = CubicalCell.make((1, 1), (0,))
     arc = fit_region(ushape, center, 2)
-    seq = lofted(ScanContext(ushape), arc)
-    assert [l.filling.N for l in seq.levels] == [1, 1]
-    assert not any(l.meets_arc for l in seq.levels)
-    assert all(l.filling.boundary.cells == l.circle.cells for l in seq.levels)
+    levels = lofted(ScanContext(ushape), arc)
+    assert [l.filling.N for l in levels] == [1, 1]
+    assert not any(l.meets_arc for l in levels)
+    assert all(l.filling.boundary.cells == l.circle.cells for l in levels)
 
 
 def test_lofted_flat_arc_semi_convex(ushape):
     center = CubicalCell.make((1, 0), (0,))
     arc = fit_region(ushape, center, 1)
-    seq = lofted(ScanContext(ushape), arc)
-    assert not any(lv.meets_arc for lv in seq.levels)
+    assert not any(lv.meets_arc for lv in lofted(ScanContext(ushape), arc))
 
 
 def test_lofted_torus_inner_wall_obstructed(torus):
     wall = CubicalCell.make((1, 1, 1), (1, 2))
     arc = fit_region(torus, wall, 2)
-    seq = lofted(ScanContext(torus), arc)
-    assert any(l.meets_arc for l in seq.levels)
+    assert any(l.meets_arc for l in lofted(ScanContext(torus), arc))
 
 
 def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box211):
@@ -373,10 +371,10 @@ def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box
         ctx = ScanContext(M)
         for center in sorted(complex_closure(M)):
             try:
-                seq = lofted(ctx, fit_region(M, center, 2))
+                levels = lofted(ctx, fit_region(M, center, 2))
             except (NoFittingCycle, FillingNotFound):
                 continue
-            for lv in seq.levels:
+            for lv in levels:
                 region = fit_region(M, center, lv.level).region
                 cut = one_sided_min_cut(ctx, region, "inside") or one_sided_min_cut(ctx, region, "outside")
                 assert lv.filling.cells == cut[0] and not lv.meets_arc
@@ -387,8 +385,7 @@ def test_lofted_stands_in_a_cut_when_the_search_runs_out(monkeypatch, torus, box
 def test_lofted_fillings_are_minimal_per_level(ushape):
     """Monotonicity is not asserted, minimality per circle is."""
     center = CubicalCell.make((1, 1), (0,))
-    seq = lofted(ScanContext(ushape), fit_region(ushape, center, 2))
-    for lv in seq.levels:
+    for lv in lofted(ScanContext(ushape), fit_region(ushape, center, 2)):
         p, q = sorted(v.base for v in lv.circle.cells)
         best, _ = oracle_min_paths(ushape.ambient.extent, p, q, cap=8)
         assert lv.filling.N == best
@@ -417,7 +414,7 @@ def _reference_parity_min_filling(ambient, cycle, exclude, cap, node_budget):
     @lru_cache(maxsize=None)
     def fillers(e):
         out = []
-        for f in e.cofaces(axes):
+        for f in cofaces(e, axes):
             if ambient.contains_cell(f) and closure_of([f]).isdisjoint(exclude):
                 out.append(f)
         return tuple(sorted(out))
@@ -657,7 +654,7 @@ def test_lofted_takes_the_arc_at_its_level(monkeypatch, ushape, box211, torus):
             continue
         fits.clear()
         got = _outcome_of(lofted, ctx, arc)
-        if not isinstance(got, tuple):
+        if all(isinstance(lv, LoftedLevel) for lv in got):
             assert fits == list(range(1, arc.gamma))
             lofts += 1
         assert got == _outcome_of(_refitted_lofted, ctx, arc.center, arc.gamma)
@@ -686,7 +683,7 @@ def _refitted_lofted(ctx, center, gamma):
                 raise FillingNotFound(f"no lofted filling at level {i}")
             m_i, meets = Filling(cells=cut[0], boundary=fit.cycle), False
         levels.append(LoftedLevel(level=i, circle=fit.cycle, filling=m_i, meets_arc=meets))
-    return LoftedSequence(center=center, gamma=gamma, levels=tuple(levels))
+    return tuple(levels)
 
 
 def _reference_replacement_filling(networks, ctx, arc):
@@ -743,7 +740,8 @@ def _outcome(search, *args):
 def test_parity_search_matches_reference(amb3, box211, torus):
     """The coded exact search against the cell search on every candidate
     arc's cycle, at the replacement cap up to 8, with M's closure less the
-    cycle's closure as a cell set and with no exclusion, under node budgets
+    cycle's closure excluded (as codes, `code_exclusion`) and with no
+    exclusion, under node budgets
     that stop it at once, truncate it and let it finish: the same filling
     or the same error."""
     seen = set()
@@ -753,9 +751,9 @@ def test_parity_search_matches_reference(amb3, box211, torus):
         cap = max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1, 8))
         for budget in (1, 10, 100, 1000):
             want = _outcome(_reference_parity_min_filling, M.ambient, cycle, excluded, cap, budget)
-            assert _outcome(min_filling, M.ambient, cycle, excluded, cap, budget) == want
+            assert _outcome(min_filling, M.ambient, cycle, code_exclusion(M.ambient, excluded), cap, budget) == want
             want_free = _outcome(_reference_parity_min_filling, M.ambient, cycle, frozenset(), cap, budget)
-            assert _outcome(min_filling, M.ambient, cycle, frozenset(), cap, budget) == want_free
+            assert _outcome(min_filling, M.ambient, cycle, None, cap, budget) == want_free
             for w in (want, want_free):
                 seen.add(w[0] if isinstance(w, tuple) else "filling")
     assert seen == {"filling", FillingNotFound, SearchBudgetExceeded}
@@ -777,7 +775,7 @@ def test_parity_search_matches_reference_on_made_cycles(amb3):
         cycle = Cycle(cells, 2)
         for cap, budget in ((3, 20_000), (6, 20_000)):
             want = _outcome(_reference_parity_min_filling, amb3, cycle, frozenset(), cap, budget)
-            assert _outcome(min_filling, amb3, cycle, frozenset(), cap, budget) == want
+            assert _outcome(min_filling, amb3, cycle, None, cap, budget) == want
     assert min_filling(amb3, Cycle(hexagon, 2), cap=3).cells == {
         square((0, 0, 0), (1, 2)), square((0, 0, 0), (0, 2)), square((0, 0, 0), (0, 1))
     }
@@ -799,8 +797,8 @@ def test_fillings_in_a_large_ambient():
     """Nothing in the surface fillings grows with the ambient: surfaces
     moved into an ambient a million units a side (whose codes take 63
     bits) get, for every candidate arc, the replacement filling, the exact
-    search with a cell-set exclusion and the cuts they get in an ambient
-    with ten units of room on each side, moved along."""
+    search keeping off M's closure less the cycle's and the cuts they get
+    in an ambient with ten units of room on each side, moved along."""
 
     def moved(cells, d):
         return frozenset(CubicalCell(c.dim, tuple(b + d for b in c.base), c.axes) for c in cells)
@@ -817,10 +815,10 @@ def test_fillings_in_a_large_ambient():
         for (ctx, arc), (far_ctx, far_arc) in zip(arcs, far_arcs):
             got, far_got = replacement_filling(ctx, arc), replacement_filling(far_ctx, far_arc)
             assert (got and moved(got.cells, near)) == (far_got and far_got.cells)
-            want = _outcome(min_filling, roomy, arc.cycle, complex_closure(M) - closure_of(arc.cycle.cells), 8, 10_000)
-            far_want = _outcome(
-                min_filling, large, far_arc.cycle, complex_closure(far) - closure_of(far_arc.cycle.cells), 8, 10_000
-            )
+            exclude = code_exclusion(roomy, complex_closure(M) - closure_of(arc.cycle.cells))
+            far_exclude = code_exclusion(large, complex_closure(far) - closure_of(far_arc.cycle.cells))
+            want = _outcome(min_filling, roomy, arc.cycle, exclude, 8, 10_000)
+            far_want = _outcome(min_filling, large, far_arc.cycle, far_exclude, 8, 10_000)
             assert (moved(want, near) if isinstance(want, frozenset) else want) == far_want
             for side in ("inside", "outside"):
                 cut = one_sided_min_cut(ctx, arc.region, side)
@@ -841,26 +839,6 @@ def test_exclusion_is_closure_less_cycle_closure(ushape, box211, torus):
         assert filling is None or closure_of(filling.cells).isdisjoint(complex_closure(M) - closure_of(arc.cycle.cells))
 
 
-def test_cell_set_exclusions_build_no_codes(monkeypatch):
-    """Fillings with cell-set exclusions all run on the ambient's one
-    `CellCodes`: a loop of them builds it once, on first use, and no more."""
-    amb = build_ambient(3, [(-2, 5)] * 3)
-    M = surface_from_voxels(amb, [(0, 0, 0), (1, 0, 0)])
-    built, init = [], CellCodes.__init__
-
-    def counted_init(self, ambient):
-        built.append(ambient)
-        init(self, ambient)
-
-    monkeypatch.setattr(CellCodes, "__init__", counted_init)
-    arcs = [arc for _, arc in _arcs([M])]
-    for arc in arcs:
-        exclude = complex_closure(M) - closure_of(arc.cycle.cells)
-        _outcome(min_filling, amb, arc.cycle, exclude, 8, 1_000)
-    assert len(arcs) > 1 and built == [amb]
-    assert amb.codes is amb.codes
-
-
 def test_replacement_filling_is_exact_on_random_polycubes(amb3):
     """On random polycubes in a 3x3x3 block, at every candidate arc and
     radius, whenever the exact search keeping off M's closure less the
@@ -872,7 +850,7 @@ def test_replacement_filling_is_exact_on_random_polycubes(amb3):
         cap = _replacement_cap(ctx, arc.N)
         if cap < 1:
             continue
-        exclude = complex_closure(M) - closure_of(arc.cycle.cells)
+        exclude = code_exclusion(M.ambient, complex_closure(M) - closure_of(arc.cycle.cells))
         want = _outcome(min_filling, M.ambient, arc.cycle, exclude, cap, 20_000)
         if isinstance(want, tuple):
             continue
@@ -893,7 +871,8 @@ def test_replacement_filling_lids_a_pit(amb3):
     ((ctx, arc),) = [(ctx, arc) for ctx, arc in _arcs([M]) if arc.region == pit]
     assert one_sided_min_cut(ctx, pit, "inside") is None
     assert replacement_filling(ctx, arc).cells == {lid}
-    assert min_filling(M.ambient, arc.cycle, complex_closure(M) - closure_of(arc.cycle.cells), cap=4).cells == {lid}
+    exclude = code_exclusion(M.ambient, complex_closure(M) - closure_of(arc.cycle.cells))
+    assert min_filling(M.ambient, arc.cycle, exclude, cap=4).cells == {lid}
 
 
 # ---------------------------------------------------------------------------
@@ -959,8 +938,9 @@ def test_path_search_matches_reference(sq1, rect12, ushape):
     candidate arc's cycle of the small curves and of criterion 7's first
     ten random curves, at every cap from 1 to the replacement cap, with
     the context's exclusion (M's whole closure), M's closure less the
-    cycle's closure as a set, no exclusion, and M's whole closure as a set
-    (which lists both endpoints): the same path or the same error."""
+    cycle's closure as codes, no exclusion, and M's whole closure made
+    into codes by `code_exclusion`, as the context's is by its table (both
+    list both endpoints): the same path or the same error."""
     amb = build_ambient(2, [(0, 15), (0, 15)])
     rng = random.Random(20260809)  # criterion 7's seed
     curves = [random_simple_curve(amb, rng, max_perimeter=60) for _ in range(10)]
@@ -970,9 +950,9 @@ def test_path_search_matches_reference(sq1, rect12, ushape):
         excluded = complex_closure(M) - closure_of(cycle.cells)
         exclusions = (
             (ctx.exclusion, complex_closure(M)),
-            (excluded, excluded),
-            (frozenset(), frozenset()),
-            (complex_closure(M), complex_closure(M)),
+            (code_exclusion(M.ambient, excluded), excluded),
+            (None, frozenset()),
+            (code_exclusion(M.ambient, complex_closure(M)), complex_closure(M)),
         )
         caps = range(1, max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)) + 1)
         for exclude, cells in exclusions:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridtopo import CubicalCell, ManifoldComplex, all_pairs, ball, build_ambient, cell_distance, diameter, validate
-from gridtopo.corpus import random_connected_subcomplex, random_simple_curve
+from gridtopo.corpus import random_simple_curve
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CellNotInComplex, Unreachable
 from gridtopo.io import load_fixture
@@ -26,6 +26,7 @@ from util import (
     golden_states,
     grid_graph,
     oracle_chain_distance,
+    random_connected_subcomplex,
     reference_ball,
     surface_from_voxels,
     vertices_of,

@@ -6,17 +6,22 @@ with the implementation they check.
 """
 
 import json
+import math
 import random
 from collections import Counter, deque
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
+
+import numpy as np
 
 from gridtopo import CubicalCell, ManifoldComplex, build_ambient, validate
 from gridtopo.complexes import components
 from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import fit_region
 from gridtopo.errors import GridTopoError
+from gridtopo.filling import CodeExclusion
 from gridtopo.io import load_fixture, trace_from_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -48,6 +53,54 @@ def curve_from_pixels(ambient, pixels):
 
 def surface_from_voxels(ambient, voxels):
     return ManifoldComplex.make(ambient, 2, solid_surface_cells(voxels))
+
+
+def cofaces(cell, up_axes):
+    """Cells one dimension up that contain the cell.
+
+    `up_axes` lists the ambient axes available for extension; each free
+    axis yields two cofaces (extend forward, or backward by shifting
+    the base).
+    """
+    for a in up_axes:
+        if a in cell.axes:
+            continue
+        new_axes = tuple(sorted(cell.axes + (a,)))
+        yield CubicalCell(cell.dim + 1, cell.base, new_axes)
+        shifted = list(cell.base)
+        shifted[a] -= 1
+        yield CubicalCell(cell.dim + 1, tuple(shifted), new_axes)
+
+
+def random_connected_subcomplex(ambient, m, n_cells, rng):
+    """Grow a connected set of m-cells by random adjacent extensions."""
+    lo = [e[0] + 1 for e in ambient.extent]
+    hi = [e[1] - 2 for e in ambient.extent]
+    base = tuple(rng.randint(l, max(l, h)) for l, h in zip(lo, hi))
+    axes = tuple(sorted(rng.sample(range(ambient.n), m)))
+    seed = CubicalCell.make(base, axes)
+    cells = {seed}
+    guard = 0
+    while len(cells) < n_cells and guard < n_cells * 50:
+        guard += 1
+        c = rng.choice(sorted(cells))
+        # neighbors across shared (m-1)-cells
+        options = []
+        for f in c.faces():
+            for nb in cofaces(f, range(ambient.n)):
+                if nb.dim == m and nb != c and ambient.contains_cell(nb) and nb not in cells:
+                    options.append(nb)
+        if options:
+            cells.add(rng.choice(sorted(options)))
+    return ManifoldComplex.make(ambient, m, cells)
+
+
+def code_exclusion(ambient, cells):
+    """The cells as a `CodeExclusion` on the ambient's codes; a cell
+    outside the ambient is in no ambient cell's closure, so it is left
+    out."""
+    codes = ambient.codes
+    return CodeExclusion(codes, frozenset(codes.code(c) for c in cells if ambient.contains_cell(c)))
 
 
 U_PIXELS = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2)]
@@ -133,6 +186,75 @@ def reference_candidate_arcs(M, gamma):
             continue
         seen.setdefault(arc.region, arc)
     return sorted(seen.values(), key=lambda a: (a.center, a.gamma))
+
+
+def filling_lower_bound(ambient, cycle):
+    """Fewest cells any filling of the cycle can have, from the cycle's
+    cells: the bound `curviness._lower_bounds` reads from a region.
+
+    A curve's filling is a grid path between the cycle's two vertices, no
+    shorter than their Manhattan distance.  A surface's is the larger of
+    two bounds.  Each cell of a filling has 2m faces, and every cycle cell
+    must be one of them.  And projecting onto a coordinate m-plane, which
+    keeps a cell with its axes among the plane's as its shadow and drops
+    any other, commutes with the boundary mod 2: the shadows of a filling
+    fill the shadows of the cycle, and in the plane that filling is
+    unique, so the filling has at least that many cells with the plane's
+    axes.  Summed over the planes this is the projection bound
+    (`projection_bound`); for a curve it is the Manhattan distance.
+    """
+    if cycle.dim == 0:
+        p, q = (v.base for v in cycle.cells)
+        return sum(abs(a - b) for a, b in zip(p, q))
+    return max(1, math.ceil(len(cycle.cells) / (2 * cycle.m)), projection_bound(ambient.n, cycle))
+
+
+def projection_bound(n, cycle):
+    """Cells, summed over the coordinate m-planes of an n-d ambient, of the
+    one filling of the cycle's shadows in each plane.
+
+    As in `filling.enclosed_cells`, a plane cell is in it when a ray down
+    the plane's first axis crosses the shadows an odd number of times: a
+    running XOR, along that axis, of the shadows across it.  Two cycle
+    cells may share a shadow, which then cancels.
+    """
+    total = 0
+    for plane in combinations(range(n), cycle.m):
+        across = plane[1:]
+        shadows = [[c.base[a] for a in plane] for c in cycle.cells if c.axes == across]
+        if not shadows:
+            continue
+        at = np.array(shadows)
+        lo = at.min(axis=0)
+        crossings = np.zeros(at.max(axis=0) - lo + 1, np.uint8)
+        np.add.at(crossings, tuple((at - lo).T), 1)
+        total += int(np.bitwise_xor.accumulate(crossings & 1, axis=0).sum())
+    return total
+
+
+def corner_gap(cell, verts):
+    """Least grid distance from one of the cell's corners to one of the
+    vertices."""
+    return min(sum(abs(a - b) for a, b in zip(v, u)) for v in cell.vertices() for u in verts)
+
+
+def measure_bound(arc, lb, variant):
+    """Upper bound on the arc's measure against any filling of >= lb cells,
+    from its cells: `curviness._fit_measure_bound` of its fit.
+
+    The height is taken to the cycle's vertices, which every filling
+    includes, and the span is the cycle's, which no filling undercuts.
+    """
+    if variant == "ratio":
+        return Fraction(arc.N, lb)
+    if variant == "diff":
+        return arc.N - lb
+    verts = vertices_of(arc.cycle.cells)
+    h = max(corner_gap(c, verts) for c in arc.region)
+    if variant == "height":
+        return h
+    span = max(sum(abs(a - b) for a, b in zip(u, v)) for u in verts for v in verts)
+    return Fraction(h, max(1, span))
 
 
 def golden_states(name):
