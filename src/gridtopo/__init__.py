@@ -19,7 +19,6 @@ from .deform import (
     replay,
 )
 from .engine import (
-    ContractionConfig,
     ContractionResult,
     contract,
     is_irreducible_sphere,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientSpace",
     "ArcRegion",
-    "ContractionConfig",
     "ContractionResult",
     "CubicalCell",
     "CurvinessReport",

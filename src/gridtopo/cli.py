@@ -36,8 +36,8 @@ def _cmd_distances(args) -> int:
 
 def _cmd_curviness(args) -> int:
     M = io.load_fixture(args.fixture)
+    ctx = ScanContext(M, args.variant)  # refuses a single vertex before any radius
     radii = [args.radius] if args.radius else engine.radius_sweep(M)
-    ctx = ScanContext(M, engine.ContractionConfig(variant=args.variant))
     # Reports come lazily, best first per radius: without --all only the
     # first one is solved for.
     reports = itertools.chain.from_iterable(valid_reports(ctx, gamma) for gamma in radii)
@@ -59,12 +59,7 @@ def _cmd_contract(args) -> int:
     M = io.load_fixture(args.input, require_valid=False)
     if args.frames_out:
         render_mod.frame_format(args.format, M.ambient.n, M.m)
-    cfg = engine.ContractionConfig(
-        variant=args.variant,
-        filling_cap=args.filling_cap,
-        move_cap=args.move_cap,
-    )
-    result = engine.contract(M, cfg)
+    result = engine.contract(M, args.variant)
     root = result.root
     if not args.quiet:
         # the root's lines, then each child's under its node id, in id order
@@ -92,8 +87,25 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of exiting 2, which would read as
+    "obstruction" from `contract`: `main` exits 4 on it, as on any other
+    bad input.  Subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise GridTopoError(message)
+
+
+def positive(text: str) -> int:
+    """The `--radius` type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridtopo",
         description="Contract closed cubical manifolds to irreducible discrete spheres.",
     )
@@ -110,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curviness", help="curviness scan table: x γ r r1 h r3")
     p.add_argument("fixture")
-    p.add_argument("--radius", type=int, default=None, help="scan this radius only, not the radii contract scans")
+    p.add_argument("--radius", type=positive, default=None, help="scan this radius only, not the radii contract scans")
     p.add_argument("--variant", choices=VARIANTS, default="ratio")
     p.add_argument("--all", action="store_true", help="print every valid candidate, not only the first")
     p.set_defaults(func=_cmd_curviness)
@@ -118,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contract", help="contract a fixture to an irreducible sphere")
     p.add_argument("--input", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="ratio")
-    p.add_argument("--filling-cap", type=int, default=64)
-    p.add_argument("--move-cap", type=int, default=None)
     p.add_argument("--trace-out", default=None)
     p.add_argument("--frames-out", default=None)
     p.add_argument("--format", choices=("auto", "svg-2d", "obj-3d"), default="auto")
@@ -133,22 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Options that must be positive.  Rejected like any other bad input, with
-# exit 4: argparse's usage exit 2 would read as "obstruction" from contract.
-# A file that cannot be read or written is bad input too, not a crash.
-_POSITIVE = ("radius", "filling_cap", "move_cap")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in _POSITIVE:
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} must be positive, got {value}", file=sys.stderr)
-            return 4
+    """Run one command; exit 4 with an `error: ...` line on bad input: a
+    command line that does not parse, or a file that cannot be read or
+    written, not a crash.  `--help` exits 0."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (GridTopoError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -21,9 +21,9 @@ The module is `gridtopo.curviness`; the report function is
 `gridtopo.curviness.curviness`.
 
 The scan functions (`valid_reports`, `replacement_filling`, `curviness`,
-`arc_sign`) take a `filling.ScanContext`: one manifold state plus the run's
-`ContractionConfig`, whose variant ranks the reports and whose filling cap
-bounds the filling searches.
+`arc_sign`) take a `filling.ScanContext`: one manifold state plus the
+run's curviness variant, which ranks the reports.  The fixed filling cap
+(`filling.FILLING_CAP`) bounds every replacement.
 
 A replacement filling keeps off M outside its arc: a shortest path for a
 curve, the better one-sided minimum cut for a surface, which is exact.
@@ -62,9 +62,11 @@ from .cells import Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, is_cycle
 from .errors import CodimensionUnsupported, FillingNotFound, NoFittingCycle
 from .filling import (  # VARIANTS is re-exported here, beside the measures
+    FILLING_CAP,
     VARIANTS,
     Filling,
     ScanContext,
+    check_variant,
     min_filling,
     one_sided_min_cut,
 )
@@ -151,8 +153,7 @@ class CurvinessReport:
         return Fraction(self.r2_h, span) if span else Fraction(0)
 
     def measure(self, variant: str):
-        if variant not in _MEASURES:
-            raise ValueError(f"unknown variant {variant!r}")
+        check_variant(variant)
         return getattr(self, _MEASURES[variant])
 
 
@@ -298,7 +299,7 @@ def replacement_filling(ctx: ScanContext, arc: ArcRegion) -> Optional[Filling]:
 def _replacement_cap(ctx: ScanContext, n: int) -> int:
     """Most cells a useful replacement filling of an arc of n cells may
     have: fewer than the arc and than the rest of M."""
-    return min(ctx.cfg.filling_cap, n - 1, len(ctx.M.cells) - n - 1)
+    return min(FILLING_CAP, n - 1, len(ctx.M.cells) - n - 1)
 
 
 def _fit_measure_bound(M: ManifoldComplex, gamma: int, fit: ArcFit, lb: int, variant: str):
@@ -358,7 +359,7 @@ def candidate_arcs(ctx: ScanContext, gamma: int) -> List[Tuple[ArcFit, int]]:
             regions[row, list(region)] = fitted[row] = True
     bd = regions[:, faces[:, 0]] ^ regions[:, faces[:, 1]]
     size = regions.sum(axis=1)
-    cap = np.minimum(np.minimum(ctx.cfg.filling_cap, size - 1), n - size - 1)  # `_replacement_cap` by row
+    cap = np.minimum(np.minimum(FILLING_CAP, size - 1), n - size - 1)  # `_replacement_cap` by row
     bound = _lower_bounds(ix, m, regions, bd)
     first = {}  # each region's first center, by the region's row of marks
     for row in np.flatnonzero(fitted & (bound <= cap)).tolist():
@@ -441,7 +442,7 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
     An arc enters the valid set only when a filling avoiding M exists and
     its volume is smaller than both components of the split: a
     replacement filling is, as it fits `_replacement_cap`.  Reports are
-    yielded best first by the configured variant, centers breaking ties.
+    yielded best first by the context's variant, centers breaking ties.
 
     Lazy: candidates wait under upper bounds on their measures, in one
     heap with the solved reports, as (-bound, center id, fit) and
@@ -452,7 +453,7 @@ def valid_reports(ctx: ScanContext, gamma: int) -> Iterator[CurvinessReport]:
     are read from ids (the height variants build the arc for theirs);
     center ids follow canonical order, so ties fall as on cells.
     """
-    M, variant = ctx.M, ctx.cfg.variant
+    M, variant = ctx.M, ctx.variant
     queue = [
         (-_fit_measure_bound(M, gamma, fit, lb, variant), fit.center, fit) for fit, lb in candidate_arcs(ctx, gamma)
     ]

@@ -13,7 +13,7 @@ trace (`ContractionNode.terminal`).  M is the connected sum of the nodes'
 pieces, a sphere only when each is, so `ContractionResult.status` reads
 every node.
 
-One `_Run` carries the configuration, the node counter and the finished
+One `_Run` carries the variant, the node counter and the finished
 nodes of a contraction.  Each manifold state gets one `ScanContext`, built
 when the state is reached and dropped when it changes, so every radius and
 every arc of the state shares its enclosed region and its one cut network.
@@ -55,11 +55,12 @@ from .errors import (
     SearchBudgetExceeded,
     ValidationFailed,
 )
-from .filling import ContractionConfig, Filling, ScanContext, jordan_split, lofted, min_filling
+from .filling import Filling, ScanContext, check_variant, jordan_split, lofted, min_filling
 from .metric import ball, diameter
 
 _MAX_ITERATIONS = 10_000  # replacement rounds per node before it ends exhausted
 _PROBE_BUDGET = 20_000  # search nodes per filling in the obstruction probe
+_MOVES_PER_CELL = 10  # flips per arc cell one interpolation may use
 
 
 _EXIT_CODES = {"obstruction": 2, "exhausted": 3, "irreducible_sphere": 0}  # worst first
@@ -175,10 +176,10 @@ def probe_obstruction(M: ManifoldComplex) -> Optional[ObstructionEvidence]:
 
 
 class _Run:
-    """One contraction: its configuration, node counter and finished nodes."""
+    """One contraction: its variant, node counter and finished nodes."""
 
-    def __init__(self, cfg: ContractionConfig):
-        self.cfg = cfg
+    def __init__(self, variant: str):
+        self.variant = variant
         self.counter = itertools.count()
         self.nodes: List[ContractionNode] = []
 
@@ -190,7 +191,7 @@ class _Run:
         the replaced state by simple flips only, so it is valid; on the
         split path it is validated here, with the split child.
         """
-        M, cfg = ctx.M, self.cfg
+        M = ctx.M
         arc, filling = report.arc, report.filling
         new_M = M.replace(arc.region, filling.cells)
         if new_M.euler_characteristic() != chi:
@@ -214,9 +215,8 @@ class _Run:
             obstructed = True
 
         if not obstructed:
-            move_cap = cfg.move_cap if cfg.move_cap is not None else 10 * len(arc.region)
             try:
-                moves = interpolate(M, arc, filling, move_cap)
+                moves = interpolate(M, arc, filling, _MOVES_PER_CELL * len(arc.region))
             except InterpolationFailed:
                 pass
             else:
@@ -248,7 +248,7 @@ class _Run:
                 terminal = TerminalStep(center=witness, status="irreducible_sphere")
                 break
             chi = M.euler_characteristic()
-            ctx = ScanContext(M, self.cfg)
+            ctx = ScanContext(M, self.variant)
             reports = (r for gamma in radius_sweep(M) for r in valid_reports(ctx, gamma))
             applied = next(filter(None, (self.try_apply(ctx, r, chi) for r in reports)), None)
             if applied is not None:
@@ -278,19 +278,21 @@ class _Run:
         return node
 
 
-def contract(M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()) -> ContractionResult:
-    """Contract a closed manifold, returning the full split tree.
+def contract(M: ManifoldComplex, variant: str = "ratio") -> ContractionResult:
+    """Contract a closed manifold, ranking arcs by `variant`, and return
+    the full split tree.
 
-    Raises DimensionUnsupported when M is a set of vertices, ValueError
-    when a vertex of M lies on the ambient boundary, and ValidationFailed
-    when M is not a closed regular manifold.
+    Raises ValueError for an unknown variant or a vertex of M on the
+    ambient boundary, DimensionUnsupported when M is a set of vertices,
+    and ValidationFailed when M is not a closed regular manifold.
     """
+    check_variant(variant)
     if M.m < 1:
         raise DimensionUnsupported(M.m)
     check_margin(M.ambient, M.cells)
     report = validate(M)
     if not report.ok:
         raise ValidationFailed(report)
-    run = _Run(cfg)
+    run = _Run(variant)
     root = run.contract_node(M, glue=None)
     return ContractionResult(root=root, nodes=tuple(run.nodes))

@@ -1,13 +1,10 @@
-"""Run configuration, scan context, Jordan separation, minimal fillings,
-lofting.
+"""Scan context, Jordan separation, minimal fillings, lofting.
 
-`ContractionConfig` holds what a caller may set for a run: the curviness
-measure and the filling and move caps.  A `ScanContext` pairs it with one
-manifold state and builds, on first use and once per state, what every
-candidate arc of that state shares: the region the manifold encloses, a
-crossing parity by Jordan's theorem, and one minimum-cut network that
-holds both sides.  The scan functions here and in `curviness` take the
-context.
+A `ScanContext` holds one manifold state and the run's curviness variant,
+and builds, on first use and once per state, what every candidate arc of
+that state shares: the region the manifold encloses, a crossing parity by
+Jordan's theorem, and one minimum-cut network that holds both sides.  The
+scan functions here and in `curviness` take the context.
 
 A filling of a cycle C is a set of m-cells in the ambient whose topological
 boundary is exactly C.  For curves (m=1) the minimum filling is a shortest
@@ -21,7 +18,7 @@ when the exact search runs out of nodes.
 Both searches, the path and the surface one, run on the ambient's
 `cells.CellCodes`: integer codes whose order within a dimension is
 canonical order, so every choice and tie-break falls as it would on cells.
-The cells they may not touch are one `CodeExclusion`, a set of codes.  The
+The cells they may not touch are one frozenset of those codes.  The
 minimum cut is a max flow by augmenting paths over flat arrays, on the
 flat indices of M's bounding block, with the arc's and the rest's
 carriers as implicit terminals.  The flow runs from the arc's carriers,
@@ -40,13 +37,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
 from operator import mul
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cells import AmbientSpace, CellCodes, Coord, CubicalCell
 from .complexes import Cycle, ManifoldComplex, components, region_boundary
-from .errors import FillingNotFound, NotSeparating, SearchBudgetExceeded
+from .errors import DimensionUnsupported, FillingNotFound, NotSeparating, SearchBudgetExceeded
 
 if TYPE_CHECKING:
     from .curviness import ArcRegion
@@ -54,30 +51,16 @@ if TYPE_CHECKING:
 CellSet = FrozenSet[CubicalCell]
 
 _NODE_BUDGET = 200_000  # search nodes per exact filling
+FILLING_CAP = 64  # cells per filling any search of a run considers
 
 # The curviness measures a run can rank reports by.
 VARIANTS = ("ratio", "diff", "height", "height_ratio")
 
 
-@dataclass(frozen=True)
-class ContractionConfig:
-    """Caps and the curviness measure of a contraction run.
-
-    Raises ValueError for a variant outside `VARIANTS`, a filling cap
-    below 1 or a negative move cap.
-    """
-
-    variant: str = "ratio"
-    filling_cap: int = 64
-    move_cap: Optional[int] = None  # None: 10 * arc size
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.filling_cap < 1:
-            raise ValueError(f"filling_cap must be >= 1, got {self.filling_cap}")
-        if self.move_cap is not None and self.move_cap < 0:
-            raise ValueError(f"move_cap must be >= 0, got {self.move_cap}")
+def check_variant(variant: str) -> None:
+    """Raise ValueError for a variant outside `VARIANTS`."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -110,15 +93,7 @@ def jordan_split(M: ManifoldComplex, cycle: Cycle) -> Tuple[CellSet, CellSet]:
     return b, a
 
 
-class CodeExclusion(NamedTuple):
-    """The cells a filling search may not touch, as codes in `closure`, on
-    one ambient's codes."""
-
-    codes: CellCodes
-    closure: FrozenSet[int]
-
-
-def _shortest_path(cycle: Cycle, exclude: CodeExclusion, cap: int) -> CellSet:
+def _shortest_path(codes: CellCodes, cycle: Cycle, exclude: FrozenSet[int], cap: int) -> CellSet:
     """Shortest grid path between a curve cycle's two vertices, as edges.
 
     A breadth-first search over vertex codes, up to `cap` steps: a
@@ -128,16 +103,15 @@ def _shortest_path(cycle: Cycle, exclude: CodeExclusion, cap: int) -> CellSet:
     canonical order, so ties fall as on cells.  The two ends stay usable
     even when excluded.
     """
-    codes, closure = exclude
     p, q = sorted(codes.code(v) for v in cycle.cells)
 
     def steps(u: int) -> Iterator[Tuple[int, int]]:
         """(edge, far end) for each usable edge at vertex u."""
         for e in codes.cofaces(u):
-            if e not in closure:
+            if e not in exclude:
                 a, b = codes.faces(e)
                 v = a + b - u
-                if v not in closure or v == p or v == q:
+                if v not in exclude or v == p or v == q:
                     yield e, v
 
     dist, layer = {p: 0}, [p]
@@ -161,7 +135,7 @@ def _shortest_path(cycle: Cycle, exclude: CodeExclusion, cap: int) -> CellSet:
     return frozenset(map(codes.cell, path))
 
 
-def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_budget: int) -> CellSet:
+def _parity_min_filling(codes: CellCodes, cycle: Cycle, exclude: FrozenSet[int], cap: int, budget: int) -> CellSet:
     """Exact minimum filling by iterative deepening over the size.
 
     States are face sets; each state extends only on its canonically
@@ -170,7 +144,6 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
     cells' codes, whose order within a dimension is canonical order, so
     every choice and tie-break falls as on cells.
     """
-    codes, closure = exclude
     m = cycle.m
     target = frozenset(codes.code(c) for c in cycle.cells)
     per_cell = 2 * m
@@ -183,7 +156,7 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
             known[e] = tuple(
                 (f, tuple(codes.faces(f)))
                 for f in sorted(codes.cofaces(e))
-                if closure.isdisjoint(codes.closure(f))
+                if exclude.isdisjoint(codes.closure(f))
             )
         return known[e]
 
@@ -197,11 +170,11 @@ def _parity_min_filling(cycle: Cycle, exclude: CodeExclusion, cap: int, node_bud
         while stack:
             S, D = stack.pop()
             nodes += 1
-            if nodes > node_budget:
+            if nodes > budget:
                 if solutions:
                     # deterministic truncation: traversal order is fixed
                     break
-                raise SearchBudgetExceeded(f"filling search exceeded {node_budget} nodes")
+                raise SearchBudgetExceeded(f"filling search exceeded {budget} nodes")
             if not D:
                 if _closes(codes, S):
                     solutions.append(S)
@@ -233,29 +206,27 @@ def _closes(codes: CellCodes, cells: FrozenSet[int]) -> bool:
 def min_filling(
     ambient: AmbientSpace,
     cycle: Cycle,
-    exclude: Optional[CodeExclusion] = None,
-    cap: int = ContractionConfig.filling_cap,
+    exclude: FrozenSet[int] = frozenset(),
+    cap: int = FILLING_CAP,
     node_budget: int = _NODE_BUDGET,
 ) -> Filling:
     """Minimum filling of a cycle, exact up to `cap`.
 
-    Both searches run on the ambient's `CellCodes`.  The cells in
-    `exclude`, a `CodeExclusion` on those codes (a `ScanContext`'s), are
-    never touched, apart from a curve cycle's two vertices; with none,
-    every cell is free.  Raises FillingNotFound when the cycle leaves the
-    ambient or no filling fits the cap, and SearchBudgetExceeded when the
-    surface search runs out of nodes.
+    Both searches run on the ambient's `CellCodes`.  The cells whose codes
+    on them are in `exclude` (a `ScanContext`'s `exclusion`, say) are
+    never touched, apart from a curve cycle's two vertices.  Raises
+    FillingNotFound when the cycle leaves the ambient or no filling fits
+    the cap, and SearchBudgetExceeded when the surface search runs out of
+    nodes.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if not all(ambient.contains_cell(c) for c in cycle.cells):
         raise FillingNotFound("the cycle leaves the ambient, so no filling in it has that boundary")
-    if exclude is None:
-        exclude = CodeExclusion(ambient.codes, frozenset())
     if cycle.dim == 0:
-        cells = _shortest_path(cycle, exclude, cap)
+        cells = _shortest_path(ambient.codes, cycle, exclude, cap)
     else:
-        cells = _parity_min_filling(cycle, exclude, cap, node_budget)
+        cells = _parity_min_filling(ambient.codes, cycle, exclude, cap, node_budget)
     return Filling(cells=cells, boundary=cycle)
 
 
@@ -477,15 +448,19 @@ class _CutNetwork:
 class ScanContext:
     """One manifold state under scan, and what all of its arcs share.
 
-    Holds the state `M` and the run's `cfg`; the enclosed region
-    (`inside`), the one cut network for both sides (`network`) and the
-    exclusion of a curve replacement are built on first use.  A context
-    belongs to its state: build a new one when the state changes.
+    Holds the state `M` and the `variant` ranking its reports; the region
+    M encloses (`inside`), the one cut network of both sides (`network`)
+    and a curve replacement's `exclusion` are built on first use, once per
+    state: build a new context when the state changes.  Raises ValueError
+    for an unknown variant, and DimensionUnsupported for a set of vertices.
     """
 
-    def __init__(self, M: ManifoldComplex, cfg: ContractionConfig = ContractionConfig()):
+    def __init__(self, M: ManifoldComplex, variant: str = "ratio"):
+        check_variant(variant)
+        if M.m < 1:
+            raise DimensionUnsupported(M.m)
         self.M = M
-        self.cfg = cfg
+        self.variant = variant
 
     @cached_property
     def inside(self) -> CellSet:
@@ -496,11 +471,11 @@ class ScanContext:
         return _CutNetwork(self.M, self.inside)
 
     @cached_property
-    def exclusion(self) -> CodeExclusion:
-        """What a curve replacement may not touch: M's closure, on the
-        ambient's codes.  A curve cycle's closure is its two vertices,
-        which the path search lets through as its ends."""
-        return CodeExclusion(self.M.ambient.codes, frozenset(np.concatenate(self.M.table.closure).tolist()))
+    def exclusion(self) -> FrozenSet[int]:
+        """What a curve replacement may not touch: M's closure, as codes
+        on the ambient's `codes`.  A curve cycle's closure is its two
+        vertices, which the path search lets through as its ends."""
+        return frozenset(np.concatenate(self.M.table.closure).tolist())
 
 
 def one_sided_min_cut(
@@ -577,7 +552,7 @@ def lofted(ctx: ScanContext, arc: ArcRegion) -> Tuple[LoftedLevel, ...]:
     for i in range(1, arc.gamma + 1):
         fit = arc if i == arc.gamma else fit_region(M, arc.center, i)
         try:
-            cap = min(ctx.cfg.filling_cap, len(fit.region))
+            cap = min(FILLING_CAP, len(fit.region))
             m_i = min_filling(M.ambient, fit.cycle, cap=cap)
             meets = bool(m_i.cells & arc.region) and m_i.N < len(fit.region)
         except SearchBudgetExceeded:

@@ -11,13 +11,13 @@ import pytest
 import gridtopo
 import gridtopo.curviness as curviness_module
 from gridtopo import (
-    ContractionConfig,
     CubicalCell,
     ManifoldComplex,
     ScanContext,
     arc_sign,
     ball,
     build_ambient,
+    contract,
 )
 from gridtopo.complexes import Cycle, components, is_cycle, region_boundary
 from gridtopo.corpus import random_simple_curve
@@ -35,7 +35,7 @@ from gridtopo.curviness import (
 )
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import CodimensionUnsupported, FillingNotFound, NoFittingCycle, SearchBudgetExceeded
-from gridtopo.filling import enclosed_cells, min_filling
+from gridtopo.filling import FILLING_CAP, enclosed_cells, min_filling
 from gridtopo.metric import ambient_distance
 
 from util import (
@@ -444,7 +444,7 @@ def eager_reports(ctx, gamma):
     than the bound and gives a measure no larger than the measure bound,
     and the measure bound the ranking reads from a fit is that of its arc.
     """
-    M, variant = ctx.M, ctx.cfg.variant
+    M, variant = ctx.M, ctx.variant
     for fit, lb in candidate_arcs(ctx, gamma):
         bound = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
         assert bound == measure_bound(fit.arc(M, gamma), lb, variant)
@@ -452,7 +452,7 @@ def eager_reports(ctx, gamma):
     for arc in reference_candidate_arcs(M, gamma):
         lb = filling_lower_bound(M.ambient, arc.cycle)
         filling = replacement_filling(ctx, arc)
-        if lb > min(ctx.cfg.filling_cap, arc.N - 1, len(M.cells) - arc.N - 1):
+        if lb > min(FILLING_CAP, arc.N - 1, len(M.cells) - arc.N - 1):
             assert filling is None
         if filling is None:
             continue
@@ -471,7 +471,7 @@ def test_lazy_reports_match_eager(variant, amb3, ushape, rect12, sq1, box111, bo
     sphere28 = surface_from_voxels(amb3, SPHERE28_VOXELS)
     seen = 0
     for M in (ushape, rect12, sq1, box111, box211, sphere28):
-        ctx = ScanContext(M, ContractionConfig(variant=variant))
+        ctx = ScanContext(M, variant)
         for gamma in radius_sweep(M):
             expected = eager_reports(ctx, gamma)
             assert list(valid_reports(ctx, gamma)) == expected
@@ -492,12 +492,13 @@ def test_first_report_solves_few_fillings(ushape, monkeypatch):
     assert len(solved) < len(candidate_arcs(ScanContext(ushape), 2))
 
 
-# A negative move cap would run like 0, every replacement a split; 0 stays
-# legal, as the forced-split tests use it.
-@pytest.mark.parametrize("bad", [{"variant": "bogus"}, {"filling_cap": 0}, {"move_cap": -1}])
-def test_config_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
-        ContractionConfig(**bad)
+# A scan context, and a contraction before any work: also one of an input
+# that is already irreducible (box111), where no scan would run.
+@pytest.mark.parametrize("bad", [(ScanContext, "ushape"), (contract, "ushape"), (contract, "box111")])
+def test_config_rejects_bad_values(bad, request):
+    run, fixture = bad
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        run(request.getfixturevalue(fixture), "bogus")
 
 
 def reference_fit_region(M, center, gamma):
@@ -637,7 +638,7 @@ def reference_valid_reports(ctx, gamma):
     """`curviness.valid_reports` as it was: the waiting candidates sorted
     on their bounds, the solved reports in a heap of their own, and a rule
     to choose between the two tops."""
-    M, variant = ctx.M, ctx.cfg.variant
+    M, variant = ctx.M, ctx.variant
     pending = []  # (-bound, center id, fit), best key last
     for fit, lb in curviness_module.candidate_arcs(ctx, gamma):
         bound = curviness_module._fit_measure_bound(M, gamma, fit, lb, variant)
@@ -711,7 +712,7 @@ def test_reports_match_reference(amb3, ushape, rect12, sq1, box111, box211, toru
     manifolds += random_polycube_surfaces(amb3, 6, seed=5)
     signs = Counter()
     for M, variant in itertools.product(manifolds, VARIANTS):
-        ctx = ScanContext(M, ContractionConfig(variant=variant))
+        ctx = ScanContext(M, variant)
         for gamma in radius_sweep(M):
             want, want_events = run(reference_valid_reports(ctx, gamma))
             got, got_events = run(valid_reports(ctx, gamma))

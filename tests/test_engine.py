@@ -25,8 +25,8 @@ from gridtopo import engine
 from gridtopo.cli import main
 from gridtopo.corpus import random_simple_curve
 from gridtopo.deform import MoveStep, ObstructionEvidence, ReplaceStep, SplitStep, TerminalStep, flip_ok, replay
-from gridtopo.engine import ContractionConfig, probe_obstruction, radius_sweep
-from gridtopo.errors import DimensionUnsupported, ValidationFailed
+from gridtopo.engine import probe_obstruction, radius_sweep
+from gridtopo.errors import DimensionUnsupported, InterpolationFailed, ValidationFailed
 from gridtopo.io import load_fixture, trace_to_json
 
 from conftest import FIXTURE_DIR
@@ -163,10 +163,20 @@ def test_contract_determinism(ushape):
     assert a.root.final.cells == b.root.final.cells
 
 
-def test_forced_splits_reconstruct(ushape):
+def _without_interpolation(monkeypatch):
+    """Every interpolation fails, so every reduction goes through a split."""
+
+    def fail(M, arc, filling, move_cap):
+        raise InterpolationFailed("interpolation disabled")
+
+    monkeypatch.setattr(engine, "interpolate", fail)
+
+
+def test_forced_splits_reconstruct(ushape, monkeypatch):
     """With interpolation disabled, every reduction goes through splits;
     the recorded glue data must rebuild each parent state exactly."""
-    res = contract(ushape, ContractionConfig(move_cap=0))
+    _without_interpolation(monkeypatch)
+    res = contract(ushape)
     assert res.root.terminal.status == "irreducible_sphere"
     assert len(res.nodes) > 1
     assert all(n.terminal.status == "irreducible_sphere" for n in res.nodes)
@@ -190,8 +200,9 @@ def test_forced_splits_reconstruct(ushape):
         assert state == frozenset(node.trace.final)
 
 
-def test_split_children_strictly_smaller(ushape):
-    res = contract(ushape, ContractionConfig(move_cap=0))
+def test_split_children_strictly_smaller(ushape, monkeypatch):
+    _without_interpolation(monkeypatch)
+    res = contract(ushape)
     by_id = {n.node_id: n for n in res.nodes}
     for node in res.nodes:
         for child in node.children:

@@ -23,7 +23,7 @@ from gridtopo.curviness import (
 from gridtopo.engine import radius_sweep
 from gridtopo.errors import FillingNotFound, NoFittingCycle, NotSeparating, SearchBudgetExceeded
 from gridtopo.filling import (
-    CodeExclusion,
+    FILLING_CAP,
     Filling,
     LoftedLevel,
     ScanContext,
@@ -675,7 +675,7 @@ def _refitted_lofted(ctx, center, gamma):
     for i in range(1, gamma + 1):
         fit = fit_region(M, center, i)
         try:
-            m_i = min_filling(M.ambient, fit.cycle, cap=min(ctx.cfg.filling_cap, len(fit.region)))
+            m_i = min_filling(M.ambient, fit.cycle, cap=min(FILLING_CAP, len(fit.region)))
             meets = bool(m_i.cells & arc_cells) and m_i.N < len(fit.region)
         except SearchBudgetExceeded:
             cut = one_sided_min_cut(ctx, fit.region, "inside") or one_sided_min_cut(ctx, fit.region, "outside")
@@ -691,7 +691,7 @@ def _reference_replacement_filling(networks, ctx, arc):
     cut and search: both cuts uncapped, the smaller (inside on ties) kept
     only when it fits the cap, then the exact search up to it."""
     M = ctx.M
-    eff_cap = min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)
+    eff_cap = min(FILLING_CAP, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)
     if eff_cap < 1:
         return None
     cut = None
@@ -748,12 +748,12 @@ def test_parity_search_matches_reference(amb3, box211, torus):
     for ctx, arc in _arcs(_surfaces(amb3, box211, torus)):
         M, cycle = ctx.M, arc.cycle
         excluded = complex_closure(M) - closure_of(cycle.cells)
-        cap = max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1, 8))
+        cap = max(1, min(FILLING_CAP, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1, 8))
         for budget in (1, 10, 100, 1000):
             want = _outcome(_reference_parity_min_filling, M.ambient, cycle, excluded, cap, budget)
             assert _outcome(min_filling, M.ambient, cycle, code_exclusion(M.ambient, excluded), cap, budget) == want
             want_free = _outcome(_reference_parity_min_filling, M.ambient, cycle, frozenset(), cap, budget)
-            assert _outcome(min_filling, M.ambient, cycle, None, cap, budget) == want_free
+            assert _outcome(min_filling, M.ambient, cycle, frozenset(), cap, budget) == want_free
             for w in (want, want_free):
                 seen.add(w[0] if isinstance(w, tuple) else "filling")
     assert seen == {"filling", FillingNotFound, SearchBudgetExceeded}
@@ -775,7 +775,7 @@ def test_parity_search_matches_reference_on_made_cycles(amb3):
         cycle = Cycle(cells, 2)
         for cap, budget in ((3, 20_000), (6, 20_000)):
             want = _outcome(_reference_parity_min_filling, amb3, cycle, frozenset(), cap, budget)
-            assert _outcome(min_filling, amb3, cycle, None, cap, budget) == want
+            assert _outcome(min_filling, amb3, cycle, frozenset(), cap, budget) == want
     assert min_filling(amb3, Cycle(hexagon, 2), cap=3).cells == {
         square((0, 0, 0), (1, 2)), square((0, 0, 0), (0, 2)), square((0, 0, 0), (0, 1))
     }
@@ -827,14 +827,15 @@ def test_fillings_in_a_large_ambient():
 
 
 def test_exclusion_is_closure_less_cycle_closure(ushape, box211, torus):
-    """A context's exclusion is M's closure on the ambient's codes, and
-    every replacement filling, a curve's or a surface's, keeps out of M's
-    closure less the cycle's closure."""
+    """A context's exclusion is a set of codes that decodes, on the
+    ambient's codes, to M's closure, and every replacement filling, a
+    curve's or a surface's, keeps out of M's closure less the cycle's
+    closure."""
     for ctx, arc in _arcs([ushape, box211, torus]):
         M = ctx.M
         got = ctx.exclusion
-        assert isinstance(got, CodeExclusion) and got.codes is M.ambient.codes
-        assert {got.codes.cell(x) for x in got.closure} == complex_closure(M)
+        assert isinstance(got, frozenset)
+        assert {M.ambient.codes.cell(x) for x in got} == complex_closure(M)
         filling = replacement_filling(ctx, arc)
         assert filling is None or closure_of(filling.cells).isdisjoint(complex_closure(M) - closure_of(arc.cycle.cells))
 
@@ -951,10 +952,10 @@ def test_path_search_matches_reference(sq1, rect12, ushape):
         exclusions = (
             (ctx.exclusion, complex_closure(M)),
             (code_exclusion(M.ambient, excluded), excluded),
-            (None, frozenset()),
+            (frozenset(), frozenset()),
             (code_exclusion(M.ambient, complex_closure(M)), complex_closure(M)),
         )
-        caps = range(1, max(1, min(ctx.cfg.filling_cap, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)) + 1)
+        caps = range(1, max(1, min(FILLING_CAP, len(arc.region) - 1, len(M.cells) - len(arc.region) - 1)) + 1)
         for exclude, cells in exclusions:
             for cap, want in zip(caps, _reference_path_fillings(M.ambient, cycle, cells, caps)):
                 assert _outcome(min_filling, M.ambient, cycle, exclude, cap) == want

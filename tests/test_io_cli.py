@@ -394,13 +394,46 @@ def test_replay_refuses_a_split_that_adds_cells_already_present():
     [
         ["curviness", str(FIXTURE_DIR / "ushape.txt"), "--radius", "-1"],
         ["curviness", str(FIXTURE_DIR / "ushape.txt"), "--radius", "0"],
-        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--filling-cap", "0"],
-        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--move-cap", "-2"],
     ],
 )
 def test_cli_rejects_non_positive(argv, capsys):
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["contract", "--bogus"],
+        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--bogus"],
+        ["contract"],
+        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--variant", "bogus"],
+        ["bogus"],
+        [],
+        ["curviness", str(FIXTURE_DIR / "ushape.txt"), "--radius", "two"],
+        # the caps are fixed: a script that still passes one gets a usage
+        # error, not exit 2, which `contract` means as "obstruction"
+        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--filling-cap", "0"],
+        ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--move-cap", "-2"],
+        ["contract", "--input", str(FIXTURE_DIR / "sq1.txt"), "--filling-cap", "8"],
+    ],
+)
+def test_cli_usage_error_exits_4(argv, capsys):
+    """A command line that does not parse is bad input, exit 4 with one
+    `error: ...` line, not argparse's exit 2 with a usage block."""
+    assert main(argv) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["contract", "--help"]])
+def test_cli_help_exits_0(argv, capsys):
+    """`--help` still exits 0; `contract` lists no cap, the caps being fixed."""
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gridtopo") and "cap" not in out
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "latin-1"])
@@ -423,6 +456,16 @@ def test_cli_contract_refuses_a_point(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     capsys.readouterr()
     assert main(["contract", "--input", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error: contract needs a manifold of dimension m >= 1, got m=0")
+
+
+@pytest.mark.parametrize("radius", [[], ["--radius", "1"]])
+def test_cli_curviness_refuses_a_point(tmp_path, capsys, radius):
+    """`curviness` refuses a single vertex as `contract` does, exit 4,
+    before it computes any radius: it has no arc at any."""
+    path = tmp_path / "point.txt"
+    path.write_text("ambient 2 -2:5 -2:5\ncell 1 1 axes\n")
+    assert main(["curviness", str(path), *radius]) == 4
     assert capsys.readouterr().err.startswith("error: contract needs a manifold of dimension m >= 1, got m=0")
 
 

@@ -21,7 +21,6 @@ from gridtopo.complexes import components
 from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import fit_region
 from gridtopo.errors import GridTopoError
-from gridtopo.filling import CodeExclusion
 from gridtopo.io import load_fixture, trace_from_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -96,11 +95,11 @@ def random_connected_subcomplex(ambient, m, n_cells, rng):
 
 
 def code_exclusion(ambient, cells):
-    """The cells as a `CodeExclusion` on the ambient's codes; a cell
-    outside the ambient is in no ambient cell's closure, so it is left
-    out."""
+    """The cells as a frozenset of codes on the ambient's codes, as
+    `min_filling` takes an exclusion; a cell outside the ambient is in no
+    ambient cell's closure, so it is left out."""
     codes = ambient.codes
-    return CodeExclusion(codes, frozenset(codes.code(c) for c in cells if ambient.contains_cell(c)))
+    return frozenset(codes.code(c) for c in cells if ambient.contains_cell(c))
 
 
 U_PIXELS = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0), (2, 1), (2, 2)]
