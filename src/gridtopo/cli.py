@@ -95,6 +95,26 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise GridTopoError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """As argparse's, but an unknown argument is named before a missing
+        required one, which argparse reports first: `contract --bogus`
+        names `--bogus`.  On an error the parse is repeated with nothing
+        required, and any unknown argument it leaves is the error."""
+        try:
+            return super().parse_known_args(args, namespace)
+        except GridTopoError:
+            required = [a for a in self._actions if a.required]
+            for a in required:
+                a.required = False
+            try:
+                extras = super().parse_known_args(args, namespace)[1]
+            finally:
+                for a in required:
+                    a.required = True
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            raise
+
 
 def positive(text: str) -> int:
     """The `--radius` type: an integer of at least 1."""

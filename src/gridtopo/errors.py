@@ -50,7 +50,7 @@ class DimensionUnsupported(GridTopoError):
 
     def __init__(self, m):
         self.m = m
-        super().__init__(f"contract needs a manifold of dimension m >= 1, got m={m}")
+        super().__init__(f"needs a manifold of dimension m >= 1, got m={m}")
 
 
 class CodimensionUnsupported(GridTopoError):

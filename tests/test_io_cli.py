@@ -416,14 +416,20 @@ def test_cli_rejects_non_positive(argv, capsys):
         ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--filling-cap", "0"],
         ["contract", "--input", str(FIXTURE_DIR / "rect12.txt"), "--move-cap", "-2"],
         ["contract", "--input", str(FIXTURE_DIR / "sq1.txt"), "--filling-cap", "8"],
+        ["--bogus"],
     ],
 )
 def test_cli_usage_error_exits_4(argv, capsys):
     """A command line that does not parse is bad input, exit 4 with one
-    `error: ...` line, not argparse's exit 2 with a usage block."""
+    `error: ...` line, not argparse's exit 2 with a usage block.  An
+    unknown option is named even when `--input` is missing too."""
     assert main(argv) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    if "--bogus" in argv:
+        assert out.err == "error: unrecognized arguments: --bogus\n"
+    if argv == ["contract"]:
+        assert out.err == "error: the following arguments are required: --input\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["contract", "--help"]])
@@ -456,7 +462,7 @@ def test_cli_contract_refuses_a_point(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
     capsys.readouterr()
     assert main(["contract", "--input", str(path)]) == 4
-    assert capsys.readouterr().err.startswith("error: contract needs a manifold of dimension m >= 1, got m=0")
+    assert capsys.readouterr().err == "error: needs a manifold of dimension m >= 1, got m=0\n"
 
 
 @pytest.mark.parametrize("radius", [[], ["--radius", "1"]])
@@ -466,7 +472,7 @@ def test_cli_curviness_refuses_a_point(tmp_path, capsys, radius):
     path = tmp_path / "point.txt"
     path.write_text("ambient 2 -2:5 -2:5\ncell 1 1 axes\n")
     assert main(["curviness", str(path), *radius]) == 4
-    assert capsys.readouterr().err.startswith("error: contract needs a manifold of dimension m >= 1, got m=0")
+    assert capsys.readouterr().err == "error: needs a manifold of dimension m >= 1, got m=0\n"
 
 
 def test_cli_render_missing_trace(tmp_path, capsys):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from gridtopo import CubicalCell, ManifoldComplex, build_ambient, validate
-from gridtopo.complexes import components
+from gridtopo.complexes import components, region_boundary
 from gridtopo.corpus import random_simple_curve
 from gridtopo.curviness import fit_region
 from gridtopo.errors import GridTopoError
@@ -272,6 +272,41 @@ def reference_is_cycle(items, faces_of=CubicalCell.faces):
     if not counts:
         return len(items) == 2
     return all(k == 2 for k in counts.values()) and len(components(items, faces_of)) == 1
+
+
+def reference_random_simple_curve(ambient, rng, max_perimeter=60, max_cells=25):
+    """`corpus.random_simple_curve` as it was before its local tests: each
+    growth attempt rebuilds the trial region's boundary and runs a full
+    `validate` on it."""
+    if ambient.n != 2:
+        raise ValueError("curves need a 2-d ambient")
+    lo = [e[0] + 2 for e in ambient.extent]
+    hi = [e[1] - 3 for e in ambient.extent]
+    seed = (rng.randint(lo[0], hi[0]), rng.randint(lo[1], hi[1]))
+    region = {seed}
+
+    def boundary_complex(cells):
+        squares = [CubicalCell.make(c, (0, 1)) for c in cells]
+        return ManifoldComplex.make(ambient, 1, region_boundary(squares))
+
+    target = rng.randint(2, max_cells)
+    attempts = 0
+    while len(region) < target and attempts < 200:
+        attempts += 1
+        base = rng.choice(sorted(region))
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        cand = (base[0] + dx, base[1] + dy)
+        if cand in region:
+            continue
+        if not (lo[0] <= cand[0] <= hi[0] and lo[1] <= cand[1] <= hi[1]):
+            continue
+        trial = region | {cand}
+        M = boundary_complex(trial)
+        if M.n_cells > max_perimeter:
+            continue
+        if validate(M).ok:
+            region = trial
+    return boundary_complex(region)
 
 
 # ---------------------------------------------------------------------------
