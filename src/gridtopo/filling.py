@@ -2,9 +2,11 @@
 
 A `ScanContext` holds one manifold state and the run's curviness variant,
 and builds, on first use and once per state, what every candidate arc of
-that state shares: the region the manifold encloses, a crossing parity by
-Jordan's theorem, and one minimum-cut network that holds both sides.  The
-scan functions here and in `curviness` take the context.
+that state shares: the region the manifold encloses, and one minimum-cut
+network of both sides, built in array passes from the state's index,
+each node's side the crossing parity by Jordan's theorem that
+`enclosed_cells` reads.  The scan functions here and in `curviness` take
+the context.
 
 A filling of a cycle C is a set of m-cells in the ambient whose topological
 boundary is exactly C.  For curves (m=1) the minimum filling is a shortest
@@ -35,9 +37,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
-from operator import mul
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -255,11 +255,20 @@ def enclosed_cells(ambient: AmbientSpace, surface: CellSet) -> CellSet:
     if not len(bases):
         return frozenset()
     lo = bases.min(axis=0)
-    crossings = np.zeros(bases.max(axis=0) - lo + 1, np.uint8)
-    crossings[tuple((bases - lo).T)] = 1
-    odd = np.bitwise_xor.accumulate(crossings, axis=0)
+    odd = _crossing_parity(bases - lo, bases.max(axis=0) - lo + 1)
     axes = tuple(range(n))
     return frozenset(CubicalCell(n, tuple(b), axes) for b in (np.argwhere(odd) + lo).tolist())
+
+
+def _crossing_parity(crossings: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """Per top cell of a block of `shape`, 1 when a ray from it down axis 0
+    crosses an odd number of `crossings`: the offsets in the block of
+    (n-1)-cells across axis 0, each on the low wall of the cell at its
+    offset, so a running XOR along axis 0 counts them.  A crossing on the
+    block's upper wall bounds none of its cells."""
+    odd = np.zeros(shape, np.uint8)
+    odd[tuple(crossings[crossings[:, 0] < shape[0]].T)] = 1
+    return np.bitwise_xor.accumulate(odd, axis=0)
 
 
 def inside_region(M: ManifoldComplex) -> CellSet:
@@ -274,111 +283,72 @@ class _CutNetwork:
     """The arc-independent part of a one-sided minimum cut of M, for both
     sides at once; M lies in codimension one, as only there it has sides.
 
-    Nodes are the top cells of M's bounding block, one cell wider on every
-    side and clipped to the ambient, then one far-outside node (`far`).  A
-    cell's node is its flat index in the block, in canonical order: with
-    `lo` the block's low corner, the cell at base b is node
-    sum((b[a] - lo[a]) * stride[a]), so its neighbour across axis a is
-    `i + stride[a]`.  An edge joins neighbouring cells across each face
-    off M with capacity 1, and an outside cell meets the far node with
-    capacity equal to its faces on the block's walls.  M's faces carry no
-    edge and the inside is bounded by M, so no edge joins the two sides: a
-    search started on one side stays there.  The edges are stored as pairs
-    of arcs in flat CSR arrays: node u's arcs are `start[u]` to
+    Built in array passes from the state's index and code table.  Nodes
+    are the top cells of M's bounding block, one cell wider on every side
+    and clipped to the ambient, then one far-outside node (`far`).  A
+    cell's node is its flat index in the block, in canonical order: the
+    cell at base b is node `np.ravel_multi_index(b - lo, shape)`.
+    `enclosed[i]` marks the inside nodes, by the crossing parity
+    `enclosed_cells` reads.  An edge joins neighbouring cells across each
+    face off M with capacity 1, and an outside cell meets the far node
+    with capacity equal to its faces on the block's walls.  M's faces
+    carry no edge and the inside is bounded by M, so no edge joins the two
+    sides: a search started on one side stays there.  The edges are stored
+    as pairs of arcs in flat CSR arrays: node u's arcs are `start[u]` to
     `start[u + 1]`, arc k runs to `head[k]` with capacity `cap[k]`, and
-    `rev[k]` is its twin the other way.  Per side, `nodes[side]` lists that
-    side's cell nodes and `carrier[side]` maps each face of M to the node
-    of its top cell on that side, when that cell is in the block;
-    `load[side][i]` counts the faces node i carries, and `terminals[side]`
-    marks the nodes that carry one, and outside the far node: the rest's
-    terminals, once a solve clears its arc's nodes.  A solve (`reached`)
-    runs the flow from the arc's carriers, and only at maximum flow reads
-    the flipped region, by one search from the rest.
+    `rev[k]` is its twin the other way.  Per side, `carrier[side]` maps
+    each face of M to the node of its top cell on that side, when that
+    cell is in the block; `load[side][i]` counts the faces node i carries,
+    and `terminals[side]` marks the nodes that carry one, and outside the
+    far node: the rest's terminals, once a solve clears its arc's nodes.
+    A solve (`reached`) runs the flow from the arc's carriers, and only at
+    maximum flow reads the flipped region, by one search from the rest.
     """
 
-    def __init__(self, M: ManifoldComplex, inside: CellSet):
-        ambient, n = M.ambient, M.ambient.n
-        coords = M.index.vertex_coords
-        low, high = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
-        self.lo = [max(x - 1, l) for x, (l, _) in zip(low, ambient.extent)]
-        self.shape = [min(x, h - 1) + 1 - lo for x, (_, h), lo in zip(high, ambient.extent, self.lo)]
-        self.stride = [1] * n
-        for a in range(n - 2, -1, -1):
-            self.stride[a] = self.stride[a + 1] * self.shape[a + 1]
-        self.far = self.stride[0] * self.shape[0]
+    def __init__(self, M: ManifoldComplex):
+        n, codes = M.ambient.n, M.ambient.codes
+        coords, (low, high) = M.index.vertex_coords, np.array(M.ambient.extent).T
+        self.lo = np.maximum(coords.min(axis=0) - 1, low)
+        self.shape = np.minimum(coords.max(axis=0), high - 1) + 1 - self.lo
+        stride = np.cumprod([1, *self.shape[:0:-1]])[::-1]
+        self.far = int(self.shape.prod())
         self.size = self.far + 1
-        is_inside = bytearray(self.far)
-        for c in inside:
-            i = self.index(c.base)
-            if i is not None:
-                is_inside[i] = 1
-        self.carrier: Dict[str, Dict[CubicalCell, int]] = {side: {} for side in _SIDES}
-        blocked = bytearray(self.far * n)  # at i * n + a: M holds the face between i and i + stride[a]
-        hi = [lo + k - 1 for lo, k in zip(self.lo, self.shape)]
-        origin = sum(map(mul, self.lo, self.stride))
-        axes_sum = n * (n - 1) // 2
-        for f in M.cells:
-            # In codimension one a face spans all axes but one, and its two
-            # top cells lie across that axis: its own node and the one a
-            # stride below, those in the block, in the order of
-            # `top_cells_containing`.
-            b, a = f.base, axes_sum - sum(f.axes)
-            i = sum(map(mul, b, self.stride)) - origin
-            if b[a] <= hi[a]:
-                self.carrier[_SIDES[not is_inside[i]]][f] = i
-            if b[a] > self.lo[a]:
-                i -= self.stride[a]
-                self.carrier[_SIDES[not is_inside[i]]][f] = i
-                blocked[i * n + a] = 1  # M blocks the edge up from the node below
-        self.nodes: Dict[str, List[int]] = {side: [] for side in _SIDES}
-        edges: List[Tuple[int, int, int]] = []  # (u, v, capacity)
-        last = [k - 1 for k in self.shape]
-        for i, x in enumerate(product(*map(range, self.shape))):
-            side = _SIDES[not is_inside[i]]
-            self.nodes[side].append(i)
-            leaving = 0
-            for a in range(n):
-                leaving += (x[a] == 0) + (x[a] == last[a])
-                if x[a] < last[a] and not blocked[i * n + a]:
-                    edges.append((i, i + self.stride[a], 1))
-            if leaving and side == "outside":
-                edges.append((i, self.far, leaving))
-        degree = [0] * (self.size + 1)
-        for u, v, _ in edges:
-            degree[u + 1] += 1
-            degree[v + 1] += 1
-        self.start = array("l", accumulate(degree))
-        self.head, self.cap, self.rev = (array("l", [0]) * (2 * len(edges)) for _ in range(3))
-        fill = self.start.tolist()
-        for u, v, c in edges:
-            k, l = fill[u], fill[v]
-            fill[u], fill[v] = k + 1, l + 1
-            self.head[k], self.cap[k], self.rev[k] = v, c, l
-            self.head[l], self.cap[l], self.rev[l] = u, c, k
-        self.load = {side: [0] * self.size for side in _SIDES}
-        self.terminals = {side: bytearray(self.size) for side in _SIDES}
+        # In codimension one a face spans all axes but one, and its two top
+        # cells lie across that axis: the node at its base and the one a
+        # stride below, those in the block.  The n slots of (n-1)-cells, in
+        # canonical order just below the top slot `low`, leave out axis
+        # n - 1 first and axis 0 last.
+        faces = M.table.closure[n - 1]
+        at, axis = codes.bases(faces) - self.lo, codes.low - 1 - (faces & codes.low)
+        along, up = at[np.arange(len(at)), axis], at @ stride
+        lower = up - stride[axis]
+        above, below = along < self.shape[axis], along > 0  # which of the two cells are in the block
+        self.enclosed = _crossing_parity(at[axis == 0], self.shape).ravel().astype(bool)
+        # Edges in the order (node, axis), each outside wall node's edge to
+        # the far node last, then two arcs per edge, kept in that order per
+        # node by one stable sort on their tails.
+        grid = np.indices(self.shape).reshape(n, -1).T
+        walls = (grid == 0).sum(axis=1) + (grid == self.shape - 1).sum(axis=1)
+        is_edge = np.column_stack([grid < self.shape - 1, (walls > 0) & ~self.enclosed])
+        is_edge[lower[below], axis[below]] = False  # M blocks the edge up from its lower cell
+        u, a = np.nonzero(is_edge)
+        v = np.where(a < n, u + np.append(stride, 0)[a], self.far)
+        tail, head = np.column_stack([u, v]).ravel(), np.column_stack([v, u]).ravel()
+        order = np.argsort(tail, kind="stable")
+        # Copied into C-long arrays as bytes: the flow indexes them one by one.
+        self.start = array("l", np.cumsum(np.bincount(tail + 1, minlength=self.size + 1)).astype("l").tobytes())
+        self.head = array("l", head[order].astype("l").tobytes())
+        self.cap = array("l", np.repeat(np.where(a < n, 1, walls[u]), 2)[order].astype("l").tobytes())
+        self.rev = array("l", np.argsort(order)[order ^ 1].astype("l").tobytes())  # where each arc's twin went
+        face = np.concatenate([np.flatnonzero(above), np.flatnonzero(below)])
+        node = np.concatenate([up[above], lower[below]])
+        self.carrier: Dict[str, Dict[CubicalCell, int]] = {}
+        self.load, self.terminals = {}, {}
+        for side, mine in zip(_SIDES, (self.enclosed[node], ~self.enclosed[node])):
+            self.carrier[side] = dict(zip(map(M.table.cells.__getitem__, face[mine].tolist()), node[mine].tolist()))
+            load = np.bincount(node[mine], minlength=self.size)
+            self.load[side], self.terminals[side] = load.tolist(), bytearray(load > 0)
         self.terminals["outside"][self.far] = 1
-        for side in _SIDES:
-            for i in self.carrier[side].values():
-                self.load[side][i] += 1
-                self.terminals[side][i] = 1
-
-    def index(self, base: Sequence[int]) -> Optional[int]:
-        """The node of the top cell at `base`, or None off the block."""
-        i = 0
-        for b, lo, k, s in zip(base, self.lo, self.shape, self.stride):
-            if not lo <= b < lo + k:
-                return None
-            i += (b - lo) * s
-        return i
-
-    def cell(self, i: int) -> CubicalCell:
-        """The top cell of node i."""
-        base = []
-        for lo, s in zip(self.lo, self.stride):
-            x, i = divmod(i, s)
-            base.append(lo + x)
-        return CubicalCell(len(base), tuple(base), tuple(range(len(base))))
 
     def reached(self, arc: List[int], rest: bytearray, cap: Optional[int]) -> Optional[bytearray]:
         """Which nodes the rest reaches once the flow between the `arc`
@@ -449,10 +419,11 @@ class ScanContext:
     """One manifold state under scan, and what all of its arcs share.
 
     Holds the state `M` and the `variant` ranking its reports; the region
-    M encloses (`inside`), the one cut network of both sides (`network`)
-    and a curve replacement's `exclusion` are built on first use, once per
-    state: build a new context when the state changes.  Raises ValueError
-    for an unknown variant, and DimensionUnsupported for a set of vertices.
+    M encloses (`inside`, for `arc_sign`), the one cut network of both
+    sides (`network`, from the state's index) and a curve replacement's
+    `exclusion` are built on first use, once per state: build a new
+    context when the state changes.  Raises ValueError for an unknown
+    variant, and DimensionUnsupported for a set of vertices.
     """
 
     def __init__(self, M: ManifoldComplex, variant: str = "ratio"):
@@ -468,7 +439,7 @@ class ScanContext:
 
     @cached_property
     def network(self) -> _CutNetwork:
-        return _CutNetwork(self.M, self.inside)
+        return _CutNetwork(self.M)
 
     @cached_property
     def exclusion(self) -> FrozenSet[int]:
@@ -520,7 +491,10 @@ def one_sided_min_cut(
     reached = net.reached(sorted(held), rest, cap)
     if reached is None:
         return None
-    w_cells = frozenset(net.cell(i) for i in net.nodes[side] if not reached[i])
+    mine = net.enclosed if side == "inside" else ~net.enclosed
+    flipped = (mine & ~np.frombuffer(reached, bool, net.far)).reshape(net.shape)
+    axes = tuple(range(ctx.M.ambient.n))
+    w_cells = frozenset(CubicalCell(len(axes), tuple(b), axes) for b in (np.argwhere(flipped) + net.lo).tolist())
     return region_boundary(w_cells) - ctx.M.cells, w_cells
 
 

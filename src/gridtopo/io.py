@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Union
 from .cells import AmbientSpace, CubicalCell, build_ambient, cell_token, parse_cell_token
 from .complexes import ManifoldComplex, check_margin, validate
 from .deform import DeformationTrace, step_from_json
-from .errors import ParseError, ValidationFailed
+from .errors import DegenerateExtent, ParseError, ValidationFailed
 
 
 def load_fixture(path: Union[str, Path], require_valid: bool = True) -> ManifoldComplex:
@@ -54,6 +54,8 @@ def load_fixture(path: Union[str, Path], require_valid: bool = True) -> Manifold
                 ambient = build_ambient(n, extent)
             except (ValueError, IndexError):
                 raise ParseError(line_no, f"bad ambient header {line!r}")
+            except DegenerateExtent as err:
+                raise ParseError(line_no, f"bad ambient header {line!r}: {err}")
         elif parts[0] == "cell":
             if ambient is None:
                 raise ParseError(line_no, "cell line before ambient header")
@@ -135,11 +137,11 @@ def trace_to_json(trace: DeformationTrace, children: Optional[Dict[int, Deformat
 
 
 def trace_from_json(doc: Dict) -> DeformationTrace:
-    """Rebuild a trace; a malformed document, one of another format or
-    version or with an empty initial or final state (the root's or any
-    child's), or a cell outside the ambient or not of the dimension its
-    place in the document needs (`cells_by_dim` of the steps), raises
-    ParseError (line 0)."""
+    """Rebuild a trace; a malformed document (an ambient axis spanning no
+    unit cell included), one of another format or version or with an empty
+    initial or final state (the root's or any child's), or a cell outside
+    the ambient or not of the dimension its place in the document needs
+    (`cells_by_dim` of the steps), raises ParseError (line 0)."""
     try:
         for d in (doc, *doc.get("children", {}).values()):
             if (d["format"], d["version"]) != (_FORMAT, _VERSION):
@@ -157,7 +159,7 @@ def trace_from_json(doc: Dict) -> DeformationTrace:
         )
         m = trace.m
         sized = [(m, trace.initial), (m, trace.final), *(g for s in trace.steps for g in s.cells_by_dim(m))]
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
+    except (AttributeError, DegenerateExtent, KeyError, TypeError, ValueError) as err:
         raise ParseError(0, f"malformed trace document: {type(err).__name__}: {err}")
     for dim, cells in sized:
         for c in cells:

@@ -3,8 +3,9 @@ import random
 from array import array
 from collections import deque
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
+import numpy as np
 import pytest
 
 from gridtopo import CubicalCell, Cycle, ManifoldComplex, build_ambient, contract, jordan_split, min_filling
@@ -251,13 +252,17 @@ def test_inside_region_counts(box211, torus):
 
 
 def test_one_sided_min_cut_box211(box211):
+    """The inside cut around one end of box211 is the face between its two
+    voxels; the context's network reads no enclosed region to find it."""
     left = CubicalCell.make((0, 0, 0), (1, 2))
     arc = fit_region(box211, left, 1)
-    got = one_sided_min_cut(ScanContext(box211), arc.region, "inside")
+    ctx = ScanContext(box211)
+    got = one_sided_min_cut(ctx, arc.region, "inside")
     assert got is not None
     cut, region = got
     assert cut == {CubicalCell.make((1, 0, 0), (1, 2))}
     assert region == {CubicalCell.make((0, 0, 0), (0, 1, 2))}
+    assert "inside" not in vars(ctx)
 
 
 def test_one_sided_min_cut_on_the_ambient_bound():
@@ -613,11 +618,16 @@ class _ReferenceCutNetwork:
 
 
 def test_cut_network_matches_reference_build(amb3, box211, torus):
-    """The network built on flat block indices has the arrays, carriers,
-    side lists and far node of the one built on cells, and its nodes are
-    the block's top cells in canonical order: on the fixture surfaces, the
-    28-face sphere, ten random polycubes, every state of the box211 and
-    box333 goldens."""
+    """The network built in array passes from the state's index has the
+    arrays, carriers and far node of the one built on cells, node i is the
+    i-th top cell of the block in canonical order, and each side's nodes
+    are the reference's: on the fixture surfaces, the 28-face sphere, ten
+    random polycubes, every state of the box211 and box333 goldens, the
+    1x2x1 box on the ambient's low bound and on its high bound, whose
+    blocks are clipped to the ambient, and the 3-spheres bounding a
+    2x1x1x1 and a 3x3x3x1 block of 4-cells."""
+    amb4 = build_ambient(4, [(-1, 4)] * 3 + [(-1, 2)])
+    boxes4 = [product(range(2), (0,), (0,), (0,)), product(range(3), range(3), range(3), (0,))]
     manifolds = [
         box211,
         torus,
@@ -625,14 +635,19 @@ def test_cut_network_matches_reference_build(amb3, box211, torus):
         *random_polycube_surfaces(amb3, 10, seed=1),
         *golden_states("box211"),
         *golden_states("box333"),
+        surface_from_voxels(build_ambient(3, [(0, 4), (-2, 4), (-2, 3)]), [(0, 0, 0), (0, 1, 0)]),
+        surface_from_voxels(build_ambient(3, [(-3, 1), (-2, 4), (-2, 3)]), [(0, 0, 0), (0, 1, 0)]),
+        *(ManifoldComplex.make(amb4, 3, region_boundary(CubicalCell.make(b, range(4)) for b in box)) for box in boxes4),
     ]
     for M in manifolds:
-        inside = inside_region(M)
-        got, want = filling_module._CutNetwork(M, inside), _ReferenceCutNetwork(M, inside)
-        for name in ("start", "head", "cap", "rev", "carrier", "nodes", "far"):
+        got, want = filling_module._CutNetwork(M), _ReferenceCutNetwork(M, inside_region(M))
+        for name in ("start", "head", "cap", "rev", "carrier", "far"):
             assert getattr(got, name) == getattr(want, name), name
-        assert [got.cell(i) for i in range(got.far)] == want.cells
-        assert all(got.index(c.base) == i for i, c in enumerate(want.cells))
+        n = M.ambient.n
+        bases = np.transpose(np.unravel_index(np.arange(got.far), got.shape)) + got.lo
+        assert [CubicalCell(n, tuple(b), tuple(range(n))) for b in bases.tolist()] == want.cells
+        assert np.flatnonzero(got.enclosed).tolist() == want.nodes["inside"]
+        assert np.flatnonzero(~got.enclosed).tolist() == want.nodes["outside"]
 
 
 def test_lofted_takes_the_arc_at_its_level(monkeypatch, ushape, box211, torus):

@@ -74,6 +74,16 @@ def test_parse_error_ambient_extent_count(tmp_path, extents):
     assert err.value.line_no == 1
 
 
+def test_parse_error_degenerate_extent(tmp_path):
+    """An extent that spans no unit cell is a bad header too, refused at
+    its line with the axis named."""
+    p = tmp_path / "bad.txt"
+    p.write_text("ambient 2 4:0 -2:5\ncell 0 0 axes 0\n")
+    with pytest.raises(ParseError, match="bad ambient header.*axis 0 spans -4 units") as err:
+        load_fixture(p)
+    assert err.value.line_no == 1
+
+
 def test_load_pinch_fails_validation():
     with pytest.raises(ValidationFailed) as err:
         load_fixture(FIXTURE_DIR / "pinch.txt")
@@ -302,6 +312,16 @@ def test_malformed_trace(tmp_path, capsys):
         rc = main(["render", "--trace", str(p), "--out", str(tmp_path / "frames")])
         assert rc == 4
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_trace_degenerate_extent():
+    """A trace whose ambient has an axis spanning no unit cell is a
+    malformed document: ParseError at line 0, with the axis named."""
+    doc = json.loads((GOLDEN_DIR / "sq1.json").read_text())
+    doc["ambient"]["extent"][0] = [5, 5]
+    with pytest.raises(ParseError, match="axis 0 spans 0 units") as err:
+        trace_from_json(doc)
+    assert err.value.line_no == 0
 
 
 @pytest.mark.parametrize(
